@@ -29,12 +29,25 @@ def _read_program(path: str) -> lang.Program:
     return lang.parse_program(Path(path).read_text(encoding="utf-8"))
 
 
+def _drop_stdout() -> None:
+    """The reader closed stdout early: send whatever is left to /dev/null."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
+def _write(text: str) -> None:
+    try:
+        sys.stdout.write(text)
+    except BrokenPipeError:
+        _drop_stdout()
+
+
 def _emit(data: dict, as_json: bool, human_lines: list[str]) -> None:
     if as_json:
-        print(json.dumps(data, sort_keys=True, indent=2))
+        _write(json.dumps(data, sort_keys=True, indent=2) + "\n")
     else:
-        for line in human_lines:
-            print(line)
+        _write("".join(line + "\n" for line in human_lines))
 
 
 def _bounds_from(args: argparse.Namespace) -> explorer.ExploreBounds:
@@ -91,7 +104,7 @@ def _parse_inits(program: lang.Program, specs: list[str]) -> dict:
 
 def cmd_parse(args: argparse.Namespace) -> int:
     program = _read_program(args.file)
-    print(lang.unparse(program, show_labels=args.labels), end="")
+    _write(lang.unparse(program, show_labels=args.labels))
     return 0
 
 
@@ -105,8 +118,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise LeakLabError(f"secret variable(s) {missing} need --init values")
     final = semantics.run_deterministic(program, store, costs,
                                         max_steps=args.bound_steps)
-    for event in final.trace:
-        print(f"{program.threads[event.thread].name}\t{event.payload}\t{event.timestamp}")
+    _write("".join(f"{program.threads[event.thread].name}\t{event.payload}\t{event.timestamp}\n"
+                   for event in final.trace))
     return 0
 
 
@@ -117,13 +130,14 @@ def cmd_leakscan(args: argparse.Namespace) -> int:
     bounds = _bounds_from(args)
     secret_domain = _parse_secret_override(program, args.secret or [])
     init = _parse_inits(program, args.init or [])
-    report = explorer.knowledge_partition(program, init, secret_domain, bounds,
-                                          costs, jobs=args.jobs)
+    report = explorer.knowledge_partition(program, init, secret_domain, bounds, costs)
     data = report.to_json()
     human = [f"verdict: {report.verdict} (complete={report.complete})"]
     for row in data["observations"]:
         flag = " LEAKY" if row["leaky"] else ""
-        human.append(f"  obs [{row['letters']}] K={row['knowledge']}{flag}")
+        events = " ".join(f"{e['payload']}@{e['timestamp']}" if "timestamp" in e
+                          else e["payload"] for e in row["events"])
+        human.append(f"  obs [{events}] K={row['knowledge']}{flag}")
     _emit(data, args.format == "json", human)
     return {"leak-found": 1, "no-leak": 0, "inconclusive": 3}[report.verdict]
 
@@ -315,7 +329,7 @@ def cmd_emit_smt(args: argparse.Namespace) -> int:
                                   tool_config.tolerance)
         (out_dir / f"vc_{vc.kind}_{index}.smt2").write_text(text, encoding="utf-8")
         written += 1
-    print(f"wrote {written} SMT-LIB files to {out_dir}")
+    _write(f"wrote {written} SMT-LIB files to {out_dir}\n")
     return 0
 
 
@@ -356,8 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict a secret's enumerated domain")
     p.add_argument("--init", action="append", metavar="NAME=VALUE",
                    help="override a declared initializer")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel exploration of top-level schedule subtrees")
     p.set_defaults(func=cmd_leakscan)
 
     p = sub.add_parser("ogcheck", help="check an annotated proof outline")
@@ -391,13 +403,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except LeakLabError as e:
+        code = args.func(args)
+    except (LeakLabError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _drop_stdout()
+    return code
 
 
 if __name__ == "__main__":

@@ -1,16 +1,16 @@
-"""Exhaustive bounded exploration of schedules and attacker knowledge.
+"""Exhaustive bounded exploration of program states and attacker knowledge.
 
 The attacker model is possibilistic: an observation is the sequence of
 printed payloads (with timestamps unless timing-blind), and the knowledge
 set of an observation is the set of secret valuations that can produce it
 under some schedule.  An observation leaks when its knowledge set is a
-strict subset of the full secret domain.
+strict subset of the full secret domain.  A run cut short by a bound
+yields only a prefix of an observation, which never witnesses a leak.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -51,10 +51,19 @@ class ExploreBounds:
 
 @dataclass(frozen=True)
 class ExploreResult:
+    """Observations of every run, and counts over distinct states.
+
+    ``truncated`` counts the states cut at ``max_steps`` and ``deadlocked``
+    the states where no thread can move.  ``prefixes`` holds the
+    observations of runs cut short by ``max_steps`` or ``max_configs``:
+    such a run could have printed more.
+    """
+
     observations: frozenset[tuple[Observation, bool]]  # (observation, terminated?)
     complete: bool
     truncated: int
     deadlocked: int
+    prefixes: frozenset[Observation]
 
 
 @dataclass
@@ -102,28 +111,34 @@ def secret_domain_of(program: lang.Program) -> tuple[SecretValuation, ...]:
     )
 
 
-def _project(config: semantics.Configuration, bounds: ExploreBounds) -> Observation:
-    events = []
-    for ev in config.trace:
-        payload = ev.payload
-        if bounds.observe_thread_ids:
-            payload = f"{ev.thread}:{payload}"
-        events.append((payload, None if bounds.timing_blind else ev.timestamp))
-    return Observation(tuple(events))
+def _project(trace: tuple[semantics.Event, ...],
+             bounds: ExploreBounds) -> tuple[tuple[str, Optional[int]], ...]:
+    """The attacker's view of some printed events."""
+    return tuple(
+        (f"{ev.thread}:{ev.payload}" if bounds.observe_thread_ids else ev.payload,
+         None if bounds.timing_blind else ev.timestamp)
+        for ev in trace)
+
+
+# How a run ends.  Deadlocked and cut-short runs both end unterminated, but
+# only a cut-short run could have printed more.
+_DONE, _DEADLOCKED, _CUT = "done", "deadlocked", "cut"
 
 
 def explore(program: lang.Program, init_public: semantics.Store,
             secret_val: dict, bounds: ExploreBounds,
-            costs: semantics.CostModel = semantics.CostModel(),
-            jobs: int = 1) -> ExploreResult:
+            costs: semantics.CostModel = semantics.CostModel()) -> ExploreResult:
     """All observations reachable under any schedule, within bounds.
 
-    Depth-first traversal of the schedule tree with deduplication of
-    identical (configuration, steps-used) pairs, which collapses the
-    diamonds produced by commuting independent steps.  With ``jobs`` > 1
-    the top-level subtrees run in parallel and the configuration budget
-    applies per subtree; results merge associatively, so reports for a
-    given (bounds, jobs) pair are deterministic.
+    A memoised depth-first search over program states.  A state is keyed
+    by ``(residues, store, clock, steps_used)``, with ``None`` for the
+    clock when timing-blind, and carries no trace or snapshots: each edge
+    is labelled with the events its one step printed.  Every key maps to
+    its set of ``(suffix events, ending)`` pairs, so a suffix shared by
+    many schedules is derived once.  ``steps_used`` stays in the key, so
+    the result, cut-short prefixes included, is the one that enumerating
+    every schedule would give.  ``max_configs`` counts distinct keys; a
+    key past it ends its run cut short, as ``max_steps`` does.
     """
     store = dict(program.initial_store())
     store.update(init_public)
@@ -131,93 +146,123 @@ def explore(program: lang.Program, init_public: semantics.Store,
         if value not in program.decl(name).domain:
             raise LeakLabError(f"secret value {name}={value!r} outside domain")
         store[name] = value
-    root = semantics.initial_configuration(program, store)
+    start = semantics.initial_configuration(program, store)
+    root = semantics.Configuration(start.residues, start.store, start.clock, (), ())
 
-    def walk_subtree(start: semantics.Configuration, start_steps: int) -> tuple:
-        observations: set[tuple[Observation, bool]] = set()
-        counters = {"configs": 0, "truncated": 0, "deadlocked": 0, "incomplete": False}
-        visited: set = set()
-        stack = [(start, start_steps)]
-        while stack:
-            config, steps_used = stack.pop()
-            key = (config, steps_used)
-            if key in visited:
-                continue
-            visited.add(key)
-            counters["configs"] += 1
-            if counters["configs"] > bounds.max_configs:
-                counters["incomplete"] = True
-                break
-            if config.all_done():
-                observations.add((_project(config, bounds), True))
-                continue
-            if steps_used >= bounds.max_steps:
-                counters["truncated"] += 1
-                counters["incomplete"] = True
-                observations.add((_project(config, bounds), False))
-                continue
-            choices = semantics.enabled(program, config)
-            if not choices:
-                counters["deadlocked"] += 1
-                observations.add((_project(config, bounds), False))
-                continue
-            for choice in sorted(choices, key=lambda c: c.thread, reverse=True):
-                stack.append((semantics.step(program, config, choice, costs),
-                              steps_used + 1))
-        return observations, counters
+    def key_of(config: semantics.Configuration, steps_used: int) -> tuple:
+        # Statements are unique labelled AST objects, so their identities
+        # key a residue as its value would, without rehashing the AST.
+        return (tuple(tuple(map(id, r)) for r in config.residues), config.store,
+                None if bounds.timing_blind else config.clock, steps_used)
 
-    first_choices = sorted(semantics.enabled(program, root), key=lambda c: c.thread)
-    if jobs > 1 and len(first_choices) > 1:
-        # Disjoint top-level subtrees explored in parallel, each with its own
-        # accumulator; results merge associatively so the final report is
-        # independent of completion order.
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(
-                lambda ch: walk_subtree(semantics.step(program, root, ch, costs), 1),
-                first_choices))
-    else:
-        parts = [walk_subtree(root, 0)]
+    suffixes: dict[tuple, frozenset] = {}
+    pending: dict[tuple, list] = {}  # expanded keys: their (label, child key) edges
+    configs = truncated = deadlocked = 0
+    complete = True
+    root_key = key_of(root, 0)
+    stack = [(root_key, root)]
+    while stack:
+        key, config = stack.pop()
+        if key in suffixes:
+            continue
+        edges = pending.pop(key, None)
+        if edges is not None:  # every successor is done: merge their suffixes
+            merged: set = set()
+            for label, child in edges:
+                if label:
+                    merged.update((label + events, end) for events, end in suffixes[child])
+                else:
+                    merged.update(suffixes[child])
+            suffixes[key] = frozenset(merged)
+            continue
+        steps_used = key[3]
+        if configs >= bounds.max_configs:
+            complete = False
+            suffixes[key] = frozenset({((), _CUT)})
+            continue
+        configs += 1
+        if config.all_done():
+            suffixes[key] = frozenset({((), _DONE)})
+            continue
+        if steps_used >= bounds.max_steps:
+            truncated += 1
+            complete = False
+            suffixes[key] = frozenset({((), _CUT)})
+            continue
+        choices = semantics.enabled(program, config)
+        if not choices:
+            deadlocked += 1
+            suffixes[key] = frozenset({((), _DEADLOCKED)})
+            continue
+        edges = []
+        children = []
+        for choice in sorted(choices, key=lambda c: c.thread, reverse=True):
+            nxt = semantics.step(program, config, choice, costs)
+            label = _project(nxt.trace, bounds)
+            nxt = semantics.Configuration(nxt.residues, nxt.store, nxt.clock, (), ())
+            child = key_of(nxt, steps_used + 1)
+            edges.append((label, child))
+            if child not in suffixes:
+                children.append((child, nxt))
+        pending[key] = edges
+        stack.append((key, config))
+        stack.extend(children)
 
-    observations: set[tuple[Observation, bool]] = set()
-    truncated = deadlocked = 0
-    incomplete = False
-    for obs, counters in parts:
-        observations |= obs
-        truncated += counters["truncated"]
-        deadlocked += counters["deadlocked"]
-        incomplete = incomplete or counters["incomplete"]
-
+    runs = suffixes[root_key]
     return ExploreResult(
-        observations=frozenset(observations),
-        complete=not incomplete,
+        observations=frozenset((Observation(events), end == _DONE)
+                               for events, end in runs),
+        complete=complete,
         truncated=truncated,
         deadlocked=deadlocked,
+        prefixes=frozenset(Observation(events) for events, end in runs if end == _CUT),
     )
 
 
 def knowledge_partition(program: lang.Program, init_public: semantics.Store,
                         secret_domain: Optional[tuple[SecretValuation, ...]],
                         bounds: ExploreBounds,
-                        costs: semantics.CostModel = semantics.CostModel(),
-                        jobs: int = 1) -> KnowledgeReport:
-    """Knowledge set K(o) per observation o, and the leak verdict."""
+                        costs: semantics.CostModel = semantics.CostModel()) -> KnowledgeReport:
+    """Knowledge set K(o) per observation o, and the leak verdict.
+
+    An observation is leaky when some secret valuation ends a run with it
+    (terminated or deadlocked) and another valuation cannot produce it:
+    neither ends a run with it nor has a cut-short prefix of it that could
+    still extend to it.  An observation only cut-short runs reach is a
+    prefix, never a leak witness, so a bound can move the verdict toward
+    ``inconclusive`` but never produce ``leak-found``.
+    """
     if secret_domain is None:
         secret_domain = secret_domain_of(program)
     knowledge: dict[Observation, set[SecretValuation]] = {}
+    full: dict[SecretValuation, set[Observation]] = {}
+    cut: dict[SecretValuation, frozenset[tuple]] = {}
     complete = True
     for valuation in secret_domain:
-        result = explore(program, init_public, dict(valuation), bounds, costs, jobs)
+        result = explore(program, init_public, dict(valuation), bounds, costs)
         complete = complete and result.complete
         for obs, _terminated in result.observations:
             knowledge.setdefault(obs, set()).add(valuation)
+        # A deadlocked run's observation that another run reaches cut short
+        # counts as a prefix only: the side that cannot invent a leak.
+        full[valuation] = {obs for obs, terminated in result.observations
+                           if terminated or obs not in result.prefixes}
+        cut[valuation] = frozenset(p.events for p in result.prefixes)
     if not secret_domain:
-        result = explore(program, init_public, {}, bounds, costs, jobs)
+        result = explore(program, init_public, {}, bounds, costs)
         complete = complete and result.complete
         for obs, _terminated in result.observations:
             knowledge.setdefault(obs, set())
 
-    full = frozenset(secret_domain)
-    leaky = {obs: bool(vals) and frozenset(vals) < full
+    def produces(valuation: SecretValuation, obs: Observation) -> bool:
+        if obs in full[valuation]:
+            return True
+        prefixes = cut[valuation]
+        return bool(prefixes) and any(
+            obs.events[:n] in prefixes for n in range(len(obs.events) + 1))
+
+    leaky = {obs: any(obs in full[v] for v in vals)
+             and not all(produces(v, obs) for v in secret_domain)
              for obs, vals in knowledge.items()}
     if any(leaky.values()):
         verdict = "leak-found"

@@ -1,6 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from leaklab import cli
 
@@ -15,6 +21,17 @@ def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
 
 def fixture(name: str) -> str:
     return str(PROGRAMS / name)
+
+
+def run_subprocess(*argv: str, stdout=subprocess.PIPE,
+                   hash_seed: str = "0") -> subprocess.CompletedProcess:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, "-m", "leaklab.cli", *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          env=env, timeout=60)
 
 
 class TestParseCommand:
@@ -98,13 +115,39 @@ class TestLeakscan:
         data = json.loads(out)
         assert data["secret_domain"] == [{"h": 0}]
 
-    def test_jobs_flag_matches_sequential(self, capsys):
-        _, seq, _ = run_cli(capsys, "leakscan", fixture("semaphore_pair.cwl"),
-                            "--bound-steps", "40", "--format", "json")
-        _, par, _ = run_cli(capsys, "leakscan", fixture("semaphore_pair.cwl"),
-                            "--bound-steps", "40", "--format", "json",
-                            "--jobs", "4")
-        assert seq == par
+    def test_reports_identical_across_processes(self):
+        # Fresh processes hash strings with different seeds, so set iteration
+        # orders differ between them; the report must not.
+        outputs = [run_subprocess("leakscan", fixture("semaphore_pair.cwl"),
+                                  "--bound-steps", "40", "--format", "json",
+                                  hash_seed=seed).stdout
+                   for seed in ("1", "2")]
+        assert outputs[0] == outputs[1] and outputs[0]
+
+    def test_human_output_shows_timestamps(self, capsys):
+        code, out, _ = run_cli(capsys, "leakscan", fixture("semaphore_pair.cwl"))
+        assert code == 1
+        lines = out.splitlines()
+        assert len(lines) == len(set(lines))
+        assert "  obs [a@3 c@4 d@7 b@9] K=[{'h': 0}] LEAKY" in lines
+        _, blind, _ = run_cli(capsys, "leakscan", fixture("semaphore_pair.cwl"),
+                              "--timing-blind")
+        assert "  obs [a c d b] K=[{'h': 0}] LEAKY" in blind.splitlines()
+
+    @pytest.mark.parametrize("name,expected", [("semaphore_pair.cwl", 1),
+                                               ("corpus/06_unused_secret.cwl", 0)])
+    def test_closed_stdout_keeps_exit_code(self, name, expected):
+        # The reader is gone before the first write: the semaphore pair's
+        # report fails while it is written, the short one at the final flush.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = run_subprocess("leakscan", fixture(name), "--format", "json",
+                                    stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert result.returncode == expected
+        assert result.stderr == ""
 
 
 class TestOgcheck:

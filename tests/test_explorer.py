@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from leaklab import explorer, lang
+from leaklab import explorer, lang, semantics
 from leaklab.errors import LeakLabError
 
 from conftest import load_corpus, load_program
@@ -51,11 +51,33 @@ class TestExplore:
         assert result.deadlocked == 1
         assert result.complete  # fully explored, just not terminating
 
-    def test_jobs_merge_identically(self, semaphore_pair):
-        seq = explorer.explore(semaphore_pair, {}, {"h": 0}, BOUNDS, jobs=1)
-        par = explorer.explore(semaphore_pair, {}, {"h": 0}, BOUNDS, jobs=4)
-        assert seq.observations == par.observations
-        assert seq.complete == par.complete
+    def test_repeated_runs_identical(self, semaphore_pair):
+        # Also under a configuration budget, where the order of the walk
+        # decides which states it cuts short.
+        for bounds in (BOUNDS, explorer.ExploreBounds(max_steps=40, max_configs=30)):
+            first = explorer.explore(semaphore_pair, {}, {"h": 0}, bounds)
+            second = explorer.explore(semaphore_pair, {}, {"h": 0}, bounds)
+            assert first == second
+
+    def test_config_budget_cuts_runs_short(self, semaphore_pair):
+        bounds = explorer.ExploreBounds(max_steps=40, max_configs=5)
+        result = explorer.explore(semaphore_pair, {}, {"h": 0}, bounds)
+        assert not result.complete and result.prefixes
+        assert {obs for obs, _ in result.observations} == result.prefixes
+        report = explorer.knowledge_partition(semaphore_pair, {}, None, bounds)
+        assert report.verdict == "inconclusive"
+
+    def test_steps_each_state_once(self, monkeypatch):
+        # Two threads that each skip twice reach the states of a 3x3 grid
+        # by six schedules; each of the grid's 12 edges is stepped once.
+        p = lang.parse_program("var x : int[0..1] label low = 0;\n"
+                               "thread A { skip; skip; }\nthread B { skip; skip; }")
+        calls = []
+        step = semantics.step
+        monkeypatch.setattr(semantics, "step",
+                            lambda *args: calls.append(args) or step(*args))
+        explorer.explore(p, {}, {}, BLIND)
+        assert len(calls) == 12
 
     def test_observer_sees_thread_ids_on_request(self, semaphore_pair):
         bounds = explorer.ExploreBounds(max_steps=40, timing_blind=True,
@@ -130,6 +152,20 @@ class TestKnowledgePartition:
         assert not report.complete
         assert report.verdict in ("leak-found", "inconclusive")
         assert report.verdict != "no-leak"
+
+    def test_truncated_observation_is_a_prefix(self):
+        # With max_steps=3, h=0 prints 'x' while h=1 is cut before its print.
+        # That cut-short run could still print 'x', so it is no leak witness.
+        p = lang.parse_program(
+            "var h : int[0..1] label high = secret;\n"
+            "thread A { if h then { skip; skip; } else { skip; }; print('x'); }")
+        for blind in (True, False):
+            report = explorer.knowledge_partition(
+                p, {}, None, explorer.ExploreBounds(max_steps=3, timing_blind=blind))
+            assert report.verdict == "inconclusive" and not report.complete
+            assert not any(report.leaky.values())
+        untruncated = explorer.knowledge_partition(p, {}, None, BLIND)
+        assert untruncated.verdict == "no-leak"
 
     def test_semaphore_pair_regression_across_bounds(self, semaphore_pair):
         for steps in (12, 20, 40):
