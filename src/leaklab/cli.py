@@ -22,11 +22,18 @@ from . import dl as dl_mod
 from . import explorer, ifc, lang, proofs, semantics
 from .config import load_config
 from .errors import LeakLabError
-from .lattice import load_lattice, two_point
+from .lattice import build_lattice, load_lattice, two_point
+
+
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise LeakLabError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
 
 
 def _read_program(path: str) -> lang.Program:
-    return lang.parse_program(Path(path).read_text(encoding="utf-8"))
+    return lang.parse_program(_read_text(path))
 
 
 def _drop_stdout() -> None:
@@ -244,30 +251,41 @@ def _parse_command(text: str) -> ifc.Command:
     return lang.Assign(target, value)
 
 
+def _read_scenario(path: str) -> tuple:
+    """``(lattice, q0, sequences, observer, mode)`` of a scenario file."""
+    try:
+        scenario = json.loads(_read_text(path))
+    except json.JSONDecodeError as e:
+        raise LeakLabError(f"{path}: not JSON ({e})") from None
+    try:
+        lattice_spec = scenario.get("lattice")
+        if lattice_spec:
+            lattice = build_lattice(lattice_spec["elements"],
+                                    [tuple(p) for p in lattice_spec.get("order", [])])
+        else:
+            lattice = two_point()
+        users = scenario["users"]
+        variables = scenario["variables"]
+        labels = dict(users)
+        values = {}
+        for name, spec in variables.items():
+            labels[name] = spec["label"]
+            values[name] = spec["value"]
+        members = frozenset((u, v) for u in users for v in variables)
+        q0 = ifc.MachineState(members, labels, values)
+        sequences = {
+            name: [(user, _parse_command(cmd)) for user, cmd in seq]
+            for name, seq in scenario["sequences"].items()
+        }
+        return lattice, q0, sequences, scenario["observer"], scenario.get("mode", "sequential")
+    except KeyError as e:
+        raise LeakLabError(f"{path}: scenario lacks {e}") from None
+    except (AttributeError, TypeError, ValueError) as e:
+        raise LeakLabError(f"{path}: malformed scenario ({e})") from None
+
+
 def cmd_ifc(args: argparse.Namespace) -> int:
-    scenario = json.loads(Path(args.file).read_text(encoding="utf-8"))
-    lattice_spec = scenario.get("lattice")
-    if lattice_spec:
-        from .lattice import build_lattice
-        lattice = build_lattice(lattice_spec["elements"],
-                                [tuple(p) for p in lattice_spec.get("order", [])])
-    else:
-        lattice = two_point()
-    users = scenario["users"]
-    variables = scenario["variables"]
-    labels = dict(users)
-    values = {}
-    for name, spec in variables.items():
-        labels[name] = spec["label"]
-        values[name] = spec["value"]
-    members = frozenset((u, v) for u in users for v in variables)
-    q0 = ifc.MachineState(members, labels, values)
-    sequences = {
-        name: [(user, _parse_command(cmd)) for user, cmd in seq]
-        for name, seq in scenario["sequences"].items()
-    }
-    observer = scenario["observer"]
-    mode = scenario.get("mode", "sequential")
+    lattice, q0, sequences, observer, mode = _read_scenario(args.file)
     results: dict[str, dict] = {}
     ok = True
     if mode == "concurrent":
@@ -404,7 +422,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
-    except (LeakLabError, FileNotFoundError) as e:
+    except (LeakLabError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:

@@ -80,12 +80,16 @@ def load_lattice(path: str | Path) -> SecurityLattice:
     """Load a lattice from JSON: {"elements": [...], "order": [[a, b], ...],
     "joins": {"a,b": c, ...} (optional, validated against the computed ones)}.
     """
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    lattice = build_lattice(list(data["elements"]),
-                            [tuple(p) for p in data.get("order", [])])
-    for key, value in data.get("joins", {}).items():
-        a, b = key.split(",")
-        if lattice.join(a.strip(), b.strip()) != value:
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        lattice = build_lattice(list(data["elements"]),
+                                [tuple(p) for p in data.get("order", [])])
+        joins = data.get("joins", {}).items()
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise LeakLabError(f"{path}: malformed lattice ({type(e).__name__}: {e})") from None
+    for key, value in joins:
+        a, _, b = key.partition(",")
+        if lattice.joins.get((a.strip(), b.strip())) != value:
             raise LeakLabError(f"declared join {key} = {value} disagrees with "
                                "the computed least upper bound")
     return lattice

@@ -15,9 +15,14 @@ implication of a rule-form postulate against the marked thread's own
 isolated path timings.
 
 Every triple is discharged by exhaustive enumeration of the referenced
-finite domains; snapshot terms and the clock are enumerated as rigid
-bounded symbols.  A transition that leaves a declared domain, or a region
-whose guard fails, is vacuous for partial correctness.
+finite domains.  Snapshot terms are rigid: no statement changes them.
+When each snapshot atom compares a difference term (``t@a - t@b`` or
+``t@a``) with a constant, these are difference constraints, and the
+snapshots take one representative per feasible region of their terms,
+with no upper bound, so the verdict does not depend on the snapshot
+bound.  Otherwise the snapshots, like the clock always, range over
+[0, snapshot_bound].  A transition that leaves a declared domain, or a
+region whose guard fails, is vacuous for partial correctness.
 """
 
 from __future__ import annotations
@@ -507,6 +512,14 @@ def _vc_symbols(vc: VC, program: lang.Program) -> tuple[list, list, bool]:
     return variables, sorted(slots.items()), uses_clock
 
 
+def _snapshot_map(slot_axes: list[tuple[lang.LocationId, int]],
+                  point: tuple[int, ...]) -> dict[lang.LocationId, tuple[int, ...]]:
+    snaps: dict[lang.LocationId, tuple[int, ...]] = {}
+    for (loc, _k), value in zip(slot_axes, point):
+        snaps[loc] = snaps.get(loc, ()) + (value,)
+    return snaps
+
+
 def discharge_vc(vc: VC, program: lang.Program,
                  costs: semantics.CostModel = semantics.CostModel(),
                  snapshot_bound: int = 64,
@@ -514,77 +527,100 @@ def discharge_vc(vc: VC, program: lang.Program,
                  tolerance: int = 0) -> DischargeResult:
     """Enumerate all relevant states; valid iff no pre-state breaks the post.
 
-    Snapshot terms and the clock range over [0, snapshot_bound].  Only
-    symbols actually referenced by the triple are enumerated; unreferenced
-    variables cannot influence the verdict.
+    Only symbols actually referenced by the triple are enumerated;
+    unreferenced variables cannot influence the verdict.  Variables range
+    over their declared domains and the clock over [0, snapshot_bound].
+    When every snapshot atom of pre and post compares a difference term
+    (``t@a - t@b`` or ``t@a``) with a constant, the snapshot slots take one
+    representative per feasible region of those terms, with no upper bound:
+    the verdict is exact, and the first counterexample is the one that
+    enumerating every slot over [0, snapshot_bound] finds whenever that one
+    lies inside the bound.  Otherwise every slot does range over
+    [0, snapshot_bound].  ``checked`` counts the enumerated states; the
+    transition runs once per store and clock.
     """
+    from . import regions  # local import to keep module load cheap
+
     try:
         variables, slots, uses_clock = _vc_symbols(vc, program)
     except LeakLabError as e:
         return DischargeResult("undischarged", reason=str(e))
     domains_all = {d.name: d.domain for d in program.declarations}
 
-    axes: list[tuple] = [d for _, d, _ in variables]
-    slot_axes = []
-    for loc, count in slots:
-        for k in range(count):
-            slot_axes.append((loc, k))
-            axes.append(tuple(range(snapshot_bound + 1)))
-    if uses_clock:
-        axes.append(tuple(range(snapshot_bound + 1)))
+    slot_axes = [(loc, k) for loc, count in slots for k in range(count)]
+    index = {slot: i for i, slot in enumerate(slot_axes)}
+    latest = dict(slots)
 
-    total = 1
-    for axis in axes:
-        total *= len(axis)
-        if total > max_states:
-            return DischargeResult(
-                "undischarged",
-                reason=f"state space exceeds budget ({total} > {max_states})")
+    def slot_of(term: asrt.SnapshotTerm) -> int:
+        arrival = latest[term.resolved] - 1 if term.arrival is None else term.arrival
+        return index[(term.resolved, arrival)]
+
+    clock_axis = range(snapshot_bound + 1) if uses_clock else (0,)
+    others = len(clock_axis)
+    for _, domain, _ in variables:
+        others *= len(domain)
+    points = regions.representatives((vc.pre, vc.post), slot_of, len(slot_axes),
+                                     tolerance, max_states // max(others, 1))
+    if points is not None:
+        snap_maps = [_snapshot_map(slot_axes, point) for point in points]
+        total = others * len(points)
+    else:
+        box = range(snapshot_bound + 1)
+        snap_maps = None
+        total = others * len(box) ** len(slot_axes)
+    if total > max_states:
+        return DischargeResult(
+            "undischarged",
+            reason=f"state space exceeds budget ({total} > {max_states})")
 
     pre_fn = asrt.compile_assertion(vc.pre, tolerance)
     post_fn = asrt.compile_assertion(vc.post, tolerance)
     var_names = [name for name, _, _ in variables]
-    n_vars = len(var_names)
 
     checked = 0
-    for combo in itertools.product(*axes):
-        checked += 1
-        store = dict(zip(var_names, combo))
-        pos = n_vars
-        snaps: dict[lang.LocationId, tuple[int, ...]] = {}
-        for loc, _k in slot_axes:
-            snaps[loc] = snaps.get(loc, ()) + (combo[pos],)
-            pos += 1
-        clock = combo[pos] if uses_clock else 0
-
-        try:
-            if not pre_fn(store, snaps, clock):
-                continue
-        except LeakLabError:
-            continue
-        if vc.stmt is None:
-            post_store, post_clock = store, clock
-        else:
-            try:
-                result = _execute_atomic(vc.stmt, store, clock, costs, domains_all)
-            except _RegionBudget as e:
-                return DischargeResult("undischarged", reason=str(e), checked=checked)
-            if result is None:
-                continue  # blocked guard or domain exit: vacuous
-            post_store, post_clock = result
-        try:
-            ok = post_fn(post_store, snaps, post_clock)
-        except LeakLabError as e:
-            return DischargeResult("undischarged", reason=str(e), checked=checked)
-        if not ok:
-            cx = {"store": dict(store),
-                  "snapshots": {f"{program.location_str(l)}": list(v)
-                                for l, v in snaps.items()}}
-            if uses_clock:
-                cx["clock"] = clock
-            # Self-check: the reported state must satisfy pre and break post.
-            assert asrt.eval_assertion(vc.pre, store, snaps, clock, tolerance)
-            return DischargeResult("counterexample", counterexample=cx, checked=checked)
+    for values in itertools.product(*(domain for _, domain, _ in variables)):
+        store = dict(zip(var_names, values))
+        after: dict[int, Optional[tuple[dict, int]]] = {}  # clock -> post state
+        snapshots = snap_maps if snap_maps is not None else (
+            _snapshot_map(slot_axes, point)
+            for point in itertools.product(box, repeat=len(slot_axes)))
+        for snaps in snapshots:
+            for clock in clock_axis:
+                checked += 1
+                try:
+                    if not pre_fn(store, snaps, clock):
+                        continue
+                except LeakLabError:
+                    continue
+                if clock not in after:
+                    if vc.stmt is None:
+                        after[clock] = store, clock
+                    else:
+                        try:
+                            after[clock] = _execute_atomic(vc.stmt, store, clock,
+                                                           costs, domains_all)
+                        except _RegionBudget as e:
+                            return DischargeResult("undischarged", reason=str(e),
+                                                   checked=checked)
+                result = after[clock]
+                if result is None:
+                    continue  # blocked guard or domain exit: vacuous
+                post_store, post_clock = result
+                try:
+                    ok = post_fn(post_store, snaps, post_clock)
+                except LeakLabError as e:
+                    return DischargeResult("undischarged", reason=str(e),
+                                           checked=checked)
+                if not ok:
+                    cx = {"store": dict(store),
+                          "snapshots": {f"{program.location_str(l)}": list(v)
+                                        for l, v in snaps.items()}}
+                    if uses_clock:
+                        cx["clock"] = clock
+                    # Self-check: the reported state must satisfy pre and break post.
+                    assert asrt.eval_assertion(vc.pre, store, snaps, clock, tolerance)
+                    return DischargeResult("counterexample", counterexample=cx,
+                                           checked=checked)
     return DischargeResult("valid", checked=checked)
 
 
@@ -622,7 +658,8 @@ def emit_smtlib(vc: VC, program: lang.Program,
     """SMT-LIB v2 script asserting pre, the transition, and not-post.
 
     ``unsat`` means the triple is valid.  Region bodies must be loop free;
-    bounded quantifiers are expanded.
+    bounded quantifiers are expanded.  Snapshot constants are only
+    non-negative; the clock ranges over [0, snapshot_bound].
     """
     try:
         variables, slots, uses_clock = _vc_symbols(vc, program)
@@ -648,7 +685,7 @@ def emit_smtlib(vc: VC, program: lang.Program,
         for k in range(count):
             sym = snap_name(loc, k)
             lines.append(f"(declare-const {sym} Int)")
-            lines.append(f"(assert (and (>= {sym} 0) (<= {sym} {snapshot_bound})))")
+            lines.append(f"(assert (>= {sym} 0))")
             slot_terms[(loc, k)] = sym
             slot_latest[loc] = sym
     clock_term = "tclock"

@@ -1,0 +1,202 @@
+"""Snapshot regions: decide difference-form snapshot atoms without
+enumerating time.
+
+A snapshot term (``t@l7``, ``t@l7[1]``) is rigid: no statement changes it.
+An atom that compares a difference term ``t@a - t@b`` or ``t@a`` with a
+constant is a difference constraint, as in the zones of timed-automata
+checking (Dill 1989).  Cutting each difference term at the constants it is
+compared with splits the non-negative snapshot tuples into regions on
+which every such atom keeps its truth value, so one tuple per region
+decides them all.  The tuple taken is the region's pointwise-least one,
+found by relaxing lower bounds over the slots and a zero node; a region
+whose bounds form a negative cycle is empty.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Optional
+
+from . import assertions as asrt
+from . import lang
+
+
+def representatives(assertions: tuple[asrt.Assertion, ...],
+                    slot_of: Callable[[asrt.SnapshotTerm], int],
+                    n_slots: int, tolerance: int,
+                    limit: int) -> Optional[list[tuple[int, ...]]]:
+    """The least snapshot tuple of every non-empty region, sorted.
+
+    ``slot_of`` numbers the snapshot terms 0..n_slots-1.  None when some
+    snapshot atom of the assertions is not a difference constraint.  Stops
+    after ``limit + 1`` tuples.  For a property that is constant on each
+    region, the first of these tuples that has it is the lexicographically
+    least non-negative tuple that has it.
+    """
+    cuts: dict[tuple[int, int], set[int]] = {}
+    if not all(_collect_cuts(a, slot_of, n_slots, tolerance, cuts) for a in assertions):
+        return None
+    return _least_points(n_slots, cuts, limit)
+
+
+# Snapshot slots are numbered 0..n-1 in enumeration order; node n is the
+# constant zero.  A difference term (pos, neg) stands for x[pos] - x[neg].
+
+
+def _linear(e: lang.Expr, slot_of) -> Optional[tuple[dict[int, int], int]]:
+    """``e`` as integer coefficients over snapshot slots plus a constant;
+    None when it mentions anything but integer literals and snapshots or
+    multiplies two snapshot terms."""
+    if isinstance(e, lang.IntLit):
+        return {}, e.value
+    if isinstance(e, asrt.SnapshotTerm):
+        return {slot_of(e): 1}, 0
+    if isinstance(e, lang.UnaryOp) and e.op == "-":
+        inner = _linear(e.operand, slot_of)
+        return None if inner is None else _scaled(inner, -1)
+    if isinstance(e, lang.BinOp) and e.op in ("+", "-", "*"):
+        left, right = _linear(e.left, slot_of), _linear(e.right, slot_of)
+        if left is None or right is None:
+            return None
+        if e.op == "*":
+            if not left[0]:
+                return _scaled(right, left[1])
+            return _scaled(left, right[1]) if not right[0] else None
+        if e.op == "-":
+            right = _scaled(right, -1)
+        coefs = dict(left[0])
+        for slot, c in right[0].items():
+            coefs[slot] = coefs.get(slot, 0) + c
+        return coefs, left[1] + right[1]
+    return None
+
+
+def _scaled(form: tuple[dict[int, int], int], k: int) -> tuple[dict[int, int], int]:
+    return {slot: k * c for slot, c in form[0].items()}, k * form[1]
+
+
+def _difference_cuts(atom: lang.Expr, slot_of, zero: int, tolerance: int
+                     ) -> Optional[tuple[Optional[tuple[int, int]], list[int]]]:
+    """A snapshot atom as ``(term, cuts)``: its truth is constant wherever
+    the difference term avoids the cut values, and on each cut value.
+
+    None when the atom is not a comparison of a difference term with a
+    constant; the term is None when the snapshots cancel out.
+    """
+    if isinstance(atom, lang.BinOp) and atom.op in lang.CMP_OPS:
+        tol = None
+    elif isinstance(atom, asrt.Approx):
+        tol_form = (({}, tolerance) if atom.tolerance is None
+                    else _linear(atom.tolerance, slot_of))
+        if tol_form is None or tol_form[0]:
+            return None
+        tol = tol_form[1]
+    else:
+        return None
+    form = _linear(lang.BinOp("-", atom.left, atom.right), slot_of)
+    if form is None:
+        return None
+    coefs, const = form
+    nonzero = sorted((slot, c) for slot, c in coefs.items() if c)
+    # The atom reads sign * (x[pos] - x[neg]) + const  (op)  0.
+    if not nonzero:
+        return None, []
+    if len(nonzero) == 1 and abs(nonzero[0][1]) == 1:
+        (pos, sign), neg = nonzero[0], zero
+    elif len(nonzero) == 2 and nonzero[0][1] == -nonzero[1][1] and abs(nonzero[0][1]) == 1:
+        (neg, _), (pos, sign) = nonzero
+    else:
+        return None
+    values = [-const] if tol is None else [-tol - const, tol - const]
+    return (pos, neg), [sign * v for v in values]
+
+
+def _collect_cuts(a: asrt.Assertion, slot_of, zero: int, tolerance: int,
+                  cuts: dict[tuple[int, int], set[int]]) -> bool:
+    """Collect the cut values of every snapshot atom of ``a`` per difference
+    term; False when some snapshot atom is not a difference constraint."""
+    if isinstance(a, lang.BinOp) and a.op in ("and", "or"):
+        return (_collect_cuts(a.left, slot_of, zero, tolerance, cuts)
+                and _collect_cuts(a.right, slot_of, zero, tolerance, cuts))
+    if isinstance(a, lang.UnaryOp) and a.op == "not":
+        return _collect_cuts(a.operand, slot_of, zero, tolerance, cuts)
+    if isinstance(a, asrt.Implies):
+        return (_collect_cuts(a.antecedent, slot_of, zero, tolerance, cuts)
+                and _collect_cuts(a.consequent, slot_of, zero, tolerance, cuts))
+    if isinstance(a, asrt.Quantified):
+        return _collect_cuts(a.body, slot_of, zero, tolerance, cuts)
+    if not asrt.snapshot_terms(a):
+        return True
+    found = _difference_cuts(a, slot_of, zero, tolerance)
+    if found is None:
+        return False
+    term, values = found
+    if term is not None:
+        cuts.setdefault(term, set()).update(values)
+    return True
+
+
+def _intervals(cut_values: list[int]) -> list[tuple[Optional[int], Optional[int]]]:
+    """The integers split at sorted distinct cut values: each cut value
+    alone and the runs between them; None is an open end."""
+    out: list[tuple[Optional[int], Optional[int]]] = []
+    lo: Optional[int] = None
+    for k in cut_values:
+        if lo is None or lo <= k - 1:
+            out.append((lo, k - 1))
+        out.append((k, k))
+        lo = k + 1
+    out.append((lo, None))
+    return out
+
+
+def _least_solution(n: int, edges: list[tuple[int, int, int]]
+                    ) -> Optional[tuple[int, ...]]:
+    """The pointwise-least x[0..n-1] >= 0 with x[v] - x[u] <= w for every
+    edge (u, v, w) and node n held at 0; None when there is none.
+
+    Lower bounds are relaxed from all zeros, Bellman-Ford style: they
+    settle within n + 1 rounds unless a negative cycle keeps raising them.
+    """
+    low = [0] * (n + 1)
+    for _ in range(n + 2):
+        changed = False
+        for u, v, w in edges:
+            if low[v] - w > low[u]:
+                low[u] = low[v] - w
+                changed = True
+        if not changed:
+            return tuple(low[:n]) if low[n] == 0 else None
+    return None
+
+
+def _least_points(n: int, cuts: dict[tuple[int, int], set[int]],
+                  limit: int) -> list[tuple[int, ...]]:
+    """One representative snapshot tuple per feasible region, sorted.
+
+    A region picks one interval per difference term; it is feasible when
+    some tuple of non-negative slots lies in all of them, and its
+    representative is its pointwise-least tuple.  Stops after ``limit + 1``
+    representatives.
+    """
+    terms = sorted(cuts)
+    choices = [_intervals(sorted(cuts[term])) for term in terms]
+    out: list[tuple[int, ...]] = []
+
+    def extend(i: int, edges: list[tuple[int, int, int]]) -> None:
+        least = _least_solution(n, edges)
+        if least is None or len(out) > limit:
+            return
+        if i == len(terms):
+            out.append(least)
+            return
+        pos, neg = terms[i]
+        for lo, hi in choices[i]:
+            bounds = []
+            if hi is not None:
+                bounds.append((neg, pos, hi))
+            if lo is not None:
+                bounds.append((pos, neg, -lo))
+            extend(i + 1, edges + bounds)
+
+    extend(0, [])
+    return sorted(out)

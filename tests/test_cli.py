@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leaklab import cli
 
@@ -306,7 +311,81 @@ class TestReportSchemas:
         self.validate(out, "ifc.schema.json")
 
 
+SUBCOMMANDS = ("parse", "run", "leakscan", "ogcheck", "dl", "ifc", "emit-smt")
+
+
+def subcommand_argv(command: str, path: Path, tmp: Path) -> list[str]:
+    if command == "emit-smt":
+        return [command, str(path), "--out-dir", str(tmp / "smt")]
+    return [command, str(path)]
+
+
 class TestBadInput:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "parse", "no-such-file.cwl")
         assert code == 2
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_non_utf8_file_is_an_input_error(self, capsys, tmp_path, command):
+        bad = tmp_path / "latin1.cwl"
+        bad.write_bytes("thread A { print('\u00e9'); }".encode("latin-1"))
+        code, _, err = run_cli(capsys, *subcommand_argv(command, bad, tmp_path))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not UTF-8" in err
+
+    def test_ifc_scenario_that_is_not_json(self, capsys, tmp_path):
+        bad = tmp_path / "scenario.json"
+        bad.write_text("users: alice\n")
+        code, _, err = run_cli(capsys, "ifc", str(bad))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not JSON" in err
+
+    def test_ifc_scenario_without_users(self, capsys, tmp_path):
+        scenario = json.loads((PROGRAMS / "ifc_scenario_low_reads_high.json")
+                              .read_text(encoding="utf-8"))
+        del scenario["users"]
+        bad = tmp_path / "scenario.json"
+        bad.write_text(json.dumps(scenario))
+        code, _, err = run_cli(capsys, "ifc", str(bad))
+        assert code == 2
+        assert err == f"error: {bad}: scenario lacks 'users'\n"
+
+    def test_malformed_lattice_file(self, capsys, tmp_path):
+        lattice = tmp_path / "lattice.json"
+        lattice.write_text(json.dumps({"order": [["low", "high"]]}))
+        code, _, err = run_cli(capsys, "dl", fixture("region_thread.cwl"),
+                               "--lattice", str(lattice))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_bound_fault_program_is_refuted(self, capsys, tmp_path):
+        # The only run reaches print('x') at t = 100, past the default bound.
+        fault = tmp_path / "fault.cwl"
+        fault.write_text("thread A { {| true |} delay(100); {| true |} print('x'); } "
+                         "post {| t@l1 <= 64 |}\n")
+        code, out, _ = run_cli(capsys, "ogcheck", str(fault), "--format", "json")
+        assert code == 1
+        data = json.loads(out)
+        assert data["overall"] == "refuted"
+        assert [row["counterexample"]["snapshots"] for row in data["vcs"]
+                if "counterexample" in row] == [{"A.l1": [65]}]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(SUBCOMMANDS),
+           st.one_of(st.binary(max_size=80),
+                     st.text(max_size=80).map(lambda t: t.encode("utf-8"))))
+    def test_garbage_input_exits_with_a_documented_code(self, command, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input"
+            path.write_bytes(data)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(subcommand_argv(command, path, Path(tmp)))
+                except SystemExit as e:  # argparse
+                    code = e.code
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+

@@ -275,6 +275,41 @@ class TestDischarge:
         assert seen_counterexamples > 10
 
 
+# The only run reaches print('x') at t = 100, past the default bound 64.
+BOUND_FAULT_SOURCE = (
+    "thread A { {| true |} delay(100); {| true |} print('x'); } "
+    "post {| t@l1 <= 64 |}\n")
+
+
+class TestSnapshotRegions:
+    @pytest.mark.parametrize("bound", [16, 64, 200])
+    def test_snapshot_past_the_bound_is_refuted(self, bound):
+        annotated = annotated_from(BOUND_FAULT_SOURCE)
+        result = proofs.check_proof(annotated, snapshot_bound=bound)
+        assert result.overall == "refuted"
+        [(_, refuted)] = result.by_status("counterexample")
+        assert refuted.counterexample == {"store": {}, "snapshots": {"A.l1": [65]}}
+
+    def test_checked_states_do_not_grow_with_the_bound(self):
+        annotated = asrt.annotate_program(load_program("semaphore_pair_annotated.cwl"))
+        vcs, _ = proofs.gen_leaky_vcs(annotated)
+        [vc] = [vc for vc in vcs
+                if vc.provenance == "T1.l3 preserves postulate at T2.l7"]
+        checked = {bound: proofs.discharge_vc(vc, annotated.program,
+                                              snapshot_bound=bound).checked
+                   for bound in (32, 64, 1000)}
+        assert len(set(checked.values())) == 1, checked
+        assert checked[32] <= 80  # h, sem, v: 20 stores x 3 regions of t@l7 - t@l0
+
+    def test_clock_atoms_keep_the_bounded_axis(self):
+        p = lang.parse_program("var x : int[0..1] label low = 0;\nthread A { skip; }")
+        vc = proofs.VC(asrt.parse_assertion("t >= 0"), None,
+                       asrt.parse_assertion("t < 10"), proofs.SEQUENTIAL, "clock")
+        assert proofs.discharge_vc(vc, p, snapshot_bound=9).status == "valid"
+        result = proofs.discharge_vc(vc, p, snapshot_bound=10)
+        assert result.counterexample == {"store": {}, "snapshots": {}, "clock": 10}
+
+
 class TestCheckProof:
     def test_semaphore_pair_certified(self):
         annotated = asrt.annotate_program(load_program("semaphore_pair_annotated.cwl"))
@@ -329,6 +364,16 @@ class TestSmtlib:
                        asrt.parse_assertion("true"), proofs.SEQUENTIAL, "demo")
         with pytest.raises(Exception, match="unsupported construct"):
             proofs.emit_smtlib(vc, p)
+
+    def test_snapshot_symbols_have_no_upper_bound(self):
+        annotated = annotated_from(BOUND_FAULT_SOURCE)
+        vcs, _ = proofs.gen_sequential_vcs(annotated, 0)
+        text = proofs.emit_smtlib(vcs[-1], annotated.program, snapshot_bound=16)
+        assert [line for line in text.splitlines() if "snap_A_l1_0" in line] == [
+            "(declare-const snap_A_l1_0 Int)",
+            "(assert (>= snap_A_l1_0 0))",
+            "(assert (not (<= snap_A_l1_0 64)))",
+        ]
 
     def test_discharge_agrees_with_solver(self):
         z3 = pytest.importorskip("z3")
