@@ -19,7 +19,7 @@ from .lattice import SecurityLattice, build_lattice, load_lattice, two_point
 from .proofs import (VC, check_proof, discharge_vc, emit_smtlib,
                      gen_interference_vcs, gen_leaky_vcs, gen_sequential_vcs)
 from .semantics import (Configuration, CostModel, enabled, eval_expr,
-                        run_deterministic, step, step_cost)
+                        run_deterministic, step)
 
 __version__ = "0.1.0"
 
@@ -34,7 +34,7 @@ __all__ = [
     "indistinguishable", "input_sequence", "is_leaky_assertion",
     "knowledge_partition", "label_statements", "load_lattice",
     "parse_assertion", "parse_program", "resolve_assertion",
-    "run_deterministic", "step", "step_cost", "suggest_snapshot_pairs",
+    "run_deterministic", "step", "suggest_snapshot_pairs",
     "synthesize_leaky_assertions", "transition", "two_point", "unparse",
     "unparse_assertion", "view",
 ]

@@ -652,45 +652,42 @@ def decompose_rules(a: Assertion, secrets: frozenset[str]) -> Optional[list[Impl
 
 
 def states_at_location(program: lang.Program, loc: lang.LocationId,
-                       secret_domain: tuple, bounds: explorer.ExploreBounds,
+                       watch: frozenset, secret_domain: tuple,
+                       bounds: explorer.ExploreBounds,
                        costs: semantics.CostModel = semantics.CostModel(),
                        init_public: Optional[semantics.Store] = None,
                        ) -> tuple[list[tuple], bool]:
-    """All reachable states with control at ``loc``: (store, snapshots, clock,
-    secret valuation) tuples, plus a completeness flag."""
+    """Every distinct reachable state with control at ``loc``, plus a
+    completeness flag.
+
+    A state is a (store, snapshots, clock, secret valuation) tuple whose
+    snapshots hold the arrivals at the locations in ``watch`` and at no
+    others.  The states come from :func:`explorer.search`, which watches
+    those locations and keeps the clock even when ``bounds`` is
+    timing-blind; states that differ only in the steps used to reach them
+    are listed once.
+    """
     base = dict(program.initial_store())
     if init_public:
         base.update(init_public)
+    bounds = replace(bounds, timing_blind=False)
+    exit_loc = lang.exit_label(program, loc.thread)
     states: list[tuple] = []
     complete = True
-    exit_loc = lang.exit_label(program, loc.thread)
     for valuation in (secret_domain or ((),)):
         store = dict(base)
         store.update(dict(valuation))
-        root = semantics.initial_configuration(program, store)
-        visited: set = set()
-        stack = [(root, 0)]
-        while stack:
-            config, steps_used = stack.pop()
-            key = (config, steps_used)
-            if key in visited:
-                continue
-            visited.add(key)
-            if len(visited) > bounds.max_configs:
-                complete = False
-                break
+        at_loc: dict[tuple, None] = {}
+
+        def record(key: tuple, config: semantics.Configuration, outcome) -> None:
             residue = config.residues[loc.thread]
-            at_loc = (residue[0].label == loc) if residue else (loc == exit_loc)
-            if at_loc:
-                states.append((config.store_dict(), config.snapshot_dict(),
-                               config.clock, valuation))
-            if config.all_done() or steps_used >= bounds.max_steps:
-                if not config.all_done():
-                    complete = False
-                continue
-            for choice in semantics.enabled(program, config):
-                stack.append((semantics.step(program, config, choice, costs),
-                              steps_used + 1))
+            if (residue[0].label == loc) if residue else (loc == exit_loc):
+                at_loc[(config.store, key[4], config.clock)] = None
+
+        found = explorer.search(program, store, bounds, costs, frozenset(watch), record)
+        complete = complete and found.complete
+        states.extend((dict(s), found.arrivals(watched), clock, valuation)
+                      for s, watched, clock in at_loc)
     return states, complete
 
 
@@ -714,8 +711,9 @@ def is_leaky_assertion(a: Assertion, loc: lang.LocationId, program: lang.Program
         secret_domain = explorer.secret_domain_of(program)
     secrets = frozenset(program.secret_names())
     a = resolve_assertion(a, program, loc.thread)
+    watch = frozenset(term.resolved for term in snapshot_terms(a))
     states, complete = states_at_location(
-        program, loc, secret_domain, bounds, costs, init_public)
+        program, loc, watch, secret_domain, bounds, costs, init_public)
 
     per_var_domain = {d.name: tuple(d.domain) for d in program.declarations if d.secret}
 

@@ -202,19 +202,6 @@ class SynthesisReport:
                 for s in self.assertions}
 
 
-def _isolate_thread(program: lang.Program, thread: int,
-                    costs: semantics.CostModel
-                    ) -> tuple[lang.Program, semantics.CostModel]:
-    isolated = lang.Program(program.declarations,
-                            (program.threads[thread],), program.ghosts)
-    # Labels are per-thread, so only the thread index moves to 0; cost
-    # overrides for this thread must move with it.
-    remapped = {lang.LocationId(0, loc.index): cost
-                for loc, cost in costs.overrides.items() if loc.thread == thread}
-    return (lang.label_statements(isolated),
-            semantics.CostModel(costs.unit, remapped))
-
-
 def _separating_threshold(durations: dict) -> Optional[tuple[int, list, list]]:
     """A threshold splitting per-secret duration sets into a low and a high
     group; the threshold is the floor midpoint of the gap."""
@@ -274,7 +261,7 @@ def synthesize_leaky_assertions(program: lang.Program,
 
     for loc_from, loc_to in pairs:
         thread = loc_from.thread
-        isolated_program, iso_costs = _isolate_thread(program, thread, costs)
+        isolated_program, iso_costs = explorer.isolate_thread(program, thread, costs)
         iso_from = lang.LocationId(0, loc_from.index)
         iso_to = lang.LocationId(0, loc_to.index)
         iso = explorer.duration_stats(isolated_program, iso_from, iso_to,

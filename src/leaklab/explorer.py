@@ -6,12 +6,19 @@ set of an observation is the set of secret valuations that can produce it
 under some schedule.  An observation leaks when its knowledge set is a
 strict subset of the full secret domain.  A run cut short by a bound
 yields only a prefix of an observation, which never witnesses a leak.
+
+One engine, :func:`search`, walks the program's state graph for every
+question asked of the schedules: :func:`explore` merges observation
+suffixes backwards along its edges, :func:`duration_stats` pairs the
+arrivals at two watched locations where runs end, and
+``assertions.states_at_location`` collects the states at one location.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import lang, semantics
@@ -125,20 +132,142 @@ def _project(trace: tuple[semantics.Event, ...],
 _DONE, _DEADLOCKED, _CUT = "done", "deadlocked", "cut"
 
 
+@dataclass(frozen=True)
+class Search:
+    """What one :func:`search` found, besides what its visitor collected.
+
+    ``cells`` holds the hash-consed arrivals: cell ``i`` is ``(previous cell,
+    clock)`` of one arrival, and cell 0 stands for no arrival yet.
+    """
+
+    root: tuple
+    complete: bool
+    truncated: int
+    deadlocked: int
+    cells: list
+
+    def arrivals(self, watched: tuple) -> dict[lang.LocationId, tuple[int, ...]]:
+        """The snapshots that the ``arrivals`` entry of a key stands for."""
+        snaps = {}
+        for loc, cell in watched:
+            times = []
+            while cell:
+                cell, clock = self.cells[cell]
+                times.append(clock)
+            snaps[loc] = tuple(reversed(times))
+        return snaps
+
+
+def search(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
+           costs: semantics.CostModel, watch: frozenset, visit) -> Search:
+    """The exploration engine: a memoised depth-first search over states.
+
+    A state is keyed by ``(residues, store, clock, steps_used, arrivals)``:
+    residues as statement ids, the clock ``None`` when timing-blind, and
+    ``arrivals`` the snapshots recorded at the locations in ``watch`` and at
+    no others, as ``(location, cell)`` pairs with one hash-consed cell per
+    distinct history of a location (see :meth:`Search.arrivals`), so a key
+    stays small however often a location is reached.  No transition reads
+    the trace or the snapshots, and ``steps_used`` stays in the key, so a
+    caller learns exactly what enumerating every schedule would tell it.
+    Each distinct key is stepped once.
+
+    ``visit(key, config, outcome)`` runs once per distinct key, after it has
+    run for every successor of the key.  ``config`` holds no trace and no
+    snapshots.  ``outcome`` is how a run ends at the key (``_DONE``,
+    ``_DEADLOCKED`` or ``_CUT``), or else the list of its ``(events, child
+    key)`` edges: one per enabled thread, labelled with the events its one
+    step printed.
+
+    ``max_configs`` counts distinct keys, and a key past it ends its run
+    cut short, as a key at ``max_steps`` does; a key where no thread can
+    move ends deadlocked.  ``truncated`` and ``deadlocked`` count keys.
+    """
+    cells: list = [None]
+    interned: dict[tuple, int] = {}
+
+    def arrive(watched: tuple, snapshots: tuple) -> tuple:
+        heads = None
+        for loc, times in snapshots:
+            if loc in watch:
+                if heads is None:
+                    heads = dict(watched)
+                for clock in times:
+                    cell = (heads.get(loc, 0), clock)
+                    if cell not in interned:
+                        interned[cell] = len(cells)
+                        cells.append(cell)
+                    heads[loc] = interned[cell]
+        return watched if heads is None else tuple(sorted(heads.items()))
+
+    def key_of(config: semantics.Configuration, steps_used: int, watched: tuple) -> tuple:
+        # Statements are unique labelled AST objects, so their identities
+        # key a residue as its value would, without rehashing the AST.
+        return (tuple(tuple(map(id, r)) for r in config.residues), config.store,
+                None if bounds.timing_blind else config.clock, steps_used, watched)
+
+    start = semantics.initial_configuration(program, store)
+    root = semantics.Configuration(start.residues, start.store, start.clock, (), ())
+    root_key = key_of(root, 0, arrive((), start.snapshots))
+    done: set = set()
+    pending: dict[tuple, list] = {}  # expanded keys: their edges
+    configs = truncated = deadlocked = 0
+    complete = True
+    stack = [(root_key, root)]
+    while stack:
+        key, config = stack.pop()
+        if key in done:
+            continue
+        outcome = pending.pop(key, None)
+        if outcome is None:
+            steps_used = key[3]
+            if configs >= bounds.max_configs:
+                complete = False
+                outcome = _CUT
+            else:
+                configs += 1
+                if config.all_done():
+                    outcome = _DONE
+                elif steps_used >= bounds.max_steps:
+                    truncated += 1
+                    complete = False
+                    outcome = _CUT
+                else:
+                    choices = semantics.enabled(program, config)
+                    if not choices:
+                        deadlocked += 1
+                        outcome = _DEADLOCKED
+        if outcome is None:
+            edges = []
+            children = []
+            for choice in sorted(choices, key=lambda c: c.thread, reverse=True):
+                nxt = semantics.step(program, config, choice, costs)
+                child = key_of(nxt, steps_used + 1, arrive(key[4], nxt.snapshots))
+                edges.append((nxt.trace, child))
+                if child not in done:
+                    children.append((child, semantics.Configuration(
+                        nxt.residues, nxt.store, nxt.clock, (), ())))
+            pending[key] = edges
+            stack.append((key, config))
+            stack.extend(children)
+            continue
+        done.add(key)
+        visit(key, config, outcome)
+    return Search(root_key, complete, truncated, deadlocked, cells)
+
+
+_ENDINGS = {end: frozenset({((), end)}) for end in (_DONE, _DEADLOCKED, _CUT)}
+
+
 def explore(program: lang.Program, init_public: semantics.Store,
             secret_val: dict, bounds: ExploreBounds,
             costs: semantics.CostModel = semantics.CostModel()) -> ExploreResult:
     """All observations reachable under any schedule, within bounds.
 
-    A memoised depth-first search over program states.  A state is keyed
-    by ``(residues, store, clock, steps_used)``, with ``None`` for the
-    clock when timing-blind, and carries no trace or snapshots: each edge
-    is labelled with the events its one step printed.  Every key maps to
-    its set of ``(suffix events, ending)`` pairs, so a suffix shared by
-    many schedules is derived once.  ``steps_used`` stays in the key, so
-    the result, cut-short prefixes included, is the one that enumerating
-    every schedule would give.  ``max_configs`` counts distinct keys; a
-    key past it ends its run cut short, as ``max_steps`` does.
+    :func:`search` watches no location here, and every key maps to its set
+    of ``(suffix events, ending)`` pairs, merged backwards along the edges
+    once its successors are done, so a suffix shared by many schedules is
+    derived once.
     """
     store = dict(program.initial_store())
     store.update(init_public)
@@ -146,75 +275,30 @@ def explore(program: lang.Program, init_public: semantics.Store,
         if value not in program.decl(name).domain:
             raise LeakLabError(f"secret value {name}={value!r} outside domain")
         store[name] = value
-    start = semantics.initial_configuration(program, store)
-    root = semantics.Configuration(start.residues, start.store, start.clock, (), ())
-
-    def key_of(config: semantics.Configuration, steps_used: int) -> tuple:
-        # Statements are unique labelled AST objects, so their identities
-        # key a residue as its value would, without rehashing the AST.
-        return (tuple(tuple(map(id, r)) for r in config.residues), config.store,
-                None if bounds.timing_blind else config.clock, steps_used)
 
     suffixes: dict[tuple, frozenset] = {}
-    pending: dict[tuple, list] = {}  # expanded keys: their (label, child key) edges
-    configs = truncated = deadlocked = 0
-    complete = True
-    root_key = key_of(root, 0)
-    stack = [(root_key, root)]
-    while stack:
-        key, config = stack.pop()
-        if key in suffixes:
-            continue
-        edges = pending.pop(key, None)
-        if edges is not None:  # every successor is done: merge their suffixes
-            merged: set = set()
-            for label, child in edges:
-                if label:
-                    merged.update((label + events, end) for events, end in suffixes[child])
-                else:
-                    merged.update(suffixes[child])
-            suffixes[key] = frozenset(merged)
-            continue
-        steps_used = key[3]
-        if configs >= bounds.max_configs:
-            complete = False
-            suffixes[key] = frozenset({((), _CUT)})
-            continue
-        configs += 1
-        if config.all_done():
-            suffixes[key] = frozenset({((), _DONE)})
-            continue
-        if steps_used >= bounds.max_steps:
-            truncated += 1
-            complete = False
-            suffixes[key] = frozenset({((), _CUT)})
-            continue
-        choices = semantics.enabled(program, config)
-        if not choices:
-            deadlocked += 1
-            suffixes[key] = frozenset({((), _DEADLOCKED)})
-            continue
-        edges = []
-        children = []
-        for choice in sorted(choices, key=lambda c: c.thread, reverse=True):
-            nxt = semantics.step(program, config, choice, costs)
-            label = _project(nxt.trace, bounds)
-            nxt = semantics.Configuration(nxt.residues, nxt.store, nxt.clock, (), ())
-            child = key_of(nxt, steps_used + 1)
-            edges.append((label, child))
-            if child not in suffixes:
-                children.append((child, nxt))
-        pending[key] = edges
-        stack.append((key, config))
-        stack.extend(children)
 
-    runs = suffixes[root_key]
+    def merge(key: tuple, config: semantics.Configuration, outcome) -> None:
+        if isinstance(outcome, str):
+            suffixes[key] = _ENDINGS[outcome]
+            return
+        merged: set = set()
+        for events, child in outcome:
+            label = _project(events, bounds)
+            if label:
+                merged.update((label + suffix, end) for suffix, end in suffixes[child])
+            else:
+                merged.update(suffixes[child])
+        suffixes[key] = frozenset(merged)
+
+    found = search(program, store, bounds, costs, frozenset(), merge)
+    runs = suffixes[found.root]
     return ExploreResult(
         observations=frozenset((Observation(events), end == _DONE)
                                for events, end in runs),
-        complete=complete,
-        truncated=truncated,
-        deadlocked=deadlocked,
+        complete=found.complete,
+        truncated=found.truncated,
+        deadlocked=found.deadlocked,
         prefixes=frozenset(Observation(events) for events, end in runs if end == _CUT),
     )
 
@@ -297,8 +381,11 @@ def duration_stats(program: lang.Program, loc_from: lang.LocationId,
                    init_public: Optional[semantics.Store] = None) -> DurationStats:
     """For each secret valuation, the set of achievable ``t@to - t@from``.
 
-    Each arrival at ``loc_from`` pairs with the next arrival at ``loc_to``
-    after it, within every maximal execution reachable under the bounds.
+    :func:`search` watches the two locations, with the clock kept in the
+    key even when ``bounds`` is timing-blind.  At every state where a run
+    ends (terminated, deadlocked or cut short), each arrival at ``loc_from``
+    pairs with the next arrival at ``loc_to`` after it.  A valuation with no
+    such pair is ``unreached``.
     """
     if loc_from.thread != loc_to.thread:
         raise LeakLabError("duration endpoints must lie in the same thread")
@@ -312,6 +399,7 @@ def duration_stats(program: lang.Program, loc_from: lang.LocationId,
     store_base = dict(program.initial_store())
     if init_public:
         store_base.update(init_public)
+    bounds = replace(bounds, timing_blind=False)
 
     stats: dict[SecretValuation, set[int]] = {v: set() for v in secret_domain}
     unreached: list[SecretValuation] = []
@@ -320,38 +408,23 @@ def duration_stats(program: lang.Program, loc_from: lang.LocationId,
     for valuation in secret_domain:
         store = dict(store_base)
         store.update(dict(valuation))
-        root = semantics.initial_configuration(program, store)
-        seen_any = False
-        visited: set = set()
-        stack = [(root, 0)]
-        while stack:
-            config, steps_used = stack.pop()
-            key = (config, steps_used)
-            if key in visited:
-                continue
-            visited.add(key)
-            if len(visited) > bounds.max_configs:
-                complete = False
-                break
-            choices = semantics.enabled(program, config)
-            maximal = config.all_done() or not choices
-            if not maximal and steps_used >= bounds.max_steps:
-                complete = False
-                maximal = True
-            if maximal:
-                snaps = config.snapshot_dict()
-                starts = snaps.get(loc_from, ())
-                ends = snaps.get(loc_to, ())
-                for start in starts:
-                    nxt = [e for e in ends if e >= start]
-                    if nxt:
-                        stats[valuation].add(min(nxt) - start)
-                        seen_any = True
-                continue
-            for choice in choices:
-                stack.append((semantics.step(program, config, choice, costs),
-                              steps_used + 1))
-        if not seen_any:
+        endings: set[tuple] = set()  # the watched arrivals where runs end
+
+        def collect(key: tuple, config: semantics.Configuration, outcome) -> None:
+            if isinstance(outcome, str):
+                endings.add(key[4])
+
+        found = search(program, store, bounds, costs, frozenset((loc_from, loc_to)),
+                       collect)
+        complete = complete and found.complete
+        for watched in endings:
+            snaps = found.arrivals(watched)
+            ends = snaps.get(loc_to, ())  # in clock order, as the run reached them
+            for start in snaps.get(loc_from, ()):
+                nxt = bisect.bisect_left(ends, start)
+                if nxt < len(ends):
+                    stats[valuation].add(ends[nxt] - start)
+        if not stats[valuation]:
             unreached.append(valuation)
 
     return DurationStats(
@@ -359,3 +432,19 @@ def duration_stats(program: lang.Program, loc_from: lang.LocationId,
         unreached=unreached,
         complete=complete,
     )
+
+
+def isolate_thread(program: lang.Program, thread: int,
+                   costs: semantics.CostModel
+                   ) -> tuple[lang.Program, semantics.CostModel]:
+    """The program with one thread alone, as thread 0, and its cost model.
+
+    Labels are per-thread, so only the thread index moves to 0; the cost
+    overrides of this thread move with it.
+    """
+    isolated = lang.Program(program.declarations,
+                            (program.threads[thread],), program.ghosts)
+    remapped = {lang.LocationId(0, loc.index): cost
+                for loc, cost in costs.overrides.items() if loc.thread == thread}
+    return (lang.label_statements(isolated),
+            semantics.CostModel(costs.unit, remapped))

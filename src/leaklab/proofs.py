@@ -27,17 +27,22 @@ region whose guard fails, is vacuous for partial correctness.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 from . import assertions as asrt
 from . import lang, semantics
-from .errors import AnnotationError, LeakLabError
+from .errors import AnnotationError, BudgetExceeded, DomainError, LeakLabError
 
 SEQUENTIAL = "sequential"
 INTERFERENCE = "interference"
 LEAKY = "leaky"
+
+# Steps a thread run alone may take before its path facts are underivable.
+ISOLATED_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -54,6 +59,11 @@ class VC:
     post: asrt.Assertion
     kind: str
     provenance: str
+
+
+class FactlessVC(VC):
+    """A rule-support condition without its underivable path facts: valid
+    carries over to the condition with them, a counterexample does not."""
 
 
 @dataclass
@@ -264,67 +274,34 @@ def gen_interference_vcs(annotated: asrt.AnnotatedProgram,
 def isolated_path_duration(program: lang.Program, thread: int,
                            loc_from: lang.LocationId, loc_to: lang.LocationId,
                            secret_valuation: dict,
-                           costs: semantics.CostModel = semantics.CostModel(),
-                           budget: int = 100_000) -> Optional[int]:
-    """Clock difference between two locations when the thread runs alone.
+                           costs: semantics.CostModel = semantics.CostModel()
+                           ) -> Optional[frozenset[int]]:
+    """The durations between two locations when the thread runs alone.
 
-    Computed by a direct walk of the thread's syntax against the declared
-    initial values: guards are resolved concretely, costs are summed.
-    Returns None when the walk blocks (a region guard stays false), a value
-    leaves its domain, or the budget runs out.
+    :func:`explorer.duration_stats` on the thread isolated as ``dl``
+    synthesis isolates it.  A thread alone has one run, whose next step
+    depends only on position and store, so within positions times stores
+    steps it ends or repeats a state forever; by twice that, it has given
+    every duration it ever gives.  None when the run never pairs the two
+    locations, leaves a domain, overruns a region budget, or is cut at
+    ``ISOLATED_STEPS`` first.
     """
-    store: dict = {d.name: d.init for d in program.declarations if not d.secret}
-    store.update(secret_valuation)
-    clock = 0
-    arrived: dict[lang.LocationId, int] = {}
-    work: list = list(program.threads[thread].body)
-    while work:
-        budget -= 1
-        if budget <= 0:
-            return None
-        s = work.pop(0)
-        arrived.setdefault(s.label, clock)
-        if loc_to in arrived and loc_from in arrived:
-            break
-        try:
-            if isinstance(s, lang.Skip):
-                clock += costs.action_cost(s.label)
-            elif isinstance(s, lang.Assign):
-                value = semantics.eval_expr(s.value, store)
-                if value not in program.decl(s.target).domain:
-                    return None
-                store[s.target] = value
-                clock += costs.action_cost(s.label)
-            elif isinstance(s, lang.Print):
-                clock += costs.action_cost(s.label)
-            elif isinstance(s, lang.Delay):
-                if s.label in costs.overrides:
-                    d = costs.overrides[s.label]
-                else:
-                    d = semantics.eval_expr(s.duration, store)
-                if not isinstance(d, int) or d < 0:
-                    return None
-                clock += d
-            elif isinstance(s, lang.If):
-                clock += costs.action_cost(s.label)
-                branch = s.then_body if semantics.eval_guard(s.guard, store) else s.else_body
-                work = list(branch) + work
-            elif isinstance(s, lang.While):
-                clock += costs.action_cost(s.label)
-                if semantics.eval_guard(s.guard, store):
-                    work = list(s.body) + [s] + work
-            elif isinstance(s, lang.Await):
-                if not semantics.eval_guard(s.guard, store):
-                    return None  # blocked forever in isolation
-                clock += costs.action_cost(s.label)
-                work = list(s.body) + work
-            else:
-                return None
-        except LeakLabError:
-            return None
-    if loc_from in arrived and loc_to in arrived and arrived[loc_from] <= arrived[loc_to]:
-        return arrived[loc_to] - arrived[loc_from]
-    return None
+    from . import explorer  # local import to keep module load cheap
+
+    isolated, iso_costs = explorer.isolate_thread(program, thread, costs)
+    settled = 2 * len(isolated.labels_of_thread(0)) * math.prod(
+        len(d.domain) for d in program.declarations)
+    steps = min(settled, ISOLATED_STEPS)
+    valuation = tuple(secret_valuation.items())
+    try:
+        stats = explorer.duration_stats(
+            isolated, lang.LocationId(0, loc_from.index), lang.LocationId(0, loc_to.index),
+            (valuation,), explorer.ExploreBounds(max_steps=steps), iso_costs)
+    except (DomainError, BudgetExceeded):
+        return None
+    if stats.unreached or not (stats.complete or steps == settled):
+        return None
+    return stats.durations[valuation]
 
 
 def _secret_valuation_assertion(valuation: tuple) -> asrt.Assertion:
@@ -338,10 +315,11 @@ def path_fact_assertion(program: lang.Program, thread: int,
                         loc_from: lang.LocationId, loc_to: lang.LocationId,
                         secret_domain: tuple,
                         costs: semantics.CostModel) -> Optional[asrt.Assertion]:
-    """Per-secret exact isolated durations, as one conjunction of rules.
+    """Per-secret isolated durations, as one conjunction of rules.
 
-    ``(h = v) -> (t@to - t@from = D_v)`` for every valuation v; None when
-    any duration is underivable.
+    ``(h = v) -> (t@to - t@from = D)`` for every valuation v, with one
+    equation per duration D the isolated thread achieves, joined by ``or``;
+    None when the durations of any valuation are underivable.
     """
     diff = lang.BinOp(
         "-",
@@ -349,12 +327,14 @@ def path_fact_assertion(program: lang.Program, thread: int,
         asrt.SnapshotTerm(None, loc_from.index, None, loc_from))
     parts: list[asrt.Assertion] = []
     for valuation in secret_domain:
-        d = isolated_path_duration(program, thread, loc_from, loc_to,
-                                   dict(valuation), costs)
-        if d is None:
+        durations = isolated_path_duration(program, thread, loc_from, loc_to,
+                                           dict(valuation), costs)
+        if durations is None:
             return None
+        equations = [lang.BinOp("=", diff, lang.IntLit(d)) for d in sorted(durations)]
         parts.append(asrt.Implies(_secret_valuation_assertion(valuation),
-                                  lang.BinOp("=", diff, lang.IntLit(d))))
+                                  functools.reduce(lambda a, b: lang.BinOp("or", a, b),
+                                                   equations)))
     return _conj(*parts)
 
 
@@ -412,13 +392,15 @@ def gen_leaky_vcs(annotated: asrt.AnnotatedProgram,
                                     secret_domain, costs)
         if facts is None:
             notices.append(f"postulate at {t_where}: isolated path timings "
-                           "underivable; no rule-support conditions generated")
-            continue
+                           "underivable; its rules must hold without them")
         for k, rule in enumerate(rules):
-            vcs.append(VC(_conj(facts, rule.antecedent), output_stmt,
-                          rule.consequent, LEAKY,
-                          f"rule {k} of postulate at {t_where} against "
-                          "isolated path timings"))
+            where = f"rule {k} of postulate at {t_where}"
+            if facts is None:
+                vcs.append(FactlessVC(rule.antecedent, output_stmt, rule.consequent,
+                                      LEAKY, f"{where} without isolated path timings"))
+            else:
+                vcs.append(VC(_conj(facts, rule.antecedent), output_stmt, rule.consequent,
+                              LEAKY, f"{where} against isolated path timings"))
     return vcs, notices
 
 
@@ -426,65 +408,23 @@ def gen_leaky_vcs(annotated: asrt.AnnotatedProgram,
 # Discharge by enumeration
 # ---------------------------------------------------------------------------
 
-class _RegionBudget(LeakLabError):
-    pass
-
-
 def _execute_atomic(stmt: lang.Stmt, store: dict, clock: int,
                     costs: semantics.CostModel,
-                    domains: dict[str, tuple]) -> Optional[tuple[dict, int]]:
-    """Big-step of one atomic unit over a plain store; None when vacuous."""
+                    program: lang.Program) -> Optional[tuple[dict, int]]:
+    """Big-step of one atomic unit over a copy of ``store``.
+
+    None when the transition is vacuous: a region whose guard fails, a
+    value outside its declared domain, or a negative or non-integer delay.
+    A region body past the budget raises :class:`BudgetExceeded`.
+    """
     store = dict(store)
-
-    def run_one(s: lang.Stmt, at: int) -> Optional[int]:
-        if isinstance(s, lang.Skip) or isinstance(s, lang.Print):
-            return at + costs.action_cost(s.label)
-        if isinstance(s, lang.Assign):
-            value = semantics.eval_expr(s.value, store)
-            if value not in domains[s.target]:
-                return None
-            store[s.target] = value
-            return at + costs.action_cost(s.label)
-        if isinstance(s, lang.Delay):
-            if s.label in costs.overrides:
-                d = costs.overrides[s.label]
-            else:
-                d = semantics.eval_expr(s.duration, store)
-            if not isinstance(d, int) or isinstance(d, bool) or d < 0:
-                return None
-            return at + d
-        raise TypeError(s)
-
-    if isinstance(stmt, lang.Await):
-        if not semantics.eval_guard(stmt.guard, store):
-            return None
-        clock += costs.action_cost(stmt.label)
-        work = list(stmt.body)
-        budget = 10_000
-        while work:
-            budget -= 1
-            if budget <= 0:
-                raise _RegionBudget("region body exceeded the loop budget")
-            inner = work.pop(0)
-            if isinstance(inner, lang.If):
-                branch = (inner.then_body if semantics.eval_guard(inner.guard, store)
-                          else inner.else_body)
-                clock += costs.action_cost(inner.label)
-                work = list(branch) + work
-            elif isinstance(inner, lang.While):
-                if semantics.eval_guard(inner.guard, store):
-                    work = list(inner.body) + [inner] + work
-                clock += costs.action_cost(inner.label)
-            else:
-                nxt = run_one(inner, clock)
-                if nxt is None:
-                    return None
-                clock = nxt
-        return store, clock
-    nxt = run_one(stmt, clock)
-    if nxt is None:
+    if isinstance(stmt, lang.Await) and not semantics.eval_guard(stmt.guard, store):
         return None
-    return store, nxt
+    try:
+        clock = semantics.run_atomic(stmt, store, clock, costs, program, None)
+    except DomainError:
+        return None
+    return store, clock
 
 
 def _vc_symbols(vc: VC, program: lang.Program) -> tuple[list, list, bool]:
@@ -545,7 +485,6 @@ def discharge_vc(vc: VC, program: lang.Program,
         variables, slots, uses_clock = _vc_symbols(vc, program)
     except LeakLabError as e:
         return DischargeResult("undischarged", reason=str(e))
-    domains_all = {d.name: d.domain for d in program.declarations}
 
     slot_axes = [(loc, k) for loc, count in slots for k in range(count)]
     index = {slot: i for i, slot in enumerate(slot_axes)}
@@ -598,8 +537,8 @@ def discharge_vc(vc: VC, program: lang.Program,
                     else:
                         try:
                             after[clock] = _execute_atomic(vc.stmt, store, clock,
-                                                           costs, domains_all)
-                        except _RegionBudget as e:
+                                                           costs, program)
+                        except BudgetExceeded as e:
                             return DischargeResult("undischarged", reason=str(e),
                                                    checked=checked)
                 result = after[clock]
@@ -611,6 +550,9 @@ def discharge_vc(vc: VC, program: lang.Program,
                 except LeakLabError as e:
                     return DischargeResult("undischarged", reason=str(e),
                                            checked=checked)
+                if not ok and isinstance(vc, FactlessVC):
+                    return DischargeResult("undischarged", checked=checked, reason=(
+                        "the rule fails without the underivable isolated path timings"))
                 if not ok:
                     cx = {"store": dict(store),
                           "snapshots": {f"{program.location_str(l)}": list(v)

@@ -189,6 +189,85 @@ def enabled(program: lang.Program, config: Configuration) -> frozenset[StepChoic
     return frozenset(choices)
 
 
+# How many statements one region body may run before it is taken not to
+# terminate.
+REGION_BUDGET = 100_000
+
+
+def run_atomic(stmt: lang.Stmt, store: Store, clock: int, costs: CostModel,
+               program: lang.Program, hook) -> int:
+    """Run one atomic action on ``store`` in place; return the clock after it.
+
+    The action is a skip, assignment, print or delay, or a region: a region
+    whose guard holds costs its entry unit, and its body runs to completion
+    within the action, branches resolved against the store as it evolves.
+    ``hook``, unless None, is called as ``hook(s, before, after)`` after
+    every statement ``s`` that runs, with the clock before and after it:
+    the action itself, or else each statement of the region's body.
+
+    A value outside its declared domain and a negative or non-integer delay
+    raise :class:`DomainError`; a body that does not finish within
+    ``REGION_BUDGET`` statements raises :class:`BudgetExceeded`.
+    """
+    if isinstance(stmt, lang.Await):
+        if not eval_guard(stmt.guard, store):
+            raise LeakLabError("stepping a blocked await")
+        clock += costs.action_cost(stmt.label)  # entry cost
+        work: list[lang.Stmt] = list(stmt.body)
+        budget = REGION_BUDGET
+        while work:
+            budget -= 1
+            if budget <= 0:
+                raise BudgetExceeded("await body did not terminate")
+            inner = work.pop(0)
+            before = clock
+            if isinstance(inner, (lang.If, lang.While)):
+                work = list(_unfold(inner, store)) + work
+                clock += costs.action_cost(inner.label)
+            else:
+                clock = _run_simple(inner, store, clock, costs, program)
+            if hook is not None:
+                hook(inner, before, clock)
+        return clock
+    after = _run_simple(stmt, store, clock, costs, program)
+    if hook is not None:
+        hook(stmt, clock, after)
+    return after
+
+
+def _unfold(s: lang.Stmt, store: Store) -> tuple[lang.Stmt, ...]:
+    """The statements a branch or a loop head passes control to."""
+    if isinstance(s, lang.If):
+        return s.then_body if eval_guard(s.guard, store) else s.else_body
+    return s.body + (s,) if eval_guard(s.guard, store) else ()
+
+
+def _run_simple(s: lang.Stmt, store: Store, at: int, costs: CostModel,
+                program: lang.Program) -> int:
+    """One skip, assignment, print or delay; returns the post-action clock."""
+    if isinstance(s, (lang.Skip, lang.Print)):
+        return at + costs.action_cost(s.label)
+    if isinstance(s, lang.Assign):
+        value = eval_expr(s.value, store)
+        if value not in program.decl(s.target).domain:
+            raise DomainError(
+                f"assignment at {program.location_str(s.label)} sets "
+                f"{s.target} to {value}, outside its declared domain")
+        store[s.target] = value
+        return at + costs.action_cost(s.label)
+    if isinstance(s, lang.Delay):
+        if s.label in costs.overrides:
+            d = costs.overrides[s.label]
+        else:
+            d = eval_expr(s.duration, store)
+        if isinstance(d, bool) or not isinstance(d, int):
+            raise DomainError(f"expected int, got {d!r}")
+        if d < 0:
+            raise DomainError(f"negative delay {d} at {program.location_str(s.label)}")
+        return at + d
+    raise TypeError(s)
+
+
 def step(program: lang.Program, config: Configuration, choice: StepChoice,
          costs: CostModel = CostModel()) -> Configuration:
     """Advance one thread by one atomic action."""
@@ -201,78 +280,22 @@ def step(program: lang.Program, config: Configuration, choice: StepChoice,
     clock = config.clock
     trace = list(config.trace)
     snaps = config.snapshot_dict()
-    domains = {d.name: d.domain for d in program.declarations}
 
-    def do_assign(s: lang.Assign, at: int) -> int:
-        value = eval_expr(s.value, store)
-        if value not in domains[s.target]:
-            raise DomainError(
-                f"assignment at {program.location_str(s.label)} sets "
-                f"{s.target} to {value}, outside its declared domain")
-        store[s.target] = value
-        return at + costs.action_cost(s.label)
-
-    def do_atomic(s: lang.Stmt, at: int) -> int:
-        """Run one non-await action; returns the post-action clock."""
-        if isinstance(s, lang.Skip):
-            return at + costs.action_cost(s.label)
-        if isinstance(s, lang.Assign):
-            return do_assign(s, at)
+    def hook(s: lang.Stmt, before: int, after: int) -> None:
+        if s is not head:  # control reached s inside a region body
+            snaps[s.label] = snaps.get(s.label, ()) + (before,)
         if isinstance(s, lang.Print):
             if isinstance(s.value, lang.StrLit):
                 payload = s.value.value
             else:
                 payload = render_value(eval_expr(s.value, store))
-            after = at + costs.action_cost(s.label)
             trace.append(Event(t_idx, payload, after))
-            return after
-        if isinstance(s, lang.Delay):
-            if s.label in costs.overrides:
-                d = costs.overrides[s.label]
-            else:
-                d = _as_int(eval_expr(s.duration, store))
-            if d < 0:
-                raise DomainError(f"negative delay {d} at {program.location_str(s.label)}")
-            return at + d
-        raise TypeError(s)
 
-    if isinstance(head, lang.If):
-        branch = head.then_body if eval_guard(head.guard, store) else head.else_body
+    if isinstance(head, (lang.If, lang.While)):
+        new_residue = _unfold(head, store) + rest
         clock += costs.action_cost(head.label)
-        new_residue = branch + rest
-    elif isinstance(head, lang.While):
-        if eval_guard(head.guard, store):
-            new_residue = head.body + (head,) + rest
-        else:
-            new_residue = rest
-        clock += costs.action_cost(head.label)
-    elif isinstance(head, lang.Await):
-        if not eval_guard(head.guard, store):
-            raise LeakLabError("stepping a blocked await")
-        clock += costs.action_cost(head.label)  # entry cost
-        # The body runs to completion within this one step; branches are
-        # resolved against the store as it evolves.
-        work: list[lang.Stmt] = list(head.body)
-        budget = 100_000
-        while work:
-            budget -= 1
-            if budget <= 0:
-                raise BudgetExceeded("await body did not terminate")
-            inner = work.pop(0)
-            snaps[inner.label] = snaps.get(inner.label, ()) + (clock,)
-            if isinstance(inner, lang.If):
-                branch = inner.then_body if eval_guard(inner.guard, store) else inner.else_body
-                clock += costs.action_cost(inner.label)
-                work = list(branch) + work
-            elif isinstance(inner, lang.While):
-                if eval_guard(inner.guard, store):
-                    work = list(inner.body) + [inner] + work
-                clock += costs.action_cost(inner.label)
-            else:
-                clock = do_atomic(inner, clock)
-        new_residue = rest
     else:
-        clock = do_atomic(head, clock)
+        clock = run_atomic(head, store, clock, costs, program, hook)
         new_residue = rest
 
     _record_arrival(snaps, program, t_idx, new_residue, clock)
@@ -285,48 +308,6 @@ def step(program: lang.Program, config: Configuration, choice: StepChoice,
         trace=tuple(trace),
         snapshots=tuple(sorted(snaps.items())),
     )
-
-
-def step_cost(stmt: lang.Stmt, store: Store,
-              costs: CostModel = CostModel()) -> int:
-    """Abstract time one action takes from the given store.
-
-    Skip, assignment, print and guard evaluation cost one (overridable)
-    unit; a delay costs its evaluated duration; a region costs its entry
-    unit plus the costs of every body action it would run.
-    """
-    if isinstance(stmt, lang.Delay):
-        if stmt.label is not None and stmt.label in costs.overrides:
-            return costs.overrides[stmt.label]
-        duration = _as_int(eval_expr(stmt.duration, store))
-        if duration < 0:
-            raise DomainError(f"negative delay {duration}")
-        return duration
-    if isinstance(stmt, lang.Await):
-        total = costs.action_cost(stmt.label)
-        inner_store = dict(store)
-        work = list(stmt.body)
-        budget = 100_000
-        while work:
-            budget -= 1
-            if budget <= 0:
-                raise BudgetExceeded("region body did not terminate")
-            inner = work.pop(0)
-            if isinstance(inner, lang.If):
-                branch = (inner.then_body if eval_guard(inner.guard, inner_store)
-                          else inner.else_body)
-                total += costs.action_cost(inner.label)
-                work = list(branch) + work
-            elif isinstance(inner, lang.While):
-                if eval_guard(inner.guard, inner_store):
-                    work = list(inner.body) + [inner] + work
-                total += costs.action_cost(inner.label)
-            else:
-                total += step_cost(inner, inner_store, costs)
-                if isinstance(inner, lang.Assign):
-                    inner_store[inner.target] = eval_expr(inner.value, inner_store)
-        return total
-    return costs.action_cost(stmt.label)
 
 
 def run_deterministic(program: lang.Program, init: Store,

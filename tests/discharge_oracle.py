@@ -14,7 +14,7 @@ import itertools
 
 from leaklab import assertions as asrt
 from leaklab import lang, proofs, semantics
-from leaklab.errors import LeakLabError
+from leaklab.errors import BudgetExceeded, LeakLabError
 
 
 def discharge_box(vc: proofs.VC, program: lang.Program,
@@ -26,7 +26,6 @@ def discharge_box(vc: proofs.VC, program: lang.Program,
         variables, slots, uses_clock = proofs._vc_symbols(vc, program)
     except LeakLabError as e:
         return proofs.DischargeResult("undischarged", reason=str(e))
-    domains_all = {d.name: d.domain for d in program.declarations}
 
     axes: list[tuple] = [d for _, d, _ in variables]
     slot_axes = []
@@ -71,8 +70,8 @@ def discharge_box(vc: proofs.VC, program: lang.Program,
         else:
             try:
                 result = proofs._execute_atomic(vc.stmt, store, clock, costs,
-                                                domains_all)
-            except proofs._RegionBudget as e:
+                                                program)
+            except BudgetExceeded as e:
                 return proofs.DischargeResult("undischarged", reason=str(e),
                                               checked=checked)
             if result is None:

@@ -1,13 +1,20 @@
 """Test-only reference: explore by enumerating schedules.
 
-This is the explorer as it was before it memoised program states.  It
-walks the schedule tree depth first and deduplicates whole configurations
-(trace and snapshots included) paired with the steps used, so its cost
-grows with the number of schedules.  It is slow on purpose and kept only
-so that tests can compare ``explorer.explore`` against it.
+These are the explorer, ``explorer.duration_stats`` and
+``assertions.states_at_location`` as they were before they shared the
+memoised state search.  Each walks the schedule tree depth first and
+deduplicates whole configurations (trace and snapshots included) paired
+with the steps used, so its cost grows with the number of schedules.  They
+are slow on purpose and kept only so that tests can compare the state
+search against them.  The duration and state oracles share one walk, and
+take a run cut at the step bound for an incomplete answer, also where no
+thread could move there.  That is ``explore``'s rule; the original
+duration search took a deadlock at the bound for a complete run.
 """
 
 from __future__ import annotations
+
+import functools
 
 from leaklab import explorer, lang, semantics
 from leaklab.errors import LeakLabError
@@ -71,3 +78,81 @@ def enumerate_schedules(program: lang.Program, init_public: semantics.Store,
             stack.append((semantics.step(program, config, choice, costs),
                           steps_used + 1))
     return frozenset(observations), frozenset(prefixes), not prefixes
+
+
+@functools.lru_cache(maxsize=4)
+def _walk(program: lang.Program, valuation: tuple,
+          bounds: explorer.ExploreBounds) -> tuple[tuple, bool]:
+    """Every configuration the schedule walk reaches, under the unit cost
+    model, each with a flag for a maximal one (all done, deadlocked, or at
+    the step bound), and whether no run was cut at the step bound.
+    Reaching the configuration budget raises."""
+    store = dict(program.initial_store())
+    store.update(dict(valuation))
+    root = semantics.initial_configuration(program, store)
+    reached = []
+    complete = True
+    visited: set = set()
+    stack = [(root, 0)]
+    while stack:
+        config, steps_used = stack.pop()
+        key = (config, steps_used)
+        if key in visited:
+            continue
+        visited.add(key)
+        if len(visited) > bounds.max_configs:
+            raise RuntimeError("configuration budget reached; raise max_configs")
+        choices = semantics.enabled(program, config)
+        cut = not config.all_done() and steps_used >= bounds.max_steps
+        complete = complete and not cut
+        reached.append((config, cut or not choices))
+        if not cut:
+            for choice in choices:
+                stack.append((semantics.step(program, config, choice), steps_used + 1))
+    return tuple(reached), complete
+
+
+def duration_stats_by_schedules(program: lang.Program, loc_from: lang.LocationId,
+                                loc_to: lang.LocationId, secret_domain: tuple,
+                                bounds: explorer.ExploreBounds) -> explorer.DurationStats:
+    """``explorer.duration_stats``: at the end of every maximal execution,
+    each arrival at ``loc_from`` pairs with the next arrival at ``loc_to``
+    after it."""
+    stats: dict = {v: set() for v in secret_domain}
+    unreached = []
+    complete = True
+    for valuation in secret_domain:
+        reached, walked_all = _walk(program, valuation, bounds)
+        complete = complete and walked_all
+        for config, maximal in reached:
+            if maximal:
+                snaps = config.snapshot_dict()
+                ends = snaps.get(loc_to, ())
+                for start in snaps.get(loc_from, ()):
+                    nxt = [e for e in ends if e >= start]
+                    if nxt:
+                        stats[valuation].add(min(nxt) - start)
+        if not stats[valuation]:
+            unreached.append(valuation)
+    return explorer.DurationStats({v: frozenset(s) for v, s in stats.items()},
+                                  unreached, complete)
+
+
+def states_at_location_by_schedules(program: lang.Program, loc: lang.LocationId,
+                                    secret_domain: tuple,
+                                    bounds: explorer.ExploreBounds
+                                    ) -> tuple[list[tuple], bool]:
+    """``assertions.states_at_location`` with every snapshot kept: one
+    (store, snapshots, clock, valuation) entry per configuration at ``loc``."""
+    states: list[tuple] = []
+    complete = True
+    exit_loc = lang.exit_label(program, loc.thread)
+    for valuation in secret_domain:
+        reached, walked_all = _walk(program, valuation, bounds)
+        complete = complete and walked_all
+        for config, _maximal in reached:
+            residue = config.residues[loc.thread]
+            if (residue[0].label == loc) if residue else (loc == exit_loc):
+                states.append((config.store_dict(), config.snapshot_dict(),
+                               config.clock, valuation))
+    return states, complete

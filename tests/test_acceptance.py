@@ -146,7 +146,6 @@ class TestCriterion4:
                 seq, _ = proofs.gen_sequential_vcs(annotated, t)
                 vcs += seq
             vcs += proofs.gen_interference_vcs(annotated)
-            domains = {d.name: d.domain for d in program.declarations}
             for vc in vcs:
                 outcome = proofs.discharge_vc(vc, program)
                 if outcome.status != "counterexample":
@@ -158,7 +157,7 @@ class TestCriterion4:
                     post_store = dict(store)
                 else:
                     executed = proofs._execute_atomic(
-                        vc.stmt, store, 0, semantics.CostModel(), domains)
+                        vc.stmt, store, 0, semantics.CostModel(), program)
                     post_store = executed[0] if executed else None
                 post_fails = (post_store is not None
                               and not asrt.eval_assertion(vc.post, post_store, {}, 0))

@@ -236,7 +236,8 @@ class TestLeakiness:
                       "v = 0", "h = 0 or h = 1"]
         parsed = {text: resolved(text, region_thread) for text in candidates}
         domain = explorer.secret_domain_of(region_thread)
-        states, _ = asrt.states_at_location(region_thread, L(0, 7), domain, BOUNDS)
+        watch = frozenset({L(0, 0), L(0, 7)})
+        states, _ = asrt.states_at_location(region_thread, L(0, 7), watch, domain, BOUNDS)
 
         def sat_states(a):
             out = []

@@ -167,6 +167,39 @@ class TestOgcheck:
         assert code == 1
         assert "counterexample" in out
 
+    def test_endless_loop_postulate_refuted(self, capsys, tmp_path):
+        # Every pass takes 3 units from 's' to 'e' when h = 0.
+        loop = tmp_path / "loop.cwl"
+        loop.write_text(
+            "var h : int[0..1] label high = secret;\n"
+            "thread A { {| true |} while true do {\n"
+            "  {| true |} print('s');\n"
+            "  {| true |} if h then { delay(3); } else { skip; };\n"
+            "  {| true |} @leaky {| t@l5 - t@l1 < 100 -> h = 1 |} print('e');\n"
+            "}; } post {| true |}\n")
+        code, out, _ = run_cli(capsys, "ogcheck", str(loop), "--format", "json")
+        assert code == 1
+        [cx] = [row["counterexample"] for row in json.loads(out)["vcs"]
+                if "counterexample" in row]
+        assert cx["store"] == {"h": 0}
+
+    def test_domain_exit_after_the_pair_is_incomplete(self, capsys, tmp_path):
+        # The run alone leaves i's domain after 'e': the path timings are
+        # underivable, which leaves the rule undischarged.
+        program = tmp_path / "exit.cwl"
+        program.write_text(
+            "var h : int[0..1] label high = secret;\n"
+            "var i : int[0..1] label low = 0;\n"
+            "thread A { {| true |} print('s');\n"
+            "  {| true |} @leaky {| t@l1 - t@l0 < 100 -> h = 1 |} print('e');\n"
+            "  {| true |} i = i + 1; {| true |} i = i + 1; } post {| true |}\n")
+        code, out, _ = run_cli(capsys, "ogcheck", str(program), "--format", "json")
+        assert code == 3
+        data = json.loads(out)
+        assert data["overall"] == "incomplete"
+        assert [row["status"] for row in data["vcs"] if row["kind"] == "leaky"] == [
+            "undischarged"]
+
     def test_unannotated_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "ogcheck", fixture("semaphore_pair.cwl"))
         assert code == 2

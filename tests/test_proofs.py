@@ -3,14 +3,35 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from leaklab import assertions as asrt
-from leaklab import lang, proofs, semantics
+from leaklab import dl, explorer, lang, proofs, semantics
 from leaklab.errors import AnnotationError
 
-from conftest import load_program, trivially_annotate
+from conftest import load_corpus, load_program, trivially_annotate
+from test_explore_oracle import small_programs
 
 L = lang.LocationId
+
+# Each pass through the loop prints 's' and, for nonzero h, delays 3.
+LOOP_BRANCH_SOURCE = (
+    "var h : int[0..1] label high = secret;\n"
+    "var i : int[0..3] label low = 0;\n"
+    "thread A { while i < 2 do { print('s'); if h then { delay(3); } else { skip; }; "
+    "i = i + 1; }; print('e'); }")
+
+# The same pass, forever: the isolated run never ends.
+FOREVER_SOURCE = (
+    "var h : int[0..1] label high = secret;\n"
+    "thread A { while true do { print('s'); if h then { delay(3); } else { skip; }; "
+    "print('e'); }; }")
+
+# The run leaves i's domain after 'e'.
+DOMAIN_EXIT_SOURCE = (
+    "var h : int[0..1] label high = secret;\n"
+    "var i : int[0..1] label low = 0;\n"
+    "thread A { print('s'); print('e'); i = i + 1; i = i + 1; }")
 
 
 def annotated_from(src: str) -> asrt.AnnotatedProgram:
@@ -176,7 +197,7 @@ class TestIsolatedPathDuration:
     def test_region_thread_paths(self, region_thread):
         d0 = proofs.isolated_path_duration(region_thread, 0, L(0, 0), L(0, 7), {"h": 0})
         d1 = proofs.isolated_path_duration(region_thread, 0, L(0, 0), L(0, 7), {"h": 1})
-        assert (d0, d1) == (3, 6)
+        assert (d0, d1) == ({3}, {6})
 
     def test_blocked_region_gives_none(self):
         p = lang.parse_program(
@@ -191,7 +212,141 @@ class TestIsolatedPathDuration:
             "var i : int[0..5] label low = 0;\n"
             "thread A { print('s'); while i < 3 do { i = i + 1; }; print('e'); }")
         # s(1) + 4 guard evaluations + 3 increments = 8 units between arrivals.
-        assert proofs.isolated_path_duration(p, 0, L(0, 0), L(0, 3), {"h": 0}) == 8
+        assert proofs.isolated_path_duration(p, 0, L(0, 0), L(0, 3), {"h": 0}) == {8}
+
+
+    def test_endless_run_keeps_the_durations_before_it_loops(self):
+        # The thread spins forever after 'e': its one pair takes 1 unit.
+        p = lang.parse_program(
+            "var h : int[0..1] label high = secret;\n"
+            "thread A { print('s'); print('e'); while true do { skip; }; }")
+        assert proofs.isolated_path_duration(p, 0, L(0, 0), L(0, 1), {"h": 0}) == {1}
+
+    def test_endless_run_that_never_pairs_gives_none(self):
+        p = lang.parse_program(
+            "var h : int[0..1] label high = secret;\n"
+            "thread A { print('s'); while true do { skip; }; print('e'); }")
+        assert proofs.isolated_path_duration(p, 0, L(0, 0), L(0, 3), {"h": 0}) is None
+
+    def test_endless_loop_durations_within_twice_the_states(self, monkeypatch):
+        # Each pass takes 3 units from 's' to 'e', or 5 with the delay.  The
+        # search stops at twice positions times stores steps, not at
+        # ISOLATED_STEPS.
+        p = lang.parse_program(FOREVER_SOURCE)
+        bounds = []
+        original = explorer.duration_stats
+
+        def spy(*args):
+            bounds.append(args[4].max_steps)
+            return original(*args)
+
+        monkeypatch.setattr(explorer, "duration_stats", spy)
+        assert proofs.isolated_path_duration(p, 0, L(0, 1), L(0, 5), {"h": 0}) == {3}
+        assert proofs.isolated_path_duration(p, 0, L(0, 1), L(0, 5), {"h": 1}) == {5}
+        assert bounds == [2 * len(p.labels_of_thread(0)) * 2] * 2
+
+    def test_domain_exit_gives_none(self):
+        p = lang.parse_program(DOMAIN_EXIT_SOURCE)
+        assert proofs.isolated_path_duration(p, 0, L(0, 0), L(0, 1), {"h": 0}) is None
+
+    @settings(max_examples=50, deadline=None)
+    @given(small_programs())
+    def test_twice_the_states_give_every_duration(self, source: str):
+        # Against a search with room for many more steps than twice the
+        # thread's states, whether or not its run ends.
+        program = lang.parse_program(source)
+        isolated, _ = explorer.isolate_thread(program, 0, semantics.CostModel())
+        labels = program.labels_of_thread(0)
+        roomy = explorer.ExploreBounds(max_steps=500)
+        for loc_to in labels[1:]:
+            for valuation in explorer.secret_domain_of(program):
+                stats = explorer.duration_stats(isolated, labels[0], loc_to,
+                                                (valuation,), roomy)
+                want = None if stats.unreached else stats.durations[valuation]
+                assert proofs.isolated_path_duration(
+                    program, 0, labels[0], loc_to, dict(valuation)) == want, loc_to
+
+    def test_every_duration_of_a_loop(self):
+        # The first 's' reaches 'e' in 10 units and the second in 5; the
+        # first arrival alone would give only 10.
+        p = lang.parse_program(LOOP_BRANCH_SOURCE)
+        assert proofs.isolated_path_duration(p, 0, L(0, 1), L(0, 6), {"h": 0}) == {5, 10}
+        assert proofs.isolated_path_duration(p, 0, L(0, 1), L(0, 6), {"h": 1}) == {7, 14}
+
+    def test_path_facts_join_durations_with_or(self):
+        p = lang.parse_program(LOOP_BRANCH_SOURCE)
+        facts = proofs.path_fact_assertion(p, 0, L(0, 1), L(0, 6), ((("h", 0),), (("h", 1),)),
+                                           semantics.CostModel())
+        assert asrt.unparse_assertion(facts, p) == (
+            "(h = 0 -> t@A.l6 - t@A.l1 = 5 or t@A.l6 - t@A.l1 = 10) and "
+            "(h = 1 -> t@A.l6 - t@A.l1 = 7 or t@A.l6 - t@A.l1 = 14)")
+
+    def test_loop_postulate_is_refuted(self):
+        # Regression: with the first arrival's duration as the only path fact,
+        # this postulate was proven, yet h = 0 reaches A.l6 with d = 5 < 8.
+        p = lang.parse_program(LOOP_BRANCH_SOURCE)
+        postulate = asrt.parse_assertion(
+            "(t@l6 - t@l1 < 8 -> h = 1) and (t@l6 - t@l1 >= 12 -> h = 1)")
+        result = proofs.check_proof(trivially_annotate(p, leaky={L(0, 6): postulate}))
+        assert result.overall == "refuted"
+        assert result.certified == ()
+        [(vc, refuted)] = result.by_status("counterexample")
+        assert vc.provenance == "rule 0 of postulate at A.l6 against isolated path timings"
+        cx = refuted.counterexample
+        assert cx["store"] == {"h": 0}
+        assert cx["snapshots"]["A.l6"][0] - cx["snapshots"]["A.l1"][0] == 5
+
+    def test_endless_loop_postulate_is_refuted(self):
+        # h = 0 reaches A.l5 three units after A.l1 on every pass.
+        p = lang.parse_program(FOREVER_SOURCE)
+        postulate = asrt.parse_assertion("(t@l5 - t@l1 < 100 -> h = 1)")
+        result = proofs.check_proof(trivially_annotate(p, leaky={L(0, 5): postulate}))
+        assert result.overall == "refuted"
+        [(vc, refuted)] = result.by_status("counterexample")
+        assert vc.provenance == "rule 0 of postulate at A.l5 against isolated path timings"
+        cx = refuted.counterexample
+        assert cx["store"] == {"h": 0}
+        assert cx["snapshots"]["A.l5"][0] - cx["snapshots"]["A.l1"][0] == 3
+
+    def test_underivable_facts_leave_the_rule_undischarged(self):
+        # Regression: with no path facts, rule support was skipped and a
+        # wrong postulate could be proven on stability alone.
+        p = lang.parse_program(DOMAIN_EXIT_SOURCE)
+        postulate = asrt.parse_assertion("(t@l1 - t@l0 < 100 -> h = 1)")
+        result = proofs.check_proof(trivially_annotate(p, leaky={L(0, 1): postulate}))
+        assert result.overall == "incomplete"
+        assert result.certified == ()
+        assert any("underivable" in w for w in result.warnings)
+        [(vc, unsettled)] = result.by_status("undischarged")
+        assert isinstance(vc, proofs.FactlessVC)
+        assert vc.provenance == "rule 0 of postulate at A.l1 without isolated path timings"
+        assert "underivable" in unsettled.reason
+
+    def test_rule_that_needs_no_facts_is_proven(self):
+        p = lang.parse_program(DOMAIN_EXIT_SOURCE)
+        postulate = asrt.parse_assertion(
+            "(t@l1 - t@l0 < 0 and t@l1 - t@l0 > 0 -> h = 1)")
+        result = proofs.check_proof(trivially_annotate(p, leaky={L(0, 1): postulate}))
+        assert result.overall == "proven"
+        assert result.certified == (L(0, 1),)
+
+    def test_dl_and_proofs_agree_on_the_corpus(self):
+        # Synthesis and the proof's path facts read the same isolated durations.
+        pairs = 0
+        for name, program in load_corpus().items():
+            report = dl.dl_certify(program)
+            synth = dl.synthesize_leaky_assertions(program, report.suggested_pairs)
+            isolated = {s.location: s.isolated for s in synth.assertions}
+            isolated.update({r.pair[1]: r.isolated for r in synth.indeterminate})
+            for loc_from, loc_to in report.suggested_pairs:
+                if loc_to not in isolated:
+                    continue
+                pairs += 1
+                facts = {str(dict(v)): sorted(proofs.isolated_path_duration(
+                             program, loc_from.thread, loc_from, loc_to, dict(v)))
+                         for v in explorer.secret_domain_of(program)}
+                assert facts == isolated[loc_to], (name, loc_from, loc_to)
+        assert pairs >= 5
 
 
 class TestDischarge:
@@ -267,8 +422,7 @@ class TestDischarge:
                     post_store = dict(store)
                 else:
                     executed = proofs._execute_atomic(
-                        vc.stmt, store, 0, semantics.CostModel(),
-                        {d.name: d.domain for d in program.declarations})
+                        vc.stmt, store, 0, semantics.CostModel(), program)
                     assert executed is not None
                     post_store = executed[0]
                 assert not asrt.eval_assertion(vc.post, post_store, {}, 0)

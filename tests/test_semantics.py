@@ -136,23 +136,31 @@ class TestStep:
 
 
 class TestStepCost:
+    """The clock advance of one ``semantics.step`` is the cost of its action."""
+
+    @staticmethod
+    def cost(program, index, store, costs=semantics.CostModel()):
+        stmt = program.statement_at(lang.LocationId(0, index))
+        config = semantics.Configuration(
+            ((stmt,),), tuple(sorted(store.items())), 0, (), ())
+        return semantics.step(program, config, semantics.StepChoice(0), costs).clock
+
     def test_default_unit_costs(self, region_thread):
-        assert semantics.step_cost(lang.Skip(), {}) == 1
-        delay50 = lang.Delay(lang.IntLit(50))
-        assert semantics.step_cost(delay50, {}) == 50
+        assert self.cost(region_thread, 6, {"h": 0, "sem": 1, "v": 0}) == 1  # skip
+        delay50 = lang.parse_program("thread A { delay(50); }")
+        assert self.cost(delay50, 0, {}) == 50
 
     def test_region_cost_entry_plus_body(self, region_thread):
-        region = region_thread.statement_at(lang.LocationId(0, 2))
-        assert semantics.step_cost(region, {"sem": 1, "v": 0}) == 4
+        assert self.cost(region_thread, 2, {"h": 1, "sem": 1, "v": 0}) == 4
 
     def test_override_applies(self, region_thread):
         costs = semantics.CostModel(overrides={lang.LocationId(0, 3): 47})
-        region = region_thread.statement_at(lang.LocationId(0, 2))
-        assert semantics.step_cost(region, {"sem": 1, "v": 0}, costs) == 50
+        assert self.cost(region_thread, 2, {"h": 1, "sem": 1, "v": 0}, costs) == 50
 
     def test_negative_delay_rejected(self):
+        program = lang.parse_program("thread A { delay(0 - 1); }")
         with pytest.raises(DomainError):
-            semantics.step_cost(lang.Delay(lang.IntLit(-1)), {})
+            self.cost(program, 0, {})
 
 
 class TestRunDeterministic:
