@@ -19,7 +19,8 @@ reachability test :func:`is_leaky_assertion` here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import functools
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from . import explorer, lang, semantics
@@ -75,125 +76,109 @@ TRUE = lang.BoolLit(True)
 
 
 # ---------------------------------------------------------------------------
-# Parsing
+# The assertion language: expressions plus the forms above
 # ---------------------------------------------------------------------------
+
+class _AssertionLanguage(lang.ExprLanguage):
+    """``lang``'s expression language with ``->`` loosest of all, quantifiers
+    beside ``not``, and ``approx``, ``t`` and ``t@...`` as atoms.
+
+    Typing extends the expression rules: ``t``, ``t@...`` and quantified
+    variables are ints, ``->`` and quantifier bodies take booleans, and
+    ``approx`` takes ints.
+    """
+
+    noun = "assertion term"
+
+    def parse(self, ts: lang.TokenStream) -> Assertion:
+        left = self.parse_or(ts)
+        if ts.at("sym", "->"):
+            ts.next()
+            return Implies(left, self.parse(ts))
+        return left
+
+    def parse_not(self, ts: lang.TokenStream) -> Assertion:
+        if ts.at("keyword", "forall") or ts.at("keyword", "exists"):
+            kind = ts.next().text
+            var = ts.expect("ident").text
+            ts.expect("keyword", "in")
+            lo = int(ts.expect("int").text)
+            ts.expect("sym", "..")
+            hi = int(ts.expect("int").text)
+            ts.expect("sym", ":")
+            return Quantified(kind, var, lo, hi, self.parse(ts))
+        return super().parse_not(ts)
+
+    def parse_atom(self, ts: lang.TokenStream) -> Assertion:
+        if ts.at("keyword", "approx"):
+            ts.next()
+            ts.expect("sym", "(")
+            left = self.parse_add(ts)
+            ts.expect("sym", ",")
+            right = self.parse_add(ts)
+            tol = None
+            if ts.at("sym", ","):
+                ts.next()
+                tol = self.parse_add(ts)
+            ts.expect("sym", ")")
+            return Approx(left, right, tol)
+        if ts.at("ident", "t"):
+            ts.next()
+            if ts.at("sym", "@"):
+                ts.next()
+                return _parse_snapshot_ref(ts)
+            return ClockTerm()
+        return super().parse_atom(ts)
+
+    def type_of(self, x: Assertion, decls: dict[str, lang.Decl]) -> str:
+        if isinstance(x, (ClockTerm, SnapshotTerm)):
+            return lang.INT
+        if isinstance(x, Implies):
+            if (self.type_of(x.antecedent, decls) != lang.BOOL
+                    or self.type_of(x.consequent, decls) != lang.BOOL):
+                raise ParseError("implication '->' on non-bool operands")
+            return lang.BOOL
+        if isinstance(x, Approx):
+            parts = (x.left, x.right) + ((x.tolerance,) if x.tolerance is not None else ())
+            if any(self.type_of(part, decls) != lang.INT for part in parts):
+                raise ParseError("approx on non-int operands")
+            return lang.BOOL
+        if isinstance(x, Quantified):
+            var = lang.Decl(x.var, lang.INT, "low", tuple(range(x.lo, x.hi + 1)), None, False)
+            if self.type_of(x.body, {**decls, x.var: var}) != lang.BOOL:
+                raise ParseError(f"{x.kind} over a non-bool body")
+            return lang.BOOL
+        return super().type_of(x, decls)
+
+    def show(self, x: Assertion, parent_prec: int = 0) -> str:
+        if isinstance(x, ClockTerm):
+            return "t"
+        if isinstance(x, SnapshotTerm):
+            where = f"{x.thread_name}.l{x.index}" if x.thread_name is not None else f"l{x.index}"
+            return f"t@{where}" + (f"[{x.arrival}]" if x.arrival is not None else "")
+        if isinstance(x, Implies):
+            text = f"{self.show(x.antecedent, 1)} -> {self.show(x.consequent, 0)}"
+            return f"({text})" if parent_prec >= 1 else text
+        if isinstance(x, Approx):
+            args = (x.left, x.right) + ((x.tolerance,) if x.tolerance is not None else ())
+            return f"approx({', '.join(self.show(arg) for arg in args)})"
+        if isinstance(x, Quantified):
+            text = f"{x.kind} {x.var} in {x.lo}..{x.hi} : {self.show(x.body)}"
+            return f"({text})" if parent_prec >= 1 else text
+        return super().show(x, parent_prec)
+
+
+_ASSERTIONS = _AssertionLanguage()
+
 
 def parse_assertion(text: str) -> Assertion:
     """Parse assertion text; snapshot terms stay unresolved until bound."""
     ts = lang.TokenStream(lang.tokenize(text))
-    a = _parse_implication(ts)
+    a = _ASSERTIONS.parse(ts)
     tok = ts.peek()
     if tok.kind != "eof":
         raise ParseError(f"unexpected {tok.text!r} after assertion", tok.line, tok.col)
     return a
-
-
-def _parse_implication(ts: lang.TokenStream) -> Assertion:
-    left = _parse_or(ts)
-    if ts.at("sym", "->"):
-        ts.next()
-        return Implies(left, _parse_implication(ts))
-    return left
-
-
-def _parse_or(ts: lang.TokenStream) -> Assertion:
-    left = _parse_and(ts)
-    while ts.at("keyword", "or"):
-        ts.next()
-        left = lang.BinOp("or", left, _parse_and(ts))
-    return left
-
-
-def _parse_and(ts: lang.TokenStream) -> Assertion:
-    left = _parse_not(ts)
-    while ts.at("keyword", "and"):
-        ts.next()
-        left = lang.BinOp("and", left, _parse_not(ts))
-    return left
-
-
-def _parse_not(ts: lang.TokenStream) -> Assertion:
-    if ts.at("keyword", "not"):
-        ts.next()
-        return lang.UnaryOp("not", _parse_not(ts))
-    if ts.at("keyword", "forall") or ts.at("keyword", "exists"):
-        kind = ts.next().text
-        var = ts.expect("ident").text
-        ts.expect("keyword", "in")
-        lo = int(ts.expect("int").text)
-        ts.expect("sym", "..")
-        hi = int(ts.expect("int").text)
-        ts.expect("sym", ":")
-        return Quantified(kind, var, lo, hi, _parse_implication(ts))
-    return _parse_cmp(ts)
-
-
-def _parse_cmp(ts: lang.TokenStream) -> Assertion:
-    left = _parse_add(ts)
-    if ts.at("sym") and ts.peek().text in lang.CMP_OPS:
-        op = ts.next().text
-        return lang.BinOp(op, left, _parse_add(ts))
-    return left
-
-
-def _parse_add(ts: lang.TokenStream) -> Assertion:
-    left = _parse_mul(ts)
-    while ts.at("sym") and ts.peek().text in lang.ADD_OPS:
-        op = ts.next().text
-        left = lang.BinOp(op, left, _parse_mul(ts))
-    return left
-
-
-def _parse_mul(ts: lang.TokenStream) -> Assertion:
-    left = _parse_unary(ts)
-    while ts.at("sym", "*"):
-        ts.next()
-        left = lang.BinOp("*", left, _parse_unary(ts))
-    return left
-
-
-def _parse_unary(ts: lang.TokenStream) -> Assertion:
-    if ts.at("sym", "-"):
-        ts.next()
-        return lang.UnaryOp("-", _parse_unary(ts))
-    return _parse_atom(ts)
-
-
-def _parse_atom(ts: lang.TokenStream) -> Assertion:
-    tok = ts.peek()
-    if tok.kind == "int":
-        ts.next()
-        return lang.IntLit(int(tok.text))
-    if tok.kind == "keyword" and tok.text in ("true", "false"):
-        ts.next()
-        return lang.BoolLit(tok.text == "true")
-    if tok.kind == "keyword" and tok.text == "approx":
-        ts.next()
-        ts.expect("sym", "(")
-        left = _parse_add(ts)
-        ts.expect("sym", ",")
-        right = _parse_add(ts)
-        tol = None
-        if ts.at("sym", ","):
-            ts.next()
-            tol = _parse_add(ts)
-        ts.expect("sym", ")")
-        return Approx(left, right, tol)
-    if tok.kind == "ident" and tok.text == "t":
-        ts.next()
-        if ts.at("sym", "@"):
-            ts.next()
-            return _parse_snapshot_ref(ts)
-        return ClockTerm()
-    if tok.kind == "ident":
-        ts.next()
-        return lang.Var(tok.text)
-    if tok.kind == "sym" and tok.text == "(":
-        ts.next()
-        inner = _parse_implication(ts)
-        ts.expect("sym", ")")
-        return inner
-    raise ts.error(f"expected assertion term, found {tok.text!r}")
 
 
 def _parse_snapshot_ref(ts: lang.TokenStream) -> SnapshotTerm:
@@ -214,93 +199,94 @@ def _parse_snapshot_ref(ts: lang.TokenStream) -> SnapshotTerm:
     return SnapshotTerm(thread_name, int(label[1:]), arrival)
 
 
+def unparse_assertion(a: Assertion, program: Optional[lang.Program] = None) -> str:
+    """Source text of ``a``; with ``program``, resolved snapshot terms are
+    written with their thread's name."""
+    def name_thread(x: Assertion, _bound: frozenset) -> Optional[Assertion]:
+        if isinstance(x, SnapshotTerm) and x.resolved is not None:
+            return replace(x, thread_name=program.threads[x.resolved.thread].name)
+        return None
+
+    return _ASSERTIONS.show(rewrite(a, name_thread) if program is not None else a)
+
+
 # ---------------------------------------------------------------------------
-# Structure helpers
+# Structure
 # ---------------------------------------------------------------------------
+
+def rewrite(a: Assertion, fn, bound: frozenset = frozenset()) -> Assertion:
+    """The structural walk over assertions, top-down.
+
+    ``fn(node, bound)`` sees every node, with ``bound`` the quantifier
+    variables in scope there.  A node it returns replaces the subtree; on
+    None the walk descends into the node's subterms and rebuilds the node
+    only when one of them changed.
+    """
+    new = fn(a, bound)
+    if new is not None:
+        return new
+    if isinstance(a, Quantified):
+        bound = bound | {a.var}
+    changed = {}
+    for name in _field_names(type(a)):
+        child = getattr(a, name)
+        if isinstance(child, lang.Expr):
+            new_child = rewrite(child, fn, bound)
+            if new_child is not child:
+                changed[name] = new_child
+    return replace(a, **changed) if changed else a
+
+
+@functools.cache
+def _field_names(node_type: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(node_type))
+
+
+def subterms(a: Assertion) -> list[tuple[Assertion, frozenset]]:
+    """Every node of ``a`` in pre-order, with the quantifier variables bound there."""
+    out: list[tuple[Assertion, frozenset]] = []
+    rewrite(a, lambda x, bound: out.append((x, bound)))
+    return out
+
+
+def free_names(nodes: list[tuple[Assertion, frozenset]]) -> frozenset[str]:
+    """The variable names among the nodes of :func:`subterms` that no quantifier binds."""
+    return frozenset(x.name for x, bound in nodes
+                     if isinstance(x, lang.Var) and x.name not in bound)
+
 
 def assertion_vars(a: Assertion) -> frozenset[str]:
     """Variable names (program or ghost) appearing free in the assertion."""
-    if isinstance(a, lang.Var):
-        return frozenset((a.name,))
-    if isinstance(a, (lang.IntLit, lang.BoolLit, ClockTerm, SnapshotTerm)):
-        return frozenset()
-    if isinstance(a, lang.UnaryOp):
-        return assertion_vars(a.operand)
-    if isinstance(a, lang.BinOp):
-        return assertion_vars(a.left) | assertion_vars(a.right)
-    if isinstance(a, Implies):
-        return assertion_vars(a.antecedent) | assertion_vars(a.consequent)
-    if isinstance(a, Approx):
-        tol = assertion_vars(a.tolerance) if a.tolerance is not None else frozenset()
-        return assertion_vars(a.left) | assertion_vars(a.right) | tol
-    if isinstance(a, Quantified):
-        return assertion_vars(a.body) - {a.var}
-    raise TypeError(a)
+    return free_names(subterms(a))
 
 
 def snapshot_terms(a: Assertion) -> list[SnapshotTerm]:
-    if isinstance(a, SnapshotTerm):
-        return [a]
-    if isinstance(a, (lang.IntLit, lang.BoolLit, lang.Var, ClockTerm)):
-        return []
-    if isinstance(a, lang.UnaryOp):
-        return snapshot_terms(a.operand)
-    if isinstance(a, lang.BinOp):
-        return snapshot_terms(a.left) + snapshot_terms(a.right)
-    if isinstance(a, Implies):
-        return snapshot_terms(a.antecedent) + snapshot_terms(a.consequent)
-    if isinstance(a, Approx):
-        out = snapshot_terms(a.left) + snapshot_terms(a.right)
-        if a.tolerance is not None:
-            out += snapshot_terms(a.tolerance)
-        return out
-    if isinstance(a, Quantified):
-        return snapshot_terms(a.body)
-    raise TypeError(a)
+    return [x for x, _ in subterms(a) if isinstance(x, SnapshotTerm)]
 
 
-def references_clock(a: Assertion) -> bool:
-    if isinstance(a, ClockTerm):
-        return True
-    if isinstance(a, (lang.IntLit, lang.BoolLit, lang.Var, SnapshotTerm)):
-        return False
-    if isinstance(a, lang.UnaryOp):
-        return references_clock(a.operand)
-    if isinstance(a, lang.BinOp):
-        return references_clock(a.left) or references_clock(a.right)
-    if isinstance(a, Implies):
-        return references_clock(a.antecedent) or references_clock(a.consequent)
-    if isinstance(a, Approx):
-        return (references_clock(a.left) or references_clock(a.right)
-                or (a.tolerance is not None and references_clock(a.tolerance)))
-    if isinstance(a, Quantified):
-        return references_clock(a.body)
-    raise TypeError(a)
+def atoms(a: Assertion) -> list[Assertion]:
+    """The subterms of ``a`` under its connectives (``and``, ``or``,
+    ``not``, ``->`` and the quantifiers), left to right."""
+    out: list[Assertion] = []
 
+    def visit(x: Assertion, _bound: frozenset) -> Optional[Assertion]:
+        if (isinstance(x, (Implies, Quantified))
+                or isinstance(x, lang.BinOp) and x.op in lang.BOOL_OPS
+                or isinstance(x, lang.UnaryOp) and x.op == "not"):
+            return None
+        out.append(x)
+        return x
 
-def _map_terms(a: Assertion, fn) -> Assertion:
-    if isinstance(a, SnapshotTerm):
-        return fn(a)
-    if isinstance(a, (lang.IntLit, lang.BoolLit, lang.Var, ClockTerm)):
-        return a
-    if isinstance(a, lang.UnaryOp):
-        return lang.UnaryOp(a.op, _map_terms(a.operand, fn))
-    if isinstance(a, lang.BinOp):
-        return lang.BinOp(a.op, _map_terms(a.left, fn), _map_terms(a.right, fn))
-    if isinstance(a, Implies):
-        return Implies(_map_terms(a.antecedent, fn), _map_terms(a.consequent, fn))
-    if isinstance(a, Approx):
-        tol = _map_terms(a.tolerance, fn) if a.tolerance is not None else None
-        return Approx(_map_terms(a.left, fn), _map_terms(a.right, fn), tol)
-    if isinstance(a, Quantified):
-        return Quantified(a.kind, a.var, a.lo, a.hi, _map_terms(a.body, fn))
-    raise TypeError(a)
+    rewrite(a, visit)
+    return out
 
 
 def resolve_assertion(a: Assertion, program: lang.Program,
                       default_thread: int) -> Assertion:
     """Bind snapshot terms to concrete locations, validating they exist."""
-    def bind(term: SnapshotTerm) -> SnapshotTerm:
+    def bind(term: Assertion, _bound: frozenset) -> Optional[SnapshotTerm]:
+        if not isinstance(term, SnapshotTerm):
+            return None
         if term.resolved is not None:
             return term
         thread = (program.thread_index(term.thread_name)
@@ -312,52 +298,7 @@ def resolve_assertion(a: Assertion, program: lang.Program,
                 " does not exist")
         return replace(term, resolved=loc)
 
-    return _map_terms(a, bind)
-
-
-def unparse_assertion(a: Assertion, program: Optional[lang.Program] = None) -> str:
-    def go(x: Assertion, prec: int = 0) -> str:
-        if isinstance(x, lang.IntLit):
-            return str(x.value)
-        if isinstance(x, lang.BoolLit):
-            return "true" if x.value else "false"
-        if isinstance(x, lang.Var):
-            return x.name
-        if isinstance(x, ClockTerm):
-            return "t"
-        if isinstance(x, SnapshotTerm):
-            if x.resolved is not None and program is not None:
-                name = program.threads[x.resolved.thread].name
-                text = f"t@{name}.l{x.resolved.index}"
-            elif x.thread_name is not None:
-                text = f"t@{x.thread_name}.l{x.index}"
-            else:
-                text = f"t@l{x.index}"
-            if x.arrival is not None:
-                text += f"[{x.arrival}]"
-            return text
-        if isinstance(x, lang.UnaryOp):
-            inner = go(x.operand, 7)
-            text = f"-{inner}" if x.op == "-" else f"not {inner}"
-            return f"({text})" if prec >= 7 else text
-        if isinstance(x, lang.BinOp):
-            p = lang._PRECEDENCE[x.op]
-            text = f"{go(x.left, p - 1)} {x.op} {go(x.right, p)}"
-            return f"({text})" if prec >= p else text
-        if isinstance(x, Implies):
-            text = f"{go(x.antecedent, 1)} -> {go(x.consequent, 0)}"
-            return f"({text})" if prec >= 1 else text
-        if isinstance(x, Approx):
-            args = f"{go(x.left)}, {go(x.right)}"
-            if x.tolerance is not None:
-                args += f", {go(x.tolerance)}"
-            return f"approx({args})"
-        if isinstance(x, Quantified):
-            text = f"{x.kind} {x.var} in {x.lo}..{x.hi} : {go(x.body)}"
-            return f"({text})" if prec >= 1 else text
-        raise TypeError(x)
-
-    return go(a)
+    return rewrite(a, bind)
 
 
 # ---------------------------------------------------------------------------
@@ -367,79 +308,17 @@ def unparse_assertion(a: Assertion, program: Optional[lang.Program] = None) -> s
 def eval_assertion(a: Assertion, store: semantics.Store,
                    snapshots: dict[lang.LocationId, tuple[int, ...]],
                    clock: int, tolerance: int = 0) -> bool:
-    """First-order evaluation against a runtime state.
-
-    Raises :class:`SnapshotUndefined` when a referenced location has not
-    been reached (distinct from evaluating to False).
-    """
-    def term(x: lang.Expr, env: dict) -> semantics.Value:
-        if isinstance(x, ClockTerm):
-            return clock
-        if isinstance(x, SnapshotTerm):
-            if x.resolved is None:
-                raise LeakLabError("unresolved snapshot term; bind it to a program first")
-            arrivals = snapshots.get(x.resolved, ())
-            idx = x.arrival if x.arrival is not None else len(arrivals) - 1
-            if idx < 0 or idx >= len(arrivals):
-                raise SnapshotUndefined(
-                    f"no arrival #{x.arrival if x.arrival is not None else 'latest'}"
-                    f" recorded at l{x.resolved.index}")
-            return arrivals[idx]
-        if isinstance(x, lang.Var) and x.name in env:
-            return env[x.name]
-        if isinstance(x, Implies):
-            return (not go(x.antecedent, env)) or go(x.consequent, env)
-        if isinstance(x, Approx):
-            tol = term(x.tolerance, env) if x.tolerance is not None else tolerance
-            return abs(term(x.left, env) - term(x.right, env)) <= tol
-        if isinstance(x, Quantified):
-            values = range(x.lo, x.hi + 1)
-            if x.kind == "forall":
-                return all(go(x.body, {**env, x.var: v}) for v in values)
-            return any(go(x.body, {**env, x.var: v}) for v in values)
-        if isinstance(x, lang.UnaryOp):
-            v = term(x.operand, env)
-            return -v if x.op == "-" else not v
-        if isinstance(x, lang.BinOp):
-            if x.op == "and":
-                return go(x.left, env) and go(x.right, env)
-            if x.op == "or":
-                return go(x.left, env) or go(x.right, env)
-            left, right = term(x.left, env), term(x.right, env)
-            return {
-                "=": lambda: left == right,
-                "!=": lambda: left != right,
-                "<": lambda: left < right,
-                "<=": lambda: left <= right,
-                ">": lambda: left > right,
-                ">=": lambda: left >= right,
-                "+": lambda: left + right,
-                "-": lambda: left - right,
-                "*": lambda: left * right,
-            }[x.op]()
-        if isinstance(x, (lang.IntLit, lang.BoolLit)):
-            return x.value
-        if isinstance(x, lang.Var):
-            try:
-                return store[x.name]
-            except KeyError:
-                raise LeakLabError(f"variable {x.name!r} unbound in assertion") from None
-        raise TypeError(x)
-
-    def go(x: lang.Expr, env: dict) -> bool:
-        v = term(x, env)
-        if not isinstance(v, bool):
-            raise LeakLabError("assertion does not evaluate to a boolean")
-        return v
-
-    return go(a, {})
+    """Evaluate ``a`` once against a runtime state; see :func:`compile_assertion`."""
+    return compile_assertion(a, tolerance)(store, snapshots, clock)
 
 
 def compile_assertion(a: Assertion, tolerance: int = 0):
-    """Build a fast evaluator ``fn(store, snapshots, clock) -> bool``.
+    """Build an evaluator ``fn(store, snapshots, clock) -> bool``.
 
-    Semantically identical to :func:`eval_assertion`; the AST is translated
-    once into nested closures so discharge loops avoid per-state dispatch.
+    The one evaluator of assertions: the AST is translated once into nested
+    closures so discharge loops avoid per-state dispatch.  A snapshot of a
+    location never reached raises :class:`SnapshotUndefined`, which is
+    distinct from evaluating to False.
     """
     def comp(x: lang.Expr):
         if isinstance(x, lang.IntLit) or isinstance(x, lang.BoolLit):
@@ -542,17 +421,22 @@ def annotate_program(program: lang.Program,
     ``extra_pre``/``extra_leaky`` override or add programmatic annotations,
     e.g. assertions produced by synthesis.
     """
-    declared = {d.name for d in program.declarations} | {g.name for g in program.ghosts}
+    decls = {d.name: d for d in program.declarations + program.ghosts}
     pre: dict[lang.LocationId, Assertion] = {}
     leaky: dict[lang.LocationId, Assertion] = {}
     posts: dict[int, Assertion] = {}
     warnings: list[str] = []
 
     def check_vars(a: Assertion, where: str) -> None:
-        quantified_ok = assertion_vars(a) - declared
-        if quantified_ok:
+        undeclared = assertion_vars(a) - decls.keys()
+        if undeclared:
             raise AnnotationError(
-                f"undeclared name(s) {sorted(quantified_ok)} in assertion at {where}")
+                f"undeclared name(s) {sorted(undeclared)} in assertion at {where}")
+        try:
+            if _ASSERTIONS.type_of(a, decls) != lang.BOOL:
+                raise ParseError("assertion is not boolean")
+        except ParseError as e:
+            raise AnnotationError(f"ill-typed assertion at {where}: {e}") from None
 
     for t_idx, thread in enumerate(program.threads):
         for stmt in lang.iter_statements(thread.body):
@@ -718,10 +602,11 @@ def is_leaky_assertion(a: Assertion, loc: lang.LocationId, program: lang.Program
     per_var_domain = {d.name: tuple(d.domain) for d in program.declarations if d.secret}
 
     def satisfying(pred: Assertion) -> list[tuple]:
+        pred_fn = compile_assertion(pred, tolerance)
         out = []
         for store, snaps, clock, valuation in states:
             try:
-                ok = eval_assertion(pred, store, snaps, clock, tolerance)
+                ok = pred_fn(store, snaps, clock)
             except SnapshotUndefined:
                 continue
             if ok:
@@ -751,9 +636,8 @@ def is_leaky_assertion(a: Assertion, loc: lang.LocationId, program: lang.Program
         for rule in rules:
             sat = satisfying(rule.antecedent)
             excluded, determinizes = analyse(sat)
-            holds = all(
-                eval_assertion(rule.consequent, store, snaps, clock, tolerance)
-                for store, snaps, clock, _ in sat)
+            consequent = compile_assertion(rule.consequent, tolerance)
+            holds = all(consequent(store, snaps, clock) for store, snaps, clock, _ in sat)
             cases.append(CaseResult(
                 antecedent=rule.antecedent, consequent=rule.consequent,
                 satisfying_secrets=tuple(sorted({v for _, _, _, v in sat})),

@@ -329,13 +329,7 @@ def cmd_emit_smt(args: argparse.Namespace) -> int:
     tool_config = load_config(args.config)
     costs = tool_config.cost_model(program)
     annotated = asrt.annotate_program(program)
-    vcs: list[proofs.VC] = []
-    for t in range(len(program.threads)):
-        seq, _ = proofs.gen_sequential_vcs(annotated, t)
-        vcs += seq
-    vcs += proofs.gen_interference_vcs(annotated, not args.no_strict_stability)
-    leaky_vcs, _notices = proofs.gen_leaky_vcs(annotated, costs)
-    vcs += leaky_vcs
+    vcs, _notices = proofs.gen_vcs(annotated, not args.no_strict_stability, costs)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     counters: dict[str, int] = {}

@@ -382,84 +382,155 @@ class TokenStream:
 
 
 # ---------------------------------------------------------------------------
-# Expression parsing (shared precedence climbing)
+# The expression language: parsing, typing and printing
 # ---------------------------------------------------------------------------
 
-def parse_expr(ts: TokenStream) -> Expr:
-    return _parse_or(ts)
+_PRECEDENCE = {"or": 1, "and": 2, "=": 4, "!=": 4, "<": 4, "<=": 4, ">": 4,
+               ">=": 4, "+": 5, "-": 5, "*": 6}
 
 
-def _parse_or(ts: TokenStream) -> Expr:
-    left = _parse_and(ts)
-    while ts.at("keyword", "or"):
-        ts.next()
-        left = BinOp("or", left, _parse_and(ts))
-    return left
+class ExprLanguage:
+    """Parser, type checker and printer of expressions.
+
+    The assertion language of :mod:`leaklab.assertions` subclasses it and
+    adds its own forms.  Every method reaches the others through ``self``,
+    so an overridden level takes effect wherever the expression levels
+    recurse: inside parentheses, under ``not``, in operands.
+    """
+
+    noun = "expression"
+
+    # Parsing: one method per precedence level, loosest first.
+
+    def parse(self, ts: TokenStream) -> Expr:
+        return self.parse_or(ts)
+
+    def parse_or(self, ts: TokenStream) -> Expr:
+        left = self.parse_and(ts)
+        while ts.at("keyword", "or"):
+            ts.next()
+            left = BinOp("or", left, self.parse_and(ts))
+        return left
+
+    def parse_and(self, ts: TokenStream) -> Expr:
+        left = self.parse_not(ts)
+        while ts.at("keyword", "and"):
+            ts.next()
+            left = BinOp("and", left, self.parse_not(ts))
+        return left
+
+    def parse_not(self, ts: TokenStream) -> Expr:
+        if ts.at("keyword", "not"):
+            ts.next()
+            return UnaryOp("not", self.parse_not(ts))
+        return self.parse_cmp(ts)
+
+    def parse_cmp(self, ts: TokenStream) -> Expr:
+        left = self.parse_add(ts)
+        if ts.at("sym") and ts.peek().text in CMP_OPS:
+            op = ts.next().text
+            return BinOp(op, left, self.parse_add(ts))
+        return left
+
+    def parse_add(self, ts: TokenStream) -> Expr:
+        left = self.parse_mul(ts)
+        while ts.at("sym") and ts.peek().text in ADD_OPS:
+            op = ts.next().text
+            left = BinOp(op, left, self.parse_mul(ts))
+        return left
+
+    def parse_mul(self, ts: TokenStream) -> Expr:
+        left = self.parse_unary(ts)
+        while ts.at("sym", "*"):
+            ts.next()
+            left = BinOp("*", left, self.parse_unary(ts))
+        return left
+
+    def parse_unary(self, ts: TokenStream) -> Expr:
+        if ts.at("sym", "-"):
+            ts.next()
+            return UnaryOp("-", self.parse_unary(ts))
+        return self.parse_atom(ts)
+
+    def parse_atom(self, ts: TokenStream) -> Expr:
+        tok = ts.peek()
+        if tok.kind == "int":
+            ts.next()
+            return IntLit(int(tok.text))
+        if tok.kind == "keyword" and tok.text in ("true", "false"):
+            ts.next()
+            return BoolLit(tok.text == "true")
+        if tok.kind == "ident":
+            ts.next()
+            return Var(tok.text)
+        if tok.kind == "sym" and tok.text == "(":
+            ts.next()
+            inner = self.parse(ts)
+            ts.expect("sym", ")")
+            return inner
+        raise ts.error(f"expected {self.noun}, found {tok.text!r}")
+
+    # Typing: INT or BOOL ("string" for a print literal); ParseError if ill-typed.
+
+    def type_of(self, e: Expr, decls: dict[str, Decl]) -> str:
+        if isinstance(e, IntLit):
+            return INT
+        if isinstance(e, BoolLit):
+            return BOOL
+        if isinstance(e, StrLit):
+            return "string"
+        if isinstance(e, Var):
+            return decls[e.name].type
+        if isinstance(e, UnaryOp):
+            want = INT if e.op == "-" else BOOL
+            if self.type_of(e.operand, decls) != want:
+                raise ParseError(f"operator {e.op!r} applied to {self.show(e.operand)}")
+            return want
+        if isinstance(e, BinOp):
+            lt, rt = self.type_of(e.left, decls), self.type_of(e.right, decls)
+            if e.op in BOOL_OPS:
+                if lt != BOOL or rt != BOOL:
+                    raise ParseError(f"boolean operator {e.op!r} on non-bool operands")
+                return BOOL
+            if e.op in ("=", "!="):
+                if lt != rt:
+                    raise ParseError(f"comparison {e.op!r} between {lt} and {rt}")
+                return BOOL
+            if e.op in ("<", "<=", ">", ">="):
+                if lt != INT or rt != INT:
+                    raise ParseError(f"ordering {e.op!r} on non-int operands")
+                return BOOL
+            if lt != INT or rt != INT:
+                raise ParseError(f"arithmetic {e.op!r} on non-int operands")
+            return INT
+        raise TypeError(e)
+
+    # Printing: parenthesize where the parent binds at least as tightly.
+
+    def show(self, e: Expr, parent_prec: int = 0) -> str:
+        if isinstance(e, IntLit):
+            return str(e.value)
+        if isinstance(e, BoolLit):
+            return "true" if e.value else "false"
+        if isinstance(e, StrLit):
+            return f"'{e.value}'"
+        if isinstance(e, Var):
+            return e.name
+        if isinstance(e, UnaryOp):
+            inner = self.show(e.operand, 7)
+            text = f"-{inner}" if e.op == "-" else f"not {inner}"
+            return f"({text})" if parent_prec >= 7 else text
+        if isinstance(e, BinOp):
+            prec = _PRECEDENCE[e.op]
+            text = f"{self.show(e.left, prec - 1)} {e.op} {self.show(e.right, prec)}"
+            return f"({text})" if parent_prec >= prec else text
+        raise TypeError(e)
 
 
-def _parse_and(ts: TokenStream) -> Expr:
-    left = _parse_not(ts)
-    while ts.at("keyword", "and"):
-        ts.next()
-        left = BinOp("and", left, _parse_not(ts))
-    return left
-
-
-def _parse_not(ts: TokenStream) -> Expr:
-    if ts.at("keyword", "not"):
-        ts.next()
-        return UnaryOp("not", _parse_not(ts))
-    return _parse_cmp(ts)
-
-
-def _parse_cmp(ts: TokenStream) -> Expr:
-    left = _parse_add(ts)
-    if ts.at("sym") and ts.peek().text in CMP_OPS:
-        op = ts.next().text
-        return BinOp(op, left, _parse_add(ts))
-    return left
-
-
-def _parse_add(ts: TokenStream) -> Expr:
-    left = _parse_mul(ts)
-    while ts.at("sym") and ts.peek().text in ADD_OPS:
-        op = ts.next().text
-        left = BinOp(op, left, _parse_mul(ts))
-    return left
-
-
-def _parse_mul(ts: TokenStream) -> Expr:
-    left = _parse_unary(ts)
-    while ts.at("sym", "*"):
-        ts.next()
-        left = BinOp("*", left, _parse_unary(ts))
-    return left
-
-
-def _parse_unary(ts: TokenStream) -> Expr:
-    if ts.at("sym", "-"):
-        ts.next()
-        return UnaryOp("-", _parse_unary(ts))
-    return _parse_atom(ts)
-
-
-def _parse_atom(ts: TokenStream) -> Expr:
-    tok = ts.peek()
-    if tok.kind == "int":
-        ts.next()
-        return IntLit(int(tok.text))
-    if tok.kind == "keyword" and tok.text in ("true", "false"):
-        ts.next()
-        return BoolLit(tok.text == "true")
-    if tok.kind == "ident":
-        ts.next()
-        return Var(tok.text)
-    if tok.kind == "sym" and tok.text == "(":
-        ts.next()
-        inner = parse_expr(ts)
-        ts.expect("sym", ")")
-        return inner
-    raise ts.error(f"expected expression, found {tok.text!r}")
+EXPRESSIONS = ExprLanguage()
+parse_expr = EXPRESSIONS.parse
+expr_type = EXPRESSIONS.type_of
+unparse_expr = EXPRESSIONS.show
 
 
 # ---------------------------------------------------------------------------
@@ -721,40 +792,6 @@ def _validate(program: Program) -> None:
         raise ParseError("duplicate statement labels")
 
 
-def expr_type(e: Expr, decls: dict[str, Decl]) -> str:
-    if isinstance(e, IntLit):
-        return INT
-    if isinstance(e, BoolLit):
-        return BOOL
-    if isinstance(e, StrLit):
-        return "string"
-    if isinstance(e, Var):
-        return decls[e.name].type
-    if isinstance(e, UnaryOp):
-        want = INT if e.op == "-" else BOOL
-        if expr_type(e.operand, decls) != want:
-            raise ParseError(f"operator {e.op!r} applied to {unparse_expr(e.operand)}")
-        return want
-    if isinstance(e, BinOp):
-        lt, rt = expr_type(e.left, decls), expr_type(e.right, decls)
-        if e.op in BOOL_OPS:
-            if lt != BOOL or rt != BOOL:
-                raise ParseError(f"boolean operator {e.op!r} on non-bool operands")
-            return BOOL
-        if e.op in ("=", "!="):
-            if lt != rt:
-                raise ParseError(f"comparison {e.op!r} between {lt} and {rt}")
-            return BOOL
-        if e.op in ("<", "<=", ">", ">="):
-            if lt != INT or rt != INT:
-                raise ParseError(f"ordering {e.op!r} on non-int operands")
-            return BOOL
-        if lt != INT or rt != INT:
-            raise ParseError(f"arithmetic {e.op!r} on non-int operands")
-        return INT
-    raise TypeError(e)
-
-
 def _typecheck_stmt(s: Stmt, decls: dict[str, Decl]) -> None:
     if isinstance(s, Assign):
         vt = expr_type(s.value, decls)
@@ -775,32 +812,6 @@ def _typecheck_stmt(s: Stmt, decls: dict[str, Decl]) -> None:
 # ---------------------------------------------------------------------------
 # Unparser
 # ---------------------------------------------------------------------------
-
-_PRECEDENCE = {"or": 1, "and": 2, "=": 4, "!=": 4, "<": 4, "<=": 4, ">": 4,
-               ">=": 4, "+": 5, "-": 5, "*": 6}
-
-
-def unparse_expr(e: Expr, parent_prec: int = 0) -> str:
-    if isinstance(e, IntLit):
-        return str(e.value)
-    if isinstance(e, BoolLit):
-        return "true" if e.value else "false"
-    if isinstance(e, StrLit):
-        return f"'{e.value}'"
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, UnaryOp):
-        inner = unparse_expr(e.operand, 7)
-        text = f"-{inner}" if e.op == "-" else f"not {inner}"
-        return f"({text})" if parent_prec >= 7 else text
-    if isinstance(e, BinOp):
-        prec = _PRECEDENCE[e.op]
-        left = unparse_expr(e.left, prec - 1)
-        right = unparse_expr(e.right, prec)
-        text = f"{left} {e.op} {right}"
-        return f"({text})" if parent_prec >= prec else text
-    raise TypeError(e)
-
 
 def unparse(program: Program, show_labels: bool = False) -> str:
     """Canonical source form; with show_labels=True, prefix locations."""

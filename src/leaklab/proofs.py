@@ -429,7 +429,8 @@ def _execute_atomic(stmt: lang.Stmt, store: dict, clock: int,
 
 def _vc_symbols(vc: VC, program: lang.Program) -> tuple[list, list, bool]:
     """Referenced program/ghost variables, snapshot slots, clock usage."""
-    names = asrt.assertion_vars(vc.pre) | asrt.assertion_vars(vc.post)
+    nodes = asrt.subterms(vc.pre) + asrt.subterms(vc.post)
+    names = asrt.free_names(nodes)
     if vc.stmt is not None:
         names |= lang.free_vars(vc.stmt)
     decls = {d.name: d for d in program.declarations}
@@ -443,12 +444,12 @@ def _vc_symbols(vc: VC, program: lang.Program) -> tuple[list, list, bool]:
         else:
             raise LeakLabError(f"undeclared name {n!r} in verification condition")
     slots: dict[lang.LocationId, int] = {}
-    for term in asrt.snapshot_terms(vc.pre) + asrt.snapshot_terms(vc.post):
+    for term in (x for x, _ in nodes if isinstance(x, asrt.SnapshotTerm)):
         if term.resolved is None:
             raise LeakLabError("unresolved snapshot term in verification condition")
         want = 1 if term.arrival is None else term.arrival + 1
         slots[term.resolved] = max(slots.get(term.resolved, 0), want)
-    uses_clock = asrt.references_clock(vc.pre) or asrt.references_clock(vc.post)
+    uses_clock = any(isinstance(x, asrt.ClockTerm) for x, _ in nodes)
     return variables, sorted(slots.items()), uses_clock
 
 
@@ -559,8 +560,6 @@ def discharge_vc(vc: VC, program: lang.Program,
                                         for l, v in snaps.items()}}
                     if uses_clock:
                         cx["clock"] = clock
-                    # Self-check: the reported state must satisfy pre and break post.
-                    assert asrt.eval_assertion(vc.pre, store, snaps, clock, tolerance)
                     return DischargeResult("counterexample", counterexample=cx,
                                            checked=checked)
     return DischargeResult("valid", checked=checked)
@@ -571,26 +570,9 @@ def discharge_vc(vc: VC, program: lang.Program,
 # ---------------------------------------------------------------------------
 
 def _substitute_var(a: asrt.Assertion, name: str, value: int) -> asrt.Assertion:
-    def go(x):
-        if isinstance(x, lang.Var) and x.name == name:
-            return lang.IntLit(value)
-        if isinstance(x, (lang.IntLit, lang.BoolLit, asrt.ClockTerm, asrt.SnapshotTerm)):
-            return x
-        if isinstance(x, lang.UnaryOp):
-            return lang.UnaryOp(x.op, go(x.operand))
-        if isinstance(x, lang.BinOp):
-            return lang.BinOp(x.op, go(x.left), go(x.right))
-        if isinstance(x, asrt.Implies):
-            return asrt.Implies(go(x.antecedent), go(x.consequent))
-        if isinstance(x, asrt.Approx):
-            tol = go(x.tolerance) if x.tolerance is not None else None
-            return asrt.Approx(go(x.left), go(x.right), tol)
-        if isinstance(x, asrt.Quantified):
-            if x.var == name:
-                return x
-            return asrt.Quantified(x.kind, x.var, x.lo, x.hi, go(x.body))
-        raise TypeError(x)
-    return go(a)
+    """``a`` with the free occurrences of ``name`` replaced by ``value``."""
+    return asrt.rewrite(a, lambda x, bound: lang.IntLit(value) if (
+        isinstance(x, lang.Var) and x.name == name and name not in bound) else None)
 
 
 def emit_smtlib(vc: VC, program: lang.Program,
@@ -750,6 +732,20 @@ def emit_smtlib(vc: VC, program: lang.Program,
 # Whole-proof checking
 # ---------------------------------------------------------------------------
 
+def gen_vcs(annotated: asrt.AnnotatedProgram,
+            strict_stability: bool = True,
+            costs: semantics.CostModel = semantics.CostModel(),
+            secret_domain: Optional[tuple] = None) -> tuple[list[VC], list[str]]:
+    """All three VC families in report order, with the leak notices."""
+    vcs: list[VC] = []
+    for t in range(len(annotated.program.threads)):
+        seq, _ = gen_sequential_vcs(annotated, t)
+        vcs += seq
+    vcs += gen_interference_vcs(annotated, strict_stability)
+    leaky_vcs, notices = gen_leaky_vcs(annotated, costs, secret_domain)
+    return vcs + leaky_vcs, notices
+
+
 def check_proof(annotated: asrt.AnnotatedProgram,
                 strict_stability: bool = True,
                 costs: semantics.CostModel = semantics.CostModel(),
@@ -759,14 +755,7 @@ def check_proof(annotated: asrt.AnnotatedProgram,
                 secret_domain: Optional[tuple] = None) -> ProofResult:
     """Generate all three VC families, discharge them, and aggregate."""
     program = annotated.program
-    vcs: list[VC] = []
-    for t in range(len(program.threads)):
-        seq, _ = gen_sequential_vcs(annotated, t)
-        vcs += seq
-    vcs += gen_interference_vcs(annotated, strict_stability)
-    leaky_vcs, notices = gen_leaky_vcs(annotated, costs, secret_domain)
-    vcs += leaky_vcs
-
+    vcs, notices = gen_vcs(annotated, strict_stability, costs, secret_domain)
     entries = [(vc, discharge_vc(vc, program, costs, snapshot_bound,
                                  max_states, tolerance)) for vc in vcs]
     statuses = [r.status for _, r in entries]

@@ -33,8 +33,14 @@ def representatives(assertions: tuple[asrt.Assertion, ...],
     least non-negative tuple that has it.
     """
     cuts: dict[tuple[int, int], set[int]] = {}
-    if not all(_collect_cuts(a, slot_of, n_slots, tolerance, cuts) for a in assertions):
-        return None
+    atoms = [atom for a in assertions for atom in asrt.atoms(a) if asrt.snapshot_terms(atom)]
+    for atom in atoms:
+        found = _difference_cuts(atom, slot_of, n_slots, tolerance)
+        if found is None:
+            return None
+        term, values = found
+        if term is not None:
+            cuts.setdefault(term, set()).update(values)
     return _least_points(n_slots, cuts, limit)
 
 
@@ -108,31 +114,6 @@ def _difference_cuts(atom: lang.Expr, slot_of, zero: int, tolerance: int
         return None
     values = [-const] if tol is None else [-tol - const, tol - const]
     return (pos, neg), [sign * v for v in values]
-
-
-def _collect_cuts(a: asrt.Assertion, slot_of, zero: int, tolerance: int,
-                  cuts: dict[tuple[int, int], set[int]]) -> bool:
-    """Collect the cut values of every snapshot atom of ``a`` per difference
-    term; False when some snapshot atom is not a difference constraint."""
-    if isinstance(a, lang.BinOp) and a.op in ("and", "or"):
-        return (_collect_cuts(a.left, slot_of, zero, tolerance, cuts)
-                and _collect_cuts(a.right, slot_of, zero, tolerance, cuts))
-    if isinstance(a, lang.UnaryOp) and a.op == "not":
-        return _collect_cuts(a.operand, slot_of, zero, tolerance, cuts)
-    if isinstance(a, asrt.Implies):
-        return (_collect_cuts(a.antecedent, slot_of, zero, tolerance, cuts)
-                and _collect_cuts(a.consequent, slot_of, zero, tolerance, cuts))
-    if isinstance(a, asrt.Quantified):
-        return _collect_cuts(a.body, slot_of, zero, tolerance, cuts)
-    if not asrt.snapshot_terms(a):
-        return True
-    found = _difference_cuts(a, slot_of, zero, tolerance)
-    if found is None:
-        return False
-    term, values = found
-    if term is not None:
-        cuts.setdefault(term, set()).update(values)
-    return True
 
 
 def _intervals(cut_values: list[int]) -> list[tuple[Optional[int], Optional[int]]]:

@@ -15,6 +15,7 @@ from leaklab import assertions as asrt
 from leaklab import dl, explorer, ifc, lang, proofs, semantics
 from leaklab.lattice import build_lattice
 
+import assertion_oracle
 from conftest import load_corpus, load_program, trivially_annotate
 
 L = lang.LocationId
@@ -152,7 +153,7 @@ class TestCriterion4:
                     continue
                 counterexamples += 1
                 store = outcome.counterexample["store"]
-                pre_holds = asrt.eval_assertion(vc.pre, store, {}, 0)
+                pre_holds = assertion_oracle.evaluate(vc.pre, store, {}, 0)
                 if vc.stmt is None:
                     post_store = dict(store)
                 else:
@@ -160,7 +161,7 @@ class TestCriterion4:
                         vc.stmt, store, 0, semantics.CostModel(), program)
                     post_store = executed[0] if executed else None
                 post_fails = (post_store is not None
-                              and not asrt.eval_assertion(vc.post, post_store, {}, 0))
+                              and not assertion_oracle.evaluate(vc.post, post_store, {}, 0))
                 revalidated = revalidated and pre_holds and post_fails
         ok = bool(disjoint_ok and interfering_ok and revalidated
                   and counterexamples > 0)

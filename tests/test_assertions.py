@@ -3,14 +3,16 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leaklab import assertions as asrt
-from leaklab import explorer, lang
-from leaklab.errors import AnnotationError, SnapshotUndefined
+from leaklab import explorer, lang, proofs, semantics
+from leaklab.errors import AnnotationError, LeakLabError, SnapshotUndefined
 
+import assertion_oracle
 from conftest import load_program
+from test_discharge_oracle import CERTIFY_CORPUS, OWN_OUTLINES, outline
 
 L = lang.LocationId
 
@@ -58,29 +60,50 @@ class TestParsing:
         assert "expected" in str(err.value)
 
 
-ASSERTION_LEAVES = st.one_of(
-    st.integers(min_value=0, max_value=9).map(lang.IntLit),
-    st.sampled_from(("h", "v")).map(lang.Var),
-    st.just(asrt.ClockTerm()),
-    st.builds(asrt.SnapshotTerm, st.sampled_from((None, "T2")),
-              st.integers(min_value=0, max_value=8),
-              st.sampled_from((None, 0, 1))))
+def int_terms(names: tuple[str, ...], depth: int = 1) -> st.SearchStrategy:
+    leaves = st.one_of(
+        st.integers(min_value=0, max_value=9).map(lang.IntLit),
+        st.sampled_from(names).map(lang.Var),
+        st.just(asrt.ClockTerm()),
+        st.builds(asrt.SnapshotTerm, st.sampled_from((None, "T2")),
+                  st.integers(min_value=0, max_value=8),
+                  st.sampled_from((None, 0, 1))))
+    if depth == 0:
+        return leaves
+    sub = int_terms(names, depth - 1)
+    return st.one_of(leaves, sub.map(lambda x: lang.UnaryOp("-", x)),
+                     st.builds(lang.BinOp, st.sampled_from(("+", "-", "*")), sub, sub))
 
 
-def assertion_asts(depth: int = 2) -> st.SearchStrategy:
-    ints = ASSERTION_LEAVES
-    cmp = st.builds(lang.BinOp, st.sampled_from(lang.CMP_OPS), ints, ints)
-    base = st.one_of(cmp, st.booleans().map(lang.BoolLit))
+def assertion_asts(depth: int = 2, names: tuple[str, ...] = ("h", "v")) -> st.SearchStrategy:
+    """Well-typed assertions over ``names``."""
+    ints = int_terms(names)
+    base = st.one_of(
+        st.builds(lang.BinOp, st.sampled_from(lang.CMP_OPS), ints, ints),
+        st.builds(asrt.Approx, ints, ints),
+        st.builds(asrt.Approx, ints, ints, ints),
+        st.booleans().map(lang.BoolLit))
     if depth == 0:
         return base
-    sub = assertion_asts(depth - 1)
+    sub = assertion_asts(depth - 1, names)
     return st.one_of(
         base,
         st.builds(lang.BinOp, st.sampled_from(("and", "or")), sub, sub),
         st.builds(asrt.Implies, sub, sub),
         sub.map(lambda x: lang.UnaryOp("not", x)),
-        st.builds(asrt.Quantified, st.sampled_from(("forall", "exists")),
-                  st.just("q"), st.just(0), st.just(2), sub))
+        quantified(depth - 1, names))
+
+
+def quantified(depth: int, names: tuple[str, ...]) -> st.SearchStrategy:
+    """``forall``/``exists q in 0..2`` over a body that compares ``q``."""
+    q = lang.Var("q")
+    q_term = st.just(q) | st.builds(lang.BinOp, st.sampled_from(("+", "-", "*")),
+                                    st.just(q), int_terms(names, 0))
+    uses_q = st.builds(lang.BinOp, st.sampled_from(lang.CMP_OPS), q_term, int_terms(names))
+    body = st.builds(lang.BinOp, st.sampled_from(("and", "or")), uses_q,
+                     assertion_asts(depth, names + ("q",)))
+    return st.builds(asrt.Quantified, st.sampled_from(("forall", "exists")),
+                     st.just("q"), st.just(0), st.just(2), body)
 
 
 class TestRoundTrip:
@@ -140,23 +163,33 @@ class TestEval:
                                           {}, final.clock)
         assert direct == substituted is True
 
-    @given(assertion_asts(1))
+    @settings(max_examples=300)
+    @given(assertion_asts() | quantified(1, ("h", "v")))
     def test_compiled_matches_interpreted(self, a):
         program = load_program("region_thread.cwl")
         try:
             a = asrt.resolve_assertion(a, program, 0)
         except AnnotationError:
             return
-        snaps = {L(0, i): (i, i + 3) for i in range(9)}
-        store = {"h": 1, "v": 2}
-        fast = asrt.compile_assertion(a)
-        try:
-            expected = asrt.eval_assertion(a, store, snaps, 5)
-        except Exception as e:
-            with pytest.raises(type(e)):
-                fast(store, snaps, 5)
-            return
-        assert fast(store, snaps, 5) == expected
+        asrt.annotate_program(program, extra_pre={L(0, 0): a})  # well-typed
+        for tolerance in (0, 1, 2):
+            fast = asrt.compile_assertion(a, tolerance)
+            for store, snaps, clock in EVAL_STATES:
+                try:
+                    expected = assertion_oracle.evaluate(a, store, snaps, clock, tolerance)
+                except LeakLabError as e:
+                    with pytest.raises(type(e)):
+                        fast(store, snaps, clock)
+                    continue
+                assert fast(store, snaps, clock) == expected, (tolerance, store, snaps, clock)
+
+
+# Stores, snapshots (l4 never reached in the second) and clocks to compare on.
+EVAL_STATES = [({"h": h, "v": v}, snaps, clock)
+               for h in (0, 1) for v in (0, 1, 3)
+               for snaps in ({L(0, i): (i % 3,) for i in range(9)},
+                             {L(0, i): (i, i + 3) for i in range(9) if i != 4})
+               for clock in (0, 4)]
 
 
 class TestAnnotateProgram:
@@ -192,6 +225,36 @@ class TestAnnotateProgram:
         with pytest.raises(AnnotationError, match="undeclared"):
             asrt.annotate_program(
                 region_thread, extra_pre={L(0, 0): asrt.parse_assertion("zz = 0")})
+
+    # The compiled evaluator once read the first as proven and refuted the
+    # second, while the interpreter rejected both as non-boolean.
+    @pytest.mark.parametrize("source, message", [
+        ("var v : int[0..1] label low = 0;\n"
+         "thread A { {| v + 1 -> v = 0 |} v = 0; } post {| true |}",
+         "A.l0: implication"),
+        ("var v : int[0..1] label low = 0;\n"
+         "thread A { {| true |} skip; } post {| forall x in 0..1 : x |}",
+         "A post: forall over a non-bool body"),
+    ])
+    def test_ill_typed_annotation_rejected(self, source, message):
+        with pytest.raises(AnnotationError, match=f"ill-typed assertion at {message}"):
+            asrt.annotate_program(lang.parse_program(source))
+
+    @pytest.mark.parametrize("text", [
+        "t", "h + 1", "not v", "approx((h = 0), 1)", "approx(t, 1, (h = 1))",
+        "exists x in 0..2 : x + 1", "t@l0 and true", "v = 0 -> 3",
+    ])
+    def test_assertion_typing(self, region_thread, text):
+        with pytest.raises(AnnotationError, match="ill-typed"):
+            asrt.annotate_program(region_thread,
+                                  extra_pre={L(0, 0): asrt.parse_assertion(text)})
+
+    def test_quantified_variable_is_int_and_shadows(self, region_thread):
+        text = "forall h in 0..3 : h + v >= 0 and (exists x in 1..2 : approx(t@l0, x, h))"
+        a = asrt.parse_assertion(text)
+        annotated = asrt.annotate_program(region_thread, extra_pre={L(0, 0): a})
+        assert asrt.unparse_assertion(annotated.pre[L(0, 0)], region_thread) == (
+            text.replace("t@l0", "t@T2.l0"))
 
 
 BOUNDS = explorer.ExploreBounds(max_steps=40)
@@ -266,3 +329,26 @@ class TestLeakiness:
             resolved("h = 0", p), L(0, 0), p,
             bounds=explorer.ExploreBounds(max_steps=6))
         assert not v.complete
+
+
+def counterexample_state(program: lang.Program, cx: dict) -> tuple[dict, dict, int]:
+    names = {program.location_str(loc): loc for t in range(len(program.threads))
+             for loc in program.labels_of_thread(t)}
+    snaps = {names[where]: tuple(v) for where, v in cx["snapshots"].items()}
+    return dict(cx["store"]), snaps, cx.get("clock", 0)
+
+
+@pytest.mark.parametrize("name", OWN_OUTLINES + CERTIFY_CORPUS)
+def test_counterexamples_hold_under_the_oracle(name):
+    """Every counterexample ``ogcheck`` reports satisfies the pre-assertion
+    and, after the statement, breaks the post-assertion."""
+    annotated = outline(name)
+    program = annotated.program
+    result = proofs.check_proof(annotated)
+    for vc, outcome in result.by_status("counterexample"):
+        store, snaps, clock = counterexample_state(program, outcome.counterexample)
+        assert assertion_oracle.evaluate(vc.pre, store, snaps, clock), vc.provenance
+        after = (store, clock) if vc.stmt is None else proofs._execute_atomic(
+            vc.stmt, store, clock, semantics.CostModel(), program)
+        assert after is not None, vc.provenance
+        assert not assertion_oracle.evaluate(vc.post, after[0], snaps, after[1]), vc.provenance

@@ -405,6 +405,21 @@ class TestBadInput:
         assert [row["counterexample"]["snapshots"] for row in data["vcs"]
                 if "counterexample" in row] == [{"A.l1": [65]}]
 
+    # Ill-typed assertions: the first was once proven and the second refuted.
+    @pytest.mark.parametrize("command", ("ogcheck", "emit-smt"))
+    @pytest.mark.parametrize("source", (
+        "var v : int[0..1] label low = 0;\n"
+        "thread A { {| v + 1 -> v = 0 |} v = 0; } post {| true |}\n",
+        "var v : int[0..1] label low = 0;\n"
+        "thread A { {| true |} skip; } post {| forall x in 0..1 : x |}\n",
+    ))
+    def test_ill_typed_assertion_is_an_input_error(self, capsys, tmp_path, command, source):
+        bad = tmp_path / "ill_typed.cwl"
+        bad.write_text(source)
+        code, out, err = run_cli(capsys, *subcommand_argv(command, bad, tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ill-typed assertion at A") and err.count("\n") == 1
+
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from(SUBCOMMANDS),
            st.one_of(st.binary(max_size=80),

@@ -9,6 +9,7 @@ from leaklab import assertions as asrt
 from leaklab import dl, explorer, lang, proofs, semantics
 from leaklab.errors import AnnotationError
 
+import assertion_oracle
 from conftest import load_corpus, load_program, trivially_annotate
 from test_explore_oracle import small_programs
 
@@ -417,7 +418,7 @@ class TestDischarge:
                     continue
                 seen_counterexamples += 1
                 store = result.counterexample["store"]
-                assert asrt.eval_assertion(vc.pre, store, {}, 0)
+                assert assertion_oracle.evaluate(vc.pre, store, {}, 0)
                 if vc.stmt is None:
                     post_store = dict(store)
                 else:
@@ -425,7 +426,7 @@ class TestDischarge:
                         vc.stmt, store, 0, semantics.CostModel(), program)
                     assert executed is not None
                     post_store = executed[0]
-                assert not asrt.eval_assertion(vc.post, post_store, {}, 0)
+                assert not assertion_oracle.evaluate(vc.post, post_store, {}, 0)
         assert seen_counterexamples > 10
 
 
