@@ -505,6 +505,18 @@ class LeakinessVerdict:
     complete: bool
 
 
+def valuations_assertion(valuations: list[explorer.SecretValuation]) -> Assertion:
+    """``n = v and ...`` over each valuation's bindings, joined by ``or``;
+    the empty valuation is ``true``."""
+    def conj(valuation: explorer.SecretValuation) -> Assertion:
+        return functools.reduce(functools.partial(lang.BinOp, "and"), [
+            lang.BinOp("=", lang.Var(n),
+                       lang.BoolLit(v) if isinstance(v, bool) else lang.IntLit(v))
+            for n, v in valuation]) if valuation else TRUE
+
+    return functools.reduce(functools.partial(lang.BinOp, "or"), map(conj, valuations))
+
+
 def decompose_rules(a: Assertion, secrets: frozenset[str]) -> Optional[list[Implies]]:
     """Split a rule-form assertion into its implication cases.
 

@@ -222,22 +222,6 @@ def _separating_threshold(durations: dict) -> Optional[tuple[int, list, list]]:
     return None
 
 
-def _valuations_assertion(valuations: list) -> asrt.Assertion:
-    disjuncts = []
-    for valuation in valuations:
-        parts = [lang.BinOp("=", lang.Var(n),
-                            lang.BoolLit(v) if isinstance(v, bool) else lang.IntLit(v))
-                 for n, v in valuation]
-        conj = parts[0]
-        for p in parts[1:]:
-            conj = lang.BinOp("and", conj, p)
-        disjuncts.append(conj)
-    out = disjuncts[0]
-    for d in disjuncts[1:]:
-        out = lang.BinOp("or", out, d)
-    return out
-
-
 def synthesize_leaky_assertions(program: lang.Program,
                                 pairs: list[tuple[lang.LocationId, lang.LocationId]],
                                 secret_domain: Optional[tuple] = None,
@@ -260,27 +244,22 @@ def synthesize_leaky_assertions(program: lang.Program,
         return report
 
     for loc_from, loc_to in pairs:
-        thread = loc_from.thread
-        isolated_program, iso_costs = explorer.isolate_thread(program, thread, costs)
-        iso_from = lang.LocationId(0, loc_from.index)
-        iso_to = lang.LocationId(0, loc_to.index)
-        iso = explorer.duration_stats(isolated_program, iso_from, iso_to,
-                                      secret_domain, bounds, iso_costs)
+        iso = explorer.isolated_durations(program, loc_from.thread, loc_from, loc_to,
+                                          secret_domain, bounds, costs)
         if iso.unreached:
             report.skipped.append(
                 f"pair ({program.location_str(loc_from)}, "
                 f"{program.location_str(loc_to)}): locations unreached for "
                 f"{len(iso.unreached)} secret value(s)")
             continue
-        iso_sets = {v: iso.durations[v] for v in secret_domain}
-        split = _separating_threshold(iso_sets)
+        split = _separating_threshold(iso.durations)
+        isolated = {str(dict(v)): sorted(ds) for v, ds in iso.durations.items()}
         composed = explorer.duration_stats(program, loc_from, loc_to,
                                            secret_domain, bounds, costs)
         if split is None:
             report.indeterminate.append(IndeterminateRecord(
                 (loc_from, loc_to),
-                "duration sets overlap; no threshold separates the secrets",
-                {str(dict(v)): sorted(ds) for v, ds in iso_sets.items()}))
+                "duration sets overlap; no threshold separates the secrets", isolated))
             continue
         theta, low_group, high_group = split
         diff = lang.BinOp(
@@ -288,18 +267,16 @@ def synthesize_leaky_assertions(program: lang.Program,
             asrt.SnapshotTerm(None, loc_to.index, None, loc_to),
             asrt.SnapshotTerm(None, loc_from.index, None, loc_from))
         rule_low = asrt.Implies(lang.BinOp("<", diff, lang.IntLit(theta)),
-                                _valuations_assertion(low_group))
+                                asrt.valuations_assertion(low_group))
         rule_high = asrt.Implies(lang.BinOp(">=", diff, lang.IntLit(theta)),
-                                 _valuations_assertion(high_group))
+                                 asrt.valuations_assertion(high_group))
         assertion = lang.BinOp("and", rule_low, rule_high)
-        comp_split = _separating_threshold(
-            {v: composed.durations[v] for v in secret_domain})
         report.assertions.append(SynthesizedAssertion(
             location=loc_to,
             assertion=assertion,
             threshold=theta,
-            isolated={str(dict(v)): sorted(ds) for v, ds in iso_sets.items()},
+            isolated=isolated,
             composed={str(dict(v)): sorted(ds) for v, ds in composed.durations.items()},
-            composed_separable=comp_split is not None,
+            composed_separable=_separating_threshold(composed.durations) is not None,
         ))
     return report

@@ -19,7 +19,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 from . import lang, semantics
 from .errors import LeakLabError
@@ -373,6 +373,34 @@ class DurationStats:
     complete: bool = True
 
 
+def _durations(program: lang.Program, loc_from: lang.LocationId,
+               loc_to: lang.LocationId,
+               secret_domain: Optional[tuple[SecretValuation, ...]],
+               measure: Callable[[SecretValuation], tuple[list, bool]]) -> DurationStats:
+    """Check the endpoints; then, for each secret valuation, ``measure`` gives
+    each run's ``(starts, ends)`` arrival clocks, in clock order, and whether
+    it saw every run, and each start pairs with the first end not before it."""
+    if loc_from.thread != loc_to.thread:
+        raise LeakLabError("duration endpoints must lie in the same thread")
+    if loc_from.index >= loc_to.index:
+        raise LeakLabError("duration start must precede the end location")
+    if secret_domain is None:
+        secret_domain = secret_domain_of(program)
+    stats: dict[SecretValuation, frozenset[int]] = {}
+    complete = True
+    for valuation in secret_domain or ((),):
+        runs, saw_all = measure(valuation)
+        complete = complete and saw_all
+        durations: set[int] = set()
+        for starts, ends in runs:
+            for start in starts:
+                nxt = bisect.bisect_left(ends, start)
+                if nxt < len(ends):
+                    durations.add(ends[nxt] - start)
+        stats[valuation] = frozenset(durations)
+    return DurationStats(stats, [v for v, ds in stats.items() if not ds], complete)
+
+
 def duration_stats(program: lang.Program, loc_from: lang.LocationId,
                    loc_to: lang.LocationId,
                    secret_domain: Optional[tuple[SecretValuation, ...]],
@@ -387,25 +415,12 @@ def duration_stats(program: lang.Program, loc_from: lang.LocationId,
     pairs with the next arrival at ``loc_to`` after it.  A valuation with no
     such pair is ``unreached``.
     """
-    if loc_from.thread != loc_to.thread:
-        raise LeakLabError("duration endpoints must lie in the same thread")
-    if loc_from.index >= loc_to.index:
-        raise LeakLabError("duration start must precede the end location")
-    if secret_domain is None:
-        secret_domain = secret_domain_of(program)
-    if not secret_domain:
-        secret_domain = ((),)
-
     store_base = dict(program.initial_store())
     if init_public:
         store_base.update(init_public)
     bounds = replace(bounds, timing_blind=False)
 
-    stats: dict[SecretValuation, set[int]] = {v: set() for v in secret_domain}
-    unreached: list[SecretValuation] = []
-    complete = True
-
-    for valuation in secret_domain:
+    def measure(valuation: SecretValuation) -> tuple[list, bool]:
         store = dict(store_base)
         store.update(dict(valuation))
         endings: set[tuple] = set()  # the watched arrivals where runs end
@@ -416,35 +431,59 @@ def duration_stats(program: lang.Program, loc_from: lang.LocationId,
 
         found = search(program, store, bounds, costs, frozenset((loc_from, loc_to)),
                        collect)
-        complete = complete and found.complete
-        for watched in endings:
-            snaps = found.arrivals(watched)
-            ends = snaps.get(loc_to, ())  # in clock order, as the run reached them
-            for start in snaps.get(loc_from, ()):
-                nxt = bisect.bisect_left(ends, start)
-                if nxt < len(ends):
-                    stats[valuation].add(ends[nxt] - start)
-        if not stats[valuation]:
-            unreached.append(valuation)
+        return ([(snaps.get(loc_from, ()), snaps.get(loc_to, ()))
+                 for snaps in map(found.arrivals, endings)], found.complete)
 
-    return DurationStats(
-        durations={v: frozenset(s) for v, s in stats.items()},
-        unreached=unreached,
-        complete=complete,
-    )
+    return _durations(program, loc_from, loc_to, secret_domain, measure)
 
 
-def isolate_thread(program: lang.Program, thread: int,
-                   costs: semantics.CostModel
-                   ) -> tuple[lang.Program, semantics.CostModel]:
-    """The program with one thread alone, as thread 0, and its cost model.
+def isolated_durations(program: lang.Program, thread: int,
+                       loc_from: lang.LocationId, loc_to: lang.LocationId,
+                       secret_domain: Optional[tuple[SecretValuation, ...]],
+                       bounds: ExploreBounds,
+                       costs: semantics.CostModel = semantics.CostModel()
+                       ) -> DurationStats:
+    """For each secret valuation, every ``t@to - t@from`` of ``thread`` alone.
 
-    Labels are per-thread, so only the thread index moves to 0; the cost
-    overrides of this thread move with it.
+    The thread steps by itself in ``program``, the others held at their
+    start.  Its next step depends only on its residue and the store, so its
+    one run ends, blocks on an await, or returns to an earlier state and
+    repeats that period forever, each pass later by the same clock shift.
+    One period past the first repeat, every arrival at ``loc_from`` has
+    paired as its later copies do, by the rule of :func:`duration_stats`.
+    Only ``bounds.max_configs`` distinct states are stepped, and a longer
+    run leaves the answer incomplete; the step bound does not apply.
     """
-    isolated = lang.Program(program.declarations,
-                            (program.threads[thread],), program.ghosts)
-    remapped = {lang.LocationId(0, loc.index): cost
-                for loc, cost in costs.overrides.items() if loc.thread == thread}
-    return (lang.label_statements(isolated),
-            semantics.CostModel(costs.unit, remapped))
+    if loc_from.thread != thread:
+        raise LeakLabError(f"duration endpoints must lie in thread {thread}")
+    alone = semantics.StepChoice(thread)
+
+    def measure(valuation: SecretValuation) -> tuple[list, bool]:
+        store = dict(program.initial_store())
+        store.update(dict(valuation))
+        starts: list[int] = []
+        ends: list[int] = []
+
+        def enter(config: semantics.Configuration) -> semantics.Configuration:
+            for loc, times in config.snapshots:
+                if loc == loc_from:
+                    starts.extend(times)
+                elif loc == loc_to:
+                    ends.extend(times)
+            return replace(config, trace=(), snapshots=())
+
+        config = enter(semantics.initial_configuration(program, store))
+        seen: dict[tuple, int] = {}  # (residue as statement ids, store) -> order
+        for order in range(bounds.max_configs):
+            key = (tuple(map(id, config.residues[thread])), config.store)
+            if key in seen:
+                for _ in range(order - seen[key]):
+                    config = enter(semantics.step(program, config, alone, costs))
+                return [(starts, ends)], True
+            seen[key] = order
+            if alone not in semantics.enabled(program, config):
+                return [(starts, ends)], True  # done, or blocked on an await
+            config = enter(semantics.step(program, config, alone, costs))
+        return [(starts, ends)], False
+
+    return _durations(program, loc_from, loc_to, secret_domain, measure)

@@ -29,20 +29,16 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 from . import assertions as asrt
-from . import lang, semantics
+from . import explorer, lang, semantics
 from .errors import AnnotationError, BudgetExceeded, DomainError, LeakLabError
 
 SEQUENTIAL = "sequential"
 INTERFERENCE = "interference"
 LEAKY = "leaky"
-
-# Steps a thread run alone may take before its path facts are underivable.
-ISOLATED_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -276,39 +272,19 @@ def isolated_path_duration(program: lang.Program, thread: int,
                            secret_valuation: dict,
                            costs: semantics.CostModel = semantics.CostModel()
                            ) -> Optional[frozenset[int]]:
-    """The durations between two locations when the thread runs alone.
-
-    :func:`explorer.duration_stats` on the thread isolated as ``dl``
-    synthesis isolates it.  A thread alone has one run, whose next step
-    depends only on position and store, so within positions times stores
-    steps it ends or repeats a state forever; by twice that, it has given
-    every duration it ever gives.  None when the run never pairs the two
-    locations, leaves a domain, overruns a region budget, or is cut at
-    ``ISOLATED_STEPS`` first.
-    """
-    from . import explorer  # local import to keep module load cheap
-
-    isolated, iso_costs = explorer.isolate_thread(program, thread, costs)
-    settled = 2 * len(isolated.labels_of_thread(0)) * math.prod(
-        len(d.domain) for d in program.declarations)
-    steps = min(settled, ISOLATED_STEPS)
+    """:func:`explorer.isolated_durations` for one valuation, as ``dl``
+    synthesis reads them; None when the run never pairs the two locations,
+    leaves a domain, overruns a region budget, or passes
+    ``ExploreBounds().max_configs`` distinct states."""
     valuation = tuple(secret_valuation.items())
     try:
-        stats = explorer.duration_stats(
-            isolated, lang.LocationId(0, loc_from.index), lang.LocationId(0, loc_to.index),
-            (valuation,), explorer.ExploreBounds(max_steps=steps), iso_costs)
+        stats = explorer.isolated_durations(program, thread, loc_from, loc_to,
+                                            (valuation,), explorer.ExploreBounds(), costs)
     except (DomainError, BudgetExceeded):
         return None
-    if stats.unreached or not (stats.complete or steps == settled):
+    if stats.unreached or not stats.complete:
         return None
     return stats.durations[valuation]
-
-
-def _secret_valuation_assertion(valuation: tuple) -> asrt.Assertion:
-    parts = [lang.BinOp("=", lang.Var(n),
-                        lang.BoolLit(v) if isinstance(v, bool) else lang.IntLit(v))
-             for n, v in valuation]
-    return _conj(*parts) if parts else asrt.TRUE
 
 
 def path_fact_assertion(program: lang.Program, thread: int,
@@ -332,9 +308,8 @@ def path_fact_assertion(program: lang.Program, thread: int,
         if durations is None:
             return None
         equations = [lang.BinOp("=", diff, lang.IntLit(d)) for d in sorted(durations)]
-        parts.append(asrt.Implies(_secret_valuation_assertion(valuation),
-                                  functools.reduce(lambda a, b: lang.BinOp("or", a, b),
-                                                   equations)))
+        parts.append(asrt.Implies(asrt.valuations_assertion([valuation]), functools.reduce(
+            functools.partial(lang.BinOp, "or"), equations)))
     return _conj(*parts)
 
 
@@ -343,8 +318,6 @@ def gen_leaky_vcs(annotated: asrt.AnnotatedProgram,
                   secret_domain: Optional[tuple] = None,
                   ) -> tuple[list[VC], list[str]]:
     """Stability and rule-support conditions for every leak postulate."""
-    from . import explorer  # local import to keep module load cheap
-
     program = annotated.program
     notices: list[str] = []
     if not annotated.leaky:
@@ -428,21 +401,18 @@ def _execute_atomic(stmt: lang.Stmt, store: dict, clock: int,
 
 
 def _vc_symbols(vc: VC, program: lang.Program) -> tuple[list, list, bool]:
-    """Referenced program/ghost variables, snapshot slots, clock usage."""
+    """Referenced program/ghost variables as ``(name, domain, type)``,
+    snapshot slots, clock usage."""
     nodes = asrt.subterms(vc.pre) + asrt.subterms(vc.post)
     names = asrt.free_names(nodes)
     if vc.stmt is not None:
         names |= lang.free_vars(vc.stmt)
-    decls = {d.name: d for d in program.declarations}
-    ghosts = {g.name: g for g in program.ghosts}
+    decls = {d.name: d for d in program.ghosts + program.declarations}
     variables = []
     for n in sorted(names):
-        if n in decls:
-            variables.append((n, decls[n].domain, False))
-        elif n in ghosts:
-            variables.append((n, ghosts[n].domain, True))
-        else:
+        if n not in decls:
             raise LeakLabError(f"undeclared name {n!r} in verification condition")
+        variables.append((n, decls[n].domain, decls[n].type))
     slots: dict[lang.LocationId, int] = {}
     for term in (x for x, _ in nodes if isinstance(x, asrt.SnapshotTerm)):
         if term.resolved is None:
@@ -596,8 +566,8 @@ def emit_smtlib(vc: VC, program: lang.Program,
         return f"snap_{program.threads[loc.thread].name}_l{loc.index}_{k}"
 
     term_of: dict[str, str] = {}
-    for name, domain, _ in variables:
-        if domain == (False, True):
+    for name, domain, vtype in variables:
+        if vtype == lang.BOOL:
             lines.append(f"(declare-const {name} Bool)")
         else:
             lines.append(f"(declare-const {name} Int)")
@@ -691,7 +661,7 @@ def emit_smtlib(vc: VC, program: lang.Program,
             return
         if isinstance(s, lang.Assign):
             d = decls[s.target]
-            sort = "Bool" if d.domain == (False, True) else "Int"
+            sort = "Bool" if d.type == lang.BOOL else "Int"
             sym = f"{s.target}__{next(fresh)}"
             lines.append(f"(declare-const {sym} {sort})")
             lines.append(f"(assert (= {sym} {expr_smt(s.value, env, clock_now)}))")

@@ -10,6 +10,9 @@ search against them.  The duration and state oracles share one walk, and
 take a run cut at the step bound for an incomplete answer, also where no
 thread could move there.  That is ``explore``'s rule; the original
 duration search took a deadlock at the bound for a complete run.
+``isolate_thread`` makes one thread a program of its own, on which
+``explorer.duration_stats`` is a reference for
+``explorer.isolated_durations``.
 """
 
 from __future__ import annotations
@@ -156,3 +159,12 @@ def states_at_location_by_schedules(program: lang.Program, loc: lang.LocationId,
                 states.append((config.store_dict(), config.snapshot_dict(),
                                config.clock, valuation))
     return states, complete
+
+
+def isolate_thread(program: lang.Program, thread: int) -> lang.Program:
+    """The program with one thread alone, as thread 0: a reference for
+    ``explorer.isolated_durations``, which steps the thread alone in place.
+    Labels are per-thread, so only the thread index moves to 0."""
+    return lang.label_statements(lang.Program(program.declarations,
+                                              (program.threads[thread],),
+                                              program.ghosts))

@@ -18,8 +18,12 @@ it.  A side left open is closed at ``n * (2L + 1)``, with ``n`` the number
 of open sides and ``L`` the largest literal of the script; the least
 solutions of difference constraints lie inside.
 
-Terms evaluate as Python values, so sorts are not checked: a ``Bool``
-constant is False or True and compares equal to 0 or 1.
+Every assertion must be a well-sorted ``Bool`` term: ``and``, ``or``,
+``not`` and ``=>`` take ``Bool``s, arithmetic and ``< <= > >=`` take
+``Int``s, and ``=`` and ``distinct`` take terms of one sort.  A script
+that breaks this raises, as a solver would reject it; only then is a
+term evaluated as a Python value, where False and True compare equal to
+0 and 1.
 """
 
 from __future__ import annotations
@@ -92,6 +96,33 @@ def _py(term, names: dict[str, str]) -> str:
     raise ValueError(f"unsupported operator {op!r}")
 
 
+def _sort(term, declared: dict[str, str]) -> str:
+    """The sort of ``term``; raises on an ill-sorted one."""
+    if isinstance(term, str):
+        if term in declared:
+            return declared[term]
+        if term in ("true", "false"):
+            return "Bool"
+        if term.isdigit():
+            return "Int"
+        raise ValueError(f"unknown symbol {term!r}")
+    op, *args = term
+    sorts = [_sort(a, declared) for a in args]
+    if op in ("and", "or", "not", "=>"):
+        want, result = "Bool", "Bool"
+    elif op in ("=", "distinct"):
+        want, result = sorts[0] if sorts else "Int", "Bool"
+    elif op in ("<", "<=", ">", ">="):
+        want, result = "Int", "Bool"
+    elif op in ("abs", "+", "-", "*"):
+        want, result = "Int", "Int"
+    else:
+        raise ValueError(f"unsupported operator {op!r}")
+    if any(s != want for s in sorts):
+        raise ValueError(f"ill-sorted term {term!r}: {op!r} on {', '.join(sorts)}")
+    return result
+
+
 def _conjuncts(term) -> list:
     if isinstance(term, list) and term and term[0] == "and":
         return [c for t in term[1:] for c in _conjuncts(t)]
@@ -111,6 +142,8 @@ def decide(text: str) -> tuple[str, Optional[dict]]:
         if cmd[0] == "declare-const" and len(cmd) == 3 and cmd[2] in ("Int", "Bool"):
             declared[cmd[1]] = cmd[2]
         elif cmd[0] == "assert" and len(cmd) == 2:
+            if _sort(cmd[1], declared) != "Bool":
+                raise ValueError(f"asserting a non-Bool term {cmd[1]!r}")
             asserts.extend(_conjuncts(cmd[1]))
         else:
             raise ValueError(f"unsupported command {cmd!r}")

@@ -225,6 +225,27 @@ class TestDlCommand:
         assert synth["annotation"].startswith("@leaky {|")
         assert synth["threshold"] == 4
 
+    def test_synthesize_reads_every_isolated_duration(self, capsys, tmp_path):
+        # The late branch shows only past 200 steps; the step bound does not
+        # cut the thread's isolated run.
+        program = tmp_path / "late_delay.cwl"
+        program.write_text(
+            "var h : int[0..1] label high = secret;\n"
+            "var i : int[0..60] label low = 0;\n"
+            "thread A { while i < 60 do { print('s'); if h then { delay(3); } "
+            "else { skip; }; if i > 50 then { delay(4); } else { skip; }; "
+            "print('e'); i = i + 1; }; }")
+        for bound in ([], ["--bound-steps", "20"]):
+            code, out, _ = run_cli(capsys, "dl", str(program), "--synthesize",
+                                   "--format", "json", *bound)
+            assert code == 0
+            data = json.loads(out)
+            assert data["synthesized"] == []
+            [record] = data["indeterminate"]
+            assert record["pair"] == ["A.l1", "A.l8"]
+            assert record["isolated_durations"] == {"{'h': 0}": [5, 8],
+                                                    "{'h': 1}": [7, 10]}
+
     def test_custom_lattice_file(self, capsys, tmp_path):
         lattice = tmp_path / "lattice.json"
         lattice.write_text(json.dumps({

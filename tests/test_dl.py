@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from leaklab import assertions as asrt
-from leaklab import dl, explorer, lang, semantics
+from leaklab import dl, explorer, lang, proofs, semantics
 from leaklab.errors import LeakLabError
 from leaklab.lattice import two_point
 
@@ -11,6 +11,14 @@ from conftest import load_corpus, load_program
 
 L = lang.LocationId
 BOUNDS = explorer.ExploreBounds(max_steps=60)
+
+# The i > 50 arm delays only on the last nine of sixty passes, far past 200
+# steps: 's' to 'e' takes 5 or 8 units for h = 0 and 7 or 10 for h = 1.
+LATE_DELAY_SOURCE = (
+    "var h : int[0..1] label high = secret;\n"
+    "var i : int[0..60] label low = 0;\n"
+    "thread A { while i < 60 do { print('s'); if h then { delay(3); } else { skip; }; "
+    "if i > 50 then { delay(4); } else { skip; }; print('e'); i = i + 1; }; }")
 
 
 class TestCertify:
@@ -142,6 +150,21 @@ class TestSynthesis:
         assert syn.assertions == []
         assert len(syn.indeterminate) == 1
         assert "overlap" in syn.indeterminate[0].reason
+
+    def test_isolated_sets_do_not_depend_on_the_step_bound(self):
+        # Regression: cut at 200 steps, the sets were {5} and {7}, and the
+        # synthesized threshold 6 was refuted by the proof's path facts.
+        p = lang.parse_program(LATE_DELAY_SOURCE)
+        pairs = dl.dl_certify(p).suggested_pairs
+        assert pairs == [(L(0, 1), L(0, 8))]
+        for bounds in (explorer.ExploreBounds(), explorer.ExploreBounds(max_steps=20)):
+            syn = dl.synthesize_leaky_assertions(p, pairs, bounds=bounds)
+            assert syn.assertions == []
+            [record] = syn.indeterminate
+            assert record.isolated == {"{'h': 0}": [5, 8], "{'h': 1}": [7, 10]}
+        for h in (0, 1):
+            facts = proofs.isolated_path_duration(p, 0, L(0, 1), L(0, 8), {"h": h})
+            assert sorted(facts) == record.isolated[str({"h": h})]
 
     def test_secret_independent_thread_no_assertion(self):
         p = lang.parse_program(

@@ -11,6 +11,7 @@ from leaklab.errors import AnnotationError
 
 import assertion_oracle
 from conftest import load_corpus, load_program, trivially_annotate
+from schedule_oracle import isolate_thread
 from test_explore_oracle import small_programs
 
 L = lang.LocationId
@@ -28,11 +29,35 @@ FOREVER_SOURCE = (
     "thread A { while true do { print('s'); if h then { delay(3); } else { skip; }; "
     "print('e'); }; }")
 
+# The same loop beside three variables it never reads.
+FOREVER_UNUSED_SOURCE = (
+    "var h : int[0..1] label high = secret;\n"
+    "var a : int[0..99] label low = 0;\n"
+    "var b : int[0..99] label low = 0;\n"
+    "var c : int[0..99] label low = 0;\n"
+    "thread A { while true do { print('s'); if h then { delay(3); } else { skip; }; "
+    "print('e'); }; }")
+
 # The run leaves i's domain after 'e'.
 DOMAIN_EXIT_SOURCE = (
     "var h : int[0..1] label high = secret;\n"
     "var i : int[0..1] label low = 0;\n"
     "thread A { print('s'); print('e'); i = i + 1; i = i + 1; }")
+
+
+def count_steps(monkeypatch, measure) -> tuple:
+    """What ``measure()`` returns, and how many ``semantics.step`` calls it made."""
+    calls = []
+    original = semantics.step
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(semantics, "step", counted)
+        result = measure()
+    return result, len(calls)
 
 
 def annotated_from(src: str) -> asrt.AnnotatedProgram:
@@ -229,22 +254,38 @@ class TestIsolatedPathDuration:
             "thread A { print('s'); while true do { skip; }; print('e'); }")
         assert proofs.isolated_path_duration(p, 0, L(0, 0), L(0, 3), {"h": 0}) is None
 
-    def test_endless_loop_durations_within_twice_the_states(self, monkeypatch):
+    @pytest.mark.parametrize("source", (FOREVER_SOURCE, FOREVER_UNUSED_SOURCE))
+    def test_endless_loop_stops_one_period_after_its_first_repeat(self, monkeypatch,
+                                                                  source):
         # Each pass takes 3 units from 's' to 'e', or 5 with the delay.  The
-        # search stops at twice positions times stores steps, not at
-        # ISOLATED_STEPS.
-        p = lang.parse_program(FOREVER_SOURCE)
-        bounds = []
-        original = explorer.duration_stats
+        # loop head, 's', the branch, its arm and 'e' are five distinct
+        # states; the head comes round again after them, and one more
+        # period of five steps follows.  Regression: unused variables
+        # lengthened the run to 100,000 steps when it was bounded by
+        # positions times stores, and the timings were underivable.
+        p = lang.parse_program(source)
+        assert count_steps(monkeypatch, lambda: proofs.isolated_path_duration(
+            p, 0, L(0, 1), L(0, 5), {"h": 0})) == ({3}, 5 + 5)
+        assert count_steps(monkeypatch, lambda: proofs.isolated_path_duration(
+            p, 0, L(0, 1), L(0, 5), {"h": 1})) == ({5}, 5 + 5)
 
-        def spy(*args):
-            bounds.append(args[4].max_steps)
-            return original(*args)
+    def test_wrong_postulate_on_an_endless_loop_is_refuted(self):
+        p = lang.parse_program(FOREVER_UNUSED_SOURCE)
+        postulate = asrt.parse_assertion(
+            "(t@l5 - t@l1 < 4 -> h = 1) and (t@l5 - t@l1 >= 4 -> h = 0)")
+        result = proofs.check_proof(trivially_annotate(p, leaky={L(0, 5): postulate}))
+        assert result.overall == "refuted"
+        assert not result.warnings
 
-        monkeypatch.setattr(explorer, "duration_stats", spy)
-        assert proofs.isolated_path_duration(p, 0, L(0, 1), L(0, 5), {"h": 0}) == {3}
-        assert proofs.isolated_path_duration(p, 0, L(0, 1), L(0, 5), {"h": 1}) == {5}
-        assert bounds == [2 * len(p.labels_of_thread(0)) * 2] * 2
+    def test_run_past_the_state_cap_is_incomplete(self):
+        p = lang.parse_program(LOOP_BRANCH_SOURCE)
+        cut = explorer.isolated_durations(p, 0, L(0, 1), L(0, 6), None,
+                                          explorer.ExploreBounds(max_configs=4))
+        assert not cut.complete
+        full = explorer.isolated_durations(p, 0, L(0, 1), L(0, 6), None,
+                                           explorer.ExploreBounds(max_steps=1))
+        assert full.complete
+        assert full.durations == {(("h", 0),): {5, 10}, (("h", 1),): {7, 14}}
 
     def test_domain_exit_gives_none(self):
         p = lang.parse_program(DOMAIN_EXIT_SOURCE)
@@ -253,19 +294,23 @@ class TestIsolatedPathDuration:
     @settings(max_examples=50, deadline=None)
     @given(small_programs())
     def test_twice_the_states_give_every_duration(self, source: str):
-        # Against a search with room for many more steps than twice the
-        # thread's states, whether or not its run ends.
+        # Against a search of the thread as its own program, with room for
+        # many more steps than twice the thread's states, whether or not its
+        # run ends, for every thread.
         program = lang.parse_program(source)
-        isolated, _ = explorer.isolate_thread(program, 0, semantics.CostModel())
-        labels = program.labels_of_thread(0)
         roomy = explorer.ExploreBounds(max_steps=500)
-        for loc_to in labels[1:]:
-            for valuation in explorer.secret_domain_of(program):
-                stats = explorer.duration_stats(isolated, labels[0], loc_to,
-                                                (valuation,), roomy)
-                want = None if stats.unreached else stats.durations[valuation]
-                assert proofs.isolated_path_duration(
-                    program, 0, labels[0], loc_to, dict(valuation)) == want, loc_to
+        for thread in range(len(program.threads)):
+            isolated = isolate_thread(program, thread)
+            labels = program.labels_of_thread(thread)
+            alone = isolated.labels_of_thread(0)
+            for k in range(1, len(labels)):
+                for valuation in explorer.secret_domain_of(program):
+                    stats = explorer.duration_stats(isolated, alone[0], alone[k],
+                                                    (valuation,), roomy)
+                    want = None if stats.unreached else stats.durations[valuation]
+                    assert proofs.isolated_path_duration(
+                        program, thread, labels[0], labels[k], dict(valuation)) == want, (
+                            thread, k)
 
     def test_every_duration_of_a_loop(self):
         # The first 's' reaches 'e' in 10 units and the second in 5; the

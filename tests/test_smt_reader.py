@@ -53,6 +53,27 @@ def test_reader_decides_by_enumeration():
     assert smt_reader.decide(script.format(k=9)) == ("unsat", None)
 
 
+@pytest.mark.parametrize("term", ("(= h 1)", "(= (- h 1) 0)", "(and h 1)", "(+ h 1)"))
+def test_reader_rejects_ill_sorted_terms(term):
+    # A solver rejects these; Python would evaluate each, as False == 0.
+    script = f"(set-logic ALL)\n(declare-const h Bool)\n(assert {term})\n(check-sat)\n"
+    with pytest.raises(ValueError, match="ill-sorted|non-Bool"):
+        smt_reader.decide(script)
+
+
+def test_emitted_scripts_declare_by_type():
+    program = lang.parse_program(
+        "var h : int[0..1] label high = secret;\nvar b : bool label low = false;\n"
+        "thread A { await b then { h = 1 - h; }; }")
+    vc = proofs.VC(asrt.parse_assertion("h = 0 and b"), program.threads[0].body[0],
+                   asrt.parse_assertion("h = 1"), proofs.SEQUENTIAL, "flip")
+    script = proofs.emit_smtlib(vc, program)
+    assert "(declare-const h Int)" in script
+    assert "(assert (and (>= h 0) (<= h 1)))" in script
+    assert "(declare-const b Bool)" in script
+    assert smt_reader.decide(script) == ("unsat", None)
+
+
 @pytest.mark.parametrize("name", OWN_OUTLINES + CERTIFY_CORPUS)
 def test_every_outline_vc_agrees(name):
     annotated = outline(name)
