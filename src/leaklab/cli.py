@@ -17,12 +17,8 @@ import os
 import sys
 from pathlib import Path
 
-from . import assertions as asrt
-from . import dl as dl_mod
-from . import explorer, ifc, lang, proofs, semantics
-from .config import load_config
+from . import lang
 from .errors import LeakLabError
-from .lattice import build_lattice, load_lattice, two_point
 
 
 def _read_text(path: str) -> str:
@@ -58,6 +54,7 @@ def _emit(data: dict, as_json: bool, human_lines: list[str]) -> None:
 
 
 def _bounds_from(args: argparse.Namespace) -> explorer.ExploreBounds:
+    from . import explorer
     return explorer.ExploreBounds(
         max_steps=args.bound_steps,
         max_configs=args.bound_configs,
@@ -68,6 +65,7 @@ def _bounds_from(args: argparse.Namespace) -> explorer.ExploreBounds:
 
 def _parse_secret_override(program: lang.Program, specs: list[str]) -> tuple:
     """``--secret h=0..1`` restricts a declared secret's enumerated domain."""
+    from . import explorer
     if not specs:
         return explorer.secret_domain_of(program)
     domains: dict[str, tuple] = {
@@ -116,6 +114,8 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from . import semantics
+    from .config import load_config
     program = _read_program(args.file)
     costs = load_config(args.config).cost_model(program)
     store = dict(program.initial_store())
@@ -131,6 +131,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_leakscan(args: argparse.Namespace) -> int:
+    from . import explorer
+    from .config import load_config
     program = _read_program(args.file)
     tool_config = load_config(args.config)
     costs = tool_config.cost_model(program)
@@ -150,6 +152,8 @@ def cmd_leakscan(args: argparse.Namespace) -> int:
 
 
 def cmd_ogcheck(args: argparse.Namespace) -> int:
+    from . import assertions as asrt, proofs
+    from .config import load_config
     program = _read_program(args.file)
     tool_config = load_config(args.config)
     costs = tool_config.cost_model(program)
@@ -186,6 +190,9 @@ def cmd_ogcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_dl(args: argparse.Namespace) -> int:
+    from . import assertions as asrt, dl as dl_mod
+    from .config import load_config
+    from .lattice import load_lattice, two_point
     program = _read_program(args.file)
     lattice = load_lattice(args.lattice) if args.lattice else two_point()
     report = dl_mod.dl_certify(program, lattice)
@@ -226,6 +233,7 @@ def cmd_dl(args: argparse.Namespace) -> int:
 
 
 def _parse_command(text: str) -> ifc.Command:
+    from . import ifc
     text = text.strip()
     if text == "skip":
         return lang.Skip()
@@ -253,6 +261,8 @@ def _parse_command(text: str) -> ifc.Command:
 
 def _read_scenario(path: str) -> tuple:
     """``(lattice, q0, sequences, observer, mode)`` of a scenario file."""
+    from . import ifc
+    from .lattice import build_lattice, two_point
     try:
         scenario = json.loads(_read_text(path))
     except json.JSONDecodeError as e:
@@ -285,6 +295,7 @@ def _read_scenario(path: str) -> tuple:
 
 
 def cmd_ifc(args: argparse.Namespace) -> int:
+    from . import ifc
     lattice, q0, sequences, observer, mode = _read_scenario(args.file)
     results: dict[str, dict] = {}
     ok = True
@@ -325,6 +336,8 @@ def _ni_json(outcome: ifc.NIResult) -> dict:
 
 
 def cmd_emit_smt(args: argparse.Namespace) -> int:
+    from . import assertions as asrt, proofs
+    from .config import load_config
     program = _read_program(args.file)
     tool_config = load_config(args.config)
     costs = tool_config.cost_model(program)
@@ -418,6 +431,9 @@ def main(argv=None) -> int:
         code = args.func(args)
     except (LeakLabError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return 2
     try:
         sys.stdout.flush()

@@ -233,8 +233,8 @@ def synthesize_leaky_assertions(program: lang.Program,
     Separability is decided on the flagged thread in isolation (the same
     setting in which the region cost is meaningful); the composed analysis
     is attached as metadata so a caller can see whether scheduling noise
-    drowns the channel.  Inseparable isolated sets yield an indeterminate
-    record and no assertion.
+    drowns the channel.  Isolated sets that overlap, or that a state cap cut
+    short, yield an indeterminate record and no assertion.
     """
     if secret_domain is None:
         secret_domain = explorer.secret_domain_of(program)
@@ -246,6 +246,12 @@ def synthesize_leaky_assertions(program: lang.Program,
     for loc_from, loc_to in pairs:
         iso = explorer.isolated_durations(program, loc_from.thread, loc_from, loc_to,
                                           secret_domain, bounds, costs)
+        isolated = {str(dict(v)): sorted(ds) for v, ds in iso.durations.items()}
+        if not iso.complete:
+            report.indeterminate.append(IndeterminateRecord(
+                (loc_from, loc_to), f"isolated run exceeds {bounds.max_configs} states "
+                "(--bound-configs); duration sets incomplete", isolated))
+            continue
         if iso.unreached:
             report.skipped.append(
                 f"pair ({program.location_str(loc_from)}, "
@@ -253,14 +259,13 @@ def synthesize_leaky_assertions(program: lang.Program,
                 f"{len(iso.unreached)} secret value(s)")
             continue
         split = _separating_threshold(iso.durations)
-        isolated = {str(dict(v)): sorted(ds) for v, ds in iso.durations.items()}
-        composed = explorer.duration_stats(program, loc_from, loc_to,
-                                           secret_domain, bounds, costs)
         if split is None:
             report.indeterminate.append(IndeterminateRecord(
                 (loc_from, loc_to),
                 "duration sets overlap; no threshold separates the secrets", isolated))
             continue
+        composed = explorer.duration_stats(program, loc_from, loc_to,
+                                           secret_domain, bounds, costs)
         theta, low_group, high_group = split
         diff = lang.BinOp(
             "-",

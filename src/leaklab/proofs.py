@@ -431,6 +431,13 @@ def _snapshot_map(slot_axes: list[tuple[lang.LocationId, int]],
     return snaps
 
 
+def _clock_box(snapshot_bound: int) -> range:
+    """[0, snapshot_bound]; a negative bound would empty it and prove anything."""
+    if snapshot_bound < 0:
+        raise LeakLabError(f"snapshot bound {snapshot_bound} is negative")
+    return range(snapshot_bound + 1)
+
+
 def discharge_vc(vc: VC, program: lang.Program,
                  costs: semantics.CostModel = semantics.CostModel(),
                  snapshot_bound: int = 64,
@@ -452,6 +459,7 @@ def discharge_vc(vc: VC, program: lang.Program,
     """
     from . import regions  # local import to keep module load cheap
 
+    box = _clock_box(snapshot_bound)
     try:
         variables, slots, uses_clock = _vc_symbols(vc, program)
     except LeakLabError as e:
@@ -465,7 +473,7 @@ def discharge_vc(vc: VC, program: lang.Program,
         arrival = latest[term.resolved] - 1 if term.arrival is None else term.arrival
         return index[(term.resolved, arrival)]
 
-    clock_axis = range(snapshot_bound + 1) if uses_clock else (0,)
+    clock_axis = box if uses_clock else (0,)
     others = len(clock_axis)
     for _, domain, _ in variables:
         others *= len(domain)
@@ -475,7 +483,6 @@ def discharge_vc(vc: VC, program: lang.Program,
         snap_maps = [_snapshot_map(slot_axes, point) for point in points]
         total = others * len(points)
     else:
-        box = range(snapshot_bound + 1)
         snap_maps = None
         total = others * len(box) ** len(slot_axes)
     if total > max_states:
@@ -555,6 +562,7 @@ def emit_smtlib(vc: VC, program: lang.Program,
     bounded quantifiers are expanded.  Snapshot constants are only
     non-negative; the clock ranges over [0, snapshot_bound].
     """
+    _clock_box(snapshot_bound)
     try:
         variables, slots, uses_clock = _vc_symbols(vc, program)
     except LeakLabError as e:

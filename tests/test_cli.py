@@ -441,6 +441,37 @@ class TestBadInput:
         assert code == 2 and out == ""
         assert err.startswith("error: ill-typed assertion at A") and err.count("\n") == 1
 
+    # At bound -1 the clock axis was empty, and ogcheck proved this outline
+    # that bounds 0 and 64 refute.
+    @pytest.mark.parametrize("command", ("ogcheck", "emit-smt"))
+    def test_negative_snapshot_bound_is_an_input_error(self, capsys, tmp_path, command):
+        outline = tmp_path / "outline.cwl"
+        outline.write_text("var x : int[0..3] label low = 0;\n"
+                           "thread A { {| t >= 0 |} x = 1; {| x = 2 |} skip; } "
+                           "post {| true |}\n")
+        argv = subcommand_argv(command, outline, tmp_path)
+        code, out, err = run_cli(capsys, *argv, "--snapshot-bound", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: snapshot bound -1 is negative\n"
+        if command == "ogcheck":
+            assert run_cli(capsys, *argv, "--snapshot-bound", "0")[0] == 1
+
+    @pytest.mark.parametrize("argv, source", (
+        (("parse",), "var x : int[0..3] label low = 0;\n"
+                     "thread A { x = " + "(" * 3000 + "1" + ")" * 3000 + "; }\n"),
+        (("parse",), "var h : int[0..1] label high = secret;\n"
+                     "thread A { " + "if h then { " * 400 + "skip; " + "}; " * 400 + "}\n"),
+        (("leakscan",), "var h : int[0..1] label high = secret;\n"
+                        "thread A { " + "if h then { " * 400 + "skip; " + "}; " * 400 + "}\n"),
+    ), ids=("parse-parentheses", "parse-ifs", "leakscan-ifs"))
+    def test_deep_nesting_is_an_input_error(self, tmp_path, argv, source):
+        deep = tmp_path / "deep.cwl"
+        deep.write_text(source)
+        proc = run_subprocess(*argv, str(deep))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "error: input nested too deeply\n"
+
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from(SUBCOMMANDS),
            st.one_of(st.binary(max_size=80),
@@ -458,3 +489,30 @@ class TestBadInput:
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err.getvalue()
 
+
+
+class TestStartUp:
+    """Each command loads only the leaklab modules it runs."""
+
+    @staticmethod
+    def loaded_after(*argv: str) -> set[str]:
+        probe = ("import contextlib, io, json, sys\n"
+                 "from leaklab import cli\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "    cli.main(sys.argv[1:])\n"
+                 "print(json.dumps([m for m in sys.modules if m.startswith('leaklab')]))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
+                              text=True, env=env, timeout=60, check=True)
+        return set(json.loads(proc.stdout))
+
+    def test_parse_loads_the_parser_alone(self):
+        assert self.loaded_after("parse", fixture("semaphore_pair.cwl")) == {
+            "leaklab", "leaklab.cli", "leaklab.errors", "leaklab.lang"}
+
+    def test_leakscan_loads_no_proof_machinery(self):
+        loaded = self.loaded_after("leakscan", fixture("semaphore_pair.cwl"))
+        assert "leaklab.explorer" in loaded
+        assert not loaded & {f"leaklab.{m}" for m in (
+            "assertions", "proofs", "dl", "ifc", "lattice", "regions")}

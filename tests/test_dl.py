@@ -166,6 +166,17 @@ class TestSynthesis:
             facts = proofs.isolated_path_duration(p, 0, L(0, 1), L(0, 8), {"h": h})
             assert sorted(facts) == record.isolated[str({"h": h})]
 
+    def test_state_cap_gives_no_assertion(self):
+        # Regression: capped at 100 states, the isolated sets were {5} and
+        # {7}, and threshold 6 was synthesized with no note.
+        p = lang.parse_program(LATE_DELAY_SOURCE)
+        pairs = dl.dl_certify(p).suggested_pairs
+        syn = dl.synthesize_leaky_assertions(
+            p, pairs, bounds=explorer.ExploreBounds(max_configs=100))
+        assert syn.assertions == []
+        [record] = syn.indeterminate
+        assert "--bound-configs" in record.reason
+
     def test_secret_independent_thread_no_assertion(self):
         p = lang.parse_program(
             "var h : bool label high = secret;\n"
