@@ -567,7 +567,7 @@ def states_at_location(program: lang.Program, loc: lang.LocationId,
     if init_public:
         base.update(init_public)
     bounds = replace(bounds, timing_blind=False)
-    exit_loc = lang.exit_label(program, loc.thread)
+    exit_loc = semantics.control_table(program).labels[loc.thread][-1]
     states: list[tuple] = []
     complete = True
     for valuation in (secret_domain or ((),)):

@@ -147,6 +147,11 @@ def cmd_leakscan(args: argparse.Namespace) -> int:
         events = " ".join(f"{e['payload']}@{e['timestamp']}" if "timestamp" in e
                           else e["payload"] for e in row["events"])
         human.append(f"  obs [{events}] K={row['knowledge']}{flag}")
+    if args.stats:
+        data["stats"] = report.stats
+        human.extend(f"  stats {row['secret']}: {row['states']} states, {row['edges']} edges, "
+                     f"{row['truncated']} truncated, {row['deadlocked']} deadlocked, bounds "
+                     f"fired: {' '.join(row['bounds_fired']) or 'none'}" for row in report.stats)
     _emit(data, args.format == "json", human)
     return {"leak-found": 1, "no-leak": 0, "inconclusive": 3}[report.verdict]
 
@@ -395,6 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict a secret's enumerated domain")
     p.add_argument("--init", action="append", metavar="NAME=VALUE",
                    help="override a declared initializer")
+    p.add_argument("--stats", action="store_true",
+                   help="report per secret what the state search did")
     p.set_defaults(func=cmd_leakscan)
 
     p = sub.add_parser("ogcheck", help="check an annotated proof outline")

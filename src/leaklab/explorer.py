@@ -19,7 +19,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import lang, semantics
 from .errors import LeakLabError
@@ -27,8 +27,7 @@ from .errors import LeakLabError
 SecretValuation = tuple[tuple[str, semantics.Value], ...]
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     """What the attacker sees of one maximal execution."""
 
     events: tuple[tuple[str, Optional[int]], ...]  # (payload, timestamp or None)
@@ -63,7 +62,8 @@ class ExploreResult:
     ``truncated`` counts the states cut at ``max_steps`` and ``deadlocked``
     the states where no thread can move.  ``prefixes`` holds the
     observations of runs cut short by ``max_steps`` or ``max_configs``:
-    such a run could have printed more.
+    such a run could have printed more.  ``stats`` is the search's
+    deterministic account, as ``leakscan --stats`` reports it.
     """
 
     observations: frozenset[tuple[Observation, bool]]  # (observation, terminated?)
@@ -71,6 +71,7 @@ class ExploreResult:
     truncated: int
     deadlocked: int
     prefixes: frozenset[Observation]
+    stats: dict = field(default_factory=dict, compare=False)
 
 
 @dataclass
@@ -81,6 +82,7 @@ class KnowledgeReport:
     verdict: str  # "leak-found" | "no-leak" | "inconclusive"
     complete: bool
     timing_blind: bool
+    stats: list[dict] = field(default_factory=list)  # per secret valuation
 
     def leaky_observations(self) -> list[Observation]:
         return sorted((o for o, f in self.leaky.items() if f),
@@ -138,13 +140,21 @@ class Search:
 
     ``cells`` holds the hash-consed arrivals: cell ``i`` is ``(previous cell,
     clock)`` of one arrival, and cell 0 stands for no arrival yet.
+    ``states`` counts the keys stepped or ended within ``max_configs``,
+    ``edges`` the steps taken and ``capped`` the keys cut past it.
     """
 
     root: tuple
-    complete: bool
     truncated: int
     deadlocked: int
     cells: list
+    states: int
+    edges: int
+    capped: int
+
+    @property
+    def complete(self) -> bool:
+        return not (self.truncated or self.capped)
 
     def arrivals(self, watched: tuple) -> dict[lang.LocationId, tuple[int, ...]]:
         """The snapshots that the ``arrivals`` entry of a key stands for."""
@@ -162,8 +172,11 @@ def search(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
            costs: semantics.CostModel, watch: frozenset, visit) -> Search:
     """The exploration engine: a memoised depth-first search over states.
 
-    A state is keyed by ``(residues, store, clock, steps_used, arrivals)``:
-    residues as statement ids, the clock ``None`` when timing-blind, and
+    A state is keyed by ``(heads, store, clock, steps_used, arrivals)``:
+    ``heads`` holds each thread's head statement id (0 once it is done),
+    which keys its residue exactly because a residue is always the static
+    continuation of its head (see :mod:`leaklab.semantics`), the clock
+    ``None`` when timing-blind, and
     ``arrivals`` the snapshots recorded at the locations in ``watch`` and at
     no others, as ``(location, cell)`` pairs with one hash-consed cell per
     distinct history of a location (see :meth:`Search.arrivals`), so a key
@@ -201,9 +214,7 @@ def search(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
         return watched if heads is None else tuple(sorted(heads.items()))
 
     def key_of(config: semantics.Configuration, steps_used: int, watched: tuple) -> tuple:
-        # Statements are unique labelled AST objects, so their identities
-        # key a residue as its value would, without rehashing the AST.
-        return (tuple(tuple(map(id, r)) for r in config.residues), config.store,
+        return (tuple([id(r[0]) if r else 0 for r in config.residues]), config.store,
                 None if bounds.timing_blind else config.clock, steps_used, watched)
 
     start = semantics.initial_configuration(program, store)
@@ -211,8 +222,7 @@ def search(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
     root_key = key_of(root, 0, arrive((), start.snapshots))
     done: set = set()
     pending: dict[tuple, list] = {}  # expanded keys: their edges
-    configs = truncated = deadlocked = 0
-    complete = True
+    configs = truncated = deadlocked = capped = stepped = 0
     stack = [(root_key, root)]
     while stack:
         key, config = stack.pop()
@@ -222,7 +232,7 @@ def search(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
         if outcome is None:
             steps_used = key[3]
             if configs >= bounds.max_configs:
-                complete = False
+                capped += 1
                 outcome = _CUT
             else:
                 configs += 1
@@ -230,7 +240,6 @@ def search(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
                     outcome = _DONE
                 elif steps_used >= bounds.max_steps:
                     truncated += 1
-                    complete = False
                     outcome = _CUT
                 else:
                     choices = semantics.enabled(program, config)
@@ -240,7 +249,7 @@ def search(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
         if outcome is None:
             edges = []
             children = []
-            for choice in sorted(choices, key=lambda c: c.thread, reverse=True):
+            for choice in sorted(choices, reverse=True):
                 nxt = semantics.step(program, config, choice, costs)
                 child = key_of(nxt, steps_used + 1, arrive(key[4], nxt.snapshots))
                 edges.append((nxt.trace, child))
@@ -248,12 +257,13 @@ def search(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
                     children.append((child, semantics.Configuration(
                         nxt.residues, nxt.store, nxt.clock, (), ())))
             pending[key] = edges
+            stepped += len(edges)
             stack.append((key, config))
             stack.extend(children)
             continue
         done.add(key)
         visit(key, config, outcome)
-    return Search(root_key, complete, truncated, deadlocked, cells)
+    return Search(root_key, truncated, deadlocked, cells, configs, stepped, capped)
 
 
 _ENDINGS = {end: frozenset({((), end)}) for end in (_DONE, _DEADLOCKED, _CUT)}
@@ -300,6 +310,10 @@ def explore(program: lang.Program, init_public: semantics.Store,
         truncated=found.truncated,
         deadlocked=found.deadlocked,
         prefixes=frozenset(Observation(events) for events, end in runs if end == _CUT),
+        stats={"states": found.states, "edges": found.edges, "truncated": found.truncated,
+               "deadlocked": found.deadlocked,
+               "bounds_fired": [flag for flag, n in (("--bound-steps", found.truncated),
+                                                     ("--bound-configs", found.capped)) if n]},
     )
 
 
@@ -321,9 +335,11 @@ def knowledge_partition(program: lang.Program, init_public: semantics.Store,
     knowledge: dict[Observation, set[SecretValuation]] = {}
     full: dict[SecretValuation, set[Observation]] = {}
     cut: dict[SecretValuation, frozenset[tuple]] = {}
+    stats: list[dict] = []
     complete = True
     for valuation in secret_domain:
         result = explore(program, init_public, dict(valuation), bounds, costs)
+        stats.append({"secret": dict(valuation), **result.stats})
         complete = complete and result.complete
         for obs, _terminated in result.observations:
             knowledge.setdefault(obs, set()).add(valuation)
@@ -334,6 +350,7 @@ def knowledge_partition(program: lang.Program, init_public: semantics.Store,
         cut[valuation] = frozenset(p.events for p in result.prefixes)
     if not secret_domain:
         result = explore(program, init_public, {}, bounds, costs)
+        stats.append({"secret": {}, **result.stats})
         complete = complete and result.complete
         for obs, _terminated in result.observations:
             knowledge.setdefault(obs, set())
@@ -361,6 +378,7 @@ def knowledge_partition(program: lang.Program, init_public: semantics.Store,
         verdict=verdict,
         complete=complete,
         timing_blind=bounds.timing_blind,
+        stats=stats,
     )
 
 
@@ -470,12 +488,13 @@ def isolated_durations(program: lang.Program, thread: int,
                     starts.extend(times)
                 elif loc == loc_to:
                     ends.extend(times)
-            return replace(config, trace=(), snapshots=())
+            return config._replace(trace=(), snapshots=())
 
         config = enter(semantics.initial_configuration(program, store))
-        seen: dict[tuple, int] = {}  # (residue as statement ids, store) -> order
+        seen: dict[tuple, int] = {}  # (head statement id, store) -> order
         for order in range(bounds.max_configs):
-            key = (tuple(map(id, config.residues[thread])), config.store)
+            residue = config.residues[thread]
+            key = (id(residue[0]) if residue else 0, config.store)
             if key in seen:
                 for _ in range(order - seen[key]):
                     config = enter(semantics.step(program, config, alone, costs))

@@ -15,7 +15,7 @@ here as raw text and parsed into assertion ASTs by
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .errors import ParseError
 
@@ -77,8 +77,7 @@ class BinOp(Expr):
 # Locations and statements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class LocationId:
+class LocationId(NamedTuple):
     """Control location: thread index plus statement index within the thread."""
 
     thread: int
@@ -183,9 +182,8 @@ class Program:
 
     def labels_of_thread(self, thread: int) -> list[LocationId]:
         """All statement labels of a thread plus its exit label, in order."""
-        out = [s.label for s in iter_statements(self.threads[thread].body)]
-        out.append(exit_label(self, thread))
-        return out
+        from .semantics import control_table
+        return list(control_table(self).labels[thread])
 
     def statement_at(self, loc: LocationId) -> Optional[Stmt]:
         for s in iter_statements(self.threads[loc.thread].body):

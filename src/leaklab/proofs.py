@@ -391,13 +391,11 @@ def _execute_atomic(stmt: lang.Stmt, store: dict, clock: int,
     A region body past the budget raises :class:`BudgetExceeded`.
     """
     store = dict(store)
-    if isinstance(stmt, lang.Await) and not semantics.eval_guard(stmt.guard, store):
-        return None
     try:
         clock = semantics.run_atomic(stmt, store, clock, costs, program, None)
     except DomainError:
         return None
-    return store, clock
+    return None if clock is None else (store, clock)
 
 
 def _vc_symbols(vc: VC, program: lang.Program) -> tuple[list, list, bool]:

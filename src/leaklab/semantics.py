@@ -10,12 +10,21 @@ other threads' steps.
 Every arrival of control at a labelled location appends the current clock to
 that location's snapshot list; assertions read these snapshots back as
 ``t@l`` terms.
+
+A program is compiled on first use into a :class:`ControlTable`, kept on
+the program.  A thread's residue is always the static continuation of its
+head statement: the rest of the head's block, then whatever follows the
+enclosing statement, which for a loop body is the loop itself.  So the
+table interns each statement's continuation and successor residues, holds
+the exit labels, the domains and a closure for every expression
+(:func:`compile_expr`), and :func:`step` runs by lookup.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from . import lang
 from .errors import BudgetExceeded, DeadlockError, DomainError, LeakLabError
@@ -42,15 +51,13 @@ class CostModel:
         return self.unit
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     thread: int
     payload: str
     timestamp: int
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     """Immutable execution state of the whole parallel composition."""
 
     residues: tuple[tuple[lang.Stmt, ...], ...]
@@ -72,55 +79,55 @@ class Configuration:
         return all(not r for r in self.residues)
 
 
-@dataclass(frozen=True, order=True)
-class StepChoice:
+class StepChoice(NamedTuple):
     thread: int
 
 
-def eval_expr(e: lang.Expr, store: Store) -> Value:
-    """Strict evaluation; total on stores covering the expression's support."""
-    if isinstance(e, lang.IntLit):
-        return e.value
-    if isinstance(e, lang.BoolLit):
-        return e.value
+def compile_expr(e: lang.Expr) -> Callable[[Store], Value]:
+    """The one expression evaluator: ``e`` as a closure ``fn(store)``.
+
+    Evaluation is strict; an unbound variable, a string literal outside
+    print and a bool where an int is expected raise :class:`LeakLabError`.
+    """
+    if isinstance(e, (lang.IntLit, lang.BoolLit)):
+        value = e.value
+        return lambda store: value
     if isinstance(e, lang.StrLit):
-        raise LeakLabError("string literal outside print")
+        def string(store):
+            raise LeakLabError("string literal outside print")
+        return string
     if isinstance(e, lang.Var):
-        try:
-            return store[e.name]
-        except KeyError:
-            raise LeakLabError(f"variable {e.name!r} unbound") from None
+        name = e.name
+
+        def var(store):
+            try:
+                return store[name]
+            except KeyError:
+                raise LeakLabError(f"variable {name!r} unbound") from None
+        return var
     if isinstance(e, lang.UnaryOp):
-        v = eval_expr(e.operand, store)
+        inner = compile_expr(e.operand)
         if e.op == "-":
-            return -_as_int(v)
-        return not _as_bool(v)
-    if isinstance(e, lang.BinOp):
-        left = eval_expr(e.left, store)
-        if e.op == "and":
-            return _as_bool(left) and _as_bool(eval_expr(e.right, store))
-        if e.op == "or":
-            return _as_bool(left) or _as_bool(eval_expr(e.right, store))
-        right = eval_expr(e.right, store)
-        if e.op == "=":
-            return left == right
-        if e.op == "!=":
-            return left != right
-        if e.op == "<":
-            return _as_int(left) < _as_int(right)
-        if e.op == "<=":
-            return _as_int(left) <= _as_int(right)
-        if e.op == ">":
-            return _as_int(left) > _as_int(right)
-        if e.op == ">=":
-            return _as_int(left) >= _as_int(right)
-        if e.op == "+":
-            return _as_int(left) + _as_int(right)
-        if e.op == "-":
-            return _as_int(left) - _as_int(right)
-        if e.op == "*":
-            return _as_int(left) * _as_int(right)
-    raise TypeError(e)
+            return lambda store: -_as_int(inner(store))
+        return lambda store: not _as_bool(inner(store))
+    left, right = compile_expr(e.left), compile_expr(e.right)
+    if e.op == "and":
+        return lambda store: _as_bool(left(store)) and _as_bool(right(store))
+    if e.op == "or":
+        return lambda store: _as_bool(left(store)) or _as_bool(right(store))
+    op = _OPS[e.op]
+    if e.op in ("=", "!="):
+        return lambda store: op(left(store), right(store))
+
+    def on_ints(store):
+        a, b = left(store), right(store)
+        return op(a if type(a) is int else _as_int(a), b if type(b) is int else _as_int(b))
+    return on_ints
+
+
+_OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
+        ">": operator.gt, ">=": operator.ge, "+": operator.add, "-": operator.sub,
+        "*": operator.mul}
 
 
 def _as_int(v: Value) -> int:
@@ -135,14 +142,124 @@ def _as_bool(v: Value) -> bool:
     return v != 0  # int guard means "value != 0"
 
 
+def eval_expr(e: lang.Expr, store: Store) -> Value:
+    return compile_expr(e)(store)
+
+
 def eval_guard(e: lang.Expr, store: Store) -> bool:
-    return _as_bool(eval_expr(e, store))
+    return _as_bool(compile_expr(e)(store))
 
 
 def render_value(v: Value) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     return str(v)
+
+
+# ---------------------------------------------------------------------------
+# The control table
+# ---------------------------------------------------------------------------
+
+_ACTION, _BRANCH, _REGION = range(3)
+
+
+class _Node(NamedTuple):
+    """A statement's row.  ``run`` is an action's ``fn(store, clock, costs)
+    -> clock`` or else the guard; ``succ`` the residue after an action or a
+    region, or where a branch's guard holds, and ``alt`` where it fails, or
+    a region body's residue, which ends with the body."""
+
+    kind: int
+    run: Callable
+    succ: tuple
+    alt: tuple
+    continuation: tuple  # the residue that starts at the statement
+    payload: Optional[Callable[[Store], str]] = None  # what a print prints
+
+
+class ControlTable:
+    """Statement rows by ``id`` (``nodes``), each thread's first residue
+    (``starts``), labels, exit label last (``labels``) and step choice
+    (``choices``), and each variable's declared values (``domains``)."""
+
+    def __init__(self, program: lang.Program):
+        self.nodes: dict[int, _Node] = {}
+        self.domains = {d.name: frozenset(d.domain) for d in program.declarations}
+        self.starts = tuple(self._block(program, t.body, ()) for t in program.threads)
+        self.choices = tuple(map(StepChoice, range(len(program.threads))))
+        self.labels = []
+        for t_idx, thread in enumerate(program.threads):
+            locs = [s.label for s in lang.iter_statements(thread.body)]
+            self.labels.append((*locs, lang.LocationId(t_idx, len(locs))))
+
+    def _block(self, program: lang.Program, body: tuple, after: tuple) -> tuple:
+        """Enter ``body``, which ``after`` follows; return its first residue."""
+        for s in reversed(body):
+            here = (s,) + after
+            if isinstance(s, lang.If):
+                node = _Node(_BRANCH, _guard(s.guard), self._block(program, s.then_body, after),
+                             self._block(program, s.else_body, after), here)
+            elif isinstance(s, lang.While):
+                node = _Node(_BRANCH, _guard(s.guard), self._block(program, s.body, here),
+                             after, here)
+            elif isinstance(s, lang.Await):
+                node = _Node(_REGION, _guard(s.guard), after, self._block(program, s.body, ()),
+                             here)
+            else:
+                node = _Node(_ACTION, self._action(s, program.location_str(s.label)),
+                             after, (), here, _payload(s) if isinstance(s, lang.Print) else None)
+            self.nodes[id(s)] = node
+            after = here
+        return after
+
+    def _action(self, s: lang.Stmt, where: str) -> Callable:
+        label = s.label
+        if isinstance(s, (lang.Skip, lang.Print)):
+            return lambda store, at, costs: at + costs.action_cost(label)
+        if isinstance(s, lang.Assign):
+            value, target, domain = compile_expr(s.value), s.target, self.domains[s.target]
+
+            def assign(store, at, costs):
+                v = value(store)
+                if v not in domain:
+                    raise DomainError(f"assignment at {where} sets {target} to {v}, "
+                                      "outside its declared domain")
+                store[target] = v
+                return at + costs.action_cost(label)
+            return assign
+        if isinstance(s, lang.Delay):
+            duration = compile_expr(s.duration)
+
+            def delay(store, at, costs):
+                d = costs.overrides[label] if label in costs.overrides else duration(store)
+                if isinstance(d, bool) or not isinstance(d, int):
+                    raise DomainError(f"expected int, got {d!r}")
+                if d < 0:
+                    raise DomainError(f"negative delay {d} at {where}")
+                return at + d
+            return delay
+        raise TypeError(s)
+
+
+def _guard(e: lang.Expr) -> Callable[[Store], bool]:
+    value = compile_expr(e)
+    return lambda store: _as_bool(value(store))
+
+
+def _payload(s: lang.Print) -> Callable[[Store], str]:
+    if isinstance(s.value, lang.StrLit):
+        return lambda store, text=s.value.value: text
+    value = compile_expr(s.value)
+    return lambda store: render_value(value(store))
+
+
+def control_table(program: lang.Program) -> ControlTable:
+    """The program's control table, built on first use and kept on it."""
+    try:
+        return program._control_table
+    except AttributeError:
+        object.__setattr__(program, "_control_table", ControlTable(program))
+        return program._control_table
 
 
 # ---------------------------------------------------------------------------
@@ -156,37 +273,27 @@ def initial_configuration(program: lang.Program, store: Store) -> Configuration:
             raise LeakLabError(f"initial store misses {d.name!r}")
         if store[d.name] not in d.domain:
             raise DomainError(f"initial value of {d.name!r} outside domain")
-    residues = tuple(t.body for t in program.threads)
+    table = control_table(program)
     snaps: dict[lang.LocationId, tuple[int, ...]] = {}
-    for t_idx, residue in enumerate(residues):
-        _record_arrival(snaps, program, t_idx, residue, 0)
-    return Configuration(
-        residues=residues,
-        store=tuple(sorted(store.items())),
-        clock=0,
-        trace=(),
-        snapshots=tuple(sorted(snaps.items())),
-    )
+    for t_idx, residue in enumerate(table.starts):
+        _record_arrival(snaps, table, t_idx, residue, 0)
+    return Configuration(table.starts, tuple(sorted(store.items())), 0, (),
+                         tuple(sorted(snaps.items())))
 
 
-def _record_arrival(snaps: dict, program: lang.Program, thread: int,
+def _record_arrival(snaps: dict, table: ControlTable, thread: int,
                     residue: tuple[lang.Stmt, ...], clock: int) -> None:
-    loc = residue[0].label if residue else lang.exit_label(program, thread)
+    loc = residue[0].label if residue else table.labels[thread][-1]
     snaps[loc] = snaps.get(loc, ()) + (clock,)
 
 
 def enabled(program: lang.Program, config: Configuration) -> frozenset[StepChoice]:
     """Threads that may take a step: not done, and not blocked on an await."""
-    store = config.store_dict()
-    choices = []
-    for t_idx, residue in enumerate(config.residues):
-        if not residue:
-            continue
-        head = residue[0]
-        if isinstance(head, lang.Await) and not eval_guard(head.guard, store):
-            continue
-        choices.append(StepChoice(t_idx))
-    return frozenset(choices)
+    table = control_table(program)
+    store = dict(config.store)
+    return frozenset([table.choices[t_idx] for t_idx, residue in enumerate(config.residues)
+                      if residue and ((node := table.nodes[id(residue[0])]).kind != _REGION
+                                      or node.run(store))])
 
 
 # How many statements one region body may run before it is taken not to
@@ -195,8 +302,9 @@ REGION_BUDGET = 100_000
 
 
 def run_atomic(stmt: lang.Stmt, store: Store, clock: int, costs: CostModel,
-               program: lang.Program, hook) -> int:
-    """Run one atomic action on ``store`` in place; return the clock after it.
+               program: lang.Program, hook) -> Optional[int]:
+    """Run one atomic action on ``store`` in place; return the clock after
+    it, or None for a region whose guard fails.
 
     The action is a skip, assignment, print or delay, or a region: a region
     whose guard holds costs its entry unit, and its body runs to completion
@@ -209,105 +317,86 @@ def run_atomic(stmt: lang.Stmt, store: Store, clock: int, costs: CostModel,
     raise :class:`DomainError`; a body that does not finish within
     ``REGION_BUDGET`` statements raises :class:`BudgetExceeded`.
     """
-    if isinstance(stmt, lang.Await):
-        if not eval_guard(stmt.guard, store):
-            raise LeakLabError("stepping a blocked await")
-        clock += costs.action_cost(stmt.label)  # entry cost
-        work: list[lang.Stmt] = list(stmt.body)
-        budget = REGION_BUDGET
-        while work:
-            budget -= 1
-            if budget <= 0:
-                raise BudgetExceeded("await body did not terminate")
-            inner = work.pop(0)
-            before = clock
-            if isinstance(inner, (lang.If, lang.While)):
-                work = list(_unfold(inner, store)) + work
-                clock += costs.action_cost(inner.label)
-            else:
-                clock = _run_simple(inner, store, clock, costs, program)
-            if hook is not None:
-                hook(inner, before, clock)
-        return clock
-    after = _run_simple(stmt, store, clock, costs, program)
-    if hook is not None:
-        hook(stmt, clock, after)
-    return after
-
-
-def _unfold(s: lang.Stmt, store: Store) -> tuple[lang.Stmt, ...]:
-    """The statements a branch or a loop head passes control to."""
-    if isinstance(s, lang.If):
-        return s.then_body if eval_guard(s.guard, store) else s.else_body
-    return s.body + (s,) if eval_guard(s.guard, store) else ()
-
-
-def _run_simple(s: lang.Stmt, store: Store, at: int, costs: CostModel,
-                program: lang.Program) -> int:
-    """One skip, assignment, print or delay; returns the post-action clock."""
-    if isinstance(s, (lang.Skip, lang.Print)):
-        return at + costs.action_cost(s.label)
-    if isinstance(s, lang.Assign):
-        value = eval_expr(s.value, store)
-        if value not in program.decl(s.target).domain:
-            raise DomainError(
-                f"assignment at {program.location_str(s.label)} sets "
-                f"{s.target} to {value}, outside its declared domain")
-        store[s.target] = value
-        return at + costs.action_cost(s.label)
-    if isinstance(s, lang.Delay):
-        if s.label in costs.overrides:
-            d = costs.overrides[s.label]
+    nodes = control_table(program).nodes
+    node = nodes[id(stmt)]
+    if node.kind == _ACTION:
+        after = node.run(store, clock, costs)
+        if hook is not None:
+            hook(stmt, clock, after)
+        return after
+    if node.kind != _REGION:
+        raise TypeError(stmt)
+    if not node.run(store):
+        return None
+    clock += costs.action_cost(stmt.label)  # entry cost
+    residue = node.alt
+    budget = REGION_BUDGET
+    while residue:
+        budget -= 1
+        if budget <= 0:
+            raise BudgetExceeded("await body did not terminate")
+        inner = residue[0]
+        node = nodes[id(inner)]
+        before = clock
+        if node.kind == _BRANCH:
+            residue = node.succ if node.run(store) else node.alt
+            clock += costs.action_cost(inner.label)
         else:
-            d = eval_expr(s.duration, store)
-        if isinstance(d, bool) or not isinstance(d, int):
-            raise DomainError(f"expected int, got {d!r}")
-        if d < 0:
-            raise DomainError(f"negative delay {d} at {program.location_str(s.label)}")
-        return at + d
-    raise TypeError(s)
+            residue = node.succ
+            clock = node.run(store, clock, costs)
+        if hook is not None:
+            hook(inner, before, clock)
+    return clock
+
+
+def _recorder(table: ControlTable, head: lang.Stmt, thread: int, store: Store,
+              snaps: dict, events: list):
+    """The ``run_atomic`` hook of a step: it records each arrival inside a
+    region body and each printed event."""
+    def hook(s: lang.Stmt, before: int, after: int) -> None:
+        if s is not head:  # control reached s inside a region body
+            snaps[s.label] = snaps.get(s.label, ()) + (before,)
+        payload = table.nodes[id(s)].payload
+        if payload is not None:
+            events.append(Event(thread, payload(store), after))
+    return hook
 
 
 def step(program: lang.Program, config: Configuration, choice: StepChoice,
          costs: CostModel = CostModel()) -> Configuration:
-    """Advance one thread by one atomic action."""
+    """Advance one thread by one atomic action.
+
+    The new residue is the table's successor of the old one's head, so a
+    residue is always the static continuation of its head statement.
+    """
     t_idx = choice.thread
     residue = config.residues[t_idx]
     if not residue:
         raise LeakLabError(f"thread {t_idx} already done")
-    head, rest = residue[0], residue[1:]
-    store = config.store_dict()
-    clock = config.clock
-    trace = list(config.trace)
-    snaps = config.snapshot_dict()
-
-    def hook(s: lang.Stmt, before: int, after: int) -> None:
-        if s is not head:  # control reached s inside a region body
-            snaps[s.label] = snaps.get(s.label, ()) + (before,)
-        if isinstance(s, lang.Print):
-            if isinstance(s.value, lang.StrLit):
-                payload = s.value.value
-            else:
-                payload = render_value(eval_expr(s.value, store))
-            trace.append(Event(t_idx, payload, after))
-
-    if isinstance(head, (lang.If, lang.While)):
-        new_residue = _unfold(head, store) + rest
-        clock += costs.action_cost(head.label)
+    table = control_table(program)
+    head = residue[0]
+    node = table.nodes[id(head)]
+    store = dict(config.store)
+    snaps = dict(config.snapshots)
+    trace = config.trace
+    if node.kind == _BRANCH:
+        new_residue = node.succ if node.run(store) else node.alt
+        clock = config.clock + costs.action_cost(head.label)
     else:
-        clock = run_atomic(head, store, clock, costs, program, hook)
-        new_residue = rest
+        events: list[Event] = []
+        hook = (_recorder(table, head, t_idx, store, snaps, events)
+                if node.kind == _REGION or node.payload else None)
+        clock = run_atomic(head, store, config.clock, costs, program, hook)
+        if clock is None:
+            raise LeakLabError("stepping a blocked await")
+        new_residue = node.succ
+        trace += tuple(events)
 
-    _record_arrival(snaps, program, t_idx, new_residue, clock)
+    _record_arrival(snaps, table, t_idx, new_residue, clock)
     residues = list(config.residues)
     residues[t_idx] = new_residue
-    return Configuration(
-        residues=tuple(residues),
-        store=tuple(sorted(store.items())),
-        clock=clock,
-        trace=tuple(trace),
-        snapshots=tuple(sorted(snaps.items())),
-    )
+    return Configuration(tuple(residues), tuple(sorted(store.items())), clock, trace,
+                         tuple(sorted(snaps.items())))
 
 
 def run_deterministic(program: lang.Program, init: Store,

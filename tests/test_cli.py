@@ -139,6 +139,66 @@ class TestLeakscan:
                               "--timing-blind")
         assert "  obs [a c d b] K=[{'h': 0}] LEAKY" in blind.splitlines()
 
+    def test_stats_come_only_with_the_flag(self, capsys):
+        _, plain, _ = run_cli(capsys, "leakscan", fixture("semaphore_pair.cwl"),
+                              "--format", "json")
+        _, with_stats, _ = run_cli(capsys, "leakscan", fixture("semaphore_pair.cwl"),
+                                   "--format", "json", "--stats")
+        data = json.loads(with_stats)
+        stats = data.pop("stats")
+        assert json.dumps(data, sort_keys=True, indent=2) + "\n" == plain
+        assert [row["secret"] for row in stats] == [{"h": 0}, {"h": 1}]
+        _, human, _ = run_cli(capsys, "leakscan", fixture("semaphore_pair.cwl"))
+        _, human_stats, _ = run_cli(capsys, "leakscan", fixture("semaphore_pair.cwl"),
+                                    "--stats")
+        extra = human_stats.splitlines()[len(human.splitlines()):]
+        assert human_stats.startswith(human) and len(extra) == 2
+        assert extra[0].startswith("  stats {'h': 0}: ")
+        assert extra[0].endswith(" 0 truncated, 0 deadlocked, bounds fired: none")
+
+    def test_stats_count_the_search(self, capsys, monkeypatch):
+        from leaklab import explorer, lang, semantics
+        calls = []
+        step = semantics.step
+        monkeypatch.setattr(semantics, "step", lambda *args: calls.append(1) or step(*args))
+        _, out, _ = run_cli(capsys, "leakscan", fixture("semaphore_pair.cwl"),
+                            "--format", "json", "--stats")
+        stats = json.loads(out)["stats"]
+        assert sum(row["edges"] for row in stats) == len(calls) > 0
+        program = lang.parse_program(Path(fixture("semaphore_pair.cwl")).read_text())
+        for row in stats:
+            keys = []
+            explorer.search(program, {**program.initial_store(), **row["secret"]},
+                            explorer.ExploreBounds(), semantics.CostModel(), frozenset(),
+                            lambda key, config, outcome: keys.append(key))
+            assert row["states"] == len(keys)
+            assert (row["truncated"], row["deadlocked"], row["bounds_fired"]) == (0, 0, [])
+
+    @pytest.mark.parametrize("flags,fired", [
+        ((), []),
+        (("--bound-steps", "3"), ["--bound-steps"]),
+        (("--bound-configs", "10"), ["--bound-configs"]),
+        (("--bound-steps", "3", "--bound-configs", "4"), ["--bound-steps", "--bound-configs"]),
+    ])
+    def test_stats_name_the_bounds_that_fired(self, capsys, flags, fired):
+        _, out, _ = run_cli(capsys, "leakscan", fixture("semaphore_pair.cwl"),
+                            "--format", "json", "--stats", *flags)
+        data = json.loads(out)
+        assert [row["bounds_fired"] for row in data["stats"]] == [fired, fired]
+        assert data["complete"] == (not fired)
+        for row in data["stats"]:
+            assert (row["truncated"] > 0) == ("--bound-steps" in fired)
+            if "--bound-configs" in fired:
+                assert row["states"] == int(flags[flags.index("--bound-configs") + 1])
+
+    def test_stats_without_secrets(self, capsys, tmp_path):
+        safe = tmp_path / "safe.cwl"
+        safe.write_text("var x : int[0..1] label low = 0;\nthread A { print('x'); }")
+        _, out, _ = run_cli(capsys, "leakscan", str(safe), "--format", "json", "--stats")
+        assert json.loads(out)["stats"] == [{"secret": {}, "states": 2, "edges": 1,
+                                             "truncated": 0, "deadlocked": 0,
+                                             "bounds_fired": []}]
+
     @pytest.mark.parametrize("name,expected", [("semaphore_pair.cwl", 1),
                                                ("corpus/06_unused_secret.cwl", 0)])
     def test_closed_stdout_keeps_exit_code(self, name, expected):
@@ -346,6 +406,10 @@ class TestReportSchemas:
                               "--bound-steps", "40", "--timing-blind",
                               "--format", "json")
         self.validate(blind, "leakscan.schema.json")
+        for flags in ((), ("--bound-steps", "3", "--bound-configs", "4")):
+            _, stats, _ = run_cli(capsys, "leakscan", fixture("semaphore_pair.cwl"),
+                                  "--stats", "--format", "json", *flags)
+            self.validate(stats, "leakscan.schema.json")
 
     def test_ogcheck_reports(self, capsys):
         for name in ("semaphore_pair_annotated.cwl", "semaphore_pair_inverted.cwl"):

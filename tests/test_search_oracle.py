@@ -101,6 +101,22 @@ def test_timing_blind_bounds_keep_the_clock():
     assert stats.durations[()] == {2, 3, 4, 5, 9}
 
 
+# Whether B runs first or not, A reaches print('e') by a different branch
+# after the same number of steps, with the same store and clock, so the
+# search merges the two states by A's head statement alone.  That is exact
+# only while each residue is the static continuation of its head; a step
+# that left the two residues different after the head would lose states.
+REJOIN = ("var x : int[0..1] label low = 0;\n"
+          "thread A { if x then { print('t'); } else { skip; }; print('e'); }\n"
+          "thread B { x = 1; }")
+
+
+def test_branches_that_rejoin_match_oracle():
+    program = lang.parse_program(REJOIN)
+    assert_durations_match(program, 200)
+    assert_states_match(program, 200)
+
+
 def test_states_watching_everything_match_oracle(semaphore_pair):
     # Watching every location, the search keeps every snapshot the oracle does.
     domain = explorer.secret_domain_of(semaphore_pair)
