@@ -312,6 +312,22 @@ def eval_assertion(a: Assertion, store: semantics.Store,
     return compile_assertion(a, tolerance)(store, snapshots, clock)
 
 
+# One closure factory per binary operator, so a node builds only its own.
+_BINARY = {
+    "and": lambda left, right: lambda s, n, c, e: left(s, n, c, e) and right(s, n, c, e),
+    "or": lambda left, right: lambda s, n, c, e: left(s, n, c, e) or right(s, n, c, e),
+    "=": lambda left, right: lambda s, n, c, e: left(s, n, c, e) == right(s, n, c, e),
+    "!=": lambda left, right: lambda s, n, c, e: left(s, n, c, e) != right(s, n, c, e),
+    "<": lambda left, right: lambda s, n, c, e: left(s, n, c, e) < right(s, n, c, e),
+    "<=": lambda left, right: lambda s, n, c, e: left(s, n, c, e) <= right(s, n, c, e),
+    ">": lambda left, right: lambda s, n, c, e: left(s, n, c, e) > right(s, n, c, e),
+    ">=": lambda left, right: lambda s, n, c, e: left(s, n, c, e) >= right(s, n, c, e),
+    "+": lambda left, right: lambda s, n, c, e: left(s, n, c, e) + right(s, n, c, e),
+    "-": lambda left, right: lambda s, n, c, e: left(s, n, c, e) - right(s, n, c, e),
+    "*": lambda left, right: lambda s, n, c, e: left(s, n, c, e) * right(s, n, c, e),
+}
+
+
 def compile_assertion(a: Assertion, tolerance: int = 0):
     """Build an evaluator ``fn(store, snapshots, clock) -> bool``.
 
@@ -370,22 +386,7 @@ def compile_assertion(a: Assertion, tolerance: int = 0):
             return lambda s, n, c, e: any(
                 body(s, n, c, {**e, var: v}) for v in values)
         if isinstance(x, lang.BinOp):
-            left, right = comp(x.left), comp(x.right)
-            op = x.op
-            table = {
-                "and": lambda s, n, c, e: left(s, n, c, e) and right(s, n, c, e),
-                "or": lambda s, n, c, e: left(s, n, c, e) or right(s, n, c, e),
-                "=": lambda s, n, c, e: left(s, n, c, e) == right(s, n, c, e),
-                "!=": lambda s, n, c, e: left(s, n, c, e) != right(s, n, c, e),
-                "<": lambda s, n, c, e: left(s, n, c, e) < right(s, n, c, e),
-                "<=": lambda s, n, c, e: left(s, n, c, e) <= right(s, n, c, e),
-                ">": lambda s, n, c, e: left(s, n, c, e) > right(s, n, c, e),
-                ">=": lambda s, n, c, e: left(s, n, c, e) >= right(s, n, c, e),
-                "+": lambda s, n, c, e: left(s, n, c, e) + right(s, n, c, e),
-                "-": lambda s, n, c, e: left(s, n, c, e) - right(s, n, c, e),
-                "*": lambda s, n, c, e: left(s, n, c, e) * right(s, n, c, e),
-            }
-            return table[op]
+            return _BINARY[x.op](comp(x.left), comp(x.right))
         raise TypeError(x)
 
     fn = comp(a)

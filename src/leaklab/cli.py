@@ -141,7 +141,12 @@ def cmd_leakscan(args: argparse.Namespace) -> int:
     init = _parse_inits(program, args.init or [])
     report = explorer.knowledge_partition(program, init, secret_domain, bounds, costs)
     data = report.to_json()
-    human = [f"verdict: {report.verdict} (complete={report.complete})"]
+    verdict = f"verdict: {report.verdict} (complete={report.complete}"
+    if report.verdict == "inconclusive":
+        verdict += "; bounds fired: " + " ".join(
+            flag for flag in ("--bound-steps", "--bound-configs")
+            if any(flag in row["bounds_fired"] for row in report.stats))
+    human = [verdict + ")"]
     for row in data["observations"]:
         flag = " LEAKY" if row["leaky"] else ""
         events = " ".join(f"{e['payload']}@{e['timestamp']}" if "timestamp" in e
@@ -190,6 +195,18 @@ def cmd_ogcheck(args: argparse.Namespace) -> int:
         human.append(f"  [{row['status']:^14}] {row['kind']}: {row['provenance']}")
         if "counterexample" in row:
             human.append(f"      counterexample: {row['counterexample']}")
+    if args.stats:
+        distinct = result.discharged()
+        data["stats"] = stats = {
+            "vcs": len(rows),
+            "discharged": len(distinct),
+            "states_enumerated": sum(r.checked for r in distinct),
+            "by_status": {s: len(result.by_status(s))
+                          for s in ("valid", "counterexample", "undischarged")},
+        }
+        human.append(f"stats: {stats['vcs']} VCs, {stats['discharged']} discharged, "
+                     f"{stats['states_enumerated']} states enumerated; " + ", ".join(
+                         f"{n} {s}" for s, n in stats["by_status"].items()))
     _emit(data, args.format == "json", human)
     return {"proven": 0, "refuted": 1, "incomplete": 3}[result.overall]
 
@@ -409,6 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-strict-stability", action="store_true",
                    help="do not protect print/delay pre-assertions")
     p.add_argument("--snapshot-bound", type=int, default=64)
+    p.add_argument("--stats", action="store_true",
+                   help="report how many conditions were discharged and states enumerated")
     p.set_defaults(func=cmd_ogcheck)
 
     p = sub.add_parser("dl", help="dynamic-labelling pass; flag sensitive outputs")

@@ -81,6 +81,11 @@ class ProofResult:
     def by_status(self, status: str) -> list[tuple[VC, DischargeResult]]:
         return [(vc, r) for vc, r in self.entries if r.status == status]
 
+    def discharged(self) -> list[DischargeResult]:
+        """One result per distinct triple, in first-use order: entries
+        whose VCs are the same triple share one result object."""
+        return list({id(r): r for _, r in self.entries}.values())
+
 
 def _conj(*parts: asrt.Assertion) -> asrt.Assertion:
     out: Optional[asrt.Assertion] = None
@@ -729,11 +734,22 @@ def check_proof(annotated: asrt.AnnotatedProgram,
                 max_states: int = 2_000_000,
                 tolerance: int = 0,
                 secret_domain: Optional[tuple] = None) -> ProofResult:
-    """Generate all three VC families, discharge them, and aggregate."""
+    """Generate all three VC families, discharge them, and aggregate.
+
+    Each distinct triple is discharged once: VCs that differ only in kind
+    and provenance share one :class:`DischargeResult`.  The class stays in
+    the key because a :class:`FactlessVC` judges a failing rule apart.
+    """
     program = annotated.program
     vcs, notices = gen_vcs(annotated, strict_stability, costs, secret_domain)
-    entries = [(vc, discharge_vc(vc, program, costs, snapshot_bound,
-                                 max_states, tolerance)) for vc in vcs]
+    discharged: dict[tuple, DischargeResult] = {}
+    entries = []
+    for vc in vcs:
+        key = (type(vc), vc.pre, vc.stmt, vc.post)
+        if key not in discharged:
+            discharged[key] = discharge_vc(vc, program, costs, snapshot_bound,
+                                           max_states, tolerance)
+        entries.append((vc, discharged[key]))
     statuses = [r.status for _, r in entries]
     if any(s == "counterexample" for s in statuses):
         overall = "refuted"

@@ -183,6 +183,39 @@ class TestEval:
                     continue
                 assert fast(store, snaps, clock) == expected, (tolerance, store, snaps, clock)
 
+    @pytest.mark.parametrize("op", lang.BOOL_OPS + lang.CMP_OPS + lang.ADD_OPS + lang.MUL_OPS)
+    def test_every_binary_operator_matches_interpreted(self, op):
+        h, v, w = lang.Var("h"), lang.Var("v"), lang.Var("w")
+        if op in lang.BOOL_OPS:
+            a = lang.BinOp(op, lang.BinOp("<", h, v), lang.BinOp("<", v, w))
+        elif op in lang.CMP_OPS:
+            a = lang.BinOp(op, h, v)
+        else:
+            a = lang.BinOp("=", lang.BinOp(op, h, v), w)
+        fast = asrt.compile_assertion(a)
+        values = [fast(store, {}, 0) for store in GRID_STORES]
+        assert values == [assertion_oracle.evaluate(a, store, {}, 0) for store in GRID_STORES]
+        assert True in values and False in values
+
+    @pytest.mark.parametrize("op,left", [("and", False), ("or", True)])
+    def test_and_or_stop_before_an_undefined_right_side(self, region_thread, op, left):
+        undefined = resolved("t@l4 > 0", region_thread)
+        snaps = {L(0, 0): (1,)}
+        decided = lang.BinOp(op, lang.BoolLit(left), undefined)
+        assert asrt.compile_assertion(decided)({}, snaps, 0) is left
+        assert assertion_oracle.evaluate(decided, {}, snaps, 0) is left
+        open_ = lang.BinOp(op, lang.BoolLit(not left), undefined)
+        with pytest.raises(SnapshotUndefined):
+            asrt.compile_assertion(open_)({}, snaps, 0)
+        with pytest.raises(SnapshotUndefined):
+            assertion_oracle.evaluate(open_, {}, snaps, 0)
+
+
+# Operands for every binary operator: equal, smaller and larger pairs, with
+# negative values and results that both meet and miss ``w``.
+GRID_STORES = [{"h": h, "v": v, "w": w}
+               for h in range(-2, 3) for v in range(-2, 3) for w in (-4, -1, 0, 1, 4)]
+
 
 # Stores, snapshots (l4 never reached in the second) and clocks to compare on.
 EVAL_STATES = [({"h": h, "v": v}, snaps, clock)

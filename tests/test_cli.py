@@ -191,6 +191,18 @@ class TestLeakscan:
             if "--bound-configs" in fired:
                 assert row["states"] == int(flags[flags.index("--bound-configs") + 1])
 
+    def test_inconclusive_human_verdict_names_the_bound(self, capsys):
+        code, out, _ = run_cli(capsys, "leakscan", fixture("semaphore_pair.cwl"),
+                               "--bound-steps", "3")
+        assert code == 3
+        assert out.splitlines()[0] == (
+            "verdict: inconclusive (complete=False; bounds fired: --bound-steps)")
+        _, both, _ = run_cli(capsys, "leakscan", fixture("semaphore_pair.cwl"),
+                             "--bound-steps", "3", "--bound-configs", "4")
+        assert both.splitlines()[0].endswith("bounds fired: --bound-steps --bound-configs)")
+        _, done, _ = run_cli(capsys, "leakscan", fixture("semaphore_pair.cwl"))
+        assert done.splitlines()[0] == "verdict: leak-found (complete=True)"
+
     def test_stats_without_secrets(self, capsys, tmp_path):
         safe = tmp_path / "safe.cwl"
         safe.write_text("var x : int[0..1] label low = 0;\nthread A { print('x'); }")
@@ -259,6 +271,47 @@ class TestOgcheck:
         assert data["overall"] == "incomplete"
         assert [row["status"] for row in data["vcs"] if row["kind"] == "leaky"] == [
             "undischarged"]
+
+    @pytest.mark.parametrize("name", ["semaphore_pair_annotated.cwl",
+                                      "semaphore_pair_inverted.cwl"])
+    def test_stats_come_only_with_the_flag(self, capsys, name):
+        _, plain, _ = run_cli(capsys, "ogcheck", fixture(name), "--format", "json")
+        _, with_stats, _ = run_cli(capsys, "ogcheck", fixture(name), "--format", "json",
+                                   "--stats")
+        data = json.loads(with_stats)
+        stats = data.pop("stats")
+        assert json.dumps(data, sort_keys=True, indent=2) + "\n" == plain
+        assert stats["vcs"] == len(data["vcs"]) == sum(stats["by_status"].values())
+        assert stats["by_status"] == {
+            status: sum(row["status"] == status for row in data["vcs"])
+            for status in ("valid", "counterexample", "undischarged")}
+        _, human, _ = run_cli(capsys, "ogcheck", fixture(name))
+        _, human_stats, _ = run_cli(capsys, "ogcheck", fixture(name), "--stats")
+        assert human_stats.startswith(human)
+        [extra] = human_stats.splitlines()[len(human.splitlines()):]
+        assert extra.startswith(f"stats: {stats['vcs']} VCs, {stats['discharged']} discharged, "
+                                f"{stats['states_enumerated']} states enumerated; ")
+
+    def test_stats_count_each_distinct_triple_once(self, capsys, monkeypatch):
+        from leaklab import proofs
+        checked = []
+        discharge = proofs.discharge_vc
+
+        def counted(*args):
+            result = discharge(*args)
+            checked.append(result.checked)
+            return result
+
+        monkeypatch.setattr(proofs, "discharge_vc", counted)
+        _, out, _ = run_cli(capsys, "ogcheck", fixture("semaphore_pair_annotated.cwl"),
+                            "--format", "json", "--stats")
+        stats = json.loads(out)["stats"]
+        assert (stats["vcs"], stats["discharged"]) == (38, 24)
+        assert stats["states_enumerated"] == sum(checked)
+        assert len(checked) == stats["discharged"]
+        _, again, _ = run_cli(capsys, "ogcheck", fixture("semaphore_pair_annotated.cwl"),
+                              "--format", "json", "--stats")
+        assert again == out
 
     def test_unannotated_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "ogcheck", fixture("semaphore_pair.cwl"))
@@ -413,9 +466,10 @@ class TestReportSchemas:
 
     def test_ogcheck_reports(self, capsys):
         for name in ("semaphore_pair_annotated.cwl", "semaphore_pair_inverted.cwl"):
-            _, out, _ = run_cli(capsys, "ogcheck", fixture(name),
-                                "--format", "json")
-            self.validate(out, "ogcheck.schema.json")
+            for flags in ((), ("--stats",)):
+                _, out, _ = run_cli(capsys, "ogcheck", fixture(name),
+                                    "--format", "json", *flags)
+                self.validate(out, "ogcheck.schema.json")
 
     def test_dl_report(self, capsys):
         _, out, _ = run_cli(capsys, "dl", fixture("region_thread.cwl"),
