@@ -228,7 +228,7 @@ def rewrite(a: Assertion, fn, bound: frozenset = frozenset()) -> Assertion:
     if isinstance(a, Quantified):
         bound = bound | {a.var}
     changed = {}
-    for name in _field_names(type(a)):
+    for name in field_names(type(a)):
         child = getattr(a, name)
         if isinstance(child, lang.Expr):
             new_child = rewrite(child, fn, bound)
@@ -238,7 +238,8 @@ def rewrite(a: Assertion, fn, bound: frozenset = frozenset()) -> Assertion:
 
 
 @functools.cache
-def _field_names(node_type: type) -> tuple[str, ...]:
+def field_names(node_type: type) -> tuple[str, ...]:
+    """The dataclass field names of an assertion node type, in order."""
     return tuple(f.name for f in fields(node_type))
 
 
@@ -264,21 +265,50 @@ def snapshot_terms(a: Assertion) -> list[SnapshotTerm]:
     return [x for x, _ in subterms(a) if isinstance(x, SnapshotTerm)]
 
 
-def atoms(a: Assertion) -> list[Assertion]:
-    """The subterms of ``a`` under its connectives (``and``, ``or``,
-    ``not``, ``->`` and the quantifiers), left to right."""
-    out: list[Assertion] = []
+def join_forms(forms) -> tuple:
+    """The analysed form of a conjunction of parts with the given
+    analysed forms (see :func:`analyse`)."""
+    free: frozenset[str] = frozenset()
+    slots: dict = {}
+    clock = False
+    atoms: frozenset[int] = frozenset()
+    for f_free, f_slots, f_clock, f_atoms in forms:
+        free |= f_free
+        for loc, want in f_slots.items():
+            if want > slots.get(loc, 0):
+                slots[loc] = want
+        clock = clock or f_clock
+        atoms |= f_atoms
+    return free, slots, clock, atoms
 
-    def visit(x: Assertion, _bound: frozenset) -> Optional[Assertion]:
-        if (isinstance(x, (Implies, Quantified))
-                or isinstance(x, lang.BinOp) and x.op in lang.BOOL_OPS
-                or isinstance(x, lang.UnaryOp) and x.op == "not"):
-            return None
-        out.append(x)
-        return x
 
-    rewrite(a, visit)
-    return out
+def analyse(x: Assertion, n: int, parts: list[tuple]) -> tuple:
+    """The analysed form of node ``x``, numbered ``n``, from the analysed
+    forms of its subterms in field order.
+
+    The form is ``(free, slots, clock, atoms)``: the variable names no
+    quantifier binds, the arrivals each snapshot location needs (the key
+    None collects unresolved snapshot terms), whether the clock ``t``
+    occurs, and the numbers of the snapshot atoms: the subterms under the
+    connectives (``and``, ``or``, ``not``, ``->`` and the quantifiers)
+    that mention a snapshot.  Equal nodes have equal forms, so a table
+    that numbers equal nodes alike analyses each number once.
+    """
+    if isinstance(x, lang.Var):
+        return frozenset((x.name,)), {}, False, frozenset()
+    if isinstance(x, SnapshotTerm):
+        want = 1 if x.arrival is None else x.arrival + 1
+        return frozenset(), {x.resolved: want}, False, frozenset((n,))
+    if isinstance(x, ClockTerm):
+        return frozenset(), {}, True, frozenset()
+    free, slots, clock, atoms = join_forms(parts)
+    if isinstance(x, Quantified):
+        free -= {x.var}
+    elif not (isinstance(x, Implies)
+              or isinstance(x, lang.BinOp) and x.op in lang.BOOL_OPS
+              or isinstance(x, lang.UnaryOp) and x.op == "not"):
+        atoms = frozenset((n,)) if slots else frozenset()
+    return free, slots, clock, atoms
 
 
 def resolve_assertion(a: Assertion, program: lang.Program,

@@ -4,8 +4,10 @@ Subcommands: parse, run, leakscan, ogcheck, dl, ifc, emit-smt.
 
 Exit codes: 0 success / no leak / proven; 1 leak found / proof refuted /
 flow violation; 2 input error (parse, annotation, scenario); 3 inconclusive
-(bounds exhausted or undischarged conditions).  The cost-model file can
-also be supplied through the ``LEAKLAB_CONFIG`` environment variable.
+(bounds exhausted or undischarged conditions).  ``dl`` exits 0 even when it
+reports flags: a flag is a candidate for a leak, not a verdict.  The
+cost-model file can also be supplied through the ``LEAKLAB_CONFIG``
+environment variable.
 """
 
 from __future__ import annotations
@@ -203,10 +205,12 @@ def cmd_ogcheck(args: argparse.Namespace) -> int:
             "states_enumerated": sum(r.checked for r in distinct),
             "by_status": {s: len(result.by_status(s))
                           for s in ("valid", "counterexample", "undischarged")},
+            "assertions": result.assertions,
         }
         human.append(f"stats: {stats['vcs']} VCs, {stats['discharged']} discharged, "
                      f"{stats['states_enumerated']} states enumerated; " + ", ".join(
-                         f"{n} {s}" for s, n in stats["by_status"].items()))
+                         f"{n} {s}" for s, n in stats["by_status"].items())
+                     + f"; {stats['assertions']} distinct assertion terms")
     _emit(data, args.format == "json", human)
     return {"proven": 0, "refuted": 1, "incomplete": 3}[result.overall]
 
@@ -365,6 +369,7 @@ def cmd_emit_smt(args: argparse.Namespace) -> int:
     costs = tool_config.cost_model(program)
     annotated = asrt.annotate_program(program)
     vcs, _notices = proofs.gen_vcs(annotated, not args.no_strict_stability, costs)
+    table = proofs.AssertionTable(program, tool_config.tolerance)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     counters: dict[str, int] = {}
@@ -373,7 +378,7 @@ def cmd_emit_smt(args: argparse.Namespace) -> int:
         index = counters.get(vc.kind, 0)
         counters[vc.kind] = index + 1
         text = proofs.emit_smtlib(vc, program, costs, args.snapshot_bound,
-                                  tool_config.tolerance)
+                                  tool_config.tolerance, table)
         (out_dir / f"vc_{vc.kind}_{index}.smt2").write_text(text, encoding="utf-8")
         written += 1
     _write(f"wrote {written} SMT-LIB files to {out_dir}\n")
@@ -427,10 +432,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="do not protect print/delay pre-assertions")
     p.add_argument("--snapshot-bound", type=int, default=64)
     p.add_argument("--stats", action="store_true",
-                   help="report how many conditions were discharged and states enumerated")
+                   help="report how many conditions were discharged, states enumerated "
+                        "and distinct assertions analysed")
     p.set_defaults(func=cmd_ogcheck)
 
-    p = sub.add_parser("dl", help="dynamic-labelling pass; flag sensitive outputs")
+    p = sub.add_parser(
+        "dl", help="dynamic-labelling pass; flag sensitive outputs",
+        description="Dynamic-labelling pass: flag outputs that may depend on a secret.",
+        epilog="Exits 0 whether or not it reports flags: a flag is a candidate for "
+               "a leak, not a verdict (leakscan and ogcheck give verdicts).")
     common(p, bounds=True)
     p.add_argument("--lattice", help="lattice definition JSON")
     p.add_argument("--synthesize", action="store_true",

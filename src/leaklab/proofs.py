@@ -77,6 +77,7 @@ class ProofResult:
     message: str
     certified: tuple[lang.LocationId, ...]
     warnings: list[str] = field(default_factory=list)
+    assertions: int = 0  # distinct assertion terms numbered, subterms included
 
     def by_status(self, status: str) -> list[tuple[VC, DischargeResult]]:
         return [(vc, r) for vc, r in self.entries if r.status == status]
@@ -228,22 +229,26 @@ def gen_sequential_vcs(annotated: asrt.AnnotatedProgram, thread: int,
     return vcs, outline
 
 
-def thread_outline(annotated: asrt.AnnotatedProgram, thread: int) -> Outline:
-    _, outline = gen_sequential_vcs(annotated, thread)
-    return outline
+def thread_outlines(annotated: asrt.AnnotatedProgram) -> dict[int, Outline]:
+    """Every thread's outline, by thread index."""
+    return {t: gen_sequential_vcs(annotated, t)[1]
+            for t in range(len(annotated.program.threads))}
 
 
 def gen_interference_vcs(annotated: asrt.AnnotatedProgram,
-                         strict_stability: bool = True) -> list[VC]:
+                         strict_stability: bool = True,
+                         outlines: Optional[dict[int, Outline]] = None) -> list[VC]:
     """Freedom-from-interference conditions between every thread pair.
 
     For each assignment or region T of thread j and each other thread i:
     (1) T preserves thread i's post assertion, and (2) T preserves the
     pre-assertion of every assignment/region of thread i (with
-    ``strict_stability`` also of i's prints and delays).
+    ``strict_stability`` also of i's prints and delays).  ``outlines``
+    are the threads' outlines, built here when not given.
     """
     program = annotated.program
-    outlines = {t: thread_outline(annotated, t) for t in range(len(program.threads))}
+    if outlines is None:
+        outlines = thread_outlines(annotated)
     vcs: list[VC] = []
     for j, thread_j in enumerate(program.threads):
         writers = atomic_statements(thread_j.body)
@@ -321,8 +326,10 @@ def path_fact_assertion(program: lang.Program, thread: int,
 def gen_leaky_vcs(annotated: asrt.AnnotatedProgram,
                   costs: semantics.CostModel = semantics.CostModel(),
                   secret_domain: Optional[tuple] = None,
+                  outlines: Optional[dict[int, Outline]] = None,
                   ) -> tuple[list[VC], list[str]]:
-    """Stability and rule-support conditions for every leak postulate."""
+    """Stability and rule-support conditions for every leak postulate;
+    ``outlines`` as for :func:`gen_interference_vcs`."""
     program = annotated.program
     notices: list[str] = []
     if not annotated.leaky:
@@ -330,7 +337,8 @@ def gen_leaky_vcs(annotated: asrt.AnnotatedProgram,
     if secret_domain is None:
         secret_domain = explorer.secret_domain_of(program)
     vcs: list[VC] = []
-    outlines = {t: thread_outline(annotated, t) for t in range(len(program.threads))}
+    if outlines is None:
+        outlines = thread_outlines(annotated)
 
     for loc, postulate in sorted(annotated.leaky.items()):
         output_stmt = program.statement_at(loc)
@@ -403,27 +411,112 @@ def _execute_atomic(stmt: lang.Stmt, store: dict, clock: int,
     return None if clock is None else (store, clock)
 
 
-def _vc_symbols(vc: VC, program: lang.Program) -> tuple[list, list, bool]:
-    """Referenced program/ghost variables as ``(name, domain, type)``,
-    snapshot slots, clock usage."""
-    nodes = asrt.subterms(vc.pre) + asrt.subterms(vc.post)
-    names = asrt.free_names(nodes)
-    if vc.stmt is not None:
-        names |= lang.free_vars(vc.stmt)
-    decls = {d.name: d for d in program.ghosts + program.declarations}
-    variables = []
-    for n in sorted(names):
-        if n not in decls:
-            raise LeakLabError(f"undeclared name {n!r} in verification condition")
-        variables.append((n, decls[n].domain, decls[n].type))
-    slots: dict[lang.LocationId, int] = {}
-    for term in (x for x, _ in nodes if isinstance(x, asrt.SnapshotTerm)):
-        if term.resolved is None:
+class AssertionTable:
+    """Hash-consed assertions of one proof check or one ``emit-smt`` run.
+
+    :meth:`number` numbers assertion nodes bottom-up: a node's key is its
+    type with its fields, each subterm replaced by its number, so two
+    nodes get one number exactly when they are equal.  Statements are
+    numbered by value the same way.  Lookups are memoised by identity, and
+    the table keeps every node and statement it has seen alive so that no
+    identity is reused.  Each number is analysed once
+    (:func:`assertions.analyse`); its evaluator and the classification of
+    a snapshot atom are built on first use.  A table must not outlive the
+    call that made it: it holds every assertion of that call.
+    """
+
+    def __init__(self, program: lang.Program, tolerance: int = 0) -> None:
+        self.program = program
+        self.tolerance = tolerance
+        self.decls = {d.name: d for d in program.ghosts + program.declarations}
+        self.nodes: list[asrt.Assertion] = []  # number -> first node seen
+        self.forms: list[tuple] = []  # number -> analysed form
+        self._by_key: dict[tuple, int] = {}
+        self._by_id: dict[int, int] = {}
+        self._seen: list = []  # every node and statement memoised by identity
+        self._evaluators: dict[int, object] = {}
+        self._classified: dict[int, Optional[tuple]] = {}
+        self._stmt_numbers: dict[lang.Stmt, int] = {}
+        self._stmts: dict[int, tuple[int, frozenset[str]]] = {}  # number, free names
+
+    def number(self, a: asrt.Assertion) -> int:
+        n = self._by_id.get(id(a))
+        if n is not None:
+            return n
+        values: list = [type(a)]
+        parts: list[tuple] = []
+        for name in asrt.field_names(type(a)):
+            value = getattr(a, name)
+            if isinstance(value, lang.Expr):
+                value = self.number(value)
+                parts.append(self.forms[value])
+            values.append(value)
+        key = tuple(values)
+        n = self._by_key.get(key)
+        if n is None:
+            n = self._by_key[key] = len(self.nodes)
+            self.nodes.append(a)
+            self.forms.append(asrt.analyse(a, n, parts))
+        self._by_id[id(a)] = n
+        self._seen.append(a)
+        return n
+
+    def _statement(self, stmt: lang.Stmt) -> tuple[int, frozenset[str]]:
+        found = self._stmts.get(id(stmt))
+        if found is None:
+            n = self._stmt_numbers.setdefault(stmt, len(self._stmt_numbers))
+            found = self._stmts[id(stmt)] = n, lang.free_vars(stmt)
+            self._seen.append(stmt)
+        return found
+
+    def key(self, vc: VC) -> tuple:
+        """VCs with equal keys are the same triple and discharge alike."""
+        stmt = None if vc.stmt is None else self._statement(vc.stmt)[0]
+        return type(vc), self.number(vc.pre), stmt, self.number(vc.post)
+
+    def evaluator(self, a: asrt.Assertion):
+        """:func:`assertions.compile_assertion` of ``a``, once per number."""
+        n = self.number(a)
+        fn = self._evaluators.get(n)
+        if fn is None:
+            fn = self._evaluators[n] = asrt.compile_assertion(self.nodes[n], self.tolerance)
+        return fn
+
+    def snapshot_atoms(self, vc: VC) -> list[Optional[tuple]]:
+        """The snapshot atoms of pre and post, each classified once by
+        :func:`regions.classify`."""
+        from . import regions
+        out = []
+        for n in self.forms[self.number(vc.pre)][3] | self.forms[self.number(vc.post)][3]:
+            if n not in self._classified:
+                self._classified[n] = regions.classify(self.nodes[n], self.tolerance)
+            out.append(self._classified[n])
+        return out
+
+    def symbols(self, vc: VC) -> tuple[list, list, bool]:
+        """Referenced program/ghost variables as ``(name, domain, type)``,
+        snapshot slots, clock usage."""
+        names, slots, uses_clock, _ = asrt.join_forms(
+            (self.forms[self.number(vc.pre)], self.forms[self.number(vc.post)]))
+        if vc.stmt is not None:
+            names |= self._statement(vc.stmt)[1]
+        variables = []
+        for n in sorted(names):
+            if n not in self.decls:
+                raise LeakLabError(f"undeclared name {n!r} in verification condition")
+            variables.append((n, self.decls[n].domain, self.decls[n].type))
+        if None in slots:
             raise LeakLabError("unresolved snapshot term in verification condition")
-        want = 1 if term.arrival is None else term.arrival + 1
-        slots[term.resolved] = max(slots.get(term.resolved, 0), want)
-    uses_clock = any(isinstance(x, asrt.ClockTerm) for x, _ in nodes)
-    return variables, sorted(slots.items()), uses_clock
+        return variables, sorted(slots.items()), uses_clock
+
+
+def _table_for(program: lang.Program, tolerance: int,
+               table: Optional[AssertionTable]) -> AssertionTable:
+    if table is None:
+        return AssertionTable(program, tolerance)
+    if table.program is not program or table.tolerance != tolerance:
+        raise ValueError("assertion table made for another program or tolerance")
+    return table
 
 
 def _snapshot_map(slot_axes: list[tuple[lang.LocationId, int]],
@@ -445,7 +538,8 @@ def discharge_vc(vc: VC, program: lang.Program,
                  costs: semantics.CostModel = semantics.CostModel(),
                  snapshot_bound: int = 64,
                  max_states: int = 2_000_000,
-                 tolerance: int = 0) -> DischargeResult:
+                 tolerance: int = 0,
+                 table: Optional[AssertionTable] = None) -> DischargeResult:
     """Enumerate all relevant states; valid iff no pre-state breaks the post.
 
     Only symbols actually referenced by the triple are enumerated;
@@ -459,12 +553,17 @@ def discharge_vc(vc: VC, program: lang.Program,
     lies inside the bound.  Otherwise every slot does range over
     [0, snapshot_bound].  ``checked`` counts the enumerated states; the
     transition runs once per store and clock.
+
+    Pre and post are read through ``table``, which analyses and compiles
+    each distinct assertion once; it must have been made for ``program``
+    and ``tolerance``.  Without one, the VC gets a table of its own.
     """
     from . import regions  # local import to keep module load cheap
 
+    table = _table_for(program, tolerance, table)
     box = _clock_box(snapshot_bound)
     try:
-        variables, slots, uses_clock = _vc_symbols(vc, program)
+        variables, slots, uses_clock = table.symbols(vc)
     except LeakLabError as e:
         return DischargeResult("undischarged", reason=str(e))
 
@@ -472,16 +571,16 @@ def discharge_vc(vc: VC, program: lang.Program,
     index = {slot: i for i, slot in enumerate(slot_axes)}
     latest = dict(slots)
 
-    def slot_of(term: asrt.SnapshotTerm) -> int:
-        arrival = latest[term.resolved] - 1 if term.arrival is None else term.arrival
-        return index[(term.resolved, arrival)]
+    def slot_of(key: tuple) -> int:
+        loc, arrival = key
+        return index[(loc, latest[loc] - 1 if arrival is None else arrival)]
 
     clock_axis = box if uses_clock else (0,)
     others = len(clock_axis)
     for _, domain, _ in variables:
         others *= len(domain)
-    points = regions.representatives((vc.pre, vc.post), slot_of, len(slot_axes),
-                                     tolerance, max_states // max(others, 1))
+    points = regions.representatives(table.snapshot_atoms(vc), slot_of, len(slot_axes),
+                                     max_states // max(others, 1))
     if points is not None:
         snap_maps = [_snapshot_map(slot_axes, point) for point in points]
         total = others * len(points)
@@ -493,8 +592,8 @@ def discharge_vc(vc: VC, program: lang.Program,
             "undischarged",
             reason=f"state space exceeds budget ({total} > {max_states})")
 
-    pre_fn = asrt.compile_assertion(vc.pre, tolerance)
-    post_fn = asrt.compile_assertion(vc.post, tolerance)
+    pre_fn = table.evaluator(vc.pre)
+    post_fn = table.evaluator(vc.post)
     var_names = [name for name, _, _ in variables]
 
     checked = 0
@@ -558,16 +657,20 @@ def _substitute_var(a: asrt.Assertion, name: str, value: int) -> asrt.Assertion:
 def emit_smtlib(vc: VC, program: lang.Program,
                 costs: semantics.CostModel = semantics.CostModel(),
                 snapshot_bound: int = 64,
-                tolerance: int = 0) -> str:
+                tolerance: int = 0,
+                table: Optional[AssertionTable] = None) -> str:
     """SMT-LIB v2 script asserting pre, the transition, and not-post.
 
     ``unsat`` means the triple is valid.  Region bodies must be loop free;
     bounded quantifiers are expanded.  Snapshot constants are only
-    non-negative; the clock ranges over [0, snapshot_bound].
+    non-negative; the clock ranges over [0, snapshot_bound].  A ``table``
+    made for ``program`` shares the analysis of pre and post between the
+    scripts of one run.
     """
     _clock_box(snapshot_bound)
+    table = _table_for(program, tolerance, table)
     try:
-        variables, slots, uses_clock = _vc_symbols(vc, program)
+        variables, slots, uses_clock = table.symbols(vc)
     except LeakLabError as e:
         raise LeakLabError(f"cannot emit: {e}") from None
     decls = {d.name: d for d in program.declarations}
@@ -717,13 +820,15 @@ def gen_vcs(annotated: asrt.AnnotatedProgram,
             strict_stability: bool = True,
             costs: semantics.CostModel = semantics.CostModel(),
             secret_domain: Optional[tuple] = None) -> tuple[list[VC], list[str]]:
-    """All three VC families in report order, with the leak notices."""
+    """All three VC families in report order, with the leak notices; each
+    thread's outline is built once."""
     vcs: list[VC] = []
+    outlines: dict[int, Outline] = {}
     for t in range(len(annotated.program.threads)):
-        seq, _ = gen_sequential_vcs(annotated, t)
+        seq, outlines[t] = gen_sequential_vcs(annotated, t)
         vcs += seq
-    vcs += gen_interference_vcs(annotated, strict_stability)
-    leaky_vcs, notices = gen_leaky_vcs(annotated, costs, secret_domain)
+    vcs += gen_interference_vcs(annotated, strict_stability, outlines)
+    leaky_vcs, notices = gen_leaky_vcs(annotated, costs, secret_domain, outlines)
     return vcs + leaky_vcs, notices
 
 
@@ -739,16 +844,19 @@ def check_proof(annotated: asrt.AnnotatedProgram,
     Each distinct triple is discharged once: VCs that differ only in kind
     and provenance share one :class:`DischargeResult`.  The class stays in
     the key because a :class:`FactlessVC` judges a failing rule apart.
+    One :class:`AssertionTable`, local to this call, numbers the triples'
+    assertions and analyses and compiles each distinct one once.
     """
     program = annotated.program
     vcs, notices = gen_vcs(annotated, strict_stability, costs, secret_domain)
+    table = AssertionTable(program, tolerance)
     discharged: dict[tuple, DischargeResult] = {}
     entries = []
     for vc in vcs:
-        key = (type(vc), vc.pre, vc.stmt, vc.post)
+        key = table.key(vc)
         if key not in discharged:
             discharged[key] = discharge_vc(vc, program, costs, snapshot_bound,
-                                           max_states, tolerance)
+                                           max_states, tolerance, table)
         entries.append((vc, discharged[key]))
     statuses = [r.status for _, r in entries]
     if any(s == "counterexample" for s in statuses):
@@ -776,4 +884,4 @@ def check_proof(annotated: asrt.AnnotatedProgram,
         else:
             message = "outline not established"
     return ProofResult(entries, overall, message, certified,
-                       annotated.warnings + notices)
+                       annotated.warnings + notices, len(table.nodes))

@@ -20,28 +20,70 @@ from . import assertions as asrt
 from . import lang
 
 
-def representatives(assertions: tuple[asrt.Assertion, ...],
-                    slot_of: Callable[[asrt.SnapshotTerm], int],
-                    n_slots: int, tolerance: int,
+def representatives(atoms, slot_of: Callable[[tuple], int], n_slots: int,
                     limit: int) -> Optional[list[tuple[int, ...]]]:
     """The least snapshot tuple of every non-empty region, sorted.
 
-    ``slot_of`` numbers the snapshot terms 0..n_slots-1.  None when some
-    snapshot atom of the assertions is not a difference constraint.  Stops
-    after ``limit + 1`` tuples.  For a property that is constant on each
-    region, the first of these tuples that has it is the lexicographically
-    least non-negative tuple that has it.
+    ``atoms`` are snapshot atoms as :func:`classify` gives them, and
+    ``slot_of`` numbers their snapshot keys 0..n_slots-1; two keys may
+    share a slot.  None when some atom is not a difference constraint.
+    Stops after ``limit + 1`` tuples.  For a property that is constant on
+    each region, the first of these tuples that has it is the
+    lexicographically least non-negative tuple that has it.
     """
     cuts: dict[tuple[int, int], set[int]] = {}
-    atoms = [atom for a in assertions for atom in asrt.atoms(a) if asrt.snapshot_terms(atom)]
     for atom in atoms:
-        found = _difference_cuts(atom, slot_of, n_slots, tolerance)
-        if found is None:
+        if atom is None:
             return None
-        term, values = found
-        if term is not None:
-            cuts.setdefault(term, set()).update(values)
+        coefs, values = atom
+        slots: dict[int, int] = {}
+        for key, c in coefs:
+            slot = slot_of(key)
+            slots[slot] = slots.get(slot, 0) + c
+        nonzero = sorted((slot, c) for slot, c in slots.items() if c)
+        # The atom reads sign * (x[pos] - x[neg]) (op) cut values.
+        if not nonzero:
+            continue  # the snapshots cancel out
+        if len(nonzero) == 1 and abs(nonzero[0][1]) == 1:
+            (pos, sign), neg = nonzero[0], n_slots
+        elif len(nonzero) == 2 and nonzero[0][1] == -nonzero[1][1] and abs(nonzero[0][1]) == 1:
+            (neg, _), (pos, sign) = nonzero
+        else:
+            return None
+        cuts.setdefault((pos, neg), set()).update(sign * v for v in values)
     return _least_points(n_slots, cuts, limit)
+
+
+def classify(atom: lang.Expr, tolerance: int
+             ) -> Optional[tuple[tuple[tuple[tuple, int], ...], list[int]]]:
+    """A snapshot atom as ``(coefs, cut values)``.
+
+    ``coefs`` pairs each snapshot key ``(location, arrival)`` with its
+    integer coefficient in the sum ``E`` that the atom compares with
+    constants: its truth is constant wherever ``E`` avoids the cut
+    values, and on each cut value.  None when the atom is not a
+    comparison or ``approx`` of a linear form in the snapshots.
+    """
+    if isinstance(atom, lang.BinOp) and atom.op in lang.CMP_OPS:
+        tol = None
+    elif isinstance(atom, asrt.Approx):
+        tol_form = (({}, tolerance) if atom.tolerance is None
+                    else _linear(atom.tolerance, _key))
+        if tol_form is None or tol_form[0]:
+            return None
+        tol = tol_form[1]
+    else:
+        return None
+    form = _linear(lang.BinOp("-", atom.left, atom.right), _key)
+    if form is None:
+        return None
+    coefs, const = form
+    values = [-const] if tol is None else [-tol - const, tol - const]
+    return tuple(coefs.items()), values
+
+
+def _key(term: asrt.SnapshotTerm) -> tuple:
+    return term.resolved, term.arrival
 
 
 # Snapshot slots are numbered 0..n-1 in enumeration order; node n is the
@@ -49,9 +91,9 @@ def representatives(assertions: tuple[asrt.Assertion, ...],
 
 
 def _linear(e: lang.Expr, slot_of) -> Optional[tuple[dict[int, int], int]]:
-    """``e`` as integer coefficients over snapshot slots plus a constant;
-    None when it mentions anything but integer literals and snapshots or
-    multiplies two snapshot terms."""
+    """``e`` as integer coefficients over ``slot_of`` of its snapshot terms
+    plus a constant; None when it mentions anything but integer literals
+    and snapshots or multiplies two snapshot terms."""
     if isinstance(e, lang.IntLit):
         return {}, e.value
     if isinstance(e, asrt.SnapshotTerm):
@@ -78,42 +120,6 @@ def _linear(e: lang.Expr, slot_of) -> Optional[tuple[dict[int, int], int]]:
 
 def _scaled(form: tuple[dict[int, int], int], k: int) -> tuple[dict[int, int], int]:
     return {slot: k * c for slot, c in form[0].items()}, k * form[1]
-
-
-def _difference_cuts(atom: lang.Expr, slot_of, zero: int, tolerance: int
-                     ) -> Optional[tuple[Optional[tuple[int, int]], list[int]]]:
-    """A snapshot atom as ``(term, cuts)``: its truth is constant wherever
-    the difference term avoids the cut values, and on each cut value.
-
-    None when the atom is not a comparison of a difference term with a
-    constant; the term is None when the snapshots cancel out.
-    """
-    if isinstance(atom, lang.BinOp) and atom.op in lang.CMP_OPS:
-        tol = None
-    elif isinstance(atom, asrt.Approx):
-        tol_form = (({}, tolerance) if atom.tolerance is None
-                    else _linear(atom.tolerance, slot_of))
-        if tol_form is None or tol_form[0]:
-            return None
-        tol = tol_form[1]
-    else:
-        return None
-    form = _linear(lang.BinOp("-", atom.left, atom.right), slot_of)
-    if form is None:
-        return None
-    coefs, const = form
-    nonzero = sorted((slot, c) for slot, c in coefs.items() if c)
-    # The atom reads sign * (x[pos] - x[neg]) + const  (op)  0.
-    if not nonzero:
-        return None, []
-    if len(nonzero) == 1 and abs(nonzero[0][1]) == 1:
-        (pos, sign), neg = nonzero[0], zero
-    elif len(nonzero) == 2 and nonzero[0][1] == -nonzero[1][1] and abs(nonzero[0][1]) == 1:
-        (neg, _), (pos, sign) = nonzero
-    else:
-        return None
-    values = [-const] if tol is None else [-tol - const, tol - const]
-    return (pos, neg), [sign * v for v in values]
 
 
 def _intervals(cut_values: list[int]) -> list[tuple[Optional[int], Optional[int]]]:

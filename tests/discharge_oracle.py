@@ -16,6 +16,8 @@ from leaklab import assertions as asrt
 from leaklab import lang, proofs, semantics
 from leaklab.errors import BudgetExceeded, LeakLabError
 
+import analysis_oracle
+
 
 def discharge_box(vc: proofs.VC, program: lang.Program,
                   costs: semantics.CostModel = semantics.CostModel(),
@@ -23,7 +25,7 @@ def discharge_box(vc: proofs.VC, program: lang.Program,
                   max_states: int = 2_000_000,
                   tolerance: int = 0) -> proofs.DischargeResult:
     try:
-        variables, slots, uses_clock = proofs._vc_symbols(vc, program)
+        variables, slots, uses_clock = analysis_oracle.vc_symbols(vc, program)
     except LeakLabError as e:
         return proofs.DischargeResult("undischarged", reason=str(e))
 

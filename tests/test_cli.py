@@ -291,6 +291,7 @@ class TestOgcheck:
         [extra] = human_stats.splitlines()[len(human.splitlines()):]
         assert extra.startswith(f"stats: {stats['vcs']} VCs, {stats['discharged']} discharged, "
                                 f"{stats['states_enumerated']} states enumerated; ")
+        assert extra.endswith(f"; {stats['assertions']} distinct assertion terms")
 
     def test_stats_count_each_distinct_triple_once(self, capsys, monkeypatch):
         from leaklab import proofs
@@ -328,6 +329,15 @@ class TestDlCommand:
         assert code == 0
         data = json.loads(out)
         assert {f["reason"] for f in data["flags"]} == {"HighGuardOutput"}
+
+    @pytest.mark.parametrize("fmt", ["human", "json"])
+    def test_flags_are_candidates_and_exit_0(self, capsys, fmt):
+        code, out, _ = run_cli(capsys, "dl", fixture("corpus/05_direct_branch_print.cwl"),
+                               "--format", fmt)
+        assert code == 0
+        flags = (json.loads(out)["flags"] if fmt == "json"
+                 else [line for line in out.splitlines() if line.startswith("  ")])
+        assert len(flags) == 2
 
     def test_synthesize_emits_annotation_text(self, capsys):
         code, out, _ = run_cli(capsys, "dl", fixture("region_thread.cwl"),
@@ -470,6 +480,11 @@ class TestReportSchemas:
                 _, out, _ = run_cli(capsys, "ogcheck", fixture(name),
                                     "--format", "json", *flags)
                 self.validate(out, "ogcheck.schema.json")
+        data = json.loads(out)
+        assert data["stats"]["assertions"] > 0
+        del data["stats"]["assertions"]
+        with pytest.raises(__import__("jsonschema").ValidationError):
+            self.validate(json.dumps(data), "ogcheck.schema.json")
 
     def test_dl_report(self, capsys):
         _, out, _ = run_cli(capsys, "dl", fixture("region_thread.cwl"),

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from leaklab import assertions as asrt
 from leaklab import dl, lang, proofs
 
+import analysis_oracle
 from conftest import CORPUS, load_program, trivially_annotate
 from discharge_oracle import discharge_box
 
@@ -131,7 +132,7 @@ def difference_vc(draw):
 @given(difference_vc())
 def test_generated_difference_atoms_agree(case):
     vc, reach, tolerance = case
-    _, slots, _ = proofs._vc_symbols(vc, SMALL)
+    _, slots, _ = analysis_oracle.vc_symbols(vc, SMALL)
     n_slots = sum(count for _, count in slots)
     assert 1 <= n_slots <= 3
     # Every region's least point lies within slots * (max |cut| + 1); an

@@ -12,6 +12,7 @@ from leaklab.errors import AnnotationError
 import assertion_oracle
 from conftest import load_corpus, load_program, trivially_annotate
 from schedule_oracle import isolate_thread
+from test_discharge_oracle import CERTIFY_CORPUS, OWN_OUTLINES, outline
 from test_explore_oracle import small_programs
 
 L = lang.LocationId
@@ -531,6 +532,20 @@ class TestCheckProof:
         result = proofs.check_proof(annotated)
         assert result.overall == "proven"
         assert result.message == "functionally non-interfering; no leak assertions checked"
+
+    @pytest.mark.parametrize("name", OWN_OUTLINES + CERTIFY_CORPUS)
+    def test_each_thread_outline_built_once(self, name, monkeypatch):
+        annotated = outline(name)
+        built = []
+        build = proofs.gen_sequential_vcs
+
+        def counted(annotated, thread):
+            built.append(thread)
+            return build(annotated, thread)
+
+        monkeypatch.setattr(proofs, "gen_sequential_vcs", counted)
+        proofs.check_proof(annotated)
+        assert built == list(range(len(annotated.program.threads)))
 
 
 class TestSmtlib:

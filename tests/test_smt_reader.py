@@ -14,23 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leaklab import assertions as asrt
-from leaklab import lang, proofs, regions
+from leaklab import lang, proofs
 
 import smt_reader
+from analysis_oracle import difference_form
 from test_discharge_oracle import CERTIFY_CORPUS, OWN_OUTLINES, POOLS, formula, outline
-
-
-def difference_form(vc: proofs.VC, program: lang.Program) -> bool:
-    _, slots, _ = proofs._vc_symbols(vc, program)
-    index = {slot: i for i, slot in enumerate(
-        (loc, k) for loc, count in slots for k in range(count))}
-    latest = dict(slots)
-
-    def slot_of(term: asrt.SnapshotTerm) -> int:
-        arrival = latest[term.resolved] - 1 if term.arrival is None else term.arrival
-        return index[(term.resolved, arrival)]
-
-    return regions.representatives((vc.pre, vc.post), slot_of, len(index), 0, 0) is not None
 
 
 def assert_agree(vc: proofs.VC, program: lang.Program, bound: int = 64,
