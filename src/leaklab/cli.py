@@ -307,13 +307,21 @@ def _read_scenario(path: str) -> tuple:
         for name, spec in variables.items():
             labels[name] = spec["label"]
             values[name] = spec["value"]
+            if not isinstance(values[name], int):
+                raise LeakLabError(f"{path}: value of {name!r} is not an integer or boolean")
+        for name, label in labels.items():
+            if label not in lattice.elements:
+                raise LeakLabError(f"{path}: label {label!r} of {name!r} is not a lattice element")
+        mode = scenario.get("mode", "sequential")
+        if mode not in ("sequential", "concurrent"):
+            raise LeakLabError(f"{path}: mode {mode!r} is neither 'sequential' nor 'concurrent'")
         members = frozenset((u, v) for u in users for v in variables)
         q0 = ifc.MachineState(members, labels, values)
         sequences = {
             name: [(user, _parse_command(cmd)) for user, cmd in seq]
             for name, seq in scenario["sequences"].items()
         }
-        return lattice, q0, sequences, scenario["observer"], scenario.get("mode", "sequential")
+        return lattice, q0, sequences, scenario["observer"], mode
     except KeyError as e:
         raise LeakLabError(f"{path}: scenario lacks {e}") from None
     except (AttributeError, TypeError, ValueError) as e:

@@ -7,15 +7,15 @@ the variable's label is a flow violation (a first-class epsilon result,
 not an exception), and a write by a user above the variable's label
 relabels the variable upward with the join.
 
-Non-interference is checked by running every prefix of the (user-tagged)
-input sequence and comparing the observer's view with the initial one; the
-concurrent variant additionally enumerates every interleaving of every
-prefix pair.
+Non-interference asks every prefix of the (user-tagged) input sequence to
+keep the observer's view at its initial value and never hit the epsilon
+outcome; the concurrent variant asks the same of every interleaving of every
+prefix pair.  One memoised pass over the cut pairs decides both (a single
+sequence pairs with the empty one), and reaches each distinct state once.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -203,42 +203,11 @@ class NIResult:
     flow_violation: Optional[FlowViolation] = None
 
 
-def _run(state: MachineState, lattice: SecurityLattice,
-         ops: tuple[TaggedOp, ...]) -> Union[MachineState, FlowViolation]:
-    for user, op in ops:
-        result = transition(state, lattice, user, op)
-        if isinstance(result, FlowViolation):
-            return result
-        state = result
-    return state
-
-
 def check_sequential_ni(commands: list[tuple[str, Command]], observer: str,
                         q0: MachineState, lattice: SecurityLattice) -> NIResult:
     """Every prefix of the program's input sequence must keep the observer's
     view at its initial value and never hit the epsilon outcome."""
-    ops = expand_commands(commands)
-    for cut in range(len(ops) + 1):
-        prefix = tuple(ops[:cut])
-        result = _run(q0, lattice, prefix)
-        if isinstance(result, FlowViolation):
-            return NIResult(False, "flow violation", prefix, result)
-        if not indistinguishable(q0, result, lattice, observer):
-            return NIResult(False, "observer view changed", prefix)
-    return NIResult(True)
-
-
-def _interleavings(a: tuple, b: tuple):
-    if not a:
-        yield b
-        return
-    if not b:
-        yield a
-        return
-    for rest in _interleavings(a[1:], b):
-        yield (a[0],) + rest
-    for rest in _interleavings(a, b[1:]):
-        yield (b[0],) + rest
+    return _check_weaves(expand_commands(commands), [], observer, q0, lattice)
 
 
 def check_concurrent_ni(s1: list[tuple[str, Command]],
@@ -250,50 +219,49 @@ def check_concurrent_ni(s1: list[tuple[str, Command]],
         result = check_sequential_ni(seq, observer, q0, lattice)
         if not result.ni:
             return result
-    ops1, ops2 = expand_commands(s1), expand_commands(s2)
-    for cut1, cut2 in itertools.product(range(len(ops1) + 1), range(len(ops2) + 1)):
-        p1, p2 = tuple(ops1[:cut1]), tuple(ops2[:cut2])
-        for weave in _interleavings(p1, p2):
-            result = _run(q0, lattice, weave)
-            if isinstance(result, FlowViolation):
-                return NIResult(False, "flow violation", weave, result)
-            if not indistinguishable(q0, result, lattice, observer):
-                return NIResult(False, "observer view changed", weave)
-    return NIResult(True)
+    return _check_weaves(expand_commands(s1), expand_commands(s2), observer, q0, lattice)
 
 
-# ---------------------------------------------------------------------------
-# Bridge from programs
-# ---------------------------------------------------------------------------
+def _check_weaves(ops1: list[TaggedOp], ops2: list[TaggedOp], observer: str,
+                  q0: MachineState, lattice: SecurityLattice) -> NIResult:
+    """One pass over the cut pairs ``(i, j)``, ``i`` outer and ``j`` inner.
 
-def program_to_commands(program: lang.Program, thread: int,
-                        max_paths: int = 64) -> list[list[tuple[str, Command]]]:
-    """Branch-resolved command paths of one loop-free, region-free thread.
-
-    Each if splits the path set (the guard evaluation is kept as a read-only
-    command on both sides).  The issuing user is the thread name.
+    Each pair keeps, per distinct state, the least weave (choices ``"0"``
+    and ``"1"``, first sequence first) reaching it from ``(i-1, j)`` by
+    ``ops1[i-1]`` or from ``(i, j-1)`` by ``ops2[j-1]``.  A weave's proper
+    prefixes belong to earlier pairs, so the least failing (or raising) step
+    at the first failing pair is the first failing interleaving of the least
+    failing prefix pair.  With ``ops2`` empty this is one pass over ``ops1``.
     """
-    user = program.threads[thread].name
-
-    def walk(body: tuple[lang.Stmt, ...]) -> list[list[tuple[str, Command]]]:
-        paths: list[list[tuple[str, Command]]] = [[]]
-        for s in body:
-            if isinstance(s, (lang.While, lang.Await)):
-                raise LeakLabError(
-                    "machine bridge accepts loop-free, region-free threads only")
-            if isinstance(s, lang.If):
-                expanded: list[list[tuple[str, Command]]] = []
-                for branch in (s.then_body, s.else_body):
-                    for suffix in walk(branch):
-                        expanded += [p + [(user, GuardEval(s.guard))] + suffix
-                                     for p in paths]
-                paths = expanded
-            elif isinstance(s, lang.Delay):
-                continue  # no variable traffic
-            else:
-                paths = [p + [(user, s)] for p in paths]
-            if len(paths) > max_paths:
-                raise LeakLabError("path explosion in machine bridge")
-        return paths
-
-    return walk(program.threads[thread].body)
+    seen = view(q0, lattice, observer)
+    row: list[dict[tuple, tuple[str, MachineState]]] = []
+    for i in range(len(ops1) + 1):
+        above, row = row, []
+        for j in range(len(ops2) + 1):
+            steps = [("0", ops1[i - 1], above[j])] if i else []
+            steps += [("1", ops2[j - 1], row[j - 1])] if j else []
+            stepped = []
+            for side, (user, op), before in steps:
+                for weave, state in before.values():
+                    try:
+                        stepped.append((weave + side, transition(state, lattice, user, op)))
+                    except LeakLabError as e:
+                        stepped.append((weave + side, e))
+            cell = {} if i or j else {None: ("", q0)}  # (0, 0) holds q0 alone
+            for weave, outcome in sorted(stepped, key=lambda s: s[0]):
+                if isinstance(outcome, LeakLabError):
+                    raise outcome
+                if isinstance(outcome, MachineState) and view(outcome, lattice, observer) == seen:
+                    # every dict keeps q0's key order; types stay in the key
+                    # since True and 1 hash alike but evaluate apart
+                    key = (tuple(outcome.labels.values()),
+                           tuple((type(v), v) for v in outcome.values.values()))
+                    cell.setdefault(key, (weave, outcome))
+                    continue
+                sources = (iter(ops1), iter(ops2))
+                prefix = tuple(next(sources[int(c)]) for c in weave)
+                if isinstance(outcome, FlowViolation):
+                    return NIResult(False, "flow violation", prefix, outcome)
+                return NIResult(False, "observer view changed", prefix)
+            row.append(cell)
+    return NIResult(True)

@@ -539,6 +539,36 @@ class TestBadInput:
         assert code == 2
         assert err == f"error: {bad}: scenario lacks 'users'\n"
 
+    def ifc_input_error(self, capsys, tmp_path, edit) -> str:
+        scenario = json.loads((PROGRAMS / "ifc_scenario_low_reads_high.json")
+                              .read_text(encoding="utf-8"))
+        edit(scenario)
+        bad = tmp_path / "scenario.json"
+        bad.write_text(json.dumps(scenario))
+        code, out, err = run_cli(capsys, "ifc", str(bad), "--format", "json")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+        return err
+
+    def test_ifc_user_label_outside_the_lattice(self, capsys, tmp_path):
+        err = self.ifc_input_error(capsys, tmp_path,
+                                   lambda s: s["users"].update(bob="mid"))
+        assert "label 'mid' of 'bob' is not a lattice element" in err
+
+    def test_ifc_variable_label_outside_the_lattice(self, capsys, tmp_path):
+        err = self.ifc_input_error(capsys, tmp_path,
+                                   lambda s: s["variables"]["h"].update(label="mid"))
+        assert "label 'mid' of 'h' is not a lattice element" in err
+
+    def test_ifc_unknown_mode(self, capsys, tmp_path):
+        err = self.ifc_input_error(capsys, tmp_path, lambda s: s.update(mode="concurent"))
+        assert "mode 'concurent' is neither" in err
+
+    def test_ifc_value_that_is_not_an_integer(self, capsys, tmp_path):
+        err = self.ifc_input_error(capsys, tmp_path,
+                                   lambda s: s["variables"]["x"].update(value=[0]))
+        assert "value of 'x' is not an integer or boolean" in err
+
     def test_malformed_lattice_file(self, capsys, tmp_path):
         lattice = tmp_path / "lattice.json"
         lattice.write_text(json.dumps({"order": [["low", "high"]]}))

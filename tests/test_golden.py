@@ -27,6 +27,9 @@ ROOT = Path(__file__).resolve().parents[1]
 MANIFEST = ROOT / "tests" / "golden" / "reports.json"
 ANNOTATED = ("tests/programs/semaphore_pair_annotated.cwl",
              "tests/programs/semaphore_pair_inverted.cwl")
+SCENARIOS = ("tests/programs/ifc_scenario_low_reads_high.json",
+             "tests/programs/ifc_scenario_relabel_then_read.json",
+             "tests/programs/ifc_scenario_concurrent_ni.json")
 
 
 def commands() -> list[list[str]]:
@@ -41,6 +44,8 @@ def commands() -> list[list[str]]:
         out.append(["ogcheck", path, "--format", "json"])
         out.append(["ogcheck", path, "--format", "json", "--snapshot-bound", "32"])
         out.append(["emit-smt", path, "--out-dir", "OUT"])
+    for path in SCENARIOS:
+        out.append(["ifc", path, "--format", "json"])
     return out
 
 

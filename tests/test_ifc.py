@@ -158,26 +158,6 @@ class TestConcurrentNI:
         assert not result.ni
 
 
-class TestProgramBridge:
-    def test_loop_free_paths(self):
-        p = lang.parse_program(
-            "var h : int[0..1] label high = secret;\n"
-            "var x : int[0..3] label low = 0;\n"
-            "thread A { if h then { x = 1; } else { x = 2; }; print(x); }")
-        paths = ifc.program_to_commands(p, 0)
-        assert len(paths) == 2
-        for path in paths:
-            assert path[0][0] == "A"
-            assert isinstance(path[0][1], ifc.GuardEval)
-
-    def test_regions_rejected(self, ):
-        p = lang.parse_program(
-            "var x : int[0..1] label low = 1;\n"
-            "thread A { await x > 0 then { skip; }; }")
-        with pytest.raises(LeakLabError, match="region-free"):
-            ifc.program_to_commands(p, 0)
-
-
 # --- randomized properties over small lattices -------------------------------
 
 def random_state(rng: random.Random, lattice: SecurityLattice) -> ifc.MachineState:
