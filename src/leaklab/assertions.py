@@ -582,7 +582,6 @@ def states_at_location(program: lang.Program, loc: lang.LocationId,
                        watch: frozenset, secret_domain: tuple,
                        bounds: explorer.ExploreBounds,
                        costs: semantics.CostModel = semantics.CostModel(),
-                       init_public: Optional[semantics.Store] = None,
                        ) -> tuple[list[tuple], bool]:
     """Every distinct reachable state with control at ``loc``, plus a
     completeness flag.
@@ -594,15 +593,12 @@ def states_at_location(program: lang.Program, loc: lang.LocationId,
     timing-blind; states that differ only in the steps used to reach them
     are listed once.
     """
-    base = dict(program.initial_store())
-    if init_public:
-        base.update(init_public)
     bounds = replace(bounds, timing_blind=False)
     exit_loc = semantics.control_table(program).labels[loc.thread][-1]
     states: list[tuple] = []
     complete = True
     for valuation in (secret_domain or ((),)):
-        store = dict(base)
+        store = dict(program.initial_store())
         store.update(dict(valuation))
         at_loc: dict[tuple, None] = {}
 
@@ -622,7 +618,6 @@ def is_leaky_assertion(a: Assertion, loc: lang.LocationId, program: lang.Program
                        secret_domain: Optional[tuple] = None,
                        bounds: explorer.ExploreBounds = explorer.ExploreBounds(),
                        costs: semantics.CostModel = semantics.CostModel(),
-                       init_public: Optional[semantics.Store] = None,
                        tolerance: int = 0) -> LeakinessVerdict:
     """Does the assertion, where satisfiable at ``loc``, pin down a secret?
 
@@ -640,7 +635,7 @@ def is_leaky_assertion(a: Assertion, loc: lang.LocationId, program: lang.Program
     a = resolve_assertion(a, program, loc.thread)
     watch = frozenset(term.resolved for term in snapshot_terms(a))
     states, complete = states_at_location(
-        program, loc, watch, secret_domain, bounds, costs, init_public)
+        program, loc, watch, secret_domain, bounds, costs)
 
     per_var_domain = {d.name: tuple(d.domain) for d in program.declarations if d.secret}
 

@@ -86,9 +86,8 @@ def _parse_secret_override(program: lang.Program, specs: list[str]) -> tuple:
         if bad:
             raise LeakLabError(f"--secret {name}: {bad} outside the declared domain")
         domains[name] = values
-    names = sorted(domains)
-    return tuple(tuple(zip(names, combo))
-                 for combo in itertools.product(*(domains[n] for n in names)))
+    return tuple(tuple(zip(domains, combo))
+                 for combo in itertools.product(*domains.values()))
 
 
 def _parse_inits(program: lang.Program, specs: list[str]) -> dict:

@@ -6,12 +6,15 @@ regions, assignments relabel their targets with pc join expression label,
 and public statements (print, delay) are flagged when the joined label of
 the program counter and the data cannot flow to the public sink.
 
-Threads whose public statements bracket a high-guarded region are candidate
-timing channels: for each such snapshot pair the achievable durations per
-secret value are measured (thread in isolation, then composed with the
-other threads) and, when a threshold separates the isolated duration sets,
-a rule-form postulate ``(d < θ -> h = a) and (d >= θ -> h = b)`` is
-emitted, ready to splice into the source as a ``@leaky`` annotation.
+The same walk collects the snapshot pairs, the candidate timing channels.
+Within one statement list, a print or delay, then a statement whose own
+guard is high by the declared labels, then the next print or delay make a
+pair; no pairs are sought inside such a statement.  For each pair the
+achievable durations per secret value are measured (thread in isolation,
+then composed with the other threads) and, when a threshold separates the
+isolated duration sets, a rule-form postulate
+``(d < θ -> h = a) and (d >= θ -> h = b)`` is emitted, ready to splice
+into the source as a ``@leaky`` annotation.
 Overlapping isolated duration sets yield an indeterminate record instead.
 """
 
@@ -74,6 +77,7 @@ def dl_certify(program: lang.Program,
     pc-or-data label cannot flow to bottom is flagged.  Variable labels are
     dynamic: an assignment raises its target to pc join expression label.
     Each thread is analysed independently against the declared labels.
+    The same walk collects the snapshot pairs, by the module's pair rule.
     """
     lattice = lattice or two_point()
     for d in program.declarations:
@@ -82,15 +86,19 @@ def dl_certify(program: lang.Program,
                 f"variable {d.name} carries label {d.security_label!r} "
                 "which is not a lattice element")
     report = LabelReport({}, {}, [], [])
+    declared = {d.name: d.security_label for d in program.declarations}
 
-    for t_idx, thread in enumerate(program.threads):
-        labels = {d.name: d.security_label for d in program.declarations}
+    for thread in program.threads:
+        labels = dict(declared)
 
         def high_guard_vars(e: lang.Expr) -> list[str]:
             return [n for n in sorted(lang.free_vars(e))
                     if not lattice.leq(labels[n], lattice.bottom)]
 
-        def walk(body: tuple[lang.Stmt, ...], pc: str, culprits: tuple[str, ...]) -> None:
+        def walk(body: tuple[lang.Stmt, ...], pc: str, culprits: tuple[str, ...],
+                 seek_pairs: bool) -> None:
+            last_public: Optional[lang.LocationId] = None
+            pending_high = False
             for s in body:
                 report.pc_labels[s.label] = pc
                 if isinstance(s, lang.Assign):
@@ -111,66 +119,27 @@ def dl_certify(program: lang.Program,
                         responsible = (", ".join(culprits) if culprits
                                        else lang.unparse_expr(s.duration))
                         report.flags.append(Flag(s.label, HIGH_GUARD_DELAY, responsible))
-                elif isinstance(s, lang.If):
+                elif isinstance(s, (lang.If, lang.While, lang.Await)):
                     inner = lattice.join(pc, _expr_label(s.guard, labels, lattice))
                     deeper = culprits + tuple(high_guard_vars(s.guard))
-                    walk(s.then_body, inner, deeper)
-                    walk(s.else_body, inner, deeper)
-                elif isinstance(s, (lang.While, lang.Await)):
-                    inner = lattice.join(pc, _expr_label(s.guard, labels, lattice))
-                    deeper = culprits + tuple(high_guard_vars(s.guard))
-                    walk(s.body, inner, deeper)
+                    guarded = not lattice.leq(_expr_label(s.guard, declared, lattice),
+                                              lattice.bottom)
+                    pending_high = pending_high or guarded
+                    bodies = ((s.then_body, s.else_body) if isinstance(s, lang.If)
+                              else (s.body,))
+                    for nested in bodies:
+                        walk(nested, inner, deeper, seek_pairs and not guarded)
+                if isinstance(s, (lang.Print, lang.Delay)):
+                    if seek_pairs and pending_high and last_public is not None:
+                        report.suggested_pairs.append((last_public, s.label))
+                    last_public, pending_high = s.label, False
 
-        walk(thread.body, lattice.bottom, ())
+        walk(thread.body, lattice.bottom, (), True)
 
-    report.suggested_pairs = suggest_snapshot_pairs(report, program, lattice)
     if report.suggested_pairs and not report.flags:
         report.notes.append("no direct flag; timing analysis recommended for "
                             "the suggested snapshot pairs")
     return report
-
-
-def suggest_snapshot_pairs(report: LabelReport, program: lang.Program,
-                           lattice: Optional[SecurityLattice] = None
-                           ) -> list[tuple[lang.LocationId, lang.LocationId]]:
-    """Public statements bracketing a high-guarded statement, per thread.
-
-    A statement group counts as high-guarded when the label of its own guard
-    (joined with the pc at that point) does not flow to bottom.  For every
-    such group with a public statement before and after it in the same body,
-    the surrounding pair of public locations is suggested for duration
-    instrumentation.
-    """
-    lattice = lattice or two_point()
-    pairs: list[tuple[lang.LocationId, lang.LocationId]] = []
-
-    for t_idx, thread in enumerate(program.threads):
-        labels = {d.name: d.security_label for d in program.declarations}
-
-        def high_guarded(s: lang.Stmt) -> bool:
-            if not isinstance(s, (lang.If, lang.While, lang.Await)):
-                return False
-            return not lattice.leq(_expr_label(s.guard, labels, lattice),
-                                   lattice.bottom)
-
-        def walk(body: tuple[lang.Stmt, ...]) -> None:
-            last_public: Optional[lang.LocationId] = None
-            pending_high = False
-            for s in body:
-                if isinstance(s, (lang.Print, lang.Delay)):
-                    if pending_high and last_public is not None:
-                        pairs.append((last_public, s.label))
-                    last_public, pending_high = s.label, False
-                elif high_guarded(s):
-                    pending_high = True
-                elif isinstance(s, lang.If):
-                    walk(s.then_body)
-                    walk(s.else_body)
-                elif isinstance(s, (lang.While, lang.Await)):
-                    walk(s.body)
-
-        walk(thread.body)
-    return pairs
 
 
 @dataclass
@@ -195,11 +164,6 @@ class SynthesisReport:
     assertions: list[SynthesizedAssertion]
     indeterminate: list[IndeterminateRecord]
     skipped: list[str]
-
-    def spliced_annotations(self, program: lang.Program) -> dict[str, str]:
-        return {program.location_str(s.location):
-                asrt.unparse_assertion(s.assertion, program)
-                for s in self.assertions}
 
 
 def _separating_threshold(durations: dict) -> Optional[tuple[int, list, list]]:

@@ -84,10 +84,6 @@ class KnowledgeReport:
     timing_blind: bool
     stats: list[dict] = field(default_factory=list)  # per secret valuation
 
-    def leaky_observations(self) -> list[Observation]:
-        return sorted((o for o, f in self.leaky.items() if f),
-                      key=Observation.sort_key)
-
     def to_json(self) -> dict:
         obs_rows = []
         for obs in sorted(self.knowledge, key=Observation.sort_key):
@@ -423,8 +419,7 @@ def duration_stats(program: lang.Program, loc_from: lang.LocationId,
                    loc_to: lang.LocationId,
                    secret_domain: Optional[tuple[SecretValuation, ...]],
                    bounds: ExploreBounds,
-                   costs: semantics.CostModel = semantics.CostModel(),
-                   init_public: Optional[semantics.Store] = None) -> DurationStats:
+                   costs: semantics.CostModel = semantics.CostModel()) -> DurationStats:
     """For each secret valuation, the set of achievable ``t@to - t@from``.
 
     :func:`search` watches the two locations, with the clock kept in the
@@ -433,13 +428,10 @@ def duration_stats(program: lang.Program, loc_from: lang.LocationId,
     pairs with the next arrival at ``loc_to`` after it.  A valuation with no
     such pair is ``unreached``.
     """
-    store_base = dict(program.initial_store())
-    if init_public:
-        store_base.update(init_public)
     bounds = replace(bounds, timing_blind=False)
 
     def measure(valuation: SecretValuation) -> tuple[list, bool]:
-        store = dict(store_base)
+        store = dict(program.initial_store())
         store.update(dict(valuation))
         endings: set[tuple] = set()  # the watched arrivals where runs end
 

@@ -16,8 +16,9 @@ sequence pairs with the empty one), and reaches each distinct state once.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from . import lang, semantics
 from .errors import LeakLabError
@@ -76,6 +77,15 @@ class InputOp:
     def __post_init__(self) -> None:
         if self.op not in (READ, WRITE):
             raise LeakLabError(f"bad primitive op {self.op!r}")
+
+    @functools.cached_property
+    def new_value(self) -> Callable[[semantics.Store], semantics.Value]:
+        """A write's value as a function of the values, compiled once."""
+        if self.value_expr is None:
+            return lambda values: 0
+        if isinstance(self.value_expr, lang.StrLit):
+            return lambda values: 1  # the sink records that an output happened
+        return semantics.compile_expr(self.value_expr)
 
 
 Command = Union[lang.Assign, lang.Skip, lang.Print, "GuardEval"]
@@ -140,13 +150,7 @@ def transition(state: MachineState, lattice: SecurityLattice, user: str,
             return state
         return FlowViolation(user, op.variable, READ,
                              f"{v_label} cannot flow to {u_label}")
-    new_value: semantics.Value = 0
-    if op.value_expr is not None:
-        if isinstance(op.value_expr, lang.StrLit):
-            new_value = 1  # the sink records that an output happened
-        else:
-            new_value = semantics.eval_expr(op.value_expr, state.values)
-    out = state.with_value(op.variable, new_value)
+    out = state.with_value(op.variable, op.new_value(state.values))
     if not lattice.leq(u_label, v_label):
         out = out.with_label(op.variable, lattice.join(u_label, v_label))
     return out
@@ -157,6 +161,7 @@ class ViewEntry:
     visible: bool
     label: Optional[str] = None
     value: Optional[semantics.Value] = None
+    value_type: Optional[type] = None  # False == 0, but they print apart
 
 
 def view(state: MachineState, lattice: SecurityLattice, user: str
@@ -168,7 +173,8 @@ def view(state: MachineState, lattice: SecurityLattice, user: str
     out: dict[str, ViewEntry] = {}
     for v in state.variables():
         if lattice.leq(state.labels[v], state.labels[user]):
-            out[v] = ViewEntry(True, state.labels[v], state.values[v])
+            value = state.values[v]
+            out[v] = ViewEntry(True, state.labels[v], value, type(value))
         else:
             out[v] = ViewEntry(False)
     return out

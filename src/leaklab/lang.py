@@ -541,10 +541,7 @@ def parse_program(text: str) -> Program:
     decls: list[Decl] = []
     ghosts: list[Decl] = []
     while ts.at("keyword", "var") or ts.at("keyword", "ghost"):
-        if ts.at("keyword", "var"):
-            decls.append(_parse_decl(ts))
-        else:
-            ghosts.append(_parse_ghost(ts))
+        (ghosts if ts.at("keyword", "ghost") else decls).append(_parse_decl(ts))
     threads: list[Thread] = []
     while ts.at("keyword", "thread"):
         threads.append(_parse_thread(ts))
@@ -558,32 +555,10 @@ def parse_program(text: str) -> Program:
     return program
 
 
-def _parse_ghost(ts: TokenStream) -> Decl:
-    """Rigid logical constant: ``ghost V0 : int[0..4];`` (no initializer)."""
-    ts.expect("keyword", "ghost")
-    name = ts.expect("ident").text
-    if name == "t":
-        raise ts.error("'t' is reserved for the clock")
-    ts.expect("sym", ":")
-    if ts.at("keyword", "int"):
-        ts.next()
-        ts.expect("sym", "[")
-        lo = int(ts.expect("int").text)
-        ts.expect("sym", "..")
-        hi = int(ts.expect("int").text)
-        ts.expect("sym", "]")
-        vtype, domain = INT, tuple(range(lo, hi + 1))
-    elif ts.at("keyword", "bool"):
-        ts.next()
-        vtype, domain = BOOL, (False, True)
-    else:
-        raise ts.error("expected type 'int[lo..hi]' or 'bool'")
-    ts.expect("sym", ";")
-    return Decl(name, vtype, "low", domain, None, False)
-
-
 def _parse_decl(ts: TokenStream) -> Decl:
-    ts.expect("keyword", "var")
+    """``var NAME : TYPE [label L] = INIT;``, or ``ghost NAME : TYPE;``, a
+    rigid logical constant with no label or initializer."""
+    ghost = ts.next().text == "ghost"
     name = ts.expect("ident").text
     if name == "t":
         raise ts.error("'t' is reserved for the clock")
@@ -604,6 +579,9 @@ def _parse_decl(ts: TokenStream) -> Decl:
     else:
         raise ts.error("expected type 'int[lo..hi]' or 'bool'")
     security = "low"
+    if ghost:
+        ts.expect("sym", ";")
+        return Decl(name, vtype, security, domain, None, False)
     if ts.at("keyword", "label"):
         ts.next()
         tok = ts.peek()

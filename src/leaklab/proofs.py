@@ -39,6 +39,7 @@ from .errors import AnnotationError, BudgetExceeded, DomainError, LeakLabError
 SEQUENTIAL = "sequential"
 INTERFERENCE = "interference"
 LEAKY = "leaky"
+STATE_BUDGET = 2_000_000  # states one discharge may enumerate
 
 
 @dataclass(frozen=True)
@@ -112,29 +113,22 @@ def _guard_assertion(guard: lang.Expr, program: lang.Program) -> asrt.Assertion:
 # Outline walking
 # ---------------------------------------------------------------------------
 
-def atomic_statements(body: tuple[lang.Stmt, ...]) -> list[lang.Stmt]:
-    """Assignments and regions reachable outside region bodies."""
-    out: list[lang.Stmt] = []
-    for s in body:
-        if isinstance(s, (lang.Assign, lang.Await)):
-            out.append(s)
-        elif isinstance(s, lang.If):
-            out += atomic_statements(s.then_body) + atomic_statements(s.else_body)
-        elif isinstance(s, lang.While):
-            out += atomic_statements(s.body)
-    return out
+WRITERS = (lang.Assign, lang.Await)
+PUBLIC = (lang.Print, lang.Delay)
 
 
-def public_statements(body: tuple[lang.Stmt, ...]) -> list[lang.Stmt]:
-    """Prints and delays outside region bodies."""
+def outline_statements(body: tuple[lang.Stmt, ...], kinds: tuple[type, ...]
+                       ) -> list[lang.Stmt]:
+    """The statements of ``kinds`` outside region bodies, in program order."""
     out: list[lang.Stmt] = []
     for s in body:
-        if isinstance(s, (lang.Print, lang.Delay)):
+        if isinstance(s, kinds):
             out.append(s)
         elif isinstance(s, lang.If):
-            out += public_statements(s.then_body) + public_statements(s.else_body)
+            out += (outline_statements(s.then_body, kinds)
+                    + outline_statements(s.else_body, kinds))
         elif isinstance(s, lang.While):
-            out += public_statements(s.body)
+            out += outline_statements(s.body, kinds)
     return out
 
 
@@ -251,8 +245,7 @@ def gen_interference_vcs(annotated: asrt.AnnotatedProgram,
         outlines = thread_outlines(annotated)
     vcs: list[VC] = []
     for j, thread_j in enumerate(program.threads):
-        writers = atomic_statements(thread_j.body)
-        for target in writers:
+        for target in outline_statements(thread_j.body, WRITERS):
             pre_t = outlines[j].pre[target.label]
             t_where = program.location_str(target.label)
             for i, thread_i in enumerate(program.threads):
@@ -261,9 +254,9 @@ def gen_interference_vcs(annotated: asrt.AnnotatedProgram,
                 vcs.append(VC(_conj(annotated.posts[i], pre_t), target,
                               annotated.posts[i], INTERFERENCE,
                               f"{t_where} preserves post of {thread_i.name}"))
-                protected = atomic_statements(thread_i.body)
+                protected = outline_statements(thread_i.body, WRITERS)
                 if strict_stability:
-                    protected = protected + public_statements(thread_i.body)
+                    protected += outline_statements(thread_i.body, PUBLIC)
                 for s_prime in protected:
                     a = outlines[i].pre[s_prime.label]
                     vcs.append(VC(
@@ -325,7 +318,6 @@ def path_fact_assertion(program: lang.Program, thread: int,
 
 def gen_leaky_vcs(annotated: asrt.AnnotatedProgram,
                   costs: semantics.CostModel = semantics.CostModel(),
-                  secret_domain: Optional[tuple] = None,
                   outlines: Optional[dict[int, Outline]] = None,
                   ) -> tuple[list[VC], list[str]]:
     """Stability and rule-support conditions for every leak postulate;
@@ -334,8 +326,6 @@ def gen_leaky_vcs(annotated: asrt.AnnotatedProgram,
     notices: list[str] = []
     if not annotated.leaky:
         return [], ["no leak postulates present"]
-    if secret_domain is None:
-        secret_domain = explorer.secret_domain_of(program)
     vcs: list[VC] = []
     if outlines is None:
         outlines = thread_outlines(annotated)
@@ -347,7 +337,7 @@ def gen_leaky_vcs(annotated: asrt.AnnotatedProgram,
         for i, thread_i in enumerate(program.threads):
             if i == t_thread:
                 continue
-            for s in atomic_statements(thread_i.body):
+            for s in outline_statements(thread_i.body, WRITERS):
                 p = outlines[i].pre[s.label]
                 q = outlines[i].post[s.label]
                 s_where = program.location_str(s.label)
@@ -375,7 +365,7 @@ def gen_leaky_vcs(annotated: asrt.AnnotatedProgram,
             continue
         loc_from, loc_to = same_thread
         facts = path_fact_assertion(program, t_thread, loc_from, loc_to,
-                                    secret_domain, costs)
+                                    explorer.secret_domain_of(program), costs)
         if facts is None:
             notices.append(f"postulate at {t_where}: isolated path timings "
                            "underivable; its rules must hold without them")
@@ -537,7 +527,7 @@ def _clock_box(snapshot_bound: int) -> range:
 def discharge_vc(vc: VC, program: lang.Program,
                  costs: semantics.CostModel = semantics.CostModel(),
                  snapshot_bound: int = 64,
-                 max_states: int = 2_000_000,
+                 max_states: int = STATE_BUDGET,
                  tolerance: int = 0,
                  table: Optional[AssertionTable] = None) -> DischargeResult:
     """Enumerate all relevant states; valid iff no pre-state breaks the post.
@@ -819,7 +809,7 @@ def emit_smtlib(vc: VC, program: lang.Program,
 def gen_vcs(annotated: asrt.AnnotatedProgram,
             strict_stability: bool = True,
             costs: semantics.CostModel = semantics.CostModel(),
-            secret_domain: Optional[tuple] = None) -> tuple[list[VC], list[str]]:
+            ) -> tuple[list[VC], list[str]]:
     """All three VC families in report order, with the leak notices; each
     thread's outline is built once."""
     vcs: list[VC] = []
@@ -828,7 +818,7 @@ def gen_vcs(annotated: asrt.AnnotatedProgram,
         seq, outlines[t] = gen_sequential_vcs(annotated, t)
         vcs += seq
     vcs += gen_interference_vcs(annotated, strict_stability, outlines)
-    leaky_vcs, notices = gen_leaky_vcs(annotated, costs, secret_domain, outlines)
+    leaky_vcs, notices = gen_leaky_vcs(annotated, costs, outlines)
     return vcs + leaky_vcs, notices
 
 
@@ -836,9 +826,7 @@ def check_proof(annotated: asrt.AnnotatedProgram,
                 strict_stability: bool = True,
                 costs: semantics.CostModel = semantics.CostModel(),
                 snapshot_bound: int = 64,
-                max_states: int = 2_000_000,
-                tolerance: int = 0,
-                secret_domain: Optional[tuple] = None) -> ProofResult:
+                tolerance: int = 0) -> ProofResult:
     """Generate all three VC families, discharge them, and aggregate.
 
     Each distinct triple is discharged once: VCs that differ only in kind
@@ -848,7 +836,7 @@ def check_proof(annotated: asrt.AnnotatedProgram,
     assertions and analyses and compiles each distinct one once.
     """
     program = annotated.program
-    vcs, notices = gen_vcs(annotated, strict_stability, costs, secret_domain)
+    vcs, notices = gen_vcs(annotated, strict_stability, costs)
     table = AssertionTable(program, tolerance)
     discharged: dict[tuple, DischargeResult] = {}
     entries = []
@@ -856,7 +844,7 @@ def check_proof(annotated: asrt.AnnotatedProgram,
         key = table.key(vc)
         if key not in discharged:
             discharged[key] = discharge_vc(vc, program, costs, snapshot_bound,
-                                           max_states, tolerance, table)
+                                           STATE_BUDGET, tolerance, table)
         entries.append((vc, discharged[key]))
     statuses = [r.status for _, r in entries]
     if any(s == "counterexample" for s in statuses):

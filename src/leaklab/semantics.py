@@ -142,14 +142,6 @@ def _as_bool(v: Value) -> bool:
     return v != 0  # int guard means "value != 0"
 
 
-def eval_expr(e: lang.Expr, store: Store) -> Value:
-    return compile_expr(e)(store)
-
-
-def eval_guard(e: lang.Expr, store: Store) -> bool:
-    return _as_bool(compile_expr(e)(store))
-
-
 def render_value(v: Value) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"

@@ -120,6 +120,20 @@ class TestLeakscan:
         data = json.loads(out)
         assert data["secret_domain"] == [{"h": 0}]
 
+    def test_full_range_secret_keeps_the_report(self, capsys, tmp_path):
+        # k is declared before a, so name order and declaration order differ.
+        source = tmp_path / "two_secrets.cwl"
+        source.write_text(
+            "var k : int[0..1] label high = secret;\n"
+            "var a : int[0..1] label high = secret;\n"
+            "thread A { if k then { print('k'); } else { skip; };\n"
+            "           if a then { print('a'); } else { skip; }; }\n")
+        _, plain, _ = run_cli(capsys, "leakscan", str(source), "--format", "json")
+        _, full, _ = run_cli(capsys, "leakscan", str(source), "--format", "json",
+                             "--secret", "k=0..1")
+        assert json.loads(plain)["secret_domain"][:2] == [{"a": 0, "k": 0}, {"a": 1, "k": 0}]
+        assert full == plain
+
     def test_reports_identical_across_processes(self):
         # Fresh processes hash strings with different seeds, so set iteration
         # orders differ between them; the report must not.
@@ -393,6 +407,23 @@ class TestIfcCommand:
         assert not data["non_interfering"]
         assert data["results"]["s1"]["flow_violation"]["variable"] == "h"
 
+    def test_low_value_turning_bool_changes_the_view(self, capsys, tmp_path):
+        # x goes from 0 to false: equal under ==, yet printed apart.
+        scenario = {
+            "users": {"u": "low"},
+            "variables": {"x": {"label": "low", "value": 0},
+                          "y": {"label": "low", "value": 1}},
+            "observer": "u",
+            "sequences": {"s1": [["u", "x = y < 1"]]},
+        }
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(scenario))
+        code, out, _ = run_cli(capsys, "ifc", str(path), "--format", "json")
+        assert code == 1
+        data = json.loads(out)
+        assert not data["non_interfering"]
+        assert data["results"]["s1"]["reason"] == "observer view changed"
+
     def test_harmless_scenario(self, capsys, tmp_path):
         scenario = {
             "users": {"alice": "low"},
@@ -603,6 +634,16 @@ class TestBadInput:
         code, out, err = run_cli(capsys, *subcommand_argv(command, bad, tmp_path))
         assert code == 2 and out == ""
         assert err.startswith("error: ill-typed assertion at A") and err.count("\n") == 1
+
+    # An empty ghost domain made every condition vacuous, and ogcheck proved
+    # a post of false.
+    def test_empty_ghost_domain_is_an_input_error(self, capsys, tmp_path):
+        outline = tmp_path / "ghost.cwl"
+        outline.write_text("ghost V : int[3..1]; var x : int[0..1] label low = 0; "
+                           "thread A { {| x = V |} skip; } post {| false |}\n")
+        code, out, err = run_cli(capsys, "ogcheck", str(outline))
+        assert (code, out) == (2, "")
+        assert err == "error: 1:20: empty domain [3..1] for V\n"
 
     # At bound -1 the clock axis was empty, and ogcheck proved this outline
     # that bounds 0 and 64 refute.

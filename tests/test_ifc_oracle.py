@@ -138,13 +138,14 @@ def test_bool_and_int_states_stay_apart():
 
 def test_least_raising_weave_decides_the_error():
     """Two weaves of the first raising cut pair raise different errors; the
-    enumerator meets ``False`` first."""
-    q0 = machine({"u1": "low", "u2": "low"},
-                 {"x": ("low", 0), "y": ("low", 1), "out": ("low", 0)})
+    enumerator meets ``False`` first.  ``x`` and ``y`` are hidden from the
+    observer, whose view would otherwise change when ``x`` becomes ``False``."""
+    q0 = machine({"u1": "high", "u2": "high", "lo": "low"},
+                 {"x": ("high", 0), "y": ("high", 1), "out": ("low", 0)})
     less = lambda a, b: lang.BinOp("<", lang.Var(a), lang.IntLit(b))  # noqa: E731
     s1 = [("u2", lang.Assign("x", less("y", 1)))]
     s2 = [("u1", ifc.GuardEval(lang.Var("y"))), ("u2", lang.Assign("y", less("x", 1)))]
-    assert assert_same(s1, s2, "u1", q0, two_point()) == ("error", "expected int, got False")
+    assert assert_same(s1, s2, "lo", q0, two_point()) == ("error", "expected int, got False")
 
 
 def test_fifty_non_interfering_commands_per_side():

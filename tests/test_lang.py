@@ -78,6 +78,13 @@ class TestParsing:
         assert p.ghosts[0].name == "V0"
         assert p.ghosts[0].domain == tuple(range(5))
 
+    @pytest.mark.parametrize("keyword", ["var", "ghost"])
+    def test_empty_domain_rejected(self, keyword):
+        decl = {"var": "var V : int[3..1] label low = 3;\n",
+                "ghost": "ghost V : int[3..1];\n"}[keyword]
+        with pytest.raises(ParseError, match=r"empty domain \[3\.\.1\] for V"):
+            parse(decl + MINI + "thread A { skip; }")
+
 
 class TestLabelling:
     def test_single_skip_gets_l0_plus_exit(self):

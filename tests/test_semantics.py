@@ -12,24 +12,28 @@ def expr(text: str) -> lang.Expr:
     return lang.parse_expr(lang.TokenStream(lang.tokenize(text)))
 
 
+def evaluate(e: lang.Expr, store: dict) -> semantics.Value:
+    return semantics.compile_expr(e)(store)
+
+
 class TestEvalExpr:
     def test_arithmetic(self):
-        assert semantics.eval_expr(expr("v + 2"), {"v": 1}) == 3
+        assert evaluate(expr("v + 2"), {"v": 1}) == 3
 
     def test_semaphore_guard(self):
-        assert semantics.eval_expr(expr("sem > 0"), {"sem": 1}) is True
-        assert semantics.eval_expr(expr("sem > 0"), {"sem": 0}) is False
+        assert evaluate(expr("sem > 0"), {"sem": 1}) is True
+        assert evaluate(expr("sem > 0"), {"sem": 0}) is False
 
     def test_equality_conjunction(self):
-        assert semantics.eval_expr(expr("h = 0 and true"), {"h": 0}) is True
+        assert evaluate(expr("h = 0 and true"), {"h": 0}) is True
 
     def test_int_guard_means_nonzero(self):
-        assert semantics.eval_guard(expr("h"), {"h": 1}) is True
-        assert semantics.eval_guard(expr("h"), {"h": 0}) is False
+        assert semantics._as_bool(evaluate(expr("h"), {"h": 1})) is True
+        assert semantics._as_bool(evaluate(expr("h"), {"h": 0})) is False
 
     def test_unbound_variable(self):
         with pytest.raises(LeakLabError):
-            semantics.eval_expr(expr("q"), {})
+            evaluate(expr("q"), {})
 
 
 FULL_T1 = """
