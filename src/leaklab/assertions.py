@@ -9,6 +9,10 @@ The assertion language extends program expressions with:
 * ``->`` implication, bounded ``forall``/``exists`` quantifiers, and
   ``approx(a, b, tol)`` for tolerance comparisons (|a-b| <= tol).
 
+Everything else is parsed, typed, printed and evaluated by
+:class:`lang.ExprLanguage`, so an expression means the same in an assertion
+as in the program.
+
 Assertions attach to programs through :class:`AnnotatedProgram`: a pre
 assertion per location, one post assertion per thread, and a separate map
 of leak-postulate assertions at output statements.  The leak postulates are
@@ -86,9 +90,18 @@ class _AssertionLanguage(lang.ExprLanguage):
     Typing extends the expression rules: ``t``, ``t@...`` and quantified
     variables are ints, ``->`` and quantifier bodies take booleans, and
     ``approx`` takes ints.
+
+    A compiled assertion reads the clock, the snapshots and the default
+    ``approx`` tolerance from the instance that compiled it; a quantifier
+    binds its variable in a copy of the store.
     """
 
     noun = "assertion term"
+
+    def __init__(self, tolerance: int = 0):
+        self.tolerance = tolerance
+        self.snapshots: dict[lang.LocationId, tuple[int, ...]] = {}
+        self.clock = 0
 
     def parse(self, ts: lang.TokenStream) -> Assertion:
         left = self.parse_or(ts)
@@ -166,6 +179,37 @@ class _AssertionLanguage(lang.ExprLanguage):
             text = f"{x.kind} {x.var} in {x.lo}..{x.hi} : {self.show(x.body)}"
             return f"({text})" if parent_prec >= 1 else text
         return super().show(x, parent_prec)
+
+    def compile(self, x: Assertion):
+        if isinstance(x, ClockTerm):
+            return lambda store: self.clock
+        if isinstance(x, SnapshotTerm):
+            if x.resolved is None:
+                raise LeakLabError("unresolved snapshot term; bind it to a program first")
+            loc, arrival = x.resolved, x.arrival
+
+            def snapshot(store):
+                arrivals = self.snapshots.get(loc, ())
+                idx = arrival if arrival is not None else len(arrivals) - 1
+                if idx < 0 or idx >= len(arrivals):
+                    raise SnapshotUndefined(f"no arrival recorded at l{loc.index}")
+                return arrivals[idx]
+            return snapshot
+        if isinstance(x, Implies):
+            left, right = self.compile(x.antecedent), self.compile(x.consequent)
+            return lambda store: (not left(store)) or right(store)
+        if isinstance(x, Approx):
+            left, right = self.compile(x.left), self.compile(x.right)
+            tol = (self.compile(x.tolerance) if x.tolerance is not None
+                   else lambda store: self.tolerance)
+            return lambda store: abs(left(store) - right(store)) <= tol(store)
+        if isinstance(x, Quantified):
+            body, var = self.compile(x.body), x.var
+            values = tuple(range(x.lo, x.hi + 1))
+            if x.kind == "forall":
+                return lambda store: all(body({**store, var: v}) for v in values)
+            return lambda store: any(body({**store, var: v}) for v in values)
+        return super().compile(x)
 
 
 _ASSERTIONS = _AssertionLanguage()
@@ -342,87 +386,20 @@ def eval_assertion(a: Assertion, store: semantics.Store,
     return compile_assertion(a, tolerance)(store, snapshots, clock)
 
 
-# One closure factory per binary operator, so a node builds only its own.
-_BINARY = {
-    "and": lambda left, right: lambda s, n, c, e: left(s, n, c, e) and right(s, n, c, e),
-    "or": lambda left, right: lambda s, n, c, e: left(s, n, c, e) or right(s, n, c, e),
-    "=": lambda left, right: lambda s, n, c, e: left(s, n, c, e) == right(s, n, c, e),
-    "!=": lambda left, right: lambda s, n, c, e: left(s, n, c, e) != right(s, n, c, e),
-    "<": lambda left, right: lambda s, n, c, e: left(s, n, c, e) < right(s, n, c, e),
-    "<=": lambda left, right: lambda s, n, c, e: left(s, n, c, e) <= right(s, n, c, e),
-    ">": lambda left, right: lambda s, n, c, e: left(s, n, c, e) > right(s, n, c, e),
-    ">=": lambda left, right: lambda s, n, c, e: left(s, n, c, e) >= right(s, n, c, e),
-    "+": lambda left, right: lambda s, n, c, e: left(s, n, c, e) + right(s, n, c, e),
-    "-": lambda left, right: lambda s, n, c, e: left(s, n, c, e) - right(s, n, c, e),
-    "*": lambda left, right: lambda s, n, c, e: left(s, n, c, e) * right(s, n, c, e),
-}
-
-
 def compile_assertion(a: Assertion, tolerance: int = 0):
     """Build an evaluator ``fn(store, snapshots, clock) -> bool``.
 
-    The one evaluator of assertions: the AST is translated once into nested
-    closures so discharge loops avoid per-state dispatch.  A snapshot of a
-    location never reached raises :class:`SnapshotUndefined`, which is
-    distinct from evaluating to False.
+    The AST is translated once into nested closures by the one evaluator,
+    :meth:`lang.ExprLanguage.compile`, so discharge loops avoid per-state
+    dispatch.  A snapshot of a location never reached raises
+    :class:`SnapshotUndefined`, which is distinct from evaluating to False.
     """
-    def comp(x: lang.Expr):
-        if isinstance(x, lang.IntLit) or isinstance(x, lang.BoolLit):
-            v = x.value
-            return lambda s, n, c, e: v
-        if isinstance(x, lang.Var):
-            name = x.name
-            def var_fn(s, n, c, e, name=name):
-                if name in e:
-                    return e[name]
-                try:
-                    return s[name]
-                except KeyError:
-                    raise LeakLabError(f"variable {name!r} unbound in assertion") from None
-            return var_fn
-        if isinstance(x, ClockTerm):
-            return lambda s, n, c, e: c
-        if isinstance(x, SnapshotTerm):
-            if x.resolved is None:
-                raise LeakLabError("unresolved snapshot term; bind it to a program first")
-            loc, arrival = x.resolved, x.arrival
-            def snap_fn(s, n, c, e, loc=loc, arrival=arrival):
-                arrivals = n.get(loc, ())
-                idx = arrival if arrival is not None else len(arrivals) - 1
-                if idx < 0 or idx >= len(arrivals):
-                    raise SnapshotUndefined(f"no arrival recorded at l{loc.index}")
-                return arrivals[idx]
-            return snap_fn
-        if isinstance(x, lang.UnaryOp):
-            inner = comp(x.operand)
-            if x.op == "-":
-                return lambda s, n, c, e: -inner(s, n, c, e)
-            return lambda s, n, c, e: not inner(s, n, c, e)
-        if isinstance(x, Implies):
-            left, right = comp(x.antecedent), comp(x.consequent)
-            return lambda s, n, c, e: (not left(s, n, c, e)) or right(s, n, c, e)
-        if isinstance(x, Approx):
-            left, right = comp(x.left), comp(x.right)
-            tol = comp(x.tolerance) if x.tolerance is not None else (
-                lambda s, n, c, e: tolerance)
-            return lambda s, n, c, e: abs(left(s, n, c, e) - right(s, n, c, e)) <= tol(s, n, c, e)
-        if isinstance(x, Quantified):
-            body = comp(x.body)
-            values = tuple(range(x.lo, x.hi + 1))
-            var = x.var
-            if x.kind == "forall":
-                return lambda s, n, c, e: all(
-                    body(s, n, c, {**e, var: v}) for v in values)
-            return lambda s, n, c, e: any(
-                body(s, n, c, {**e, var: v}) for v in values)
-        if isinstance(x, lang.BinOp):
-            return _BINARY[x.op](comp(x.left), comp(x.right))
-        raise TypeError(x)
-
-    fn = comp(a)
+    compiler = _AssertionLanguage(tolerance)
+    fn = compiler.compile(a)
 
     def run(store, snapshots, clock) -> bool:
-        value = fn(store, snapshots, clock, {})
+        compiler.snapshots, compiler.clock = snapshots, clock
+        value = fn(store)
         if not isinstance(value, bool):
             raise LeakLabError("assertion does not evaluate to a boolean")
         return value
@@ -433,6 +410,21 @@ def compile_assertion(a: Assertion, tolerance: int = 0):
 # ---------------------------------------------------------------------------
 # Annotated programs
 # ---------------------------------------------------------------------------
+
+def check_vars(a: Assertion, program: lang.Program, where: str) -> None:
+    """Raise :class:`AnnotationError` unless every free name of ``a`` is a
+    variable or ghost of ``program`` and ``a`` is a well-typed boolean."""
+    decls = {d.name: d for d in program.declarations + program.ghosts}
+    undeclared = assertion_vars(a) - decls.keys()
+    if undeclared:
+        raise AnnotationError(
+            f"undeclared name(s) {sorted(undeclared)} in assertion at {where}")
+    try:
+        if _ASSERTIONS.type_of(a, decls) != lang.BOOL:
+            raise ParseError("assertion is not boolean")
+    except ParseError as e:
+        raise AnnotationError(f"ill-typed assertion at {where}: {e}") from None
+
 
 @dataclass
 class AnnotatedProgram:
@@ -452,48 +444,36 @@ def annotate_program(program: lang.Program,
     ``extra_pre``/``extra_leaky`` override or add programmatic annotations,
     e.g. assertions produced by synthesis.
     """
-    decls = {d.name: d for d in program.declarations + program.ghosts}
     pre: dict[lang.LocationId, Assertion] = {}
     leaky: dict[lang.LocationId, Assertion] = {}
     posts: dict[int, Assertion] = {}
     warnings: list[str] = []
-
-    def check_vars(a: Assertion, where: str) -> None:
-        undeclared = assertion_vars(a) - decls.keys()
-        if undeclared:
-            raise AnnotationError(
-                f"undeclared name(s) {sorted(undeclared)} in assertion at {where}")
-        try:
-            if _ASSERTIONS.type_of(a, decls) != lang.BOOL:
-                raise ParseError("assertion is not boolean")
-        except ParseError as e:
-            raise AnnotationError(f"ill-typed assertion at {where}: {e}") from None
 
     for t_idx, thread in enumerate(program.threads):
         for stmt in lang.iter_statements(thread.body):
             where = program.location_str(stmt.label)
             if stmt.pre_text is not None:
                 a = resolve_assertion(parse_assertion(stmt.pre_text), program, t_idx)
-                check_vars(a, where)
+                check_vars(a, program, where)
                 pre[stmt.label] = a
             if stmt.leaky_text is not None:
                 a = resolve_assertion(parse_assertion(stmt.leaky_text), program, t_idx)
-                check_vars(a, where)
+                check_vars(a, program, where)
                 leaky[stmt.label] = a
         if thread.post_text is not None:
             a = resolve_assertion(parse_assertion(thread.post_text), program, t_idx)
-            check_vars(a, f"{thread.name} post")
+            check_vars(a, program, f"{thread.name} post")
             posts[t_idx] = a
 
     if extra_pre:
         for loc, a in extra_pre.items():
             a = resolve_assertion(a, program, loc.thread)
-            check_vars(a, program.location_str(loc))
+            check_vars(a, program, program.location_str(loc))
             pre[loc] = a
     if extra_leaky:
         for loc, a in extra_leaky.items():
             a = resolve_assertion(a, program, loc.thread)
-            check_vars(a, program.location_str(loc))
+            check_vars(a, program, program.location_str(loc))
             leaky[loc] = a
 
     secrets = set(program.secret_names())
@@ -627,12 +607,15 @@ def is_leaky_assertion(a: Assertion, loc: lang.LocationId, program: lang.Program
     rule-form assertion (implications with secret-free antecedents and
     secret consequents) each case is tested the same way over the states
     satisfying its antecedent, and the case must also verify its own
-    consequent; one determinizing case suffices.
+    consequent; one determinizing case suffices.  An assertion that
+    :func:`annotate_program` would reject raises the same
+    :class:`AnnotationError`.
     """
     if secret_domain is None:
         secret_domain = explorer.secret_domain_of(program)
     secrets = frozenset(program.secret_names())
     a = resolve_assertion(a, program, loc.thread)
+    check_vars(a, program, program.location_str(loc))
     watch = frozenset(term.resolved for term in snapshot_terms(a))
     states, complete = states_at_location(
         program, loc, watch, secret_domain, bounds, costs)

@@ -82,7 +82,9 @@ def _parse_secret_override(program: lang.Program, specs: list[str]) -> tuple:
         except ValueError:
             raise LeakLabError(f"--secret {spec!r}: expected NAME=LO..HI with "
                                "integer bounds") from None
-        bad = [v for v in values if v not in domains[name]]
+        # The bounds are ints, and 0 == False: a bool secret takes none of them.
+        bad = [v for v in values
+               if program.decl(name).type != lang.INT or v not in domains[name]]
         if bad:
             raise LeakLabError(f"--secret {name}: {bad} outside the declared domain")
         domains[name] = values

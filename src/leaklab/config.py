@@ -7,7 +7,8 @@ Format, one entry per line (``#`` comments)::
     cost.l3 = 2        # all threads' l3
     cost.T2.l3 = 47    # one thread's l3
 
-Qualified overrides win over bare ones.
+Qualified overrides win over bare ones.  An override may be zero, as
+``delay(0)`` may, but not negative: the clock never runs backwards.
 """
 
 from __future__ import annotations
@@ -62,6 +63,9 @@ def parse_config(text: str) -> ToolConfig:
                 raise LeakLabError("tolerance must be non-negative")
             config.tolerance = number
         elif key.startswith("cost."):
+            if number < 0:
+                raise LeakLabError(f"config line {lineno}: cost override {key!r} "
+                                   "must be non-negative")
             parts = key.split(".")
             if len(parts) == 2 and _is_label(parts[1]):
                 config.bare_overrides[int(parts[1][1:])] = number

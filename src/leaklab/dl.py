@@ -208,8 +208,8 @@ def synthesize_leaky_assertions(program: lang.Program,
         return report
 
     for loc_from, loc_to in pairs:
-        iso = explorer.isolated_durations(program, loc_from.thread, loc_from, loc_to,
-                                          secret_domain, bounds, costs)
+        iso = explorer.isolated_durations(program, loc_from, loc_to, secret_domain,
+                                          bounds, costs)
         isolated = {str(dict(v)): sorted(ds) for v, ds in iso.durations.items()}
         if not iso.complete:
             report.indeterminate.append(IndeterminateRecord(

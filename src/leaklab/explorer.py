@@ -36,9 +36,6 @@ class Observation(NamedTuple):
     def letters(self) -> str:
         return " ".join(p for p, _ in self.events)
 
-    def timing_blind(self) -> "Observation":
-        return Observation(tuple((p, None) for p, _ in self.events))
-
     def sort_key(self):
         return tuple((p, -1 if t is None else t) for p, t in self.events)
 
@@ -447,13 +444,14 @@ def duration_stats(program: lang.Program, loc_from: lang.LocationId,
     return _durations(program, loc_from, loc_to, secret_domain, measure)
 
 
-def isolated_durations(program: lang.Program, thread: int,
-                       loc_from: lang.LocationId, loc_to: lang.LocationId,
+def isolated_durations(program: lang.Program, loc_from: lang.LocationId,
+                       loc_to: lang.LocationId,
                        secret_domain: Optional[tuple[SecretValuation, ...]],
                        bounds: ExploreBounds,
                        costs: semantics.CostModel = semantics.CostModel()
                        ) -> DurationStats:
-    """For each secret valuation, every ``t@to - t@from`` of ``thread`` alone.
+    """For each secret valuation, every ``t@to - t@from`` of the thread of
+    ``loc_from`` alone.
 
     The thread steps by itself in ``program``, the others held at their
     start.  Its next step depends only on its residue and the store, so its
@@ -464,8 +462,7 @@ def isolated_durations(program: lang.Program, thread: int,
     Only ``bounds.max_configs`` distinct states are stepped, and a longer
     run leaves the answer incomplete; the step bound does not apply.
     """
-    if loc_from.thread != thread:
-        raise LeakLabError(f"duration endpoints must lie in thread {thread}")
+    thread = loc_from.thread
     alone = semantics.StepChoice(thread)
 
     def measure(valuation: SecretValuation) -> tuple[list, bool]:

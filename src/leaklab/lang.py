@@ -1,4 +1,5 @@
-"""Syntax of the concurrent while-language: AST, parser, location labelling.
+"""The concurrent while-language: AST, parser, location labelling, and the
+one evaluator of expressions (:meth:`ExprLanguage.compile`).
 
 A program is a list of variable declarations followed by one or more
 ``thread NAME { ... }`` blocks executed in parallel.  Statement bodies are
@@ -14,10 +15,11 @@ here as raw text and parsed into assertion ASTs by
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
-from .errors import ParseError
+from .errors import LeakLabError, ParseError
 
 INT = "int"
 BOOL = "bool"
@@ -380,7 +382,7 @@ class TokenStream:
 
 
 # ---------------------------------------------------------------------------
-# The expression language: parsing, typing and printing
+# The expression language: parsing, typing, printing and evaluation
 # ---------------------------------------------------------------------------
 
 _PRECEDENCE = {"or": 1, "and": 2, "=": 4, "!=": 4, "<": 4, "<=": 4, ">": 4,
@@ -388,7 +390,7 @@ _PRECEDENCE = {"or": 1, "and": 2, "=": 4, "!=": 4, "<": 4, "<=": 4, ">": 4,
 
 
 class ExprLanguage:
-    """Parser, type checker and printer of expressions.
+    """Parser, type checker, printer and evaluator of expressions.
 
     The assertion language of :mod:`leaklab.assertions` subclasses it and
     adds its own forms.  Every method reaches the others through ``self``,
@@ -523,6 +525,66 @@ class ExprLanguage:
             text = f"{self.show(e.left, prec - 1)} {e.op} {self.show(e.right, prec)}"
             return f"({text})" if parent_prec >= prec else text
         raise TypeError(e)
+
+    # Evaluation: the one evaluator, compiled once into closures.
+
+    def compile(self, e: Expr) -> Callable[[dict], Union[int, bool]]:
+        """``e`` as a closure ``fn(store)``.
+
+        Evaluation is strict; an unbound variable, a string literal outside
+        print and a bool where an int is expected raise :class:`LeakLabError`.
+        """
+        if isinstance(e, (IntLit, BoolLit)):
+            value = e.value
+            return lambda store: value
+        if isinstance(e, StrLit):
+            def string(store):
+                raise LeakLabError("string literal outside print")
+            return string
+        if isinstance(e, Var):
+            name = e.name
+
+            def var(store):
+                try:
+                    return store[name]
+                except KeyError:
+                    raise LeakLabError(f"variable {name!r} unbound") from None
+            return var
+        if isinstance(e, UnaryOp):
+            inner = self.compile(e.operand)
+            if e.op == "-":
+                return lambda store: -_as_int(inner(store))
+            return lambda store: not _as_bool(inner(store))
+        left, right = self.compile(e.left), self.compile(e.right)
+        if e.op == "and":
+            return lambda store: _as_bool(left(store)) and _as_bool(right(store))
+        if e.op == "or":
+            return lambda store: _as_bool(left(store)) or _as_bool(right(store))
+        op = _OPS[e.op]
+        if e.op in ("=", "!="):
+            return lambda store: op(left(store), right(store))
+
+        def on_ints(store):
+            a, b = left(store), right(store)
+            return op(a if type(a) is int else _as_int(a), b if type(b) is int else _as_int(b))
+        return on_ints
+
+
+_OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
+        ">": operator.gt, ">=": operator.ge, "+": operator.add, "-": operator.sub,
+        "*": operator.mul}
+
+
+def _as_int(v: Union[int, bool]) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise LeakLabError(f"expected int, got {v!r}")
+    return v
+
+
+def _as_bool(v: Union[int, bool]) -> bool:
+    if isinstance(v, bool):
+        return v
+    return v != 0  # int guard means "value != 0"
 
 
 EXPRESSIONS = ExprLanguage()

@@ -270,9 +270,8 @@ def gen_interference_vcs(annotated: asrt.AnnotatedProgram,
 # Leak postulates
 # ---------------------------------------------------------------------------
 
-def isolated_path_duration(program: lang.Program, thread: int,
-                           loc_from: lang.LocationId, loc_to: lang.LocationId,
-                           secret_valuation: dict,
+def isolated_path_duration(program: lang.Program, loc_from: lang.LocationId,
+                           loc_to: lang.LocationId, secret_valuation: dict,
                            costs: semantics.CostModel = semantics.CostModel()
                            ) -> Optional[frozenset[int]]:
     """:func:`explorer.isolated_durations` for one valuation, as ``dl``
@@ -281,8 +280,8 @@ def isolated_path_duration(program: lang.Program, thread: int,
     ``ExploreBounds().max_configs`` distinct states."""
     valuation = tuple(secret_valuation.items())
     try:
-        stats = explorer.isolated_durations(program, thread, loc_from, loc_to,
-                                            (valuation,), explorer.ExploreBounds(), costs)
+        stats = explorer.isolated_durations(program, loc_from, loc_to, (valuation,),
+                                            explorer.ExploreBounds(), costs)
     except (DomainError, BudgetExceeded):
         return None
     if stats.unreached or not stats.complete:
@@ -290,9 +289,8 @@ def isolated_path_duration(program: lang.Program, thread: int,
     return stats.durations[valuation]
 
 
-def path_fact_assertion(program: lang.Program, thread: int,
-                        loc_from: lang.LocationId, loc_to: lang.LocationId,
-                        secret_domain: tuple,
+def path_fact_assertion(program: lang.Program, loc_from: lang.LocationId,
+                        loc_to: lang.LocationId, secret_domain: tuple,
                         costs: semantics.CostModel) -> Optional[asrt.Assertion]:
     """Per-secret isolated durations, as one conjunction of rules.
 
@@ -306,7 +304,7 @@ def path_fact_assertion(program: lang.Program, thread: int,
         asrt.SnapshotTerm(None, loc_from.index, None, loc_from))
     parts: list[asrt.Assertion] = []
     for valuation in secret_domain:
-        durations = isolated_path_duration(program, thread, loc_from, loc_to,
+        durations = isolated_path_duration(program, loc_from, loc_to,
                                            dict(valuation), costs)
         if durations is None:
             return None
@@ -364,7 +362,7 @@ def gen_leaky_vcs(annotated: asrt.AnnotatedProgram,
                            "snapshot pair; no rule-support conditions generated")
             continue
         loc_from, loc_to = same_thread
-        facts = path_fact_assertion(program, t_thread, loc_from, loc_to,
+        facts = path_fact_assertion(program, loc_from, loc_to,
                                     explorer.secret_domain_of(program), costs)
         if facts is None:
             notices.append(f"postulate at {t_where}: isolated path timings "

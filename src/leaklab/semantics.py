@@ -17,12 +17,12 @@ head statement: the rest of the head's block, then whatever follows the
 enclosing statement, which for a loop body is the loop itself.  So the
 table interns each statement's continuation and successor residues, holds
 the exit labels, the domains and a closure for every expression
-(:func:`compile_expr`), and :func:`step` runs by lookup.
+(:func:`compile_expr`, the evaluator assertions share), and :func:`step`
+runs by lookup.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -83,63 +83,8 @@ class StepChoice(NamedTuple):
     thread: int
 
 
-def compile_expr(e: lang.Expr) -> Callable[[Store], Value]:
-    """The one expression evaluator: ``e`` as a closure ``fn(store)``.
-
-    Evaluation is strict; an unbound variable, a string literal outside
-    print and a bool where an int is expected raise :class:`LeakLabError`.
-    """
-    if isinstance(e, (lang.IntLit, lang.BoolLit)):
-        value = e.value
-        return lambda store: value
-    if isinstance(e, lang.StrLit):
-        def string(store):
-            raise LeakLabError("string literal outside print")
-        return string
-    if isinstance(e, lang.Var):
-        name = e.name
-
-        def var(store):
-            try:
-                return store[name]
-            except KeyError:
-                raise LeakLabError(f"variable {name!r} unbound") from None
-        return var
-    if isinstance(e, lang.UnaryOp):
-        inner = compile_expr(e.operand)
-        if e.op == "-":
-            return lambda store: -_as_int(inner(store))
-        return lambda store: not _as_bool(inner(store))
-    left, right = compile_expr(e.left), compile_expr(e.right)
-    if e.op == "and":
-        return lambda store: _as_bool(left(store)) and _as_bool(right(store))
-    if e.op == "or":
-        return lambda store: _as_bool(left(store)) or _as_bool(right(store))
-    op = _OPS[e.op]
-    if e.op in ("=", "!="):
-        return lambda store: op(left(store), right(store))
-
-    def on_ints(store):
-        a, b = left(store), right(store)
-        return op(a if type(a) is int else _as_int(a), b if type(b) is int else _as_int(b))
-    return on_ints
-
-
-_OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
-        ">": operator.gt, ">=": operator.ge, "+": operator.add, "-": operator.sub,
-        "*": operator.mul}
-
-
-def _as_int(v: Value) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise LeakLabError(f"expected int, got {v!r}")
-    return v
-
-
-def _as_bool(v: Value) -> bool:
-    if isinstance(v, bool):
-        return v
-    return v != 0  # int guard means "value != 0"
+compile_expr = lang.EXPRESSIONS.compile  # ``e`` as a closure ``fn(store)``
+_as_bool = lang._as_bool
 
 
 def render_value(v: Value) -> str:

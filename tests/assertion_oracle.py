@@ -3,8 +3,10 @@
 ``assertions.compile_assertion`` is the evaluator leaklab uses; this is the
 direct interpreter it replaced, kept only so that tests can compare the
 two.  It checks at every boolean position that the value is a boolean,
-where the compiled evaluator checks only the result, so the two agree on
-well-typed assertions and this one fails loudly on the rest.
+where the compiled evaluator, which evaluates the expression part of an
+assertion as a program expression, reads an int there as ``!= 0`` and
+checks only the result.  The two agree on well-typed assertions, and this
+one fails loudly on the rest.
 """
 
 from __future__ import annotations

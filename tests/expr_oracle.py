@@ -1,8 +1,11 @@
 """Test-only reference: expressions evaluated by walking their AST.
 
-This is ``semantics.eval_expr`` as it was before ``semantics.compile_expr``
-became the one expression evaluator.  It dispatches on the node type at
-every visit, which is slow on purpose; it is kept only so that tests can
+This is ``semantics.eval_expr`` as it was before expressions were compiled
+into closures.  The compiled evaluator is now ``lang.ExprLanguage.compile``,
+which assertions extend and ``semantics.compile_expr`` calls, so comparing
+against this interpreter checks the evaluation of program expressions and
+of the expression part of assertions alike.  It dispatches on the node type
+at every visit, which is slow on purpose; it is kept only so that tests can
 compare the compiled evaluator against it, on values and on errors.
 """
 

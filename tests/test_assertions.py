@@ -354,6 +354,17 @@ class TestLeakiness:
             if sat_a and set(sat_a) <= set(sat_b):
                 assert excluded(sat_b) <= excluded(sat_a)
 
+    # The assertion evaluator once read this as h + 1 = 2 and answered
+    # leaky, with h=0 excluded, though annotate_program rejects it.
+    def test_ill_typed_assertion_is_rejected_as_in_an_outline(self):
+        p = lang.parse_program(
+            "var h : int[0..1] label high = secret;\n"
+            "thread A { print('a'); skip; print('b'); }")
+        with pytest.raises(AnnotationError,
+                           match="ill-typed assertion at A.l2: arithmetic '[+]'"):
+            asrt.is_leaky_assertion(asrt.parse_assertion("h + true = 2"), L(0, 2), p,
+                                    bounds=BOUNDS)
+
     def test_incomplete_exploration_flagged(self):
         p = lang.parse_program(
             "var h : int[0..1] label high = secret;\n"

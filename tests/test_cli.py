@@ -660,6 +660,32 @@ class TestBadInput:
         if command == "ogcheck":
             assert run_cli(capsys, *argv, "--snapshot-bound", "0")[0] == 1
 
+    # With cost.l0 = -5 the clock ran backwards: ogcheck proved this outline
+    # while run printed 'A a -5'.
+    @pytest.mark.parametrize("argv", (("ogcheck",), ("run", "--init", "h=1")))
+    def test_negative_cost_override_is_an_input_error(self, capsys, tmp_path, argv):
+        outline = tmp_path / "backwards.cwl"
+        outline.write_text("var h : int[0..1] label high = secret; thread A { "
+                           "{| true |} print('a'); {| true |} skip; } post {| t@l1 >= 0 |}\n")
+        cfg = tmp_path / "costs.cfg"
+        cfg.write_text("cost.l0 = -5\n")
+        code, out, err = run_cli(capsys, argv[0], str(outline), *argv[1:], "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == "error: config line 1: cost override 'cost.l0' must be non-negative\n"
+        cfg.write_text("cost.l0 = 0\n")  # free, as delay(0) is
+        code, out, _ = run_cli(capsys, argv[0], str(outline), *argv[1:], "--config", str(cfg))
+        assert code == 0
+        assert argv[0] == "ogcheck" or out.splitlines()[0] == "A\ta\t0"
+
+    # 0 == False and 1 == True, so the range once passed as the bool domain
+    # and the scan ran the secret as the ints 0 and 1.
+    def test_integer_range_on_a_bool_secret_is_an_input_error(self, capsys, tmp_path):
+        source = tmp_path / "bool_secret.cwl"
+        source.write_text("var b : bool label high = secret; thread A { print(b); }\n")
+        code, out, err = run_cli(capsys, "leakscan", str(source), "--secret", "b=0..1")
+        assert (code, out) == (2, "")
+        assert err == "error: --secret b: [0, 1] outside the declared domain\n"
+
     @pytest.mark.parametrize("argv, source", (
         (("parse",), "var x : int[0..3] label low = 0;\n"
                      "thread A { x = " + "(" * 3000 + "1" + ")" * 3000 + "; }\n"),

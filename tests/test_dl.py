@@ -163,7 +163,7 @@ class TestSynthesis:
             [record] = syn.indeterminate
             assert record.isolated == {"{'h': 0}": [5, 8], "{'h': 1}": [7, 10]}
         for h in (0, 1):
-            facts = proofs.isolated_path_duration(p, 0, L(0, 1), L(0, 8), {"h": h})
+            facts = proofs.isolated_path_duration(p, L(0, 1), L(0, 8), {"h": h})
             assert sorted(facts) == record.isolated[str({"h": h})]
 
     def test_state_cap_gives_no_assertion(self):

@@ -222,8 +222,8 @@ class TestLeakyVcs:
 
 class TestIsolatedPathDuration:
     def test_region_thread_paths(self, region_thread):
-        d0 = proofs.isolated_path_duration(region_thread, 0, L(0, 0), L(0, 7), {"h": 0})
-        d1 = proofs.isolated_path_duration(region_thread, 0, L(0, 0), L(0, 7), {"h": 1})
+        d0 = proofs.isolated_path_duration(region_thread, L(0, 0), L(0, 7), {"h": 0})
+        d1 = proofs.isolated_path_duration(region_thread, L(0, 0), L(0, 7), {"h": 1})
         assert (d0, d1) == ({3}, {6})
 
     def test_blocked_region_gives_none(self):
@@ -231,7 +231,7 @@ class TestIsolatedPathDuration:
             "var h : int[0..1] label high = secret;\n"
             "var g : int[0..1] label low = 0;\n"
             "thread A { print('s'); await g > 0 then { skip; }; print('e'); }")
-        assert proofs.isolated_path_duration(p, 0, L(0, 0), L(0, 2), {"h": 0}) is None
+        assert proofs.isolated_path_duration(p, L(0, 0), L(0, 2), {"h": 0}) is None
 
     def test_loop_within_budget(self):
         p = lang.parse_program(
@@ -239,7 +239,7 @@ class TestIsolatedPathDuration:
             "var i : int[0..5] label low = 0;\n"
             "thread A { print('s'); while i < 3 do { i = i + 1; }; print('e'); }")
         # s(1) + 4 guard evaluations + 3 increments = 8 units between arrivals.
-        assert proofs.isolated_path_duration(p, 0, L(0, 0), L(0, 3), {"h": 0}) == {8}
+        assert proofs.isolated_path_duration(p, L(0, 0), L(0, 3), {"h": 0}) == {8}
 
 
     def test_endless_run_keeps_the_durations_before_it_loops(self):
@@ -247,13 +247,13 @@ class TestIsolatedPathDuration:
         p = lang.parse_program(
             "var h : int[0..1] label high = secret;\n"
             "thread A { print('s'); print('e'); while true do { skip; }; }")
-        assert proofs.isolated_path_duration(p, 0, L(0, 0), L(0, 1), {"h": 0}) == {1}
+        assert proofs.isolated_path_duration(p, L(0, 0), L(0, 1), {"h": 0}) == {1}
 
     def test_endless_run_that_never_pairs_gives_none(self):
         p = lang.parse_program(
             "var h : int[0..1] label high = secret;\n"
             "thread A { print('s'); while true do { skip; }; print('e'); }")
-        assert proofs.isolated_path_duration(p, 0, L(0, 0), L(0, 3), {"h": 0}) is None
+        assert proofs.isolated_path_duration(p, L(0, 0), L(0, 3), {"h": 0}) is None
 
     @pytest.mark.parametrize("source", (FOREVER_SOURCE, FOREVER_UNUSED_SOURCE))
     def test_endless_loop_stops_one_period_after_its_first_repeat(self, monkeypatch,
@@ -266,9 +266,9 @@ class TestIsolatedPathDuration:
         # positions times stores, and the timings were underivable.
         p = lang.parse_program(source)
         assert count_steps(monkeypatch, lambda: proofs.isolated_path_duration(
-            p, 0, L(0, 1), L(0, 5), {"h": 0})) == ({3}, 5 + 5)
+            p, L(0, 1), L(0, 5), {"h": 0})) == ({3}, 5 + 5)
         assert count_steps(monkeypatch, lambda: proofs.isolated_path_duration(
-            p, 0, L(0, 1), L(0, 5), {"h": 1})) == ({5}, 5 + 5)
+            p, L(0, 1), L(0, 5), {"h": 1})) == ({5}, 5 + 5)
 
     def test_wrong_postulate_on_an_endless_loop_is_refuted(self):
         p = lang.parse_program(FOREVER_UNUSED_SOURCE)
@@ -280,17 +280,17 @@ class TestIsolatedPathDuration:
 
     def test_run_past_the_state_cap_is_incomplete(self):
         p = lang.parse_program(LOOP_BRANCH_SOURCE)
-        cut = explorer.isolated_durations(p, 0, L(0, 1), L(0, 6), None,
+        cut = explorer.isolated_durations(p, L(0, 1), L(0, 6), None,
                                           explorer.ExploreBounds(max_configs=4))
         assert not cut.complete
-        full = explorer.isolated_durations(p, 0, L(0, 1), L(0, 6), None,
+        full = explorer.isolated_durations(p, L(0, 1), L(0, 6), None,
                                            explorer.ExploreBounds(max_steps=1))
         assert full.complete
         assert full.durations == {(("h", 0),): {5, 10}, (("h", 1),): {7, 14}}
 
     def test_domain_exit_gives_none(self):
         p = lang.parse_program(DOMAIN_EXIT_SOURCE)
-        assert proofs.isolated_path_duration(p, 0, L(0, 0), L(0, 1), {"h": 0}) is None
+        assert proofs.isolated_path_duration(p, L(0, 0), L(0, 1), {"h": 0}) is None
 
     @settings(max_examples=50, deadline=None)
     @given(small_programs())
@@ -310,19 +310,19 @@ class TestIsolatedPathDuration:
                                                     (valuation,), roomy)
                     want = None if stats.unreached else stats.durations[valuation]
                     assert proofs.isolated_path_duration(
-                        program, thread, labels[0], labels[k], dict(valuation)) == want, (
+                        program, labels[0], labels[k], dict(valuation)) == want, (
                             thread, k)
 
     def test_every_duration_of_a_loop(self):
         # The first 's' reaches 'e' in 10 units and the second in 5; the
         # first arrival alone would give only 10.
         p = lang.parse_program(LOOP_BRANCH_SOURCE)
-        assert proofs.isolated_path_duration(p, 0, L(0, 1), L(0, 6), {"h": 0}) == {5, 10}
-        assert proofs.isolated_path_duration(p, 0, L(0, 1), L(0, 6), {"h": 1}) == {7, 14}
+        assert proofs.isolated_path_duration(p, L(0, 1), L(0, 6), {"h": 0}) == {5, 10}
+        assert proofs.isolated_path_duration(p, L(0, 1), L(0, 6), {"h": 1}) == {7, 14}
 
     def test_path_facts_join_durations_with_or(self):
         p = lang.parse_program(LOOP_BRANCH_SOURCE)
-        facts = proofs.path_fact_assertion(p, 0, L(0, 1), L(0, 6), ((("h", 0),), (("h", 1),)),
+        facts = proofs.path_fact_assertion(p, L(0, 1), L(0, 6), ((("h", 0),), (("h", 1),)),
                                            semantics.CostModel())
         assert asrt.unparse_assertion(facts, p) == (
             "(h = 0 -> t@A.l6 - t@A.l1 = 5 or t@A.l6 - t@A.l1 = 10) and "
@@ -390,7 +390,7 @@ class TestIsolatedPathDuration:
                     continue
                 pairs += 1
                 facts = {str(dict(v)): sorted(proofs.isolated_path_duration(
-                             program, loc_from.thread, loc_from, loc_to, dict(v)))
+                             program, loc_from, loc_to, dict(v)))
                          for v in explorer.secret_domain_of(program)}
                 assert facts == isolated[loc_to], (name, loc_from, loc_to)
         assert pairs >= 5
