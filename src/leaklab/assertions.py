@@ -609,13 +609,18 @@ def is_leaky_assertion(a: Assertion, loc: lang.LocationId, program: lang.Program
     satisfying its antecedent, and the case must also verify its own
     consequent; one determinizing case suffices.  An assertion that
     :func:`annotate_program` would reject raises the same
-    :class:`AnnotationError`.
+    :class:`AnnotationError`, and so does one that names a ghost: a ghost
+    has no value at a reachable state.
     """
     if secret_domain is None:
         secret_domain = explorer.secret_domain_of(program)
     secrets = frozenset(program.secret_names())
     a = resolve_assertion(a, program, loc.thread)
     check_vars(a, program, program.location_str(loc))
+    ghosts = sorted(assertion_vars(a) & {g.name for g in program.ghosts})
+    if ghosts:
+        raise AnnotationError(f"ghost(s) {ghosts} in leakiness assertion at "
+                              f"{program.location_str(loc)}")
     watch = frozenset(term.resolved for term in snapshot_terms(a))
     states, complete = states_at_location(
         program, loc, watch, secret_domain, bounds, costs)

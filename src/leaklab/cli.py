@@ -82,6 +82,8 @@ def _parse_secret_override(program: lang.Program, specs: list[str]) -> tuple:
         except ValueError:
             raise LeakLabError(f"--secret {spec!r}: expected NAME=LO..HI with "
                                "integer bounds") from None
+        if not values:
+            raise LeakLabError(f"--secret {spec!r}: empty range {rng}")
         # The bounds are ints, and 0 == False: a bool secret takes none of them.
         bad = [v for v in values
                if program.decl(name).type != lang.INT or v not in domains[name]]
@@ -92,7 +94,7 @@ def _parse_secret_override(program: lang.Program, specs: list[str]) -> tuple:
                  for combo in itertools.product(*domains.values()))
 
 
-def _parse_inits(program: lang.Program, specs: list[str]) -> dict:
+def _parse_inits(program: lang.Program, specs: list[str], secrets: bool = True) -> dict:
     out: dict = {}
     for spec in specs:
         name, _, value = spec.partition("=")
@@ -100,13 +102,15 @@ def _parse_inits(program: lang.Program, specs: list[str]) -> dict:
             decl = program.decl(name)
         except KeyError:
             raise LeakLabError(f"--init {name}: undeclared variable") from None
-        if decl.type == lang.BOOL:
-            out[name] = value == "true"
-        else:
-            try:
-                out[name] = int(value)
-            except ValueError:
-                raise LeakLabError(f"--init {spec!r}: expected an integer") from None
+        if decl.secret and not secrets:
+            raise LeakLabError(f"--init {name}: a secret is scanned over its domain; "
+                               "restrict it with --secret")
+        boolean = decl.type == lang.BOOL
+        try:
+            out[name] = {"true": True, "false": False}[value] if boolean else int(value)
+        except (KeyError, ValueError):
+            raise LeakLabError(f"--init {spec!r}: expected "
+                               + ("true or false" if boolean else "an integer")) from None
     return out
 
 
@@ -137,11 +141,10 @@ def cmd_leakscan(args: argparse.Namespace) -> int:
     from . import explorer
     from .config import load_config
     program = _read_program(args.file)
-    tool_config = load_config(args.config)
-    costs = tool_config.cost_model(program)
+    costs = load_config(args.config).cost_model(program)
     bounds = _bounds_from(args)
     secret_domain = _parse_secret_override(program, args.secret or [])
-    init = _parse_inits(program, args.init or [])
+    init = _parse_inits(program, args.init or [], secrets=False)
     report = explorer.knowledge_partition(program, init, secret_domain, bounds, costs)
     data = report.to_json()
     verdict = f"verdict: {report.verdict} (complete={report.complete}"
@@ -225,11 +228,9 @@ def cmd_dl(args: argparse.Namespace) -> int:
     report = dl_mod.dl_certify(program, lattice)
     data = report.to_json(program)
     if args.synthesize:
-        tool_config = load_config(args.config)
-        costs = tool_config.cost_model(program)
-        bounds = _bounds_from(args)
+        costs = load_config(args.config).cost_model(program)
         synthesis = dl_mod.synthesize_leaky_assertions(
-            program, report.suggested_pairs, None, bounds, costs)
+            program, report.suggested_pairs, None, _bounds_from(args), costs)
         data["synthesized"] = [
             {"location": program.location_str(s.location),
              "annotation": f"@leaky {{| {asrt.unparse_assertion(s.assertion, program)} |}}",
@@ -250,40 +251,33 @@ def cmd_dl(args: argparse.Namespace) -> int:
         human.append(f"  {f['location']}: {f['reason']} ({f['responsible']})")
     for note in data["notes"]:
         human.append(f"note: {note}")
-    if args.synthesize:
-        for s in data.get("synthesized", []):
-            human.append(f"synthesized at {s['location']}: {s['annotation']}")
-        for r in data.get("indeterminate", []):
-            human.append(f"indeterminate for pair {r['pair']}: {r['reason']}")
+    for s in data.get("synthesized", []):
+        human.append(f"synthesized at {s['location']}: {s['annotation']}")
+    for r in data.get("indeterminate", []):
+        human.append(f"indeterminate for pair {r['pair']}: {r['reason']}")
     _emit(data, args.format == "json", human)
     return 0
 
 
-def _parse_command(text: str) -> ifc.Command:
+def _parse_command(path: str, text: str) -> ifc.Command:
+    """A command of scenario ``path``: ``guard(e)`` or one program statement."""
     from . import ifc
-    text = text.strip()
-    if text == "skip":
-        return lang.Skip()
-    ts = lang.TokenStream(lang.tokenize(text))
-    if ts.at("keyword", "print"):
-        ts.next()
-        ts.expect("sym", "(")
-        if ts.at("string"):
-            value: lang.Expr = lang.StrLit(ts.next().text)
-        else:
-            value = lang.parse_expr(ts)
-        ts.expect("sym", ")")
-        return lang.Print(value)
-    if ts.at("ident", "guard"):
-        ts.next()
-        ts.expect("sym", "(")
-        guard = lang.parse_expr(ts)
-        ts.expect("sym", ")")
-        return ifc.GuardEval(guard)
-    target = ts.expect("ident").text
-    ts.expect("sym", "=")
-    value = lang.parse_expr(ts)
-    return lang.Assign(target, value)
+    if not isinstance(text, str):
+        raise LeakLabError(f"{path}: command {text!r} is not a string")
+    try:
+        ts = lang.TokenStream(lang.tokenize(text))
+        if ts.at("ident", "guard") and ts.at("sym", "(", ahead=1):
+            ts.next()
+            ts.expect("sym", "(")
+            guard = lang.parse_expr(ts)
+            ts.expect("sym", ")")
+            ts.expect("eof")
+            return ifc.GuardEval(guard)
+        command = lang.parse_statement(text)
+        ifc.input_sequence(command)  # rejects the statements the machine lacks
+        return command
+    except LeakLabError as e:
+        raise LeakLabError(f"{path}: command {text!r}: {e}") from None
 
 
 def _read_scenario(path: str) -> tuple:
@@ -295,6 +289,10 @@ def _read_scenario(path: str) -> tuple:
     except json.JSONDecodeError as e:
         raise LeakLabError(f"{path}: not JSON ({e})") from None
     try:
+        unknown = sorted(scenario.keys() - {"lattice", "users", "variables", "observer",
+                                            "mode", "sequences"})
+        if unknown:
+            raise LeakLabError(f"{path}: unknown key(s) {unknown}")
         lattice_spec = scenario.get("lattice")
         if lattice_spec:
             lattice = build_lattice(lattice_spec["elements"],
@@ -304,6 +302,9 @@ def _read_scenario(path: str) -> tuple:
         users = scenario["users"]
         variables = scenario["variables"]
         labels = dict(users)
+        clash = sorted(labels.keys() & variables.keys())
+        if clash:
+            raise LeakLabError(f"{path}: {clash} name both a user and a variable")
         values = {}
         for name, spec in variables.items():
             labels[name] = spec["label"]
@@ -319,7 +320,7 @@ def _read_scenario(path: str) -> tuple:
         members = frozenset((u, v) for u in users for v in variables)
         q0 = ifc.MachineState(members, labels, values)
         sequences = {
-            name: [(user, _parse_command(cmd)) for user, cmd in seq]
+            name: [(user, _parse_command(path, text)) for user, text in seq]
             for name, seq in scenario["sequences"].items()
         }
         return lattice, q0, sequences, scenario["observer"], mode
@@ -400,29 +401,36 @@ def build_parser() -> argparse.ArgumentParser:
         description="Information-leak checking for concurrent programs "
                     "with observable output and timing.")
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = {
+        "--config": dict(default=os.environ.get("LEAKLAB_CONFIG"),
+                         help="cost-model configuration file"),
+        "--format": dict(choices=("human", "json"), default="human"),
+        "--bound-steps": dict(type=int, default=200),
+        "--bound-configs": dict(type=int, default=200_000),
+        "--no-strict-stability": dict(action="store_true",
+                                      help="do not protect print/delay pre-assertions"),
+        "--snapshot-bound": dict(type=int, default=64),
+    }
 
-    def common(p: argparse.ArgumentParser, bounds: bool = False) -> None:
+    def command(name: str, func, options: str, **kwargs) -> argparse.ArgumentParser:
+        """A subcommand that takes a file and the named ``shared`` options."""
+        p = sub.add_parser(name, **kwargs)
         p.add_argument("file", help="input file")
-        p.add_argument("--config", default=os.environ.get("LEAKLAB_CONFIG"),
-                       help="cost-model configuration file")
-        p.add_argument("--format", choices=("human", "json"), default="human")
-        if bounds:
-            p.add_argument("--bound-steps", type=int, default=200)
-            p.add_argument("--bound-configs", type=int, default=200_000)
+        for option in options.split():
+            p.add_argument(option, **shared[option])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("parse", help="parse, validate and pretty-print")
-    p.add_argument("file")
+    p = command("parse", cmd_parse, "", help="parse, validate and pretty-print")
     p.add_argument("--labels", action="store_true", help="show location labels")
-    p.set_defaults(func=cmd_parse)
 
-    p = sub.add_parser("run", help="run a single-thread program; dump the trace")
-    common(p, bounds=True)
+    p = command("run", cmd_run, "--config --bound-steps",
+                help="run a single-thread program; dump the trace")
     p.add_argument("--init", action="append", metavar="NAME=VALUE",
                    help="fix a secret or override a declared initializer")
-    p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("leakscan", help="exhaustive exploration leak scan")
-    common(p, bounds=True)
+    p = command("leakscan", cmd_leakscan, "--config --format --bound-steps --bound-configs",
+                help="exhaustive exploration leak scan")
     p.add_argument("--timing-blind", action="store_true",
                    help="drop timestamps from observations")
     p.add_argument("--observe-threads", action="store_true",
@@ -430,42 +438,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--secret", action="append", metavar="NAME=LO..HI",
                    help="restrict a secret's enumerated domain")
     p.add_argument("--init", action="append", metavar="NAME=VALUE",
-                   help="override a declared initializer")
+                   help="override a declared initializer of a non-secret variable")
     p.add_argument("--stats", action="store_true",
                    help="report per secret what the state search did")
-    p.set_defaults(func=cmd_leakscan)
 
-    p = sub.add_parser("ogcheck", help="check an annotated proof outline")
-    common(p)
-    p.add_argument("--no-strict-stability", action="store_true",
-                   help="do not protect print/delay pre-assertions")
-    p.add_argument("--snapshot-bound", type=int, default=64)
+    p = command("ogcheck", cmd_ogcheck, "--config --format --no-strict-stability --snapshot-bound",
+                help="check an annotated proof outline")
     p.add_argument("--stats", action="store_true",
                    help="report how many conditions were discharged, states enumerated "
                         "and distinct assertions analysed")
-    p.set_defaults(func=cmd_ogcheck)
 
-    p = sub.add_parser(
-        "dl", help="dynamic-labelling pass; flag sensitive outputs",
+    p = command(
+        "dl", cmd_dl, "--config --format --bound-steps --bound-configs",
+        help="dynamic-labelling pass; flag sensitive outputs",
         description="Dynamic-labelling pass: flag outputs that may depend on a secret.",
         epilog="Exits 0 whether or not it reports flags: a flag is a candidate for "
                "a leak, not a verdict (leakscan and ogcheck give verdicts).")
-    common(p, bounds=True)
     p.add_argument("--lattice", help="lattice definition JSON")
     p.add_argument("--synthesize", action="store_true",
                    help="also synthesize duration-rule postulates")
-    p.set_defaults(func=cmd_dl)
 
-    p = sub.add_parser("ifc", help="run a state-machine scenario")
-    common(p)
-    p.set_defaults(func=cmd_ifc)
+    command("ifc", cmd_ifc, "--format", help="run a state-machine scenario")
 
-    p = sub.add_parser("emit-smt", help="emit one SMT-LIB file per condition")
-    common(p)
+    p = command("emit-smt", cmd_emit_smt, "--config --no-strict-stability --snapshot-bound",
+                help="emit one SMT-LIB file per condition")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--no-strict-stability", action="store_true")
-    p.add_argument("--snapshot-bound", type=int, default=64)
-    p.set_defaults(func=cmd_emit_smt)
 
     return parser
 

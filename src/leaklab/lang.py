@@ -704,15 +704,23 @@ def _parse_stmt(ts: TokenStream, in_await: bool) -> Stmt:
             leaky_text = ts.expect("annotation").text
         else:
             break
-    tok = ts.peek()
-    stmt = _parse_bare_stmt(ts, in_await, tok)
+    stmt = _parse_bare_stmt(ts, in_await)
+    ts.expect("sym", ";")
     return replace(stmt, pre_text=pre_text, leaky_text=leaky_text)
 
 
-def _parse_bare_stmt(ts: TokenStream, in_await: bool, tok: Token) -> Stmt:
+def parse_statement(text: str) -> Stmt:
+    """Parse text holding exactly one statement, without its closing ``;``."""
+    ts = TokenStream(tokenize(text))
+    stmt = _parse_bare_stmt(ts, in_await=False)
+    ts.expect("eof")
+    return stmt
+
+
+def _parse_bare_stmt(ts: TokenStream, in_await: bool) -> Stmt:
+    tok = ts.peek()
     if ts.at("keyword", "skip"):
         ts.next()
-        ts.expect("sym", ";")
         return Skip()
     if ts.at("keyword", "print"):
         ts.next()
@@ -722,14 +730,12 @@ def _parse_bare_stmt(ts: TokenStream, in_await: bool, tok: Token) -> Stmt:
         else:
             value = parse_expr(ts)
         ts.expect("sym", ")")
-        ts.expect("sym", ";")
         return Print(value)
     if ts.at("keyword", "delay"):
         ts.next()
         ts.expect("sym", "(")
         duration = parse_expr(ts)
         ts.expect("sym", ")")
-        ts.expect("sym", ";")
         return Delay(duration)
     if ts.at("keyword", "if"):
         ts.next()
@@ -740,14 +746,12 @@ def _parse_bare_stmt(ts: TokenStream, in_await: bool, tok: Token) -> Stmt:
         if ts.at("keyword", "else"):
             ts.next()
             else_body = _parse_block(ts, in_await)
-        ts.expect("sym", ";")
         return If(guard, tuple(then_body), tuple(else_body))
     if ts.at("keyword", "while"):
         ts.next()
         guard = parse_expr(ts)
         ts.expect("keyword", "do")
         body = _parse_block(ts, in_await)
-        ts.expect("sym", ";")
         return While(guard, tuple(body))
     if ts.at("keyword", "await"):
         if in_await:
@@ -756,13 +760,11 @@ def _parse_bare_stmt(ts: TokenStream, in_await: bool, tok: Token) -> Stmt:
         guard = parse_expr(ts)
         ts.expect("keyword", "then")
         body = _parse_block(ts, in_await=True)
-        ts.expect("sym", ";")
         return Await(guard, tuple(body))
     if ts.at("ident"):
         target = ts.next().text
         ts.expect("sym", "=")
         value = parse_expr(ts)
-        ts.expect("sym", ";")
         return Assign(target, value)
     raise ts.error(f"expected statement, found {tok.text!r}")
 
@@ -793,10 +795,8 @@ def label_statements(program: Program) -> Program:
                     then_body = relabel(s.then_body)
                     else_body = relabel(s.else_body)
                     s = replace(s, then_body=then_body, else_body=else_body, label=loc)
-                elif isinstance(s, While):
-                    s = replace(s, body=relabel(s.body), label=loc)
-                elif isinstance(s, Await):
-                    # The region's own label precedes its body labels.
+                elif isinstance(s, (While, Await)):
+                    # The statement's own label precedes its body labels.
                     s = replace(s, body=relabel(s.body), label=loc)
                 else:
                     s = replace(s, label=loc)
@@ -819,15 +819,12 @@ def _validate(program: Program) -> None:
         if t.name in names:
             raise ParseError(f"duplicate thread name {t.name!r}")
         names.add(t.name)
-    for t_idx, t in enumerate(program.threads):
+    for t in program.threads:
         for s in iter_statements(t.body):
             for v in free_vars(s):
                 if v not in seen:
                     raise ParseError(f"undeclared variable {v!r} in thread {t.name}")
             _typecheck_stmt(s, seen)
-    labels = [s.label for t in program.threads for s in iter_statements(t.body)]
-    if len(labels) != len(set(labels)):
-        raise ParseError("duplicate statement labels")
 
 
 def _typecheck_stmt(s: Stmt, decls: dict[str, Decl]) -> None:

@@ -365,6 +365,18 @@ class TestLeakiness:
             asrt.is_leaky_assertion(asrt.parse_assertion("h + true = 2"), L(0, 2), p,
                                     bounds=BOUNDS)
 
+    # A ghost has no value at a reachable state: the check once raised
+    # "variable 'G' unbound" partway through the enumeration.
+    def test_ghost_is_rejected_as_an_annotation_error(self):
+        p = lang.parse_program(
+            "ghost G : int[0..1];\n"
+            "var h : int[0..1] label high = secret;\n"
+            "thread A { print('a'); skip; print('b'); }")
+        with pytest.raises(AnnotationError,
+                           match=r"ghost\(s\) \['G'\] in leakiness assertion at A.l2"):
+            asrt.is_leaky_assertion(asrt.parse_assertion("h = G"), L(0, 2), p,
+                                    bounds=BOUNDS)
+
     def test_incomplete_exploration_flagged(self):
         p = lang.parse_program(
             "var h : int[0..1] label high = secret;\n"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -7,15 +8,17 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leaklab import cli
+from leaklab import cli, lang
 
 from conftest import PROGRAMS
+from test_lang import int_exprs
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -439,6 +442,118 @@ class TestIfcCommand:
         assert json.loads(out)["non_interfering"]
 
 
+def write_scenario(path: Path, sequences: dict, **changes) -> Path:
+    """A two-point scenario: alice low, bob high, x low, h high."""
+    scenario = {
+        "users": {"alice": "low", "bob": "high"},
+        "variables": {"x": {"label": "low", "value": 0},
+                      "h": {"label": "high", "value": 1},
+                      "out": {"label": "low", "value": 0}},
+        "observer": "alice",
+        "sequences": sequences,
+    }
+    scenario.update(changes)
+    path.write_text(json.dumps(scenario))
+    return path
+
+
+def command_texts() -> st.SearchStrategy:
+    shown = int_exprs().map(lang.unparse_expr)
+    return st.one_of(
+        st.just("skip"),
+        shown.map(lambda e: f"print({e})"),
+        st.sampled_from(("a", "b")).map(lambda s: f"print('{s}')"),
+        st.builds(lambda t, e: f"{t} = {e}", st.sampled_from(("x", "y")), shown))
+
+
+class TestScenarioCommands:
+    """A scenario command is one statement of the program language, or guard(e)."""
+
+    @given(command_texts())
+    def test_command_parses_as_the_statement_in_a_thread(self, text):
+        program = lang.parse_program("var x : int[0..9] label low = 0;\n"
+                                     "var y : int[0..9] label low = 0;\n"
+                                     f"thread A {{ {text}; }}\n")
+        stmt = program.threads[0].body[0]
+        assert cli._parse_command("s.json", text) == replace(stmt, label=None)
+
+    @settings(deadline=None)
+    @given(st.one_of(command_texts(), int_exprs().map(
+               lambda e: f"guard({lang.unparse_expr(e)})")),
+           st.sampled_from(("; y = 1", " junk", ")")))
+    def test_text_after_the_command_is_an_input_error(self, text, rest):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_scenario(Path(tmp) / "scenario.json",
+                                  {"s1": [["alice", text + rest]]})
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(["ifc", str(path)])
+        assert code == 2
+        assert err.getvalue().startswith(f"error: {path}: command {text + rest!r}: ")
+        assert err.getvalue().count("\n") == 1
+
+    # The reader once stopped after the first statement, so the joined entry
+    # was judged as x = 0 alone: non-interfering, exit 0.
+    def test_joined_commands_are_an_input_error(self, capsys, tmp_path):
+        joined = write_scenario(tmp_path / "joined.json", {"s1": [["alice", "x = 0; x = h"]]})
+        code, out, err = run_cli(capsys, "ifc", str(joined))
+        assert (code, out) == (2, "")
+        assert err == (f"error: {joined}: command 'x = 0; x = h': "
+                       "1:6: expected 'eof', found ';'\n")
+        split = write_scenario(tmp_path / "split.json",
+                               {"s1": [["alice", "x = 0"], ["alice", "x = h"]]})
+        code, out, _ = run_cli(capsys, "ifc", str(split))
+        assert code == 1
+        assert out.splitlines()[1] == "  s1: flow violation"
+
+    @pytest.mark.parametrize("text, kind", (("delay(1)", "Delay"),
+                                            ("while x < 1 do { skip; }", "While")))
+    def test_statements_that_are_not_commands(self, capsys, tmp_path, text, kind):
+        path = write_scenario(tmp_path / "scenario.json", {"s1": [["alice", text]]})
+        code, _, err = run_cli(capsys, "ifc", str(path))
+        assert code == 2
+        assert err == f"error: {path}: command {text!r}: unsupported command {kind}\n"
+
+    def test_a_variable_named_guard_is_assigned(self):
+        assert cli._parse_command("s.json", "guard = 1") == lang.Assign("guard", lang.IntLit(1))
+
+
+class TestOptions:
+    def test_each_subcommand_takes_only_the_options_it_reads(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        taken = {name: sorted(o for a in p._actions for o in a.option_strings
+                              if o not in ("-h", "--help"))
+                 for name, p in sub.choices.items()}
+        assert taken == {
+            "parse": ["--labels"],
+            "run": ["--bound-steps", "--config", "--init"],
+            "leakscan": ["--bound-configs", "--bound-steps", "--config", "--format",
+                         "--init", "--observe-threads", "--secret", "--stats",
+                         "--timing-blind"],
+            "ogcheck": ["--config", "--format", "--no-strict-stability",
+                        "--snapshot-bound", "--stats"],
+            "dl": ["--bound-configs", "--bound-steps", "--config", "--format",
+                   "--lattice", "--synthesize"],
+            "ifc": ["--format"],
+            "emit-smt": ["--config", "--no-strict-stability", "--out-dir",
+                         "--snapshot-bound"],
+        }
+
+    @pytest.mark.parametrize("argv", (
+        ("run", "region_thread.cwl", "--format", "json"),
+        ("run", "region_thread.cwl", "--bound-configs", "5"),
+        ("ifc", "ifc_scenario_low_reads_high.json", "--config", "c.cfg"),
+        ("emit-smt", "semaphore_pair_annotated.cwl", "--out-dir", "smt",
+         "--format", "json"),
+    ))
+    def test_an_option_the_command_does_not_read_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([argv[0], fixture(argv[1]), *argv[2:]])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+
+
 class TestEmitSmt:
     def test_one_file_per_vc(self, capsys, tmp_path):
         out_dir = tmp_path / "smt"
@@ -599,6 +714,55 @@ class TestBadInput:
         err = self.ifc_input_error(capsys, tmp_path,
                                    lambda s: s["variables"]["x"].update(value=[0]))
         assert "value of 'x' is not an integer or boolean" in err
+
+    # The variable's label once overwrote the user's in the one label map:
+    # observer x read as high, and bob writing x changed its view (exit 1).
+    def test_ifc_user_and_variable_of_one_name(self, capsys, tmp_path):
+        path = write_scenario(tmp_path / "scenario.json", {"s1": [["bob", "x = 1"]]},
+                              users={"x": "low", "bob": "high"},
+                              variables={"x": {"label": "high", "value": 0},
+                                         "out": {"label": "low", "value": 0}},
+                              observer="x")
+        code, out, err = run_cli(capsys, "ifc", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: ['x'] name both a user and a variable\n"
+
+    # A misspelt key was once ignored: "moed" ran the scenario sequentially.
+    def test_ifc_unknown_top_level_key(self, capsys, tmp_path):
+        err = self.ifc_input_error(capsys, tmp_path, lambda s: s.update(moed="concurrent"))
+        assert err.endswith(": unknown key(s) ['moed']\n")
+
+    # A dict read as command text once reported "scenario lacks 0".
+    @pytest.mark.parametrize("command", ({"a": 1}, 7, None))
+    def test_ifc_command_that_is_not_a_string(self, capsys, tmp_path, command):
+        err = self.ifc_input_error(
+            capsys, tmp_path,
+            lambda s: s["sequences"].update(s1=[["alice", command]]))
+        assert err.endswith(f": command {command!r} is not a string\n")
+
+    # Anything but "true" once set a bool to false.
+    @pytest.mark.parametrize("value", ("1", "ture"))
+    def test_bool_init_takes_only_true_or_false(self, capsys, tmp_path, value):
+        source = tmp_path / "bool.cwl"
+        source.write_text("var b : bool label low = true; thread A { print(b); }\n")
+        code, out, err = run_cli(capsys, "run", str(source), "--init", f"b={value}")
+        assert (code, out) == (2, "")
+        assert err == f"error: --init 'b={value}': expected true or false\n"
+        assert run_cli(capsys, "run", str(source), "--init", "b=false")[1] == "A\tfalse\t1\n"
+
+    # leakscan once ignored --init on a secret and scanned both values.
+    def test_leakscan_init_of_a_secret_points_at_secret(self, capsys):
+        code, out, err = run_cli(capsys, "leakscan", fixture("semaphore_pair.cwl"),
+                                 "--init", "h=1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --init h: a secret") and "--secret" in err
+
+    # An empty range once left the secret out: "initial store misses 'h'".
+    def test_empty_secret_range_is_named(self, capsys):
+        code, out, err = run_cli(capsys, "leakscan", fixture("semaphore_pair.cwl"),
+                                 "--secret", "h=1..0")
+        assert (code, out) == (2, "")
+        assert err == "error: --secret 'h=1..0': empty range 1..0\n"
 
     def test_malformed_lattice_file(self, capsys, tmp_path):
         lattice = tmp_path / "lattice.json"
