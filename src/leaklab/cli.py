@@ -174,13 +174,7 @@ def cmd_ogcheck(args: argparse.Namespace) -> int:
     tool_config = load_config(args.config)
     costs = tool_config.cost_model(program)
     annotated = asrt.annotate_program(program)
-    result = proofs.check_proof(
-        annotated,
-        strict_stability=not args.no_strict_stability,
-        costs=costs,
-        snapshot_bound=args.snapshot_bound,
-        tolerance=tool_config.tolerance,
-    )
+    result = proofs.check_proof(annotated, costs, args.snapshot_bound, tool_config.tolerance)
     rows = []
     for vc, outcome in result.entries:
         row = {"kind": vc.kind, "provenance": vc.provenance, "status": outcome.status}
@@ -281,7 +275,8 @@ def _parse_command(path: str, text: str) -> ifc.Command:
 
 
 def _read_scenario(path: str) -> tuple:
-    """``(lattice, q0, sequences, observer, mode)`` of a scenario file."""
+    """``(lattice, q0, sequences, observer, mode)`` of a scenario file,
+    every user and variable it names checked before any command runs."""
     from . import ifc
     from .lattice import build_lattice, two_point
     try:
@@ -317,13 +312,28 @@ def _read_scenario(path: str) -> tuple:
         mode = scenario.get("mode", "sequential")
         if mode not in ("sequential", "concurrent"):
             raise LeakLabError(f"{path}: mode {mode!r} is neither 'sequential' nor 'concurrent'")
+        observer = scenario["observer"]
+        if observer not in users:
+            raise LeakLabError(f"{path}: observer {observer!r} is not a declared user")
         members = frozenset((u, v) for u in users for v in variables)
         q0 = ifc.MachineState(members, labels, values)
-        sequences = {
-            name: [(user, _parse_command(path, text)) for user, text in seq]
-            for name, seq in scenario["sequences"].items()
-        }
-        return lattice, q0, sequences, scenario["observer"], mode
+        sequences = {}
+        for name, seq in scenario["sequences"].items():
+            sequences[name] = []
+            for user, text in seq:
+                if user not in users:
+                    raise LeakLabError(f"{path}: user {user!r} of command {text!r} "
+                                       "is not a declared user")
+                command = _parse_command(path, text)
+                undeclared = sorted({op.variable for op in ifc.input_sequence(command)}
+                                    - variables.keys())
+                if undeclared:
+                    raise LeakLabError(f"{path}: command {text!r}: undeclared "
+                                       f"variable(s) {undeclared}")
+                sequences[name].append((user, command))
+        if mode == "concurrent" and len(sequences) != 2:
+            raise LeakLabError(f"{path}: concurrent mode needs exactly two sequences")
+        return lattice, q0, sequences, observer, mode
     except KeyError as e:
         raise LeakLabError(f"{path}: scenario lacks {e}") from None
     except (AttributeError, TypeError, ValueError) as e:
@@ -336,11 +346,8 @@ def cmd_ifc(args: argparse.Namespace) -> int:
     results: dict[str, dict] = {}
     ok = True
     if mode == "concurrent":
-        names = sorted(sequences)
-        if len(names) != 2:
-            raise LeakLabError("concurrent mode needs exactly two sequences")
-        outcome = ifc.check_concurrent_ni(sequences[names[0]], sequences[names[1]],
-                                          observer, q0, lattice)
+        first, second = (sequences[name] for name in sorted(sequences))
+        outcome = ifc.check_concurrent_ni(first, second, observer, q0, lattice)
         results["concurrent"] = _ni_json(outcome)
         ok = outcome.ni
     else:
@@ -378,7 +385,7 @@ def cmd_emit_smt(args: argparse.Namespace) -> int:
     tool_config = load_config(args.config)
     costs = tool_config.cost_model(program)
     annotated = asrt.annotate_program(program)
-    vcs, _notices = proofs.gen_vcs(annotated, not args.no_strict_stability, costs)
+    vcs, _notices = proofs.gen_vcs(annotated, costs)
     table = proofs.AssertionTable(program, tool_config.tolerance)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -407,8 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format": dict(choices=("human", "json"), default="human"),
         "--bound-steps": dict(type=int, default=200),
         "--bound-configs": dict(type=int, default=200_000),
-        "--no-strict-stability": dict(action="store_true",
-                                      help="do not protect print/delay pre-assertions"),
         "--snapshot-bound": dict(type=int, default=64),
     }
 
@@ -442,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", action="store_true",
                    help="report per secret what the state search did")
 
-    p = command("ogcheck", cmd_ogcheck, "--config --format --no-strict-stability --snapshot-bound",
+    p = command("ogcheck", cmd_ogcheck, "--config --format --snapshot-bound",
                 help="check an annotated proof outline")
     p.add_argument("--stats", action="store_true",
                    help="report how many conditions were discharged, states enumerated "
@@ -460,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("ifc", cmd_ifc, "--format", help="run a state-machine scenario")
 
-    p = command("emit-smt", cmd_emit_smt, "--config --no-strict-stability --snapshot-bound",
+    p = command("emit-smt", cmd_emit_smt, "--config --snapshot-bound",
                 help="emit one SMT-LIB file per condition")
     p.add_argument("--out-dir", required=True)
 

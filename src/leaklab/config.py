@@ -8,7 +8,9 @@ Format, one entry per line (``#`` comments)::
     cost.T2.l3 = 47    # one thread's l3
 
 Qualified overrides win over bare ones.  An override may be zero, as
-``delay(0)`` may, but not negative: the clock never runs backwards.
+``delay(0)`` may, but not negative: the clock never runs backwards.  An
+override must name a statement of the program it is applied to: a bare
+``cost.lN`` some thread's ``lN``, a qualified one that thread's ``lN``.
 """
 
 from __future__ import annotations
@@ -25,18 +27,23 @@ from .errors import LeakLabError
 class ToolConfig:
     unit_cost: int = 1
     tolerance: int = 0
-    bare_overrides: dict[int, int] = field(default_factory=dict)
-    qualified_overrides: dict[tuple[str, int], int] = field(default_factory=dict)
+    overrides: dict[str, int] = field(default_factory=dict)  # "cost.l3", "cost.T2.l3"
 
     def cost_model(self, program: lang.Program) -> semantics.CostModel:
+        """The overrides by location; one that names no statement of
+        ``program`` is an error."""
         overrides: dict[lang.LocationId, int] = {}
-        for t_idx, thread in enumerate(program.threads):
-            labels = program.labels_of_thread(t_idx)
-            for loc in labels:
-                if loc.index in self.bare_overrides:
-                    overrides[loc] = self.bare_overrides[loc.index]
-                if (thread.name, loc.index) in self.qualified_overrides:
-                    overrides[loc] = self.qualified_overrides[(thread.name, loc.index)]
+        unmatched = set(self.overrides)
+        for thread in program.threads:
+            for s in lang.iter_statements(thread.body):
+                # the qualified key comes last, so it wins
+                for key in (f"cost.l{s.label.index}", f"cost.{thread.name}.l{s.label.index}"):
+                    if key in self.overrides:
+                        overrides[s.label] = self.overrides[key]
+                        unmatched.discard(key)
+        if unmatched:
+            raise LeakLabError(f"cost override(s) {sorted(unmatched)} "
+                               "name no statement of the program")
         return semantics.CostModel(self.unit_cost, overrides)
 
 
@@ -66,13 +73,10 @@ def parse_config(text: str) -> ToolConfig:
             if number < 0:
                 raise LeakLabError(f"config line {lineno}: cost override {key!r} "
                                    "must be non-negative")
-            parts = key.split(".")
-            if len(parts) == 2 and _is_label(parts[1]):
-                config.bare_overrides[int(parts[1][1:])] = number
-            elif len(parts) == 3 and _is_label(parts[2]):
-                config.qualified_overrides[(parts[1], int(parts[2][1:]))] = number
-            else:
+            *thread, label = key.split(".")[1:]
+            if len(thread) > 1 or not _is_label(label):
                 raise LeakLabError(f"config line {lineno}: bad cost key {key!r}")
+            config.overrides[".".join(["cost", *thread, f"l{int(label[1:])}"])] = number
         else:
             raise LeakLabError(f"config line {lineno}: unknown key {key!r}")
     return config

@@ -5,9 +5,9 @@ Sequential triples form the per-thread chain: each atomic statement must
 carry its outline from its own pre-assertion to the next one (loop
 locations carry the loop invariant; branch entries default to parent-pre
 plus guard). Interference triples demand that every assignment or region
-of one thread preserve the other threads' post assertions and the
-pre-assertions of their assignments and regions (optionally also of their
-prints and delays). Leaky triples cover each leak postulate A on an
+of one thread preserve every assertion of the other threads' outlines:
+each post assertion and the pre-assertion of each statement outside
+region bodies. Leaky triples cover each leak postulate A on an
 output statement T: the stability conditions {Q and A} T {Q},
 {P and A} T {P} and {A and P} S {A} against every assignment/region S of
 the other threads, plus rule-support conditions that check each
@@ -114,21 +114,18 @@ def _guard_assertion(guard: lang.Expr, program: lang.Program) -> asrt.Assertion:
 # ---------------------------------------------------------------------------
 
 WRITERS = (lang.Assign, lang.Await)
-PUBLIC = (lang.Print, lang.Delay)
 
 
-def outline_statements(body: tuple[lang.Stmt, ...], kinds: tuple[type, ...]
-                       ) -> list[lang.Stmt]:
-    """The statements of ``kinds`` outside region bodies, in program order."""
+def outline_statements(body: tuple[lang.Stmt, ...]) -> list[lang.Stmt]:
+    """The assignments and regions outside region bodies, in program order."""
     out: list[lang.Stmt] = []
     for s in body:
-        if isinstance(s, kinds):
+        if isinstance(s, WRITERS):
             out.append(s)
         elif isinstance(s, lang.If):
-            out += (outline_statements(s.then_body, kinds)
-                    + outline_statements(s.else_body, kinds))
+            out += outline_statements(s.then_body) + outline_statements(s.else_body)
         elif isinstance(s, lang.While):
-            out += outline_statements(s.body, kinds)
+            out += outline_statements(s.body)
     return out
 
 
@@ -174,19 +171,18 @@ def gen_sequential_vcs(annotated: asrt.AnnotatedProgram, thread: int,
                 vcs.append(VC(entry, None, explicit, SEQUENTIAL,
                               f"{name}: consequence at {where(s)}"))
             pre = explicit if explicit is not None else entry
-            assert pre is not None
             entry = None  # only the first statement inherits a computed entry
             nxt = body[i + 1] if i + 1 < len(body) else None
             if nxt is not None:
-                post = ann(nxt)  # None surfaces as a missing-annotation error
+                post = ann(nxt)
+                if post is None:
+                    raise AnnotationError(f"missing pre-assertion at {where(nxt)}")
                 post_note = f"pre of {where(nxt)}"
             else:
                 post, post_note = exit_assertion, exit_note
             outline.pre[s.label] = pre
             if isinstance(s, lang.If):
                 g = _guard_assertion(s.guard, program)
-                if post is None:
-                    raise AnnotationError(f"missing pre-assertion at {where(nxt)}")
                 chain(s.then_body, _conj(pre, g), post, post_note)
                 if not s.then_body:
                     vcs.append(VC(_conj(pre, g), None, post, SEQUENTIAL,
@@ -199,8 +195,6 @@ def gen_sequential_vcs(annotated: asrt.AnnotatedProgram, thread: int,
             elif isinstance(s, lang.While):
                 g = _guard_assertion(s.guard, program)
                 inv = pre  # the loop location's annotation is its invariant
-                if post is None:
-                    raise AnnotationError(f"missing pre-assertion at {where(nxt)}")
                 chain(s.body, _conj(inv, g), inv, f"invariant of {where(s)}")
                 if not s.body:
                     vcs.append(VC(_conj(inv, g), None, inv, SEQUENTIAL,
@@ -209,8 +203,6 @@ def gen_sequential_vcs(annotated: asrt.AnnotatedProgram, thread: int,
                               f"{name}: loop exit of {where(s)}"))
                 outline.post[s.label] = post
             else:
-                if post is None:
-                    raise AnnotationError(f"missing pre-assertion at {where(nxt)}")
                 vcs.append(VC(pre, s, post, SEQUENTIAL,
                               f"{name}: {where(s)} establishes {post_note}"))
                 outline.post[s.label] = post
@@ -230,22 +222,22 @@ def thread_outlines(annotated: asrt.AnnotatedProgram) -> dict[int, Outline]:
 
 
 def gen_interference_vcs(annotated: asrt.AnnotatedProgram,
-                         strict_stability: bool = True,
                          outlines: Optional[dict[int, Outline]] = None) -> list[VC]:
     """Freedom-from-interference conditions between every thread pair.
 
-    For each assignment or region T of thread j and each other thread i:
-    (1) T preserves thread i's post assertion, and (2) T preserves the
-    pre-assertion of every assignment/region of thread i (with
-    ``strict_stability`` also of i's prints and delays).  ``outlines``
-    are the threads' outlines, built here when not given.
+    Each assignment or region T of thread j preserves every assertion of
+    every other thread i's outline: i's post assertion, then the
+    pre-assertion of each statement of i outside region bodies in program
+    order, so branch and loop heads, skips, prints, delays and the default
+    entry of a branch are all protected.  ``outlines`` are the threads'
+    outlines, built here when not given.
     """
     program = annotated.program
     if outlines is None:
         outlines = thread_outlines(annotated)
     vcs: list[VC] = []
     for j, thread_j in enumerate(program.threads):
-        for target in outline_statements(thread_j.body, WRITERS):
+        for target in outline_statements(thread_j.body):
             pre_t = outlines[j].pre[target.label]
             t_where = program.location_str(target.label)
             for i, thread_i in enumerate(program.threads):
@@ -254,15 +246,9 @@ def gen_interference_vcs(annotated: asrt.AnnotatedProgram,
                 vcs.append(VC(_conj(annotated.posts[i], pre_t), target,
                               annotated.posts[i], INTERFERENCE,
                               f"{t_where} preserves post of {thread_i.name}"))
-                protected = outline_statements(thread_i.body, WRITERS)
-                if strict_stability:
-                    protected += outline_statements(thread_i.body, PUBLIC)
-                for s_prime in protected:
-                    a = outlines[i].pre[s_prime.label]
-                    vcs.append(VC(
-                        _conj(a, pre_t), target, a, INTERFERENCE,
-                        f"{t_where} preserves pre of "
-                        f"{program.location_str(s_prime.label)}"))
+                for loc, a in outlines[i].pre.items():
+                    vcs.append(VC(_conj(a, pre_t), target, a, INTERFERENCE,
+                                  f"{t_where} preserves pre of {program.location_str(loc)}"))
     return vcs
 
 
@@ -335,7 +321,7 @@ def gen_leaky_vcs(annotated: asrt.AnnotatedProgram,
         for i, thread_i in enumerate(program.threads):
             if i == t_thread:
                 continue
-            for s in outline_statements(thread_i.body, WRITERS):
+            for s in outline_statements(thread_i.body):
                 p = outlines[i].pre[s.label]
                 q = outlines[i].post[s.label]
                 s_where = program.location_str(s.label)
@@ -805,7 +791,6 @@ def emit_smtlib(vc: VC, program: lang.Program,
 # ---------------------------------------------------------------------------
 
 def gen_vcs(annotated: asrt.AnnotatedProgram,
-            strict_stability: bool = True,
             costs: semantics.CostModel = semantics.CostModel(),
             ) -> tuple[list[VC], list[str]]:
     """All three VC families in report order, with the leak notices; each
@@ -815,13 +800,12 @@ def gen_vcs(annotated: asrt.AnnotatedProgram,
     for t in range(len(annotated.program.threads)):
         seq, outlines[t] = gen_sequential_vcs(annotated, t)
         vcs += seq
-    vcs += gen_interference_vcs(annotated, strict_stability, outlines)
+    vcs += gen_interference_vcs(annotated, outlines)
     leaky_vcs, notices = gen_leaky_vcs(annotated, costs, outlines)
     return vcs + leaky_vcs, notices
 
 
 def check_proof(annotated: asrt.AnnotatedProgram,
-                strict_stability: bool = True,
                 costs: semantics.CostModel = semantics.CostModel(),
                 snapshot_bound: int = 64,
                 tolerance: int = 0) -> ProofResult:
@@ -834,7 +818,7 @@ def check_proof(annotated: asrt.AnnotatedProgram,
     assertions and analyses and compiles each distinct one once.
     """
     program = annotated.program
-    vcs, notices = gen_vcs(annotated, strict_stability, costs)
+    vcs, notices = gen_vcs(annotated, costs)
     table = AssertionTable(program, tolerance)
     discharged: dict[tuple, DischargeResult] = {}
     entries = []

@@ -324,7 +324,7 @@ class TestOgcheck:
         _, out, _ = run_cli(capsys, "ogcheck", fixture("semaphore_pair_annotated.cwl"),
                             "--format", "json", "--stats")
         stats = json.loads(out)["stats"]
-        assert (stats["vcs"], stats["discharged"]) == (38, 24)
+        assert (stats["vcs"], stats["discharged"]) == (44, 27)
         assert stats["states_enumerated"] == sum(checked)
         assert len(checked) == stats["discharged"]
         _, again, _ = run_cli(capsys, "ogcheck", fixture("semaphore_pair_annotated.cwl"),
@@ -531,27 +531,29 @@ class TestOptions:
             "leakscan": ["--bound-configs", "--bound-steps", "--config", "--format",
                          "--init", "--observe-threads", "--secret", "--stats",
                          "--timing-blind"],
-            "ogcheck": ["--config", "--format", "--no-strict-stability",
-                        "--snapshot-bound", "--stats"],
+            "ogcheck": ["--config", "--format", "--snapshot-bound", "--stats"],
             "dl": ["--bound-configs", "--bound-steps", "--config", "--format",
                    "--lattice", "--synthesize"],
             "ifc": ["--format"],
-            "emit-smt": ["--config", "--no-strict-stability", "--out-dir",
-                         "--snapshot-bound"],
+            "emit-smt": ["--config", "--out-dir", "--snapshot-bound"],
         }
 
-    @pytest.mark.parametrize("argv", (
-        ("run", "region_thread.cwl", "--format", "json"),
-        ("run", "region_thread.cwl", "--bound-configs", "5"),
-        ("ifc", "ifc_scenario_low_reads_high.json", "--config", "c.cfg"),
-        ("emit-smt", "semaphore_pair_annotated.cwl", "--out-dir", "smt",
-         "--format", "json"),
+    @pytest.mark.parametrize("argv, unread", (
+        (("run", "region_thread.cwl"), ("--format", "json")),
+        (("run", "region_thread.cwl"), ("--bound-configs", "5")),
+        (("ifc", "ifc_scenario_low_reads_high.json"), ("--config", "c.cfg")),
+        (("emit-smt", "semaphore_pair_annotated.cwl", "--out-dir", "smt"),
+         ("--format", "json")),
+        # Every outline assertion is protected; there is no laxer rule.
+        (("ogcheck", "semaphore_pair_annotated.cwl"), ("--no-strict-stability",)),
+        (("emit-smt", "semaphore_pair_annotated.cwl", "--out-dir", "smt"),
+         ("--no-strict-stability",)),
     ))
-    def test_an_option_the_command_does_not_read_exits_2(self, capsys, argv):
+    def test_an_option_the_command_does_not_read_exits_2(self, capsys, argv, unread):
         with pytest.raises(SystemExit) as exit_:
-            cli.main([argv[0], fixture(argv[1]), *argv[2:]])
+            cli.main([argv[0], fixture(argv[1]), *argv[2:], *unread])
         assert exit_.value.code == 2
-        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(unread)}" in capsys.readouterr().err
 
 
 class TestEmitSmt:
@@ -561,7 +563,7 @@ class TestEmitSmt:
                                "--out-dir", str(out_dir))
         assert code == 0
         files = sorted(out_dir.glob("vc_*.smt2"))
-        assert len(files) == 38
+        assert len(files) == 44
         assert f"wrote {len(files)}" in out
         sample = files[0].read_text()
         assert "(check-sat)" in sample
@@ -585,6 +587,21 @@ class TestConfigFile:
         data = json.loads(out)
         assert data["synthesized"] == []
         assert len(data["indeterminate"]) == 1
+
+    # An override that named no statement was once ignored: leakscan reported
+    # what it reports without the config.
+    @pytest.mark.parametrize("key", ("cost.T9.l3", "cost.l99", "cost.Main.l5"))
+    def test_cost_override_that_names_no_statement(self, capsys, tmp_path, key):
+        cfg = tmp_path / "costs.cfg"
+        cfg.write_text(f"cost.l2 = 1\n{key} = 47\n")
+        code, out, err = run_cli(capsys, "leakscan", fixture("corpus/10_blind_timing.cwl"),
+                                 "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == f"error: cost override(s) ['{key}'] name no statement of the program\n"
+        cfg.write_text("cost.l2 = 1\n")  # the delay costs what the skip does
+        code, out, _ = run_cli(capsys, "leakscan", fixture("corpus/10_blind_timing.cwl"),
+                               "--config", str(cfg), "--format", "json")
+        assert code == 0 and json.loads(out)["verdict"] == "no-leak"
 
     def test_env_var_config(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "costs.cfg"
@@ -739,6 +756,31 @@ class TestBadInput:
             capsys, tmp_path,
             lambda s: s["sequences"].update(s1=[["alice", command]]))
         assert err.endswith(f": command {command!r} is not a string\n")
+
+    # Commands were once checked only when the machine reached them, so the
+    # verdict hung on their order: after a flow violation, an undeclared
+    # variable or user gave exit 1.
+    @pytest.mark.parametrize("sequences, changes, reason", (
+        ({"s1": [["alice", "x = h"], ["alice", "zzz = 1"]]}, {},
+         "command 'zzz = 1': undeclared variable(s) ['zzz']"),
+        ({"s1": [["alice", "zzz = 1"], ["alice", "x = h"]]}, {},
+         "command 'zzz = 1': undeclared variable(s) ['zzz']"),
+        ({"s1": [["alice", "x = h"], ["carol", "skip"]]}, {},
+         "user 'carol' of command 'skip' is not a declared user"),
+        ({"s1": [["h", "x = 1"]]}, {}, "user 'h' of command 'x = 1' is not a declared user"),
+        ({"s1": [["alice", "print(x)"]]}, {"variables": {"x": {"label": "low", "value": 0}}},
+         "command 'print(x)': undeclared variable(s) ['out']"),
+        ({"s1": [["alice", "x = 1"]]}, {"observer": "x"}, "observer 'x' is not a declared user"),
+        ({"s1": [["alice", "x = h"]]}, {"mode": "concurrent"},
+         "concurrent mode needs exactly two sequences"),
+    ), ids=("variable-last", "variable-first", "user", "variable-as-user", "print-without-out",
+            "observer", "concurrent-one-sequence"))
+    def test_ifc_scenario_is_checked_before_any_command_runs(self, capsys, tmp_path,
+                                                            sequences, changes, reason):
+        path = write_scenario(tmp_path / "scenario.json", sequences, **changes)
+        code, out, err = run_cli(capsys, "ifc", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: {reason}\n"
 
     # Anything but "true" once set a bool to false.
     @pytest.mark.parametrize("value", ("1", "ture"))

@@ -1,0 +1,153 @@
+"""Owicki–Gries soundness of ``ogcheck``: a proven outline holds when run.
+
+Every assertion of a thread's outline, its post included, must survive the
+other threads' assignments and regions, whatever the statement it stands
+before.  The two programs below were once ``proven`` although a schedule
+that runs B first falsifies A's post: only the pre-assertions of
+assignments, regions, prints and delays were protected, so the pre of an
+``if`` or a ``while`` went unchecked.
+
+The property test generates two-thread programs whose assertions read only
+the store, and checks every assertion of every proven outline against
+every reachable state of its location, found by a complete search and
+judged by the reference evaluator.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import random
+
+import pytest
+
+from leaklab import assertions as asrt
+from leaklab import cli, explorer, lang, proofs
+
+import assertion_oracle
+
+DECLS = ("var x : int[0..1] label low = 0;\n"
+         "var y : int[0..1] label low = 0;\n")
+WRITER_B = "thread B { {| true |} x = 1; } post {| true |}\n"
+
+UNPROTECTED_HEADS = {
+    "if": "thread A { {| x = 0 and y = 0 |} if x = 0 then { skip; } else { y = 1; }; } "
+          "post {| y = 0 |}\n",
+    "while": "thread A { {| x = 0 and y = 0 |} while x = 1 do { y = 1; {| false |} x = 0; }; } "
+             "post {| y = 0 |}\n",
+}
+
+
+@pytest.mark.parametrize("head", sorted(UNPROTECTED_HEADS))
+def test_branch_and_loop_heads_are_protected(tmp_path, head):
+    path = tmp_path / f"{head}.cwl"
+    path.write_text(DECLS + UNPROTECTED_HEADS[head] + WRITER_B)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["ogcheck", str(path), "--format", "json"])
+    report = json.loads(out.getvalue())
+    assert (code, report["overall"]) == (1, "refuted")
+    [row] = [r for r in report["vcs"] if r["provenance"] == "B.l0 preserves pre of A.l0"]
+    assert row["status"] == "counterexample"
+    assert row["counterexample"]["store"] == {"x": 0, "y": 0}
+
+
+# ---------------------------------------------------------------------------
+# Seeded property: a proven outline holds at every reachable state
+# ---------------------------------------------------------------------------
+
+SOUND_DECLS = ("var x : int[0..2] label low = 0;\n"
+               "var y : int[0..2] label low = 0;\n")
+# Every assignment stays inside [0..2], so no run leaves a domain.
+ATOMS = ("x = 0;", "x = 1;", "x = 2;", "y = 0;", "y = 1;", "x = y;", "y = 2 - x;",
+         "skip;", "print(x);")
+GUARDS = ("x = 0", "y = 1", "x = y")
+HELD_AT_START = ("true", "true", "true", "x = 0", "y = 0", "x = y", "x <= 1", "y <= 1")
+ASSERTIONS = HELD_AT_START + ("x = 1", "y = 1")
+
+
+def _annotated(rng: random.Random, stmt: str, required: bool,
+               choices: tuple[str, ...] = ASSERTIONS) -> str:
+    """``stmt`` behind a pre-assertion; a body's first statement may go
+    without one and take its default entry."""
+    if required or rng.random() < 0.5:
+        return f"{{| {rng.choice(choices)} |}} {stmt}"
+    return stmt
+
+
+def _body(rng: random.Random, stmts: list[str]) -> str:
+    return " ".join(_annotated(rng, s, k > 0) for k, s in enumerate(stmts))
+
+
+def _statement(rng: random.Random) -> str:
+    kind = rng.randrange(6)
+    if kind == 0:
+        arms = [[rng.choice(ATOMS) for _ in range(rng.randint(0, 2))] for _ in range(2)]
+        return (f"if {rng.choice(GUARDS)} then {{ {_body(rng, arms[0])} }} "
+                f"else {{ {_body(rng, arms[1])} }};")
+    if kind == 1:
+        # The body ends by falsifying the guard, and the other thread writes
+        # finitely often, so every loop ends.
+        body = [rng.choice(ATOMS) for _ in range(rng.randint(0, 1))] + ["x = 0;"]
+        return f"while x = 1 do {{ {_body(rng, body)} }};"
+    if kind == 2:
+        return f"await {rng.choice(GUARDS)} then {{ {rng.choice(ATOMS)} }};"
+    return rng.choice(ATOMS)
+
+
+def _program_source(rng: random.Random) -> str:
+    threads = []
+    for name in "AB":
+        body = " ".join(_annotated(rng, _statement(rng), True,
+                                   HELD_AT_START if k == 0 else ASSERTIONS)
+                        for k in range(rng.randint(1, 3)))
+        threads.append(f"thread {name} {{ {body} }} post {{| {rng.choice(ASSERTIONS)} |}}")
+    return SOUND_DECLS + "\n".join(threads) + "\n"
+
+
+def _outline_assertions(annotated: asrt.AnnotatedProgram):
+    """Every ``(location, assertion)`` of every thread's outline, posts at
+    the thread's exit location."""
+    for t, outline in proofs.thread_outlines(annotated).items():
+        yield from outline.pre.items()
+        yield annotated.program.labels_of_thread(t)[-1], annotated.posts[t]
+
+
+def _starts_established(annotated: asrt.AnnotatedProgram) -> bool:
+    """Whether the declared initial store satisfies each thread's first
+    pre-assertion, which a proof takes for granted."""
+    init = dict(annotated.program.initial_store())
+    return all(assertion_oracle.evaluate(annotated.pre[thread.body[0].label], init, {}, 0)
+               for thread in annotated.program.threads)
+
+
+def _false_at_reachable_state(annotated: asrt.AnnotatedProgram) -> list[str]:
+    """The locations of the outline assertions that some reachable state of
+    their location falsifies."""
+    program = annotated.program
+    false = []
+    for loc, a in _outline_assertions(annotated):
+        states, complete = asrt.states_at_location(
+            program, loc, frozenset(), explorer.secret_domain_of(program),
+            explorer.ExploreBounds())
+        assert complete
+        if not all(assertion_oracle.evaluate(a, store, snaps, clock)
+                   for store, snaps, clock, _ in states):
+            false.append(program.location_str(loc))
+    return false
+
+
+@pytest.mark.parametrize("seed", (1, 2))
+def test_proven_outlines_hold_at_every_reachable_state(seed):
+    rng = random.Random(seed)
+    checked = 0
+    for _ in range(2000):
+        source = _program_source(rng)
+        annotated = asrt.annotate_program(lang.parse_program(source))
+        if (proofs.check_proof(annotated).overall != "proven"
+                or not _starts_established(annotated)):
+            continue
+        checked += 1
+        assert _false_at_reachable_state(annotated) == [], source
+    assert checked >= 25  # the property was checked, not passed vacuously

@@ -181,12 +181,21 @@ class TestInterferenceVcs:
                   or "T2.l2 preserves pre of T1.l0" in vc.provenance]
         assert len(wanted) == 2
 
-    def test_strict_stability_extends_to_prints(self):
+    def test_every_outline_pre_of_the_other_threads_is_protected(self):
         p = load_program("semaphore_pair_annotated.cwl")
         annotated = asrt.annotate_program(p)
-        strict = proofs.gen_interference_vcs(annotated, strict_stability=True)
-        lax = proofs.gen_interference_vcs(annotated, strict_stability=False)
-        assert len(strict) > len(lax)
+        outlines = proofs.thread_outlines(annotated)
+        vcs = proofs.gen_interference_vcs(annotated)
+        for j, thread in enumerate(p.threads):
+            for target in proofs.outline_statements(thread.body):
+                prefix = f"{p.location_str(target.label)} preserves pre of "
+                protected = [vc.provenance.removeprefix(prefix) for vc in vcs
+                             if vc.provenance.startswith(prefix)]
+                assert protected == [p.location_str(loc) for i in sorted(outlines) if i != j
+                                     for loc in outlines[i].pre]
+        # T2's prints, branch head, region and skip; not the region's body.
+        assert [p.location_str(loc) for loc in outlines[1].pre] == [
+            "T2.l0", "T2.l1", "T2.l2", "T2.l6", "T2.l7"]
 
 
 class TestLeakyVcs:
