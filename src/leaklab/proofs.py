@@ -10,9 +10,10 @@ each post assertion and the pre-assertion of each statement outside
 region bodies. Leaky triples cover each leak postulate A on an
 output statement T: the stability conditions {Q and A} T {Q},
 {P and A} T {P} and {A and P} S {A} against every assignment/region S of
-the other threads, plus rule-support conditions that check each
-implication of a rule-form postulate against the marked thread's own
-isolated path timings.
+the other threads, plus {pre(T) and facts and antecedent} T {consequent}
+for each rule of A (each case of a rule form, or ``true -> A``).  The
+facts are ``true`` when A names no snapshot, and otherwise the marked
+thread's own isolated path timings between two locations of it.
 
 Every triple is discharged by exhaustive enumeration of the referenced
 finite domains.  Snapshot terms are rigid: no statement changes them.
@@ -59,7 +60,7 @@ class VC:
 
 
 class FactlessVC(VC):
-    """A rule-support condition without its underivable path facts: valid
+    """A rule condition without its underivable path facts: valid
     carries over to the condition with them, a counterexample does not."""
 
 
@@ -304,8 +305,11 @@ def gen_leaky_vcs(annotated: asrt.AnnotatedProgram,
                   costs: semantics.CostModel = semantics.CostModel(),
                   outlines: Optional[dict[int, Outline]] = None,
                   ) -> tuple[list[VC], list[str]]:
-    """Stability and rule-support conditions for every leak postulate;
-    ``outlines`` as for :func:`gen_interference_vcs`."""
+    """Stability and rule conditions for every leak postulate, as stated
+    in the module docstring; ``outlines`` as for :func:`gen_interference_vcs`.
+    A rule whose postulate names snapshots but not exactly two locations
+    of its own thread, or whose path facts are underivable, is a
+    :class:`FactlessVC`."""
     program = annotated.program
     notices: list[str] = []
     if not annotated.leaky:
@@ -332,35 +336,28 @@ def gen_leaky_vcs(annotated: asrt.AnnotatedProgram,
                 vcs.append(VC(_conj(postulate, p), s, postulate, LEAKY,
                               f"{s_where} preserves postulate at {t_where}"))
 
-        rules = asrt.decompose_rules(
-            asrt.resolve_assertion(postulate, program, t_thread),
-            frozenset(program.secret_names()))
-        if rules is None:
-            notices.append(f"postulate at {t_where} is not rule-form; "
-                           "certification rests on stability alone")
-            continue
-        locs = {term.resolved for rule in rules
-                for term in asrt.snapshot_terms(rule.antecedent)}
-        same_thread = sorted(
-            (l for l in locs if l is not None and l.thread == t_thread))
-        if len(same_thread) != 2:
-            notices.append(f"postulate at {t_where}: antecedents do not span one "
-                           "snapshot pair; no rule-support conditions generated")
-            continue
-        loc_from, loc_to = same_thread
-        facts = path_fact_assertion(program, loc_from, loc_to,
-                                    explorer.secret_domain_of(program), costs)
+        rules = (asrt.decompose_rules(postulate, frozenset(program.secret_names()))
+                 or [asrt.Implies(asrt.TRUE, postulate)])
+        locs = {term.resolved for term in asrt.snapshot_terms(postulate)}
+        pair = sorted(l for l in locs if l.thread == t_thread)
+        facts = asrt.TRUE
+        if locs:
+            facts = None if len(pair) != 2 else path_fact_assertion(
+                program, *pair, explorer.secret_domain_of(program), costs)
         if facts is None:
             notices.append(f"postulate at {t_where}: isolated path timings "
                            "underivable; its rules must hold without them")
+        pre = outlines[t_thread].pre.get(loc, asrt.TRUE)
         for k, rule in enumerate(rules):
             where = f"rule {k} of postulate at {t_where}"
             if facts is None:
-                vcs.append(FactlessVC(rule.antecedent, output_stmt, rule.consequent,
-                                      LEAKY, f"{where} without isolated path timings"))
+                vcs.append(FactlessVC(_conj(pre, rule.antecedent), output_stmt,
+                                      rule.consequent, LEAKY,
+                                      f"{where} without isolated path timings"))
             else:
-                vcs.append(VC(_conj(facts, rule.antecedent), output_stmt, rule.consequent,
-                              LEAKY, f"{where} against isolated path timings"))
+                vcs.append(VC(_conj(pre, facts, rule.antecedent), output_stmt,
+                              rule.consequent, LEAKY,
+                              where + (" against isolated path timings" if locs else "")))
     return vcs, notices
 
 
@@ -845,7 +842,7 @@ def check_proof(annotated: asrt.AnnotatedProgram,
             locs = ", ".join(program.location_str(l) for l in certified)
             message = f"program certified leaky at {locs}"
         elif leaky_bad:
-            message = "leak not established (assertions interfered with)"
+            message = "leak not established"
         else:
             message = "outline not established; leak postulates unjudged"
     else:

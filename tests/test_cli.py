@@ -244,6 +244,10 @@ class TestLeakscan:
         assert result.stderr == ""
 
 
+ONE_THREAD_DECLS = ("var h : int[0..1] label high = secret;\n"
+                    "var x : int[0..1] label low = 0;\n")
+
+
 class TestOgcheck:
     def test_annotated_semaphore_pair_proven(self, capsys):
         code, out, _ = run_cli(capsys, "ogcheck", fixture("semaphore_pair_annotated.cwl"))
@@ -288,6 +292,54 @@ class TestOgcheck:
         assert data["overall"] == "incomplete"
         assert [row["status"] for row in data["vcs"] if row["kind"] == "leaky"] == [
             "undischarged"]
+
+    @pytest.mark.parametrize("postulate, cx_store", [
+        ("h = 0", {"h": 1}),
+        ("x = 0 -> h = 0", {"h": 1, "x": 0}),
+    ])
+    def test_every_postulate_must_hold_at_its_location(self, capsys, tmp_path,
+                                                      postulate, cx_store):
+        # One thread gives no stability conditions; each postulate was
+        # certified while leakscan finds no leak.
+        program = tmp_path / "one.cwl"
+        program.write_text(
+            f"{ONE_THREAD_DECLS}thread A {{ {{| true |}} print('a'); "
+            f"{{| true |}} @leaky {{| {postulate} |}} print('b'); }} post {{| true |}}\n")
+        code, out, _ = run_cli(capsys, "ogcheck", str(program), "--format", "json")
+        assert code == 1
+        data = json.loads(out)
+        assert data["message"] == "leak not established"
+        [row] = [row for row in data["vcs"] if row["kind"] == "leaky"]
+        assert row["provenance"] == "rule 0 of postulate at A.l1"
+        assert row["counterexample"]["store"] == cx_store
+
+    @pytest.mark.parametrize("pre, code", [("x = h", 0), ("true", 1)])
+    def test_rule_is_judged_under_its_pre_assertion(self, capsys, tmp_path, pre, code):
+        program = tmp_path / "copy.cwl"
+        program.write_text(
+            f"{ONE_THREAD_DECLS}thread A {{ {{| true |}} x = h; "
+            f"{{| {pre} |}} @leaky {{| x = 0 -> h = 0 |}} print('b'); }} post {{| true |}}\n")
+        assert run_cli(capsys, "ogcheck", str(program))[0] == code
+
+    def test_snapshots_that_form_no_pair_are_judged_without_timings(self, capsys, tmp_path):
+        program = tmp_path / "three.cwl"
+        program.write_text(
+            "var h : int[0..1] label high = secret;\n"
+            "thread A { {| true |} print('a');\n"
+            "  {| true |} if h then { {| true |} skip; }\n"
+            "  else { {| true |} skip; {| true |} skip; };\n"
+            "  {| true |} print('b');\n"
+            "  {| true |} @leaky {| (t@l5 - t@l0 < 100 -> h = 0 or h = 1)\n"
+            "    and (t@l6 - t@l5 > 100 -> h = 0) |} print('c'); } post {| true |}\n")
+        code, out, _ = run_cli(capsys, "ogcheck", str(program), "--format", "json")
+        assert code == 3
+        data = json.loads(out)
+        assert data["warnings"] == ["postulate at A.l6: isolated path timings underivable; "
+                                    "its rules must hold without them"]
+        assert [(row["provenance"], row["status"]) for row in data["vcs"]
+                if row["kind"] == "leaky"] == [
+            ("rule 0 of postulate at A.l6 without isolated path timings", "valid"),
+            ("rule 1 of postulate at A.l6 without isolated path timings", "undischarged")]
 
     @pytest.mark.parametrize("name", ["semaphore_pair_annotated.cwl",
                                       "semaphore_pair_inverted.cwl"])

@@ -7,7 +7,8 @@ a report on purpose records the manifest again with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says in its description which entries changed and why.
+which prints the key of each entry it added, removed or changed; a change
+says in its description which entries changed and why.
 """
 
 from __future__ import annotations
@@ -104,6 +105,14 @@ def test_manifest_lists_only_current_commands():
 if __name__ == "__main__":
     os.environ.pop("LEAKLAB_CONFIG", None)
     entries = {key(argv): run(argv) for argv in commands()}
+    old = json.loads(MANIFEST.read_text(encoding="utf-8")) if MANIFEST.exists() else {}
+    for k in sorted(entries.keys() | old.keys()):
+        if k not in old:
+            print(f"added: {k}")
+        elif k not in entries:
+            print(f"removed: {k}")
+        elif entries[k] != old[k]:
+            print(f"changed: {k}")
     MANIFEST.parent.mkdir(exist_ok=True)
     MANIFEST.write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n",
                         encoding="utf-8")

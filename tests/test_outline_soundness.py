@@ -7,16 +7,23 @@ that runs B first falsifies A's post: only the pre-assertions of
 assignments, regions, prints and delays were protected, so the pre of an
 ``if`` or a ``while`` went unchecked.
 
-The property test generates two-thread programs whose assertions read only
-the store, and checks every assertion of every proven outline against
-every reachable state of its location, found by a complete search and
-judged by the reference evaluator.
+The property tests generate two-thread programs beside a secret ``h``,
+whose assertions read only the store.  The first checks every assertion of
+every proven outline against every reachable state of its location, found
+by a complete search over both secret values and judged by the reference
+evaluator.  The second puts a leak postulate on a print of such an outline
+and checks each certified postulate the same way: a postulate that is not
+rule form, or whose antecedent names no snapshot pair, was once certified
+on the stability conditions alone, so ``h = 0`` was certified at a print
+that h = 1 reaches.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
+import itertools
 import json
 import random
 
@@ -54,17 +61,20 @@ def test_branch_and_loop_heads_are_protected(tmp_path, head):
 
 
 # ---------------------------------------------------------------------------
-# Seeded property: a proven outline holds at every reachable state
+# Seeded properties: a proven outline, and a certified postulate, hold at
+# every reachable state
 # ---------------------------------------------------------------------------
 
-SOUND_DECLS = ("var x : int[0..2] label low = 0;\n"
+SOUND_DECLS = ("var h : int[0..1] label high = secret;\n"
+               "var x : int[0..2] label low = 0;\n"
                "var y : int[0..2] label low = 0;\n")
 # Every assignment stays inside [0..2], so no run leaves a domain.
 ATOMS = ("x = 0;", "x = 1;", "x = 2;", "y = 0;", "y = 1;", "x = y;", "y = 2 - x;",
-         "skip;", "print(x);")
+         "x = h;", "skip;", "print(x);")
 GUARDS = ("x = 0", "y = 1", "x = y")
 HELD_AT_START = ("true", "true", "true", "x = 0", "y = 0", "x = y", "x <= 1", "y <= 1")
-ASSERTIONS = HELD_AT_START + ("x = 1", "y = 1")
+ASSERTIONS = HELD_AT_START + ("x = 1", "y = 1", "x = h")
+POSTULATES = ("h = 0", "x = h", "x = 1 -> h = 1", "x = 0 -> h = 0", "y = 1 -> h = 0")
 
 
 def _annotated(rng: random.Random, stmt: str, required: bool,
@@ -96,14 +106,32 @@ def _statement(rng: random.Random) -> str:
     return rng.choice(ATOMS)
 
 
-def _program_source(rng: random.Random) -> str:
-    threads = []
-    for name in "AB":
-        body = " ".join(_annotated(rng, _statement(rng), True,
-                                   HELD_AT_START if k == 0 else ASSERTIONS)
-                        for k in range(rng.randint(1, 3)))
-        threads.append(f"thread {name} {{ {body} }} post {{| {rng.choice(ASSERTIONS)} |}}")
-    return SOUND_DECLS + "\n".join(threads) + "\n"
+Thread = tuple[tuple[tuple[str, str], ...], str]  # (pre, statement) pairs, post
+
+
+def _program_source(threads: list[Thread]) -> str:
+    return SOUND_DECLS + "".join(
+        f"thread {name} {{ {' '.join(f'{{| {a} |}} {s}' for a, s in body)} }} "
+        f"post {{| {post} |}}\n"
+        for name, (body, post) in zip("AB", threads))
+
+
+def _thread(rng: random.Random) -> Thread:
+    """A thread whose sequential chain is valid.  A proof needs every
+    thread's chain and the threads are drawn independently, so drawing each
+    until its chain is valid gives proven programs in the proportions that
+    drawing whole programs does, with less waste."""
+    while True:
+        body = []
+        for k in range(rng.randint(1, 3)):
+            stmt = _statement(rng)
+            body.append((rng.choice(HELD_AT_START if k == 0 else ASSERTIONS), stmt))
+        thread = (tuple(body), rng.choice(ASSERTIONS))
+        annotated = asrt.annotate_program(lang.parse_program(_program_source([thread])))
+        chain, _ = proofs.gen_sequential_vcs(annotated, 0)
+        if all(proofs.discharge_vc(vc, annotated.program).status == "valid"
+               for vc in chain):
+            return thread
 
 
 def _outline_assertions(annotated: asrt.AnnotatedProgram):
@@ -122,12 +150,12 @@ def _starts_established(annotated: asrt.AnnotatedProgram) -> bool:
                for thread in annotated.program.threads)
 
 
-def _false_at_reachable_state(annotated: asrt.AnnotatedProgram) -> list[str]:
-    """The locations of the outline assertions that some reachable state of
-    their location falsifies."""
-    program = annotated.program
+def _false_at_reachable_state(program: lang.Program, pairs) -> list[str]:
+    """The locations of the ``(location, assertion)`` pairs that some
+    reachable state of their location falsifies, both secret values
+    included."""
     false = []
-    for loc, a in _outline_assertions(annotated):
+    for loc, a in pairs:
         states, complete = asrt.states_at_location(
             program, loc, frozenset(), explorer.secret_domain_of(program),
             explorer.ExploreBounds())
@@ -138,16 +166,54 @@ def _false_at_reachable_state(annotated: asrt.AnnotatedProgram) -> list[str]:
     return false
 
 
+@functools.cache
+def _proven_programs(seed: int) -> list[list[Thread]]:
+    """Of 120 two-thread programs generated from ``seed``, the threads of
+    those whose outline is proven and whose first pre-assertions hold in
+    the declared initial store."""
+    rng = random.Random(seed)
+    found = []
+    for _ in range(120):
+        threads = [_thread(rng), _thread(rng)]
+        annotated = asrt.annotate_program(lang.parse_program(_program_source(threads)))
+        if (proofs.check_proof(annotated).overall == "proven"
+                and _starts_established(annotated)):
+            found.append(threads)
+    return found
+
+
 @pytest.mark.parametrize("seed", (1, 2))
 def test_proven_outlines_hold_at_every_reachable_state(seed):
-    rng = random.Random(seed)
-    checked = 0
-    for _ in range(2000):
-        source = _program_source(rng)
+    programs = _proven_programs(seed)
+    for threads in programs:
+        source = _program_source(threads)
         annotated = asrt.annotate_program(lang.parse_program(source))
-        if (proofs.check_proof(annotated).overall != "proven"
-                or not _starts_established(annotated)):
-            continue
-        checked += 1
-        assert _false_at_reachable_state(annotated) == [], source
-    assert checked >= 25  # the property was checked, not passed vacuously
+        assert _false_at_reachable_state(
+            annotated.program, _outline_assertions(annotated)) == [], source
+    assert len(programs) >= 25  # the property was checked, not passed vacuously
+
+
+@pytest.mark.parametrize("seed", (1, 2))
+def test_certified_postulates_hold_at_every_reachable_state(seed):
+    # Each pool postulate in turn on a print put into a proven outline,
+    # before a top-level statement or at the end of a thread.  The print's
+    # pre-assertion is that statement's pre or the thread's post, so the
+    # outline stays proven and certification rests on the leak conditions
+    # alone; no postulate names a snapshot, so its rule is judged under
+    # that pre-assertion.
+    certified = 0
+    for threads in _proven_programs(seed):
+        for k, (body, post) in enumerate(threads):
+            places = enumerate([a for a, _ in body] + [post])
+            for (at, pre), postulate in itertools.product(places, POSTULATES):
+                marked = list(threads)
+                print_x = (pre, f"@leaky {{| {postulate} |}} print(x);")
+                marked[k] = (body[:at] + (print_x,) + body[at:], post)
+                source = _program_source(marked)
+                annotated = asrt.annotate_program(lang.parse_program(source))
+                if not proofs.check_proof(annotated).certified:
+                    continue
+                certified += 1
+                assert _false_at_reachable_state(
+                    annotated.program, annotated.leaky.items()) == [], source
+    assert certified >= 25

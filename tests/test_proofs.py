@@ -220,11 +220,16 @@ class TestLeakyVcs:
         assert any("no leak postulates" in n for n in notices)
 
     def test_secret_only_postulate_is_stable(self, semaphore_pair):
+        # A postulate that is not rule form is the one rule true -> A.
         t2 = semaphore_pair.thread_index("T2")
         annotated = trivially_annotate(
             semaphore_pair, leaky={L(t2, 7): asrt.parse_assertion("h = 0 or h != 0")})
         vcs, notices = proofs.gen_leaky_vcs(annotated)
-        assert any("not rule-form" in n for n in notices)
+        assert notices == []
+        [rule] = [vc for vc in vcs if vc.provenance.startswith("rule")]
+        assert type(rule) is proofs.VC
+        assert rule.provenance == "rule 0 of postulate at T2.l7"
+        assert (rule.pre, rule.post) == (asrt.TRUE, annotated.leaky[L(t2, 7)])
         for vc in vcs:
             assert proofs.discharge_vc(vc, semaphore_pair).status == "valid"
 
@@ -532,7 +537,7 @@ class TestCheckProof:
             load_program("semaphore_pair_inverted.cwl"))
         result = proofs.check_proof(annotated)
         assert result.overall == "refuted"
-        assert result.message == "leak not established (assertions interfered with)"
+        assert result.message == "leak not established"
         flipped = [vc for vc, r in result.by_status("counterexample")]
         assert all(vc.kind == proofs.LEAKY for vc in flipped)
 
