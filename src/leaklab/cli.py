@@ -195,6 +195,9 @@ def cmd_ogcheck(args: argparse.Namespace) -> int:
         human.append(f"  [{row['status']:^14}] {row['kind']}: {row['provenance']}")
         if "counterexample" in row:
             human.append(f"      counterexample: {row['counterexample']}")
+        if "reason" in row:
+            human.append(f"      reason: {row['reason']}")
+    human.extend(f"warning: {w}" for w in result.warnings)
     if args.stats:
         distinct = result.discharged()
         data["stats"] = stats = {

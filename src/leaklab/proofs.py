@@ -1,19 +1,21 @@
 """Proof outlines for parallel programs: VC generation and discharge.
 
 Three families of Hoare triples are generated from an annotated program.
-Sequential triples form the per-thread chain: each atomic statement must
-carry its outline from its own pre-assertion to the next one (loop
-locations carry the loop invariant; branch entries default to parent-pre
-plus guard). Interference triples demand that every assignment or region
-of one thread preserve every assertion of the other threads' outlines:
-each post assertion and the pre-assertion of each statement outside
-region bodies. Leaky triples cover each leak postulate A on an
-output statement T: the stability conditions {Q and A} T {Q},
-{P and A} T {P} and {A and P} S {A} against every assignment/region S of
-the other threads, plus {pre(T) and facts and antecedent} T {consequent}
-for each rule of A (each case of a rule form, or ``true -> A``).  The
-facts are ``true`` when A names no snapshot, and otherwise the marked
-thread's own isolated path timings between two locations of it.
+Sequential triples form the per-thread chain from the declared initial
+store: each atomic statement must carry its outline from its own
+pre-assertion to the next one (loop locations carry the loop invariant;
+branch entries default to parent-pre plus guard).  One interference rule
+protects each thread's post, the pre-assertion of each of its statements
+outside region bodies and each leak postulate on it: an atomic action S
+of another thread, with its pre-assertion P, interferes with such an
+assertion A when it can change what A reads.  Assignments and regions
+can change the store; every action, branch and loop heads included,
+moves the clock ``t``.  Each such pair gives {A and P} S {A}.  Leaky
+triples are the postulates' interference triples, plus {pre(T) and facts and
+antecedent} T {consequent} for each rule of a postulate A on an output
+statement T (each case of a rule form, or ``true -> A``).  The facts are
+``true`` when A names no snapshot, and otherwise the marked thread's own
+isolated path timings between two locations of it.
 
 Every triple is discharged by exhaustive enumeration of the referenced
 finite domains.  Snapshot terms are rigid: no statement changes them.
@@ -47,9 +49,9 @@ STATE_BUDGET = 2_000_000  # states one discharge may enumerate
 class VC:
     """One verification condition {pre} stmt {post}.
 
-    ``stmt`` is an atomic unit (assignment, skip, print, delay or a
-    non-nested region); None marks a pure consequence obligation pre=>post
-    with no state change.
+    ``stmt`` is an atomic unit (assignment, skip, print, delay, branch or
+    loop head, or a non-nested region); None marks a pure consequence
+    obligation pre=>post with no state change.
     """
 
     pre: asrt.Assertion
@@ -110,24 +112,17 @@ def _guard_assertion(guard: lang.Expr, program: lang.Program) -> asrt.Assertion:
     return guard
 
 
+def _reads(a: asrt.Assertion) -> tuple[frozenset[str], bool]:
+    """The variables ``a`` reads, and whether it reads the clock ``t``."""
+    nodes = asrt.subterms(a)
+    return asrt.free_names(nodes), any(isinstance(x, asrt.ClockTerm) for x, _ in nodes)
+
+
 # ---------------------------------------------------------------------------
 # Outline walking
 # ---------------------------------------------------------------------------
 
 WRITERS = (lang.Assign, lang.Await)
-
-
-def outline_statements(body: tuple[lang.Stmt, ...]) -> list[lang.Stmt]:
-    """The assignments and regions outside region bodies, in program order."""
-    out: list[lang.Stmt] = []
-    for s in body:
-        if isinstance(s, WRITERS):
-            out.append(s)
-        elif isinstance(s, lang.If):
-            out += outline_statements(s.then_body) + outline_statements(s.else_body)
-        elif isinstance(s, lang.While):
-            out += outline_statements(s.body)
-    return out
 
 
 @dataclass
@@ -222,35 +217,41 @@ def thread_outlines(annotated: asrt.AnnotatedProgram) -> dict[int, Outline]:
             for t in range(len(annotated.program.threads))}
 
 
+def _actions(program: lang.Program, outlines: dict[int, Outline]) -> list[list[tuple]]:
+    """Each thread's atomic actions, the statements with an outline entry,
+    as ``(statement, pre-assertion, location)`` in program order."""
+    stmts = {s.label: s for t in program.threads for s in lang.iter_statements(t.body)}
+    return [[(stmts[loc], pre, program.location_str(loc)) for loc, pre in outlines[j].pre.items()]
+            for j in sorted(outlines)]
+
+
+def _protect(actions: list[list[tuple]], protected: dict[int, list[tuple]],
+             kind: str) -> list[VC]:
+    """The interference rule of the module docstring: each ``(assertion,
+    name)`` protected for thread i against each action of another thread
+    that can change what it reads, by action, then in the order given."""
+    clocked = {id(a): _reads(a)[1] for items in protected.values() for a, _ in items}
+    return [VC(_conj(a, pre), s, a, kind, f"{where} preserves {what}")
+            for j, thread_actions in enumerate(actions) for s, pre, where in thread_actions
+            for i, items in protected.items() if i != j
+            for a, what in items if isinstance(s, WRITERS) or clocked[id(a)]]
+
+
 def gen_interference_vcs(annotated: asrt.AnnotatedProgram,
                          outlines: Optional[dict[int, Outline]] = None) -> list[VC]:
-    """Freedom-from-interference conditions between every thread pair.
-
-    Each assignment or region T of thread j preserves every assertion of
-    every other thread i's outline: i's post assertion, then the
+    """Freedom-from-interference conditions between every thread pair:
+    each action of thread j against every other thread i's post, then the
     pre-assertion of each statement of i outside region bodies in program
-    order, so branch and loop heads, skips, prints, delays and the default
-    entry of a branch are all protected.  ``outlines`` are the threads'
-    outlines, built here when not given.
+    order.  ``outlines`` are the threads' outlines, built here when not
+    given.
     """
     program = annotated.program
     if outlines is None:
         outlines = thread_outlines(annotated)
-    vcs: list[VC] = []
-    for j, thread_j in enumerate(program.threads):
-        for target in outline_statements(thread_j.body):
-            pre_t = outlines[j].pre[target.label]
-            t_where = program.location_str(target.label)
-            for i, thread_i in enumerate(program.threads):
-                if i == j:
-                    continue
-                vcs.append(VC(_conj(annotated.posts[i], pre_t), target,
-                              annotated.posts[i], INTERFERENCE,
-                              f"{t_where} preserves post of {thread_i.name}"))
-                for loc, a in outlines[i].pre.items():
-                    vcs.append(VC(_conj(a, pre_t), target, a, INTERFERENCE,
-                                  f"{t_where} preserves pre of {program.location_str(loc)}"))
-    return vcs
+    return _protect(_actions(program, outlines), {
+        i: [(annotated.posts[i], f"post of {thread.name}")]
+        + [(a, f"pre of {program.location_str(loc)}") for loc, a in outlines[i].pre.items()]
+        for i, thread in enumerate(program.threads)}, INTERFERENCE)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +306,7 @@ def gen_leaky_vcs(annotated: asrt.AnnotatedProgram,
                   costs: semantics.CostModel = semantics.CostModel(),
                   outlines: Optional[dict[int, Outline]] = None,
                   ) -> tuple[list[VC], list[str]]:
-    """Stability and rule conditions for every leak postulate, as stated
+    """Interference and rule conditions for every leak postulate, as stated
     in the module docstring; ``outlines`` as for :func:`gen_interference_vcs`.
     A rule whose postulate names snapshots but not exactly two locations
     of its own thread, or whose path facts are underivable, is a
@@ -317,24 +318,13 @@ def gen_leaky_vcs(annotated: asrt.AnnotatedProgram,
     vcs: list[VC] = []
     if outlines is None:
         outlines = thread_outlines(annotated)
+    actions = _actions(program, outlines)
 
     for loc, postulate in sorted(annotated.leaky.items()):
         output_stmt = program.statement_at(loc)
         t_thread = loc.thread
         t_where = program.location_str(loc)
-        for i, thread_i in enumerate(program.threads):
-            if i == t_thread:
-                continue
-            for s in outline_statements(thread_i.body):
-                p = outlines[i].pre[s.label]
-                q = outlines[i].post[s.label]
-                s_where = program.location_str(s.label)
-                vcs.append(VC(_conj(q, postulate), output_stmt, q, LEAKY,
-                              f"postulate at {t_where} respects post of {s_where}"))
-                vcs.append(VC(_conj(p, postulate), output_stmt, p, LEAKY,
-                              f"postulate at {t_where} respects pre of {s_where}"))
-                vcs.append(VC(_conj(postulate, p), s, postulate, LEAKY,
-                              f"{s_where} preserves postulate at {t_where}"))
+        vcs += _protect(actions, {t_thread: [(postulate, f"postulate at {t_where}")]}, LEAKY)
 
         rules = (asrt.decompose_rules(postulate, frozenset(program.secret_names()))
                  or [asrt.Implies(asrt.TRUE, postulate)])
@@ -436,7 +426,10 @@ class AssertionTable:
         found = self._stmts.get(id(stmt))
         if found is None:
             n = self._stmt_numbers.setdefault(stmt, len(self._stmt_numbers))
-            found = self._stmts[id(stmt)] = n, lang.free_vars(stmt)
+            # A branch or loop head only moves the clock: it reads nothing.
+            names = (frozenset() if isinstance(stmt, (lang.If, lang.While))
+                     else lang.free_vars(stmt))
+            found = self._stmts[id(stmt)] = n, names
             self._seen.append(stmt)
         return found
 
@@ -775,6 +768,8 @@ def emit_smtlib(vc: VC, program: lang.Program,
             shift_clock(str(costs.action_cost(vc.stmt.label)))
             for inner in vc.stmt.body:
                 transition(inner)
+        elif isinstance(vc.stmt, (lang.If, lang.While)):
+            shift_clock(str(costs.action_cost(vc.stmt.label)))
         else:
             transition(vc.stmt)
 
@@ -787,16 +782,34 @@ def emit_smtlib(vc: VC, program: lang.Program,
 # Whole-proof checking
 # ---------------------------------------------------------------------------
 
+def _initial_vc(annotated: asrt.AnnotatedProgram, thread: int) -> VC:
+    """The declared initial store establishes the thread's first
+    pre-assertion, or its post when the body is empty.  The pre pins each
+    non-secret variable that assertion reads to its initializer, and the
+    clock to 0 when it reads the clock; secrets and ghosts range freely."""
+    program = annotated.program
+    name, body = program.threads[thread].name, program.threads[thread].body
+    first, what = ((annotated.pre[body[0].label], f"pre of {program.location_str(body[0].label)}")
+                   if body else (annotated.posts[thread], f"{name} post"))
+    names, reads_clock = _reads(first)
+    pre = asrt.valuations_assertion([tuple(
+        (d.name, d.init) for d in program.declarations if not d.secret and d.name in names)])
+    clock = lang.BinOp("=", asrt.ClockTerm(), lang.IntLit(0)) if reads_clock else asrt.TRUE
+    return VC(_conj(pre, clock), None, first, SEQUENTIAL,
+              f"{name}: initial store establishes {what}")
+
+
 def gen_vcs(annotated: asrt.AnnotatedProgram,
             costs: semantics.CostModel = semantics.CostModel(),
             ) -> tuple[list[VC], list[str]]:
-    """All three VC families in report order, with the leak notices; each
-    thread's outline is built once."""
+    """All three VC families in report order, with the leak notices: per
+    thread its :func:`_initial_vc` and its chain, then interference, then
+    the leak conditions.  Each thread's outline is built once."""
     vcs: list[VC] = []
     outlines: dict[int, Outline] = {}
     for t in range(len(annotated.program.threads)):
         seq, outlines[t] = gen_sequential_vcs(annotated, t)
-        vcs += seq
+        vcs += [_initial_vc(annotated, t)] + seq
     vcs += gen_interference_vcs(annotated, outlines)
     leaky_vcs, notices = gen_leaky_vcs(annotated, costs, outlines)
     return vcs + leaky_vcs, notices

@@ -243,12 +243,13 @@ def run_atomic(stmt: lang.Stmt, store: Store, clock: int, costs: CostModel,
     """Run one atomic action on ``store`` in place; return the clock after
     it, or None for a region whose guard fails.
 
-    The action is a skip, assignment, print or delay, or a region: a region
-    whose guard holds costs its entry unit, and its body runs to completion
-    within the action, branches resolved against the store as it evolves.
-    ``hook``, unless None, is called as ``hook(s, before, after)`` after
-    every statement ``s`` that runs, with the clock before and after it:
-    the action itself, or else each statement of the region's body.
+    The action is a skip, assignment, print or delay, a branch or loop
+    head, which only costs its unit, or a region: a region whose guard
+    holds costs its entry unit, and its body runs to completion within the
+    action, branches resolved against the store as it evolves.  ``hook``,
+    unless None, is called as ``hook(s, before, after)`` after every
+    statement ``s`` that runs, with the clock before and after it: the
+    action itself, or else each statement of the region's body.
 
     A value outside its declared domain and a negative or non-integer delay
     raise :class:`DomainError`; a body that does not finish within
@@ -256,13 +257,12 @@ def run_atomic(stmt: lang.Stmt, store: Store, clock: int, costs: CostModel,
     """
     nodes = control_table(program).nodes
     node = nodes[id(stmt)]
-    if node.kind == _ACTION:
-        after = node.run(store, clock, costs)
+    if node.kind != _REGION:
+        after = (node.run(store, clock, costs) if node.kind == _ACTION
+                 else clock + costs.action_cost(stmt.label))
         if hook is not None:
             hook(stmt, clock, after)
         return after
-    if node.kind != _REGION:
-        raise TypeError(stmt)
     if not node.run(store):
         return None
     clock += costs.action_cost(stmt.label)  # entry cost

@@ -341,6 +341,52 @@ class TestOgcheck:
             ("rule 0 of postulate at A.l6 without isolated path timings", "valid"),
             ("rule 1 of postulate at A.l6 without isolated path timings", "undischarged")]
 
+    def test_text_report_shows_warnings_and_reasons(self, capsys, tmp_path):
+        program = tmp_path / "three.cwl"
+        program.write_text(
+            "var h : int[0..1] label high = secret;\n"
+            "thread A { {| true |} print('a'); {| true |} print('b');\n"
+            "  {| true |} @leaky {| (t@l1 - t@l0 < 100 -> h = 0 or h = 1)\n"
+            "    and (t@l2 - t@l1 > 100 -> h = 0) |} print('c'); } post {| true |}\n")
+        _, data, _ = run_cli(capsys, "ogcheck", str(program), "--format", "json")
+        data = json.loads(data)
+        [reason] = [row["reason"] for row in data["vcs"] if "reason" in row]
+        code, out, _ = run_cli(capsys, "ogcheck", str(program))
+        assert code == 3
+        lines = out.splitlines()
+        undischarged = lines.index(
+            "  [ undischarged ] leaky: rule 1 of postulate at A.l2 without isolated path timings")
+        assert lines[undischarged + 1] == f"      reason: {reason}"
+        assert reason == "the rule fails without the underivable isolated path timings"
+        assert lines[-len(data["warnings"]):] == [f"warning: {w}" for w in data["warnings"]]
+        assert data["warnings"] == ["postulate at A.l2: isolated path timings underivable; "
+                                    "its rules must hold without them"]
+
+    @pytest.mark.parametrize("source, provenance, cx", [
+        ("var x : int[0..1] label low = 0;\n"
+         "thread A { {| x = 1 |} skip; } post {| x = 1 |}\n",
+         "A: initial store establishes pre of A.l0", {"store": {"x": 0}, "snapshots": {}}),
+        # The first pre-assertion once certified this postulate at A.l1,
+        # although h = 1 reaches it.
+        ("var h : int[0..1] label high = secret;\n"
+         "thread A { {| h = 0 |} print('a'); {| h = 0 |} @leaky {| h = 0 |} print('b'); }"
+         " post {| true |}\n",
+         "A: initial store establishes pre of A.l0", {"store": {"h": 1}, "snapshots": {}}),
+        ("thread A { {| t = 1 |} skip; } post {| t = 2 |}\n",
+         "A: initial store establishes pre of A.l0", {"store": {}, "snapshots": {}, "clock": 0}),
+        ("var x : int[0..1] label low = 0;\nthread A { } post {| x = 1 |}\n",
+         "A: initial store establishes A post", {"store": {"x": 0}, "snapshots": {}}),
+    ], ids=["low", "secret", "clock", "empty-body"])
+    def test_the_initial_store_must_establish_each_first_assertion(
+            self, capsys, tmp_path, source, provenance, cx):
+        program = tmp_path / "init.cwl"
+        program.write_text(source)
+        code, out, _ = run_cli(capsys, "ogcheck", str(program), "--format", "json")
+        assert code == 1
+        rows = json.loads(out)["vcs"]
+        assert [(row["kind"], row["provenance"], row["counterexample"]) for row in rows
+                if row["status"] == "counterexample"] == [("sequential", provenance, cx)]
+
     @pytest.mark.parametrize("name", ["semaphore_pair_annotated.cwl",
                                       "semaphore_pair_inverted.cwl"])
     def test_stats_come_only_with_the_flag(self, capsys, name):
@@ -376,7 +422,7 @@ class TestOgcheck:
         _, out, _ = run_cli(capsys, "ogcheck", fixture("semaphore_pair_annotated.cwl"),
                             "--format", "json", "--stats")
         stats = json.loads(out)["stats"]
-        assert (stats["vcs"], stats["discharged"]) == (44, 27)
+        assert (stats["vcs"], stats["discharged"]) == (40, 27)
         assert stats["states_enumerated"] == sum(checked)
         assert len(checked) == stats["discharged"]
         _, again, _ = run_cli(capsys, "ogcheck", fixture("semaphore_pair_annotated.cwl"),
@@ -615,7 +661,7 @@ class TestEmitSmt:
                                "--out-dir", str(out_dir))
         assert code == 0
         files = sorted(out_dir.glob("vc_*.smt2"))
-        assert len(files) == 44
+        assert len(files) == 40
         assert f"wrote {len(files)}" in out
         sample = files[0].read_text()
         assert "(check-sat)" in sample

@@ -138,6 +138,24 @@ class TestSequentialVcs:
         for vc in vcs:
             assert proofs.discharge_vc(vc, annotated.program).status == "valid"
 
+    def test_the_initial_store_pins_what_the_first_assertion_reads(self):
+        # x and the clock are pinned; h, a secret, and y, unread, are not.
+        annotated = annotated_from(
+            "var h : int[0..1] label high = secret;\n"
+            "var x : int[0..1] label low = 1;\n"
+            "var y : int[0..1] label low = 0;\n"
+            "thread A { {| x = 1 and t >= 0 and (h = 0 or h = 1) |} skip; } post {| true |}\n"
+            "thread B { {| true |} y = 1; } post {| y = 1 |}\n")
+        vcs, _ = proofs.gen_vcs(annotated)
+        initial = [vc for vc in vcs if "initial store" in vc.provenance]
+        assert [(vc.provenance, asrt.unparse_assertion(vc.pre), vc.stmt, vc.post)
+                for vc in initial] == [
+            ("A: initial store establishes pre of A.l0", "x = 1 and t = 0", None,
+             annotated.pre[L(0, 0)]),
+            ("B: initial store establishes pre of B.l0", "true", None, asrt.TRUE)]
+        assert vcs.index(initial[1]) == 2  # each before its thread's chain
+        assert proofs.check_proof(annotated).overall == "proven"
+
 
 DISJOINT = """
 var x : int[0..3] label low = 0;
@@ -186,30 +204,38 @@ class TestInterferenceVcs:
         annotated = asrt.annotate_program(p)
         outlines = proofs.thread_outlines(annotated)
         vcs = proofs.gen_interference_vcs(annotated)
-        for j, thread in enumerate(p.threads):
-            for target in proofs.outline_statements(thread.body):
-                prefix = f"{p.location_str(target.label)} preserves pre of "
+        writers = 0
+        for j in sorted(outlines):
+            for loc in outlines[j].pre:
+                prefix = f"{p.location_str(loc)} preserves pre of "
                 protected = [vc.provenance.removeprefix(prefix) for vc in vcs
                              if vc.provenance.startswith(prefix)]
-                assert protected == [p.location_str(loc) for i in sorted(outlines) if i != j
-                                     for loc in outlines[i].pre]
+                # No assertion of this outline reads the clock, so only the
+                # assignments and regions, which can change the store, interfere.
+                writes = isinstance(p.statement_at(loc), proofs.WRITERS)
+                writers += writes
+                assert protected == [p.location_str(other) for i in sorted(outlines)
+                                     if i != j and writes for other in outlines[i].pre]
+        assert writers == 4  # T1's region and two assignments, T2's region
         # T2's prints, branch head, region and skip; not the region's body.
         assert [p.location_str(loc) for loc in outlines[1].pre] == [
             "T2.l0", "T2.l1", "T2.l2", "T2.l6", "T2.l7"]
 
 
 class TestLeakyVcs:
-    def test_semaphore_pair_three_triple_families(self):
+    def test_semaphore_pair_protection_and_rule_conditions(self):
         p = load_program("semaphore_pair_annotated.cwl")
         annotated = asrt.annotate_program(p)
         vcs, notices = proofs.gen_leaky_vcs(annotated)
-        stab = [vc for vc in vcs if "respects post" in vc.provenance]
-        pres = [vc for vc in vcs if "respects pre" in vc.provenance]
-        keep = [vc for vc in vcs if "preserves postulate" in vc.provenance]
-        rules = [vc for vc in vcs if "rule" in vc.provenance]
-        # T1 contributes its region and two top-level assignments as S.
-        assert len(stab) == len(pres) == len(keep) == 3
-        assert len(rules) == 2
+        # The postulate reads snapshots and h but not the clock, so only
+        # T1's region and its two top-level assignments interfere with it,
+        # not its prints.
+        assert [vc.provenance for vc in vcs] == [
+            "T1.l0 preserves postulate at T2.l7",
+            "T1.l3 preserves postulate at T2.l7",
+            "T1.l5 preserves postulate at T2.l7",
+            "rule 0 of postulate at T2.l7 against isolated path timings",
+            "rule 1 of postulate at T2.l7 against isolated path timings"]
         for vc in vcs:
             assert proofs.discharge_vc(vc, p).status == "valid"
 
@@ -232,6 +258,88 @@ class TestLeakyVcs:
         assert (rule.pre, rule.post) == (asrt.TRUE, annotated.leaky[L(t2, 7)])
         for vc in vcs:
             assert proofs.discharge_vc(vc, semaphore_pair).status == "valid"
+
+
+# A's outline reads the clock; running B first ends A at t = 3.
+CLOCK_A = ("var x : int[0..1] label low = 0;\n"
+           "thread A { {| t = 0 |} skip; {| t = 1 |} skip; } post {| t = 2 |}\n")
+CLOCK_B = {"skip": "skip;", "if": "if x then { skip; } else { skip; };",
+           "while": "while x = 1 do { x = 0; };"}
+
+
+class TestClockInterference:
+    @pytest.mark.parametrize("head", ["skip", "if"])
+    def test_every_action_moves_the_clock(self, head):
+        annotated = annotated_from(
+            CLOCK_A + f"thread B {{ {{| true |}} {CLOCK_B[head]} }} post {{| true |}}\n")
+        result = proofs.check_proof(annotated)
+        assert result.overall == "refuted"
+        [(vc, outcome)] = [(vc, r) for vc, r in result.entries
+                           if vc.provenance == "B.l0 preserves post of A"]
+        assert type(vc.stmt).__name__ == head.capitalize()
+        assert outcome.status == "counterexample"
+        assert outcome.counterexample == {"store": {}, "snapshots": {}, "clock": 2}
+
+    def test_a_clock_free_assertion_ignores_actions_that_write_nothing(self):
+        annotated = annotated_from(
+            "var x : int[0..1] label low = 0;\n"
+            "thread A { {| x = 0 |} skip; } post {| x = 0 and t >= 1 |}\n"
+            "thread B { {| true |} if x then { skip; } else { skip; }; } post {| true |}\n")
+        assert [vc.provenance for vc in proofs.gen_interference_vcs(annotated)] == [
+            "B.l0 preserves post of A", "B.l1 preserves post of A",
+            "B.l2 preserves post of A"]
+        assert proofs.check_proof(annotated).overall == "proven"
+
+    def test_a_postulate_on_the_clock_is_protected_against_every_action(self):
+        # Running B first brings A to its print at t = 1 with x = 0 and
+        # h = 1, where the postulate fails; B writes nothing, so only its
+        # clock move shows that.
+        annotated = annotated_from(
+            "var h : int[0..1] label high = secret;\n"
+            "var x : int[0..1] label low = 0;\n"
+            "thread A { {| t = 0 |} @leaky {| t >= 1 -> x = h |} print(x); } post {| true |}\n"
+            "thread B { {| true |} skip; } post {| true |}\n")
+        result = proofs.check_proof(annotated)
+        assert (result.overall, result.message) == ("refuted", "leak not established")
+        assert [(vc.provenance, r.status) for vc, r in result.entries
+                if vc.kind == proofs.LEAKY] == [
+            ("B.l0 preserves postulate at A.l0", "counterexample"),
+            ("rule 0 of postulate at A.l0", "valid")]
+        [cx] = [r.counterexample for vc, r in result.entries if vc.kind == proofs.LEAKY
+                and r.counterexample]
+        assert cx["clock"] == 0 and cx["store"]["x"] != cx["store"]["h"]
+
+    def test_head_conditions_agree_with_the_smt_reader(self):
+        import smt_reader
+        annotated = annotated_from(
+            CLOCK_A.replace("t = 1 |}", "t >= 1 |}")
+            + "thread B { {| true |} if x then { skip; } else { skip; }; "
+              f"{{| true |}} {CLOCK_B['while']} }} post {{| true |}}\n")
+        program = annotated.program
+        costs = semantics.CostModel(overrides={L(1, 0): 3})
+        vcs = [vc for vc in proofs.gen_vcs(annotated, costs)[0]
+               if isinstance(vc.stmt, (lang.If, lang.While))]
+        assert [vc.provenance for vc in vcs] == [
+            f"{head} preserves {what}" for head in ("B.l0", "B.l3")
+            for what in ("post of A", "pre of A.l0", "pre of A.l1")]
+        answers = []
+        for vc in vcs:
+            answer, _ = smt_reader.decide(proofs.emit_smtlib(vc, program, costs))
+            outcome = proofs.discharge_vc(vc, program, costs)
+            assert (answer == "unsat") == (outcome.status == "valid"), vc.provenance
+            answers.append(answer)
+        # Only the pre t >= 1 survives a head.
+        assert answers == ["sat", "sat", "unsat"] * 2
+
+    def test_run_atomic_takes_a_head(self):
+        program = lang.parse_program(
+            "var x : int[0..1] label low = 1;\n" "thread A { " + CLOCK_B["if"] + " "
+            + CLOCK_B["while"] + " }")
+        costs = semantics.CostModel(overrides={L(0, 3): 5})
+        for head, after in zip(program.threads[0].body, (8, 12)):
+            store = {"x": 1}
+            assert semantics.run_atomic(head, store, 7, costs, program, None) == after
+            assert store == {"x": 1}
 
 
 class TestIsolatedPathDuration:
