@@ -442,7 +442,8 @@ def annotate_program(program: lang.Program,
     """Parse the annotation texts carried by a program into assertion ASTs.
 
     ``extra_pre``/``extra_leaky`` override or add programmatic annotations,
-    e.g. assertions produced by synthesis.
+    e.g. assertions produced by synthesis; each distinct one is resolved and
+    checked once per thread.
     """
     pre: dict[lang.LocationId, Assertion] = {}
     leaky: dict[lang.LocationId, Assertion] = {}
@@ -465,16 +466,19 @@ def annotate_program(program: lang.Program,
             check_vars(a, program, f"{thread.name} post")
             posts[t_idx] = a
 
-    if extra_pre:
-        for loc, a in extra_pre.items():
-            a = resolve_assertion(a, program, loc.thread)
-            check_vars(a, program, program.location_str(loc))
-            pre[loc] = a
-    if extra_leaky:
-        for loc, a in extra_leaky.items():
-            a = resolve_assertion(a, program, loc.thread)
-            check_vars(a, program, program.location_str(loc))
-            leaky[loc] = a
+    resolved: dict[tuple, Assertion] = {}  # (extra assertion, thread) -> checked form
+
+    def extra(loc: lang.LocationId, a: Assertion) -> Assertion:
+        if (a, loc.thread) not in resolved:
+            checked = resolve_assertion(a, program, loc.thread)
+            check_vars(checked, program, program.location_str(loc))
+            resolved[a, loc.thread] = checked
+        return resolved[a, loc.thread]
+
+    for loc, a in (extra_pre or {}).items():
+        pre[loc] = extra(loc, a)
+    for loc, a in (extra_leaky or {}).items():
+        leaky[loc] = extra(loc, a)
 
     secrets = set(program.secret_names())
     for loc, a in leaky.items():

@@ -160,7 +160,8 @@ def cmd_leakscan(args: argparse.Namespace) -> int:
         human.append(f"  obs [{events}] K={row['knowledge']}{flag}")
     if args.stats:
         data["stats"] = report.stats
-        human.extend(f"  stats {row['secret']}: {row['states']} states, {row['edges']} edges, "
+        human.extend(f"  stats {row['secret']}: explored as {row['explored_as']}, "
+                     f"{row['states']} states, {row['edges']} edges, "
                      f"{row['truncated']} truncated, {row['deadlocked']} deadlocked, bounds "
                      f"fired: {' '.join(row['bounds_fired']) or 'none'}" for row in report.stats)
     _emit(data, args.format == "json", human)
@@ -448,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", action="append", metavar="NAME=VALUE",
                    help="override a declared initializer of a non-secret variable")
     p.add_argument("--stats", action="store_true",
-                   help="report per secret what the state search did")
+                   help="report per secret value which state search it shares "
+                        "and what that search did")
 
     p = command("ogcheck", cmd_ogcheck, "--config --format --snapshot-bound",
                 help="check an annotated proof outline")

@@ -12,6 +12,15 @@ question asked of the schedules: :func:`explore` merges observation
 suffixes backwards along its edges, :func:`duration_stats` pairs the
 arrivals at two watched locations where runs end, and
 ``assertions.states_at_location`` collects the states at one location.
+
+Secret valuations that the program cannot tell apart have the same runs
+with the secret renamed, so :func:`knowledge_partition` and the duration
+measures search once per class of them (:func:`_class_of`).  Two
+valuations are in one class when no statement assigns a secret and they
+agree on every way the program reads one: each guard that reads only
+secrets has the same truth value, and each other maximal subexpression
+that reads only secrets the same value and type.  This is the attacker's
+view of the secret: its knowledge can never split such a class.
 """
 
 from __future__ import annotations
@@ -79,7 +88,7 @@ class KnowledgeReport:
     verdict: str  # "leak-found" | "no-leak" | "inconclusive"
     complete: bool
     timing_blind: bool
-    stats: list[dict] = field(default_factory=list)  # per secret valuation
+    stats: list[dict] = field(default_factory=list)  # per valuation, with ``explored_as``
 
     def to_json(self) -> dict:
         obs_rows = []
@@ -120,6 +129,76 @@ def _project(trace: tuple[semantics.Event, ...],
         (f"{ev.thread}:{ev.payload}" if bounds.observe_thread_ids else ev.payload,
          None if bounds.timing_blind else ev.timestamp)
         for ev in trace)
+
+
+def _start_store(program: lang.Program, init_public: semantics.Store,
+                 secret_val: dict) -> semantics.Store:
+    """The store a search of one secret valuation starts from."""
+    store = dict(program.initial_store())
+    store.update(init_public)
+    for name, value in secret_val.items():
+        if value not in program.decl(name).domain:
+            raise LeakLabError(f"secret value {name}={value!r} outside domain")
+        store[name] = value
+    return store
+
+
+def _secret_reads(program: lang.Program) -> Optional[tuple]:
+    """The static part of the class rule, built on first use and kept on
+    the program: the secret names and a closure ``fn(store)`` for each way
+    the program reads them, one per distinct guard or maximal subexpression
+    that reads only secrets; None when some statement assigns a secret."""
+    try:
+        return program._secret_reads
+    except AttributeError:
+        pass
+    secrets = frozenset(program.secret_names())
+    found: dict[tuple[bool, lang.Expr], None] = {}
+
+    def visit(e: lang.Expr, guard: bool) -> None:
+        names = lang.free_vars(e)
+        if names and names <= secrets:
+            found[guard, e] = None
+        elif isinstance(e, lang.UnaryOp):
+            visit(e.operand, False)
+        elif isinstance(e, lang.BinOp):
+            visit(e.left, False)
+            visit(e.right, False)
+
+    stmts = [s for t in program.threads for s in lang.iter_statements(t.body)]
+    reads: Optional[tuple] = None
+    if not any(isinstance(s, lang.Assign) and s.target in secrets for s in stmts):
+        for s in stmts:
+            if isinstance(s, (lang.If, lang.While, lang.Await)):
+                visit(s.guard, True)
+            elif isinstance(s, (lang.Assign, lang.Print)):
+                visit(s.value, False)
+            elif isinstance(s, lang.Delay):
+                visit(s.duration, False)
+        reads = secrets, tuple((guard, semantics.compile_expr(e)) for guard, e in found)
+    object.__setattr__(program, "_secret_reads", reads)
+    return reads
+
+
+def _class_of(program: lang.Program, store: semantics.Store) -> object:
+    """The class of the valuation in ``store`` under the rule of the module
+    docstring: a key equal for exactly the valuations in one class, or one
+    equal to no other when a secret is assigned.  The store is checked as
+    the start of a search checks it, raising what that would raise."""
+    start = semantics.initial_configuration(program, store)
+    reads = _secret_reads(program)
+    if reads is None:
+        return object()
+    secrets, contexts = reads
+    seen = []
+    for guard, read in contexts:
+        try:
+            value = read(store)
+        except LeakLabError as e:
+            seen.append((type(e), str(e)))
+        else:
+            seen.append(bool(value) if guard else (type(value), value))
+    return tuple((n, type(v), v) for n, v in start.store if n not in secrets), tuple(seen)
 
 
 # How a run ends.  Deadlocked and cut-short runs both end unterminated, but
@@ -272,13 +351,7 @@ def explore(program: lang.Program, init_public: semantics.Store,
     once its successors are done, so a suffix shared by many schedules is
     derived once.
     """
-    store = dict(program.initial_store())
-    store.update(init_public)
-    for name, value in secret_val.items():
-        if value not in program.decl(name).domain:
-            raise LeakLabError(f"secret value {name}={value!r} outside domain")
-        store[name] = value
-
+    store = _start_store(program, init_public, secret_val)
     suffixes: dict[tuple, frozenset] = {}
 
     def merge(key: tuple, config: semantics.Configuration, outcome) -> None:
@@ -322,43 +395,59 @@ def knowledge_partition(program: lang.Program, init_public: semantics.Store,
     still extend to it.  An observation only cut-short runs reach is a
     prefix, never a leak witness, so a bound can move the verdict toward
     ``inconclusive`` but never produce ``leak-found``.
+
+    Every valuation is checked, in order, but only the first of each class
+    (:func:`_class_of`) is explored; the others share its runs and its
+    stats, and the rule above runs once per class.
     """
     if secret_domain is None:
         secret_domain = secret_domain_of(program)
-    knowledge: dict[Observation, set[SecretValuation]] = {}
-    full: dict[SecretValuation, set[Observation]] = {}
-    cut: dict[SecretValuation, frozenset[tuple]] = {}
+    classes: dict[object, tuple] = {}  # key -> (first valuation, its runs, members)
     stats: list[dict] = []
-    complete = True
-    for valuation in secret_domain:
-        result = explore(program, init_public, dict(valuation), bounds, costs)
-        stats.append({"secret": dict(valuation), **result.stats})
-        complete = complete and result.complete
-        for obs, _terminated in result.observations:
-            knowledge.setdefault(obs, set()).add(valuation)
-        # A deadlocked run's observation that another run reaches cut short
-        # counts as a prefix only: the side that cannot invent a leak.
-        full[valuation] = {obs for obs, terminated in result.observations
-                           if terminated or obs not in result.prefixes}
-        cut[valuation] = frozenset(p.events for p in result.prefixes)
-    if not secret_domain:
-        result = explore(program, init_public, {}, bounds, costs)
-        stats.append({"secret": {}, **result.stats})
-        complete = complete and result.complete
-        for obs, _terminated in result.observations:
-            knowledge.setdefault(obs, set())
+    for valuation in secret_domain or ((),):
+        key = _class_of(program, _start_store(program, init_public, dict(valuation)))
+        if key not in classes:
+            classes[key] = (valuation, explore(program, init_public, dict(valuation),
+                                               bounds, costs), [])
+        first, result, same = classes[key]
+        if secret_domain:  # else K(o) stays empty
+            same.append(valuation)
+        stats.append({"secret": dict(valuation), "explored_as": dict(first), **result.stats})
 
-    def produces(valuation: SecretValuation, obs: Observation) -> bool:
-        if obs in full[valuation]:
-            return True
-        prefixes = cut[valuation]
-        return bool(prefixes) and any(
-            obs.events[:n] in prefixes for n in range(len(obs.events) + 1))
+    runs = [result for _, result, _ in classes.values()]
+    members = [same for _, _, same in classes.values()]
+    seen = [frozenset(obs for obs, _ in r.observations) for r in runs]
+    # A deadlocked run's observation that another run reaches cut short
+    # counts as a prefix only: the side that cannot invent a leak.
+    full = [(s - r.prefixes).union(obs for obs, terminated in r.observations if terminated)
+            if r.prefixes else s for s, r in zip(seen, runs)]
+    cut = [frozenset(p.events for p in r.prefixes) for r in runs]
 
-    leaky = {obs: any(obs in full[v] for v in vals)
-             and not all(produces(v, obs) for v in secret_domain)
-             for obs, vals in knowledge.items()}
-    if any(leaky.values()):
+    def produces(c: int, obs: Observation) -> bool:
+        return obs in full[c] or any(
+            obs.events[:n] in cut[c] for n in range(len(obs.events) + 1))
+
+    # The rule by set algebra over whole classes: an observation leaks when
+    # some class ends a run with it and another does not produce it, which
+    # without cut-short runs is not ending a run with it.
+    leaks = frozenset().union(*full) - full[0].intersection(*full[1:])
+    if any(cut):
+        leaks = {obs for obs in leaks if not all(produces(c, obs) for c in range(len(runs)))}
+    every = frozenset().union(*seen)
+    leaky = dict.fromkeys(every, False)
+    leaky.update(dict.fromkeys(leaks, True))
+    # K(o): split the observations by the classes whose runs show them;
+    # each part knows the members of its classes.
+    parts = [(every, ())]
+    for c, s in enumerate(seen):
+        parts = [(part, cs) for whole, within in parts
+                 for part, cs in ((whole & s, within + (c,)), (whole - s, within)) if part]
+    knowledge: dict[Observation, frozenset[SecretValuation]] = {}
+    for part, cs in parts:
+        known = frozenset(v for c in cs for v in members[c])
+        knowledge.update(dict.fromkeys(part, known))
+    complete = all(r.complete for r in runs)
+    if leaks:
         verdict = "leak-found"
     elif complete:
         verdict = "no-leak"
@@ -366,7 +455,7 @@ def knowledge_partition(program: lang.Program, init_public: semantics.Store,
         verdict = "inconclusive"
     return KnowledgeReport(
         secret_domain=tuple(secret_domain),
-        knowledge={o: frozenset(v) for o, v in knowledge.items()},
+        knowledge=knowledge,
         leaky=leaky,
         verdict=verdict,
         complete=complete,
@@ -387,28 +476,36 @@ class DurationStats:
 def _durations(program: lang.Program, loc_from: lang.LocationId,
                loc_to: lang.LocationId,
                secret_domain: Optional[tuple[SecretValuation, ...]],
-               measure: Callable[[SecretValuation], tuple[list, bool]]) -> DurationStats:
-    """Check the endpoints; then, for each secret valuation, ``measure`` gives
-    each run's ``(starts, ends)`` arrival clocks, in clock order, and whether
-    it saw every run, and each start pairs with the first end not before it."""
+               measure: Callable[[semantics.Store], tuple[list, bool]]) -> DurationStats:
+    """Check the endpoints; then, for the start store of the first secret
+    valuation of each class (:func:`_class_of`), ``measure`` gives each
+    run's ``(starts, ends)`` arrival clocks, in clock order, and whether it
+    saw every run, and each start pairs with the first end not before it.
+    The other members of the class share its durations."""
     if loc_from.thread != loc_to.thread:
         raise LeakLabError("duration endpoints must lie in the same thread")
     if loc_from.index >= loc_to.index:
         raise LeakLabError("duration start must precede the end location")
     if secret_domain is None:
         secret_domain = secret_domain_of(program)
+    measured: dict[object, tuple[frozenset[int], bool]] = {}
     stats: dict[SecretValuation, frozenset[int]] = {}
     complete = True
     for valuation in secret_domain or ((),):
-        runs, saw_all = measure(valuation)
+        store = dict(program.initial_store())
+        store.update(valuation)
+        key = _class_of(program, store)
+        if key not in measured:
+            runs, saw_all = measure(store)
+            durations: set[int] = set()
+            for starts, ends in runs:
+                for start in starts:
+                    nxt = bisect.bisect_left(ends, start)
+                    if nxt < len(ends):
+                        durations.add(ends[nxt] - start)
+            measured[key] = frozenset(durations), saw_all
+        stats[valuation], saw_all = measured[key]
         complete = complete and saw_all
-        durations: set[int] = set()
-        for starts, ends in runs:
-            for start in starts:
-                nxt = bisect.bisect_left(ends, start)
-                if nxt < len(ends):
-                    durations.add(ends[nxt] - start)
-        stats[valuation] = frozenset(durations)
     return DurationStats(stats, [v for v, ds in stats.items() if not ds], complete)
 
 
@@ -427,9 +524,7 @@ def duration_stats(program: lang.Program, loc_from: lang.LocationId,
     """
     bounds = replace(bounds, timing_blind=False)
 
-    def measure(valuation: SecretValuation) -> tuple[list, bool]:
-        store = dict(program.initial_store())
-        store.update(dict(valuation))
+    def measure(store: semantics.Store) -> tuple[list, bool]:
         endings: set[tuple] = set()  # the watched arrivals where runs end
 
         def collect(key: tuple, config: semantics.Configuration, outcome) -> None:
@@ -465,9 +560,7 @@ def isolated_durations(program: lang.Program, loc_from: lang.LocationId,
     thread = loc_from.thread
     alone = semantics.StepChoice(thread)
 
-    def measure(valuation: SecretValuation) -> tuple[list, bool]:
-        store = dict(program.initial_store())
-        store.update(dict(valuation))
+    def measure(store: semantics.Store) -> tuple[list, bool]:
         starts: list[int] = []
         ends: list[int] = []
 

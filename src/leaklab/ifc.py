@@ -180,13 +180,6 @@ def view(state: MachineState, lattice: SecurityLattice, user: str
     return out
 
 
-def indistinguishable(q1: MachineState, q2: MachineState,
-                      lattice: SecurityLattice, user: str) -> bool:
-    if q1.variables() != q2.variables():
-        raise LeakLabError("states range over different variable universes")
-    return view(q1, lattice, user) == view(q2, lattice, user)
-
-
 # ---------------------------------------------------------------------------
 # Non-interference
 # ---------------------------------------------------------------------------

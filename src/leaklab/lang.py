@@ -24,11 +24,10 @@ from .errors import LeakLabError, ParseError
 INT = "int"
 BOOL = "bool"
 
-# Binary operators, in increasing precedence tiers for parsing/printing.
+# Binary operators, in increasing precedence tiers; ``*`` alone binds tighter.
 BOOL_OPS = ("or", "and")
 CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
 ADD_OPS = ("+", "-")
-MUL_OPS = ("*",)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ outside region bodies and each leak postulate on it: an atomic action S
 of another thread, with its pre-assertion P, interferes with such an
 assertion A when it can change what A reads.  Assignments and regions
 can change the store; every action, branch and loop heads included,
-moves the clock ``t``.  Each such pair gives {A and P} S {A}.  Leaky
+moves the clock ``t``.  Each such pair gives {A and P} S {A}, and
+{pre(T) and A and P} S {A} for a postulate A on a statement T, since
+pre(T) holds, protected in turn, wherever A must.  Leaky
 triples are the postulates' interference triples, plus {pre(T) and facts and
 antecedent} T {consequent} for each rule of a postulate A on an output
 statement T (each case of a rule form, or ``true -> A``).  The facts are
@@ -226,12 +228,13 @@ def _actions(program: lang.Program, outlines: dict[int, Outline]) -> list[list[t
 
 
 def _protect(actions: list[list[tuple]], protected: dict[int, list[tuple]],
-             kind: str) -> list[VC]:
+             kind: str, given: asrt.Assertion = asrt.TRUE) -> list[VC]:
     """The interference rule of the module docstring: each ``(assertion,
     name)`` protected for thread i against each action of another thread
-    that can change what it reads, by action, then in the order given."""
+    that can change what it reads, by action, then in the order given.
+    ``given`` holds wherever the protected assertions do."""
     clocked = {id(a): _reads(a)[1] for items in protected.values() for a, _ in items}
-    return [VC(_conj(a, pre), s, a, kind, f"{where} preserves {what}")
+    return [VC(_conj(given, a, pre), s, a, kind, f"{where} preserves {what}")
             for j, thread_actions in enumerate(actions) for s, pre, where in thread_actions
             for i, items in protected.items() if i != j
             for a, what in items if isinstance(s, WRITERS) or clocked[id(a)]]
@@ -324,7 +327,9 @@ def gen_leaky_vcs(annotated: asrt.AnnotatedProgram,
         output_stmt = program.statement_at(loc)
         t_thread = loc.thread
         t_where = program.location_str(loc)
-        vcs += _protect(actions, {t_thread: [(postulate, f"postulate at {t_where}")]}, LEAKY)
+        pre = outlines[t_thread].pre.get(loc, asrt.TRUE)
+        vcs += _protect(actions, {t_thread: [(postulate, f"postulate at {t_where}")]}, LEAKY,
+                        pre)
 
         rules = (asrt.decompose_rules(postulate, frozenset(program.secret_names()))
                  or [asrt.Implies(asrt.TRUE, postulate)])
@@ -337,7 +342,6 @@ def gen_leaky_vcs(annotated: asrt.AnnotatedProgram,
         if facts is None:
             notices.append(f"postulate at {t_where}: isolated path timings "
                            "underivable; its rules must hold without them")
-        pre = outlines[t_thread].pre.get(loc, asrt.TRUE)
         for k, rule in enumerate(rules):
             where = f"rule {k} of postulate at {t_where}"
             if facts is None:

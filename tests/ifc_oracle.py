@@ -16,9 +16,18 @@ from __future__ import annotations
 import itertools
 from typing import Union
 
+from leaklab.errors import LeakLabError
 from leaklab.ifc import (Command, FlowViolation, MachineState, NIResult, TaggedOp,
-                         expand_commands, indistinguishable, transition)
+                         expand_commands, transition, view)
 from leaklab.lattice import SecurityLattice
+
+
+def indistinguishable(q1: MachineState, q2: MachineState,
+                      lattice: SecurityLattice, user: str) -> bool:
+    """Whether ``user`` sees the same view of the two states."""
+    if q1.variables() != q2.variables():
+        raise LeakLabError("states range over different variable universes")
+    return view(q1, lattice, user) == view(q2, lattice, user)
 
 
 def _run(state: MachineState, lattice: SecurityLattice,

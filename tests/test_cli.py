@@ -224,8 +224,8 @@ class TestLeakscan:
         safe = tmp_path / "safe.cwl"
         safe.write_text("var x : int[0..1] label low = 0;\nthread A { print('x'); }")
         _, out, _ = run_cli(capsys, "leakscan", str(safe), "--format", "json", "--stats")
-        assert json.loads(out)["stats"] == [{"secret": {}, "states": 2, "edges": 1,
-                                             "truncated": 0, "deadlocked": 0,
+        assert json.loads(out)["stats"] == [{"secret": {}, "explored_as": {}, "states": 2,
+                                             "edges": 1, "truncated": 0, "deadlocked": 0,
                                              "bounds_fired": []}]
 
     @pytest.mark.parametrize("name,expected", [("semaphore_pair.cwl", 1),
@@ -320,6 +320,18 @@ class TestOgcheck:
             f"{ONE_THREAD_DECLS}thread A {{ {{| true |}} x = h; "
             f"{{| {pre} |}} @leaky {{| x = 0 -> h = 0 |}} print('b'); }} post {{| true |}}\n")
         assert run_cli(capsys, "ogcheck", str(program))[0] == code
+
+    def test_postulate_is_protected_under_its_pre_assertion(self, capsys, tmp_path):
+        # x = h holds at every arrival at A.l1, and B.l0 moves only the clock.
+        program = tmp_path / "protected.cwl"
+        program.write_text(
+            f"{ONE_THREAD_DECLS}thread A {{ {{| true |}} x = h; "
+            "{| x = h |} @leaky {| t >= 2 -> x = h |} print(x); } post {| true |}\n"
+            "thread B { {| true |} skip; } post {| true |}\n")
+        code, out, _ = run_cli(capsys, "ogcheck", str(program))
+        assert code == 0
+        assert "certified leaky at A.l1" in out
+        assert "  [    valid     ] leaky: B.l0 preserves postulate at A.l1" in out.splitlines()
 
     def test_snapshots_that_form_no_pair_are_judged_without_timings(self, capsys, tmp_path):
         program = tmp_path / "three.cwl"

@@ -33,7 +33,7 @@ CORPUS_FILES = sorted(PROGRAMS.rglob("*.cwl"))
 # ---------------------------------------------------------------------------
 
 NAMES = ("a", "b", "p", "q", "u")  # u is never bound
-ALL_OPS = lang.BOOL_OPS + lang.CMP_OPS + lang.ADD_OPS + lang.MUL_OPS
+ALL_OPS = lang.BOOL_OPS + lang.CMP_OPS + lang.ADD_OPS + ("*",)
 
 leaves = st.one_of(
     st.integers(-3, 5).map(lang.IntLit),

@@ -1,0 +1,190 @@
+"""Differential test: the class rule of ``explorer`` against one search per
+valuation.
+
+``knowledge_partition`` explores one secret valuation per class of
+valuations the program cannot tell apart, and the duration measures
+measure one per class; ``knowledge_oracle`` and singleton secret domains
+explore every valuation.  Both must give the same knowledge sets, leak
+verdicts, completeness and stats, and raise the same error.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from leaklab import explorer, lang
+from leaklab.errors import LeakLabError
+
+import knowledge_oracle
+from conftest import PROGRAMS
+
+MODES = {
+    "timed": {},
+    "blind": {"timing_blind": True},
+    "timed-ids": {"observe_thread_ids": True},
+    "blind-ids": {"timing_blind": True, "observe_thread_ids": True},
+}
+
+DECLS = ("var h : int[0..3] label high = secret;\n"
+         "var g : bool label high = secret;\n"
+         "var x : int[0..1] label low = 0;\n")
+
+# Guards, prints, delays and mixed expressions that read the secrets, two
+# secret assignments and an assignment that leaves x's domain for h >= 2.
+STATEMENTS = (
+    "skip;", "print('a');", "print(x);", "x = 1 - x;", "delay(1);",
+    "if h then { print('t'); } else { skip; };",
+    "if h > 1 then { skip; skip; } else { skip; };",
+    "if g then { delay(2); } else { skip; };",
+    "if (h > 1) = g then { print('q'); } else { skip; };",
+    "if x < h then { x = 1; } else { skip; };",
+    "while h = 3 and x = 0 do { x = 1; };",
+    "await h != 2 then { print('r'); };",
+    "print(h);", "print(g);", "print(h * 2 > 3);", "print(x + h);",
+    "delay(h);", "delay(h - h);",
+    "g = true;", "h = x;", "x = h;",
+)
+
+
+def _outcome(scan, program, bounds):
+    """The report of ``scan``, or the error it raised."""
+    try:
+        return scan(program, {}, None, bounds)
+    except LeakLabError as e:  # compared by type and message
+        return type(e), str(e)
+
+
+def assert_same(program: lang.Program, bounds: explorer.ExploreBounds) -> int:
+    """Compare the class rule with the oracle; return the searches made."""
+    explored = []
+    real = explorer.explore
+
+    def counted(*args, **kwargs):
+        explored.append(args[2])
+        return real(*args, **kwargs)
+
+    explorer.explore = counted
+    try:
+        got = _outcome(explorer.knowledge_partition, program, bounds)
+    finally:
+        explorer.explore = real
+    want = _outcome(knowledge_oracle.knowledge_partition, program, bounds)
+    if isinstance(want, tuple):
+        assert got == want
+        return len(explored)
+    assert not isinstance(got, tuple), got
+    assert got.secret_domain == want.secret_domain
+    assert got.knowledge == want.knowledge
+    assert got.leaky == want.leaky
+    assert (got.verdict, got.complete) == (want.verdict, want.complete)
+    assert [{k: v for k, v in row.items() if k != "explored_as"}
+            for row in got.stats] == want.stats
+    # Each entry reuses the search of a valuation that was explored for itself.
+    firsts = [row["explored_as"] for row in got.stats if row["explored_as"] == row["secret"]]
+    assert firsts == explored
+    assert all(row["explored_as"] in firsts for row in got.stats)
+    return len(explored)
+
+
+@st.composite
+def secret_programs(draw) -> str:
+    # Statements from a small vocabulary, so that reads of the secrets and
+    # secret assignments meet without other reads that split every class.
+    vocabulary = draw(st.lists(st.sampled_from(STATEMENTS), min_size=1, max_size=5,
+                               unique=True))
+    threads = draw(st.lists(
+        st.lists(st.sampled_from(vocabulary), min_size=0, max_size=4),
+        min_size=1, max_size=3))
+    return DECLS + "\n".join(f"thread T{i} {{ {' '.join(body)} }}"
+                             for i, body in enumerate(threads))
+
+
+@settings(deadline=None, max_examples=600)
+@given(secret_programs(), st.sampled_from(sorted(MODES)),
+       st.sampled_from((3, 8, 40)), st.sampled_from((6, 40, 200_000)))
+def test_generated_programs_match_oracle(source: str, mode: str, max_steps: int,
+                                         max_configs: int):
+    program = lang.parse_program(source)
+    assert_same(program, explorer.ExploreBounds(max_steps=max_steps,
+                                                max_configs=max_configs, **MODES[mode]))
+
+
+@pytest.mark.parametrize("body,searches", [
+    # A guard's truth value alone: h = 1, 2 and 3 share a class.
+    ("if h then { print('t'); } else { skip; };", 2),
+    # A value context tells every h apart, though the guard does not.
+    ("if h then { skip; } else { skip; }; print(h);", 4),
+    # A secret-only value the same for every h: one class.
+    ("delay(h - h); print('a');", 1),
+    # (h > 1) = g is true for (2, true) and (0, false) until g is set.
+    ("if (h > 1) = g then { print('q'); } else { skip; }; g = true; "
+     "if (h > 1) = g then { print('q'); } else { skip; };", 8),
+    ("g = true; if (h > 1) = g then { print('q'); } else { skip; };", 8),
+])
+def test_classes_of_fixed_programs(body: str, searches: int):
+    program = lang.parse_program(DECLS + f"thread A {{ {body} }}\nthread B {{ print('b'); }}")
+    for mode in MODES.values():
+        assert assert_same(program, explorer.ExploreBounds(**mode)) == searches
+
+
+WIDE = ("var h : int[0..15] label high = secret;\n"
+        "thread A { print('a'); if h > 7 then { delay(3); } else { skip; }; print('b'); }\n"
+        "thread B { print('c'); }\n")
+
+
+def test_wide_secret_explores_twice():
+    program = lang.parse_program(WIDE)
+    for mode in MODES.values():
+        assert assert_same(program, explorer.ExploreBounds(**mode)) == 2
+
+
+@pytest.mark.parametrize("measure", ("duration_stats", "isolated_durations"))
+def test_wide_secret_durations_by_class(measure: str, monkeypatch):
+    program = lang.parse_program(WIDE)
+    fn = getattr(explorer, measure)
+    a = program.threads[0]
+    start, end = a.body[0].label, a.body[-1].label
+    bounds = explorer.ExploreBounds()
+    domain = explorer.secret_domain_of(program)
+    alone = [fn(program, start, end, (v,), bounds) for v in domain]
+    started = []
+    initial_configuration = explorer.semantics.initial_configuration
+    monkeypatch.setattr(explorer.semantics, "initial_configuration", lambda p, store: (
+        started.append(store["h"]) or initial_configuration(p, store)))
+    stats = fn(program, start, end, domain, bounds)
+    assert stats.durations == {v: one.durations[v] for v, one in zip(domain, alone)}
+    assert stats.unreached == [v for one in alone for v in one.unreached] == []
+    assert stats.complete and all(one.complete for one in alone)
+    assert len(set(stats.durations.values())) == 2
+    # Every valuation's start is checked once; h = 0 and h = 8 start a search.
+    assert sorted(started) == sorted([*range(16), 0, 8])
+
+
+@pytest.mark.parametrize("mode", ("timed", "blind"))
+@pytest.mark.parametrize("path", sorted(PROGRAMS.rglob("*.cwl")), ids=lambda p: p.name)
+def test_corpus_matches_oracle(path: Path, mode: str):
+    program = lang.parse_program(path.read_text(encoding="utf-8"))
+    searches = assert_same(program, explorer.ExploreBounds(**MODES[mode]))
+    # Only a program that never reads its secret shares a search.
+    expected = 1 if path.name == "06_unused_secret.cwl" else len(
+        explorer.secret_domain_of(program))
+    assert searches == expected
+
+
+def test_leakscan_stats_name_the_search(capsys, tmp_path):
+    from leaklab import cli
+    source = tmp_path / "split.cwl"
+    source.write_text(WIDE.replace("int[0..15]", "int[0..3]").replace("h > 7", "h > 1"),
+                      encoding="utf-8")
+    assert cli.main(["leakscan", str(source), "--format", "json", "--stats"]) == 1
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert [row["explored_as"] for row in stats] == [{"h": 0}, {"h": 0}, {"h": 2}, {"h": 2}]
+    assert stats[1] == {**stats[0], "secret": {"h": 1}}
+    assert cli.main(["leakscan", str(source), "--stats"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith("  stats {'h': 3}: explored as {'h': 2}, ")
