@@ -15,15 +15,15 @@ override must name a statement of the program it is applied to: a bare
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 from . import lang, semantics
 from .errors import LeakLabError
+from .lang import field, record
 
 
-@dataclass
+@record
 class ToolConfig:
     unit_cost: int = 1
     tolerance: int = 0

@@ -20,12 +20,12 @@ Overlapping isolated duration sets yield an indeterminate record instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import assertions as asrt
 from . import explorer, lang, semantics
 from .errors import LeakLabError
+from .lang import field, record
 from .lattice import SecurityLattice, two_point
 
 HIGH_GUARD_OUTPUT = "HighGuardOutput"
@@ -33,14 +33,14 @@ HIGH_DATA_OUTPUT = "HighDataOutput"
 HIGH_GUARD_DELAY = "HighGuardDelay"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Flag:
     location: lang.LocationId
     reason: str
     responsible: str  # guard variables or the data expression at fault
 
 
-@dataclass
+@record
 class LabelReport:
     pc_labels: dict[lang.LocationId, str]
     var_labels: dict[lang.LocationId, str]  # assignment targets' new labels
@@ -142,7 +142,7 @@ def dl_certify(program: lang.Program,
     return report
 
 
-@dataclass
+@record
 class SynthesizedAssertion:
     location: lang.LocationId  # the closing public statement, carrying the mark
     assertion: asrt.Assertion
@@ -152,14 +152,14 @@ class SynthesizedAssertion:
     composed_separable: bool
 
 
-@dataclass
+@record
 class IndeterminateRecord:
     pair: tuple[lang.LocationId, lang.LocationId]
     reason: str
     isolated: dict
 
 
-@dataclass
+@record
 class SynthesisReport:
     assertions: list[SynthesizedAssertion]
     indeterminate: list[IndeterminateRecord]

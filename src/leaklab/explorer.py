@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
 
 from . import lang, semantics
 from .errors import LeakLabError
+from .lang import field, record, replace
 
 SecretValuation = tuple[tuple[str, semantics.Value], ...]
 
@@ -49,7 +49,7 @@ class Observation(NamedTuple):
         return tuple((p, -1 if t is None else t) for p, t in self.events)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExploreBounds:
     max_steps: int = 200
     max_configs: int = 200_000
@@ -61,7 +61,7 @@ class ExploreBounds:
             raise LeakLabError("exploration bounds must be positive")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExploreResult:
     """Observations of every run, and counts over distinct states.
 
@@ -80,7 +80,7 @@ class ExploreResult:
     stats: dict = field(default_factory=dict, compare=False)
 
 
-@dataclass
+@record
 class KnowledgeReport:
     secret_domain: tuple[SecretValuation, ...]
     knowledge: dict[Observation, frozenset[SecretValuation]]
@@ -206,7 +206,7 @@ def _class_of(program: lang.Program, store: semantics.Store) -> object:
 _DONE, _DEADLOCKED, _CUT = "done", "deadlocked", "cut"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Search:
     """What one :func:`search` found, besides what its visitor collected.
 
@@ -464,7 +464,7 @@ def knowledge_partition(program: lang.Program, init_public: semantics.Store,
     )
 
 
-@dataclass
+@record
 class DurationStats:
     """Achievable clock differences between two locations, per secret value."""
 

@@ -17,11 +17,11 @@ sequence pairs with the empty one), and reaches each distinct state once.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 from . import lang, semantics
 from .errors import LeakLabError
+from .lang import record, replace
 from .lattice import SecurityLattice
 
 READ = "r"
@@ -30,7 +30,7 @@ WRITE = "w"
 OUT_VAR = "out"  # distinguished public sink written by print
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MachineState:
     members: frozenset[tuple[str, str]]
     labels: dict[str, str]  # users and variables -> lattice element
@@ -58,7 +58,7 @@ class MachineState:
         return replace(self, labels=labels)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FlowViolation:
     """The epsilon outcome: a read broke the can-flow-to constraint."""
 
@@ -68,7 +68,7 @@ class FlowViolation:
     constraint: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InputOp:
     variable: str
     op: str  # READ or WRITE
@@ -91,7 +91,7 @@ class InputOp:
 Command = Union[lang.Assign, lang.Skip, lang.Print, "GuardEval"]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GuardEval:
     guard: lang.Expr
 
@@ -156,7 +156,7 @@ def transition(state: MachineState, lattice: SecurityLattice, user: str,
     return out
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ViewEntry:
     visible: bool
     label: Optional[str] = None
@@ -194,7 +194,7 @@ def expand_commands(commands: list[tuple[str, Command]]) -> list[TaggedOp]:
     return ops
 
 
-@dataclass
+@record
 class NIResult:
     ni: bool
     reason: Optional[str] = None

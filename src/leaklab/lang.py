@@ -16,7 +16,6 @@ here as raw text and parsed into assertion ASTs by
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .errors import LeakLabError, ParseError
@@ -31,43 +30,150 @@ ADD_OPS = ("+", "-")
 
 
 # ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+_MISSING = object()
+
+
+class Field:
+    """One field of a :func:`record` class, as ``name: type = field(...)``
+    declares it."""
+
+    __slots__ = ("name", "default", "default_factory", "kw_only", "compare")
+
+    def __init__(self, *, default=_MISSING, default_factory=_MISSING,
+                 kw_only: bool = False, compare: bool = True) -> None:
+        self.name: Optional[str] = None
+        self.default, self.default_factory = default, default_factory
+        self.kw_only, self.compare = kw_only, compare
+
+
+field = Field
+
+
+def _frozen_setattr(self, name: str, value) -> None:
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name: str) -> None:
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _record_repr(self) -> str:
+    shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in self.__record_fields__)
+    return f"{self.__class__.__qualname__}({shown})"
+
+
+def record(cls=None, /, *, frozen: bool = False):
+    """Class decorator: the fields are those of the nearest record base, then
+    the class's own annotated names.  Adds ``__init__`` (keyword-only fields
+    after the others, then ``__post_init__`` if the class has one),
+    ``__eq__`` (within one class, over the compared fields) and
+    ``__repr__``.  A ``frozen`` record hashes the compared fields and
+    refuses assignment; any other is unhashable.  ``__init__``, ``__eq__``
+    and ``__hash__`` come from one source text per class."""
+    if cls is None:
+        return lambda cls: record(cls, frozen=frozen)
+    by_name = {f.name: f for f in getattr(cls, "__record_fields__", ())}
+    for name in cls.__dict__.get("__annotations__", {}):
+        value = cls.__dict__.get(name, _MISSING)
+        if isinstance(value, Field):
+            if value.default is _MISSING:
+                delattr(cls, name)
+            else:
+                setattr(cls, name, value.default)
+        else:
+            value = Field(default=value)
+        value.name = name
+        by_name[name] = value
+    env = {"_setattr": object.__setattr__, "_MISSING": _MISSING}
+    params, kw_params, body = [], [], []
+    for f in by_name.values():
+        n = param = arg = f.name
+        if f.default_factory is not _MISSING:
+            env[f"_factory_{n}"] = f.default_factory
+            param, arg = f"{n}=_MISSING", f"_factory_{n}() if {n} is _MISSING else {n}"
+        elif f.default is not _MISSING:
+            env[f"_default_{n}"] = f.default
+            param = f"{n}=_default_{n}"
+        (kw_params if f.kw_only else params).append(param)
+        body.append(f"_setattr(self, {n!r}, {arg})" if frozen else f"self.{n} = {arg}")
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    compared = "".join(f"self.{f.name}," for f in by_name.values() if f.compare)
+    source = [f"def __init__(self, {', '.join(params + ['*'] * bool(kw_params) + kw_params)}):",
+              *(f" {line}" for line in body or ["pass"]),
+              "def __eq__(self, other):",
+              " if other.__class__ is self.__class__:",
+              f"  return ({compared}) == ({compared.replace('self.', 'other.')})",
+              " return NotImplemented"]
+    if frozen:
+        source += ["def __hash__(self):", f" return hash(({compared}))"]
+    exec("\n".join(source), env)
+    for name in ("__init__", "__eq__", "__hash__"):
+        method = env.get(name)
+        if method is not None:
+            method.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, method)
+    cls.__repr__ = _record_repr
+    if frozen:
+        cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
+    cls.__record_fields__ = tuple(by_name.values())
+    return cls
+
+
+def fields(record_or_class) -> tuple[Field, ...]:
+    """The fields of a :func:`record` class or instance, in order."""
+    return record_or_class.__record_fields__
+
+
+def replace(obj, /, **changes):
+    """A new record of ``obj``'s class: ``changes`` over ``obj``'s fields."""
+    for f in obj.__record_fields__:
+        if f.name not in changes:
+            changes[f.name] = getattr(obj, f.name)
+    return obj.__class__(**changes)
+
+
+# ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Expr:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IntLit(Expr):
     value: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BoolLit(Expr):
     value: bool
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StrLit(Expr):
     """String literal; legal only as the argument of print."""
 
     value: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class UnaryOp(Expr):
     op: str  # "-" or "not"
     operand: Expr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BinOp(Expr):
     op: str
     left: Expr
@@ -88,7 +194,7 @@ class LocationId(NamedTuple):
         return f"l{self.index}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Stmt:
     """Base statement.  ``label`` is None until label_statements runs."""
 
@@ -97,41 +203,41 @@ class Stmt:
     leaky_text: Optional[str] = field(default=None, kw_only=True)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Skip(Stmt):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Assign(Stmt):
     target: str
     value: Expr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Print(Stmt):
     value: Expr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Delay(Stmt):
     duration: Expr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class If(Stmt):
     guard: Expr
     then_body: tuple["Stmt", ...]
     else_body: tuple["Stmt", ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class While(Stmt):
     guard: Expr
     body: tuple["Stmt", ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Await(Stmt):
     """Conditional critical region: guard test plus body fire as one action."""
 
@@ -139,7 +245,7 @@ class Await(Stmt):
     body: tuple["Stmt", ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Decl:
     name: str
     type: str  # INT or BOOL
@@ -149,14 +255,14 @@ class Decl:
     secret: bool
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Thread:
     name: str
     body: tuple[Stmt, ...]
     post_text: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Program:
     declarations: tuple[Decl, ...]
     threads: tuple[Thread, ...]
@@ -261,7 +367,7 @@ TWO_CHAR = ("{|", "|}", "!=", "<=", ">=", "->", "..")
 ONE_CHAR = "{}()[]=<>+-*;:,@."
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Token:
     kind: str  # "ident", "keyword", "int", "string", "sym", "annotation", "eof"
     text: str

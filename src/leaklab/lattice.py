@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import LeakLabError
+from .lang import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SecurityLattice:
     elements: tuple[str, ...]
     order: frozenset[tuple[str, str]]  # reflexive-transitive can-flow-to pairs

@@ -34,12 +34,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import assertions as asrt
 from . import explorer, lang, semantics
 from .errors import AnnotationError, BudgetExceeded, DomainError, LeakLabError
+from .lang import field, record
 
 SEQUENTIAL = "sequential"
 INTERFERENCE = "interference"
@@ -47,7 +47,7 @@ LEAKY = "leaky"
 STATE_BUDGET = 2_000_000  # states one discharge may enumerate
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VC:
     """One verification condition {pre} stmt {post}.
 
@@ -68,7 +68,7 @@ class FactlessVC(VC):
     carries over to the condition with them, a counterexample does not."""
 
 
-@dataclass
+@record
 class DischargeResult:
     status: str  # "valid" | "counterexample" | "undischarged"
     counterexample: Optional[dict] = None
@@ -76,7 +76,7 @@ class DischargeResult:
     checked: int = 0
 
 
-@dataclass
+@record
 class ProofResult:
     entries: list[tuple[VC, DischargeResult]]
     overall: str  # "proven" | "refuted" | "incomplete"
@@ -127,7 +127,7 @@ def _reads(a: asrt.Assertion) -> tuple[frozenset[str], bool]:
 WRITERS = (lang.Assign, lang.Await)
 
 
-@dataclass
+@record
 class Outline:
     """Effective pre/post assertions per location after chain construction."""
 
@@ -262,22 +262,21 @@ def gen_interference_vcs(annotated: asrt.AnnotatedProgram,
 # ---------------------------------------------------------------------------
 
 def isolated_path_duration(program: lang.Program, loc_from: lang.LocationId,
-                           loc_to: lang.LocationId, secret_valuation: dict,
+                           loc_to: lang.LocationId, secret_domain: tuple,
                            costs: semantics.CostModel = semantics.CostModel()
-                           ) -> Optional[frozenset[int]]:
-    """:func:`explorer.isolated_durations` for one valuation, as ``dl``
-    synthesis reads them; None when the run never pairs the two locations,
-    leaves a domain, overruns a region budget, or passes
-    ``ExploreBounds().max_configs`` distinct states."""
-    valuation = tuple(secret_valuation.items())
+                           ) -> Optional[dict[explorer.SecretValuation, frozenset[int]]]:
+    """:func:`explorer.isolated_durations` over ``secret_domain``, as ``dl``
+    synthesis reads them, one search per class of valuations; None when a
+    run never pairs the two locations, leaves a domain, overruns a region
+    budget, or passes ``ExploreBounds().max_configs`` distinct states."""
     try:
-        stats = explorer.isolated_durations(program, loc_from, loc_to, (valuation,),
+        stats = explorer.isolated_durations(program, loc_from, loc_to, secret_domain,
                                             explorer.ExploreBounds(), costs)
     except (DomainError, BudgetExceeded):
         return None
     if stats.unreached or not stats.complete:
         return None
-    return stats.durations[valuation]
+    return stats.durations
 
 
 def path_fact_assertion(program: lang.Program, loc_from: lang.LocationId,
@@ -289,17 +288,19 @@ def path_fact_assertion(program: lang.Program, loc_from: lang.LocationId,
     equation per duration D the isolated thread achieves, joined by ``or``;
     None when the durations of any valuation are underivable.
     """
+    # without secrets the conjunction is empty, and nothing need be measured
+    durations = (isolated_path_duration(program, loc_from, loc_to, secret_domain, costs)
+                 if secret_domain else {})
+    if durations is None:
+        return None
     diff = lang.BinOp(
         "-",
         asrt.SnapshotTerm(None, loc_to.index, None, loc_to),
         asrt.SnapshotTerm(None, loc_from.index, None, loc_from))
     parts: list[asrt.Assertion] = []
     for valuation in secret_domain:
-        durations = isolated_path_duration(program, loc_from, loc_to,
-                                           dict(valuation), costs)
-        if durations is None:
-            return None
-        equations = [lang.BinOp("=", diff, lang.IntLit(d)) for d in sorted(durations)]
+        equations = [lang.BinOp("=", diff, lang.IntLit(d))
+                     for d in sorted(durations[valuation])]
         parts.append(asrt.Implies(asrt.valuations_assertion([valuation]), functools.reduce(
             functools.partial(lang.BinOp, "or"), equations)))
     return _conj(*parts)

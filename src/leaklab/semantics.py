@@ -23,17 +23,17 @@ runs by lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Union
 
 from . import lang
 from .errors import BudgetExceeded, DeadlockError, DomainError, LeakLabError
+from .lang import field, record
 
 Value = Union[int, bool]
 Store = dict[str, Value]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CostModel:
     """Per-action abstract time costs.
 

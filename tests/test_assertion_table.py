@@ -12,7 +12,6 @@ from __future__ import annotations
 import copy
 import gc
 import weakref
-from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +39,7 @@ PROGRAM = lang.parse_program(
 
 def resolve(a: asrt.Assertion) -> asrt.Assertion:
     """Bind each snapshot term to thread 0, or 1 for ``T2``, unchecked."""
-    return asrt.rewrite(a, lambda x, _bound: replace(
+    return asrt.rewrite(a, lambda x, _bound: lang.replace(
         x, resolved=L(0 if x.thread_name is None else 1, x.index)) if isinstance(
             x, asrt.SnapshotTerm) else None)
 
@@ -103,7 +102,7 @@ def test_difference_atoms_match_the_walks(pre, post, tolerance):
     assert_walks_agree(vc, SMALL, tolerance)
 
 
-@dataclass(frozen=True)
+@lang.record(frozen=True)
 class Twin(lang.Expr):
     """The fields of ``lang.UnaryOp`` under another node type."""
 

@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -585,7 +584,7 @@ class TestScenarioCommands:
                                      "var y : int[0..9] label low = 0;\n"
                                      f"thread A {{ {text}; }}\n")
         stmt = program.threads[0].body[0]
-        assert cli._parse_command("s.json", text) == replace(stmt, label=None)
+        assert cli._parse_command("s.json", text) == lang.replace(stmt, label=None)
 
     @settings(deadline=None)
     @given(st.one_of(command_texts(), int_exprs().map(
@@ -1041,17 +1040,22 @@ class TestStartUp:
     """Each command loads only the leaklab modules it runs."""
 
     @staticmethod
-    def loaded_after(*argv: str) -> set[str]:
+    def modules_after(*argv: str, flags: tuple[str, ...] = ()) -> set[str]:
+        """Every module loaded once the command ran, under interpreter ``flags``."""
         probe = ("import contextlib, io, json, sys\n"
                  "from leaklab import cli\n"
                  "with contextlib.redirect_stdout(io.StringIO()):\n"
                  "    cli.main(sys.argv[1:])\n"
-                 "print(json.dumps([m for m in sys.modules if m.startswith('leaklab')]))\n")
+                 "print(json.dumps(list(sys.modules)))\n")
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
-                              text=True, env=env, timeout=60, check=True)
+        proc = subprocess.run([sys.executable, *flags, "-c", probe, *argv],
+                              capture_output=True, text=True, env=env, timeout=60, check=True)
         return set(json.loads(proc.stdout))
+
+    @classmethod
+    def loaded_after(cls, *argv: str) -> set[str]:
+        return {m for m in cls.modules_after(*argv) if m.startswith("leaklab")}
 
     def test_parse_loads_the_parser_alone(self):
         assert self.loaded_after("parse", fixture("semaphore_pair.cwl")) == {
@@ -1062,3 +1066,15 @@ class TestStartUp:
         assert "leaklab.explorer" in loaded
         assert not loaded & {f"leaklab.{m}" for m in (
             "assertions", "proofs", "dl", "ifc", "lattice", "regions")}
+
+    def test_no_command_imports_dataclasses_or_inspect(self, tmp_path):
+        # Under -S, site imports nothing, so what is loaded is leaklab's doing.
+        for argv in (("parse", fixture("semaphore_pair.cwl")),
+                     ("leakscan", fixture("semaphore_pair.cwl")),
+                     ("dl", fixture("semaphore_pair.cwl"), "--synthesize"),
+                     ("emit-smt", fixture("semaphore_pair_annotated.cwl"),
+                      "--out-dir", str(tmp_path)),
+                     ("ifc", fixture("ifc_scenario_concurrent_ni.json"))):
+            loaded = self.modules_after(*argv, flags=("-S",))
+            assert "leaklab.cli" in loaded
+            assert not loaded & {"dataclasses", "inspect"}, argv

@@ -16,6 +16,7 @@ from test_discharge_oracle import CERTIFY_CORPUS, OWN_OUTLINES, outline
 from test_explore_oracle import small_programs
 
 L = lang.LocationId
+H0, H1 = (("h", 0),), (("h", 1),)
 
 # Each pass through the loop prints 's' and, for nonzero h, delays 3.
 LOOP_BRANCH_SOURCE = (
@@ -344,16 +345,15 @@ class TestClockInterference:
 
 class TestIsolatedPathDuration:
     def test_region_thread_paths(self, region_thread):
-        d0 = proofs.isolated_path_duration(region_thread, L(0, 0), L(0, 7), {"h": 0})
-        d1 = proofs.isolated_path_duration(region_thread, L(0, 0), L(0, 7), {"h": 1})
-        assert (d0, d1) == ({3}, {6})
+        assert proofs.isolated_path_duration(region_thread, L(0, 0), L(0, 7), (H0, H1)) == {
+            H0: {3}, H1: {6}}
 
     def test_blocked_region_gives_none(self):
         p = lang.parse_program(
             "var h : int[0..1] label high = secret;\n"
             "var g : int[0..1] label low = 0;\n"
             "thread A { print('s'); await g > 0 then { skip; }; print('e'); }")
-        assert proofs.isolated_path_duration(p, L(0, 0), L(0, 2), {"h": 0}) is None
+        assert proofs.isolated_path_duration(p, L(0, 0), L(0, 2), (H0,)) is None
 
     def test_loop_within_budget(self):
         p = lang.parse_program(
@@ -361,7 +361,7 @@ class TestIsolatedPathDuration:
             "var i : int[0..5] label low = 0;\n"
             "thread A { print('s'); while i < 3 do { i = i + 1; }; print('e'); }")
         # s(1) + 4 guard evaluations + 3 increments = 8 units between arrivals.
-        assert proofs.isolated_path_duration(p, L(0, 0), L(0, 3), {"h": 0}) == {8}
+        assert proofs.isolated_path_duration(p, L(0, 0), L(0, 3), (H0,)) == {H0: {8}}
 
 
     def test_endless_run_keeps_the_durations_before_it_loops(self):
@@ -369,13 +369,13 @@ class TestIsolatedPathDuration:
         p = lang.parse_program(
             "var h : int[0..1] label high = secret;\n"
             "thread A { print('s'); print('e'); while true do { skip; }; }")
-        assert proofs.isolated_path_duration(p, L(0, 0), L(0, 1), {"h": 0}) == {1}
+        assert proofs.isolated_path_duration(p, L(0, 0), L(0, 1), (H0,)) == {H0: {1}}
 
     def test_endless_run_that_never_pairs_gives_none(self):
         p = lang.parse_program(
             "var h : int[0..1] label high = secret;\n"
             "thread A { print('s'); while true do { skip; }; print('e'); }")
-        assert proofs.isolated_path_duration(p, L(0, 0), L(0, 3), {"h": 0}) is None
+        assert proofs.isolated_path_duration(p, L(0, 0), L(0, 3), (H0,)) is None
 
     @pytest.mark.parametrize("source", (FOREVER_SOURCE, FOREVER_UNUSED_SOURCE))
     def test_endless_loop_stops_one_period_after_its_first_repeat(self, monkeypatch,
@@ -388,9 +388,9 @@ class TestIsolatedPathDuration:
         # positions times stores, and the timings were underivable.
         p = lang.parse_program(source)
         assert count_steps(monkeypatch, lambda: proofs.isolated_path_duration(
-            p, L(0, 1), L(0, 5), {"h": 0})) == ({3}, 5 + 5)
+            p, L(0, 1), L(0, 5), (H0,))) == ({H0: {3}}, 5 + 5)
         assert count_steps(monkeypatch, lambda: proofs.isolated_path_duration(
-            p, L(0, 1), L(0, 5), {"h": 1})) == ({5}, 5 + 5)
+            p, L(0, 1), L(0, 5), (H1,))) == ({H1: {5}}, 5 + 5)
 
     def test_wrong_postulate_on_an_endless_loop_is_refuted(self):
         p = lang.parse_program(FOREVER_UNUSED_SOURCE)
@@ -412,7 +412,7 @@ class TestIsolatedPathDuration:
 
     def test_domain_exit_gives_none(self):
         p = lang.parse_program(DOMAIN_EXIT_SOURCE)
-        assert proofs.isolated_path_duration(p, L(0, 0), L(0, 1), {"h": 0}) is None
+        assert proofs.isolated_path_duration(p, L(0, 0), L(0, 1), (H0,)) is None
 
     @settings(max_examples=50, deadline=None)
     @given(small_programs())
@@ -430,17 +430,48 @@ class TestIsolatedPathDuration:
                 for valuation in explorer.secret_domain_of(program):
                     stats = explorer.duration_stats(isolated, alone[0], alone[k],
                                                     (valuation,), roomy)
-                    want = None if stats.unreached else stats.durations[valuation]
+                    want = None if stats.unreached else {
+                        valuation: stats.durations[valuation]}
                     assert proofs.isolated_path_duration(
-                        program, labels[0], labels[k], dict(valuation)) == want, (
+                        program, labels[0], labels[k], (valuation,)) == want, (
                             thread, k)
 
     def test_every_duration_of_a_loop(self):
         # The first 's' reaches 'e' in 10 units and the second in 5; the
         # first arrival alone would give only 10.
         p = lang.parse_program(LOOP_BRANCH_SOURCE)
-        assert proofs.isolated_path_duration(p, L(0, 1), L(0, 6), {"h": 0}) == {5, 10}
-        assert proofs.isolated_path_duration(p, L(0, 1), L(0, 6), {"h": 1}) == {7, 14}
+        assert proofs.isolated_path_duration(p, L(0, 1), L(0, 6), (H0, H1)) == {
+            H0: {5, 10}, H1: {7, 14}}
+
+    def test_path_facts_search_once_per_class(self, monkeypatch):
+        # Regression: the facts were measured one value of h at a time, so
+        # sixteen values made sixteen searches, where the program tells
+        # only two classes apart (h <= 7 and h > 7).
+        p = lang.parse_program(
+            "var h : int[0..15] label high = secret;\n"
+            "thread A { {| true |} print('a'); {| true |} if h > 7 then "
+            "{ {| true |} delay(3); } else { {| true |} skip; }; "
+            "{| true |} @leaky {| (t@l4 - t@l0 < 4 -> h <= 7) and "
+            "(t@l4 - t@l0 >= 4 -> h > 7) |} print('b'); } post {| true |}")
+        domain = explorer.secret_domain_of(p)
+        domains = []
+        original = explorer.isolated_durations
+
+        def counted(program, loc_from, loc_to, secret_domain, *rest):
+            domains.append(secret_domain)
+            return original(program, loc_from, loc_to, secret_domain, *rest)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(explorer, "isolated_durations", counted)
+            result = proofs.check_proof(asrt.annotate_program(p))
+        assert result.overall == "proven"
+        assert domains == [domain]
+        durations, steps = count_steps(monkeypatch, lambda: proofs.isolated_path_duration(
+            p, L(0, 0), L(0, 4), domain))
+        assert durations == {v: {5 if v[0][1] > 7 else 3} for v in domain}
+        # as many steps as one search of each class
+        assert steps == sum(count_steps(monkeypatch, lambda: proofs.isolated_path_duration(
+            p, L(0, 0), L(0, 4), ((("h", h),),)))[1] for h in (0, 8))
 
     def test_path_facts_join_durations_with_or(self):
         p = lang.parse_program(LOOP_BRANCH_SOURCE)
@@ -511,9 +542,9 @@ class TestIsolatedPathDuration:
                 if loc_to not in isolated:
                     continue
                 pairs += 1
-                facts = {str(dict(v)): sorted(proofs.isolated_path_duration(
-                             program, loc_from, loc_to, dict(v)))
-                         for v in explorer.secret_domain_of(program)}
+                durations = proofs.isolated_path_duration(
+                    program, loc_from, loc_to, explorer.secret_domain_of(program))
+                facts = {str(dict(v)): sorted(ds) for v, ds in durations.items()}
                 assert facts == isolated[loc_to], (name, loc_from, loc_to)
         assert pairs >= 5
 
