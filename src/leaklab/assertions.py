@@ -576,28 +576,39 @@ def states_at_location(program: lang.Program, loc: lang.LocationId,
     A state is a (store, snapshots, clock, secret valuation) tuple whose
     snapshots hold the arrivals at the locations in ``watch`` and at no
     others.  The states come from :func:`explorer.search`, which watches
-    those locations and keeps the clock even when ``bounds`` is
-    timing-blind; states that differ only in the steps used to reach them
-    are listed once.
+    those locations.  It runs timed even when ``bounds`` is timing-blind:
+    a state holds its clock, which an assertion reads as ``t``, even when
+    nothing is watched.  States that differ only in the steps used to
+    reach them are listed once.  The first secret valuation of each class
+    (``explorer._class_of``) is searched, and every member gets its states
+    with its own secret values in the store.
     """
     bounds = replace(bounds, timing_blind=False)
+    stmt = program.statement_at(loc)
     exit_loc = semantics.control_table(program).labels[loc.thread][-1]
+    head = id(stmt) if stmt is not None else 0 if loc == exit_loc else None
+    searched: dict[object, tuple[list[tuple], bool]] = {}
     states: list[tuple] = []
     complete = True
     for valuation in (secret_domain or ((),)):
         store = dict(program.initial_store())
-        store.update(dict(valuation))
-        at_loc: dict[tuple, None] = {}
+        store.update(valuation)
+        key = explorer._class_of(program, store)
+        if key not in searched:
+            at_loc: dict[tuple, None] = {}
 
-        def record(key: tuple, config: semantics.Configuration, outcome) -> None:
-            residue = config.residues[loc.thread]
-            if (residue[0].label == loc) if residue else (loc == exit_loc):
-                at_loc[(config.store, key[4], config.clock)] = None
+            def record(key: tuple, outcome) -> None:
+                if key[0][loc.thread] == head:
+                    at_loc[key[1], key[4], key[2]] = None
 
-        found = explorer.search(program, store, bounds, costs, frozenset(watch), record)
-        complete = complete and found.complete
-        states.extend((dict(s), found.arrivals(watched), clock, valuation)
-                      for s, watched, clock in at_loc)
+            found = explorer.search(program, store, bounds, costs, frozenset(watch), record)
+            searched[key] = ([(s, found.arrivals(watched), clock)
+                              for s, watched, clock in at_loc], found.complete)
+        found_states, found_all = searched[key]
+        complete = complete and found_all
+        own = dict(valuation)
+        states.extend((dict(s, **own), dict(snaps), clock, valuation)
+                      for s, snaps, clock in found_states)
     return states, complete
 
 

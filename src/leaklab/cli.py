@@ -161,7 +161,7 @@ def cmd_leakscan(args: argparse.Namespace) -> int:
     if args.stats:
         data["stats"] = report.stats
         human.extend(f"  stats {row['secret']}: explored as {row['explored_as']}, "
-                     f"{row['states']} states, {row['edges']} edges, "
+                     f"{row['states']} states, {row['edges']} edges, {row['steps']} steps, "
                      f"{row['truncated']} truncated, {row['deadlocked']} deadlocked, bounds "
                      f"fired: {' '.join(row['bounds_fired']) or 'none'}" for row in report.stats)
     _emit(data, args.format == "json", human)

@@ -12,6 +12,8 @@ question asked of the schedules: :func:`explore` merges observation
 suffixes backwards along its edges, :func:`duration_stats` pairs the
 arrivals at two watched locations where runs end, and
 ``assertions.states_at_location`` collects the states at one location.
+It expands each distinct state once and steps each distinct (thread, head
+statement, store) once, since a step reads nothing else.
 
 Secret valuations that the program cannot tell apart have the same runs
 with the secret renamed, so :func:`knowledge_partition` and the duration
@@ -31,7 +33,7 @@ from typing import Callable, NamedTuple, Optional
 
 from . import lang, semantics
 from .errors import LeakLabError
-from .lang import field, record, replace
+from .lang import field, record
 
 SecretValuation = tuple[tuple[str, semantics.Value], ...]
 
@@ -213,7 +215,8 @@ class Search:
     ``cells`` holds the hash-consed arrivals: cell ``i`` is ``(previous cell,
     clock)`` of one arrival, and cell 0 stands for no arrival yet.
     ``states`` counts the keys stepped or ended within ``max_configs``,
-    ``edges`` the steps taken and ``capped`` the keys cut past it.
+    ``edges`` the transitions between keys, ``steps`` the ``semantics.step``
+    calls behind them and ``capped`` the keys cut past ``max_configs``.
     """
 
     root: tuple
@@ -222,6 +225,7 @@ class Search:
     cells: list
     states: int
     edges: int
+    steps: int
     capped: int
 
     @property
@@ -240,6 +244,9 @@ class Search:
         return snaps
 
 
+_ABSENT = object()
+
+
 def search(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
            costs: semantics.CostModel, watch: frozenset, visit) -> Search:
     """The exploration engine: a memoised depth-first search over states.
@@ -248,94 +255,127 @@ def search(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
     ``heads`` holds each thread's head statement id (0 once it is done),
     which keys its residue exactly because a residue is always the static
     continuation of its head (see :mod:`leaklab.semantics`), the clock
-    ``None`` when timing-blind, and
+    ``None`` when timing-blind and nothing is watched, and
     ``arrivals`` the snapshots recorded at the locations in ``watch`` and at
     no others, as ``(location, cell)`` pairs with one hash-consed cell per
     distinct history of a location (see :meth:`Search.arrivals`), so a key
     stays small however often a location is reached.  No transition reads
     the trace or the snapshots, and ``steps_used`` stays in the key, so a
     caller learns exactly what enumerating every schedule would tell it.
-    Each distinct key is stepped once.
 
-    ``visit(key, config, outcome)`` runs once per distinct key, after it has
-    run for every successor of the key.  ``config`` holds no trace and no
-    snapshots.  ``outcome`` is how a run ends at the key (``_DONE``,
-    ``_DEADLOCKED`` or ``_CUT``), or else the list of its ``(events, child
-    key)`` edges: one per enabled thread, labelled with the events its one
-    step printed.
+    Each distinct key is expanded once and each distinct ``(thread, head,
+    store)`` stepped once, since a step reads nothing else: a table local
+    to the call keeps, per store and head, None for a blocked await or else
+    the move, which is the next head and store, the clock advance, and the
+    events and watched arrivals timed from the step's start, shifted by the
+    parent's clock in a child key.
+
+    ``visit(key, outcome)`` runs once per distinct key, after it has run
+    for every successor of the key.  ``outcome`` is how a run ends at the
+    key (``_DONE``, ``_DEADLOCKED`` or ``_CUT``), or else the list of its
+    ``(events, child key)`` edges: one per enabled thread, highest first,
+    labelled with the events its one step printed, timestamped from the
+    step's start when the key holds no clock.
 
     ``max_configs`` counts distinct keys, and a key past it ends its run
     cut short, as a key at ``max_steps`` does; a key where no thread can
     move ends deadlocked.  ``truncated`` and ``deadlocked`` count keys.
     """
+    table = semantics.control_table(program)
+    nodes = table.nodes
     cells: list = [None]
     interned: dict[tuple, int] = {}
 
-    def arrive(watched: tuple, snapshots: tuple) -> tuple:
-        heads = None
+    def arrive(watched: tuple, snapshots: tuple, clock: int) -> tuple:
+        heads = dict(watched)
         for loc, times in snapshots:
-            if loc in watch:
-                if heads is None:
-                    heads = dict(watched)
-                for clock in times:
-                    cell = (heads.get(loc, 0), clock)
-                    if cell not in interned:
-                        interned[cell] = len(cells)
-                        cells.append(cell)
-                    heads[loc] = interned[cell]
-        return watched if heads is None else tuple(sorted(heads.items()))
-
-    def key_of(config: semantics.Configuration, steps_used: int, watched: tuple) -> tuple:
-        return (tuple([id(r[0]) if r else 0 for r in config.residues]), config.store,
-                None if bounds.timing_blind else config.clock, steps_used, watched)
+            for at in times:
+                cell = (heads.get(loc, 0), clock + at)
+                if cell not in interned:
+                    interned[cell] = len(cells)
+                    cells.append(cell)
+                heads[loc] = interned[cell]
+        return tuple(sorted(heads.items()))
 
     start = semantics.initial_configuration(program, store)
-    root = semantics.Configuration(start.residues, start.store, start.clock, (), ())
-    root_key = key_of(root, 0, arrive((), start.snapshots))
+    root = (tuple([id(r[0]) if r else 0 for r in start.residues]), start.store,
+            None if bounds.timing_blind and not watch else 0, 0,
+            arrive((), [s for s in start.snapshots if s[0] in watch], 0))
+    moves: dict[tuple, dict] = {}  # store -> head id -> None (blocked) or a move
+    stepped = 0
+
+    def fill(heads: tuple, store: tuple, t: int, row: dict) -> tuple:
+        """Step thread ``t`` from clock 0 and keep its move in ``row``."""
+        nonlocal stepped
+        stepped += 1
+        nxt = semantics.step(program, semantics.Configuration(
+            tuple([nodes[h].continuation if h else () for h in heads]), store, 0, (), ()),
+            table.choices[t], costs)
+        residue = nxt.residues[t]
+        move = row[heads[t]] = (id(residue[0]) if residue else 0, nxt.store, nxt.clock,
+                                nxt.trace, tuple([s for s in nxt.snapshots if s[0] in watch]))
+        return move
+
     done: set = set()
-    pending: dict[tuple, list] = {}  # expanded keys: their edges
-    configs = truncated = deadlocked = capped = stepped = 0
-    stack = [(root_key, root)]
+    configs = truncated = deadlocked = capped = edge_count = 0
+    stack: list = [root]  # keys to expand, and [key, edges] once expanded
     while stack:
-        key, config = stack.pop()
-        if key in done:
+        key = stack.pop()
+        if key.__class__ is list:  # every successor of the key is visited
+            key, outcome = key
+        elif key in done:
             continue
-        outcome = pending.pop(key, None)
-        if outcome is None:
-            steps_used = key[3]
-            if configs >= bounds.max_configs:
-                capped += 1
+        elif configs >= bounds.max_configs:
+            capped += 1
+            outcome = _CUT
+        else:
+            configs += 1
+            heads, store, clock, steps_used, watched = key
+            if not any(heads):
+                outcome = _DONE
+            elif steps_used >= bounds.max_steps:
+                truncated += 1
                 outcome = _CUT
             else:
-                configs += 1
-                if config.all_done():
-                    outcome = _DONE
-                elif steps_used >= bounds.max_steps:
-                    truncated += 1
-                    outcome = _CUT
+                row = moves.get(store)
+                if row is None:
+                    row = moves[store] = {}
+                ready = []
+                for t, h in enumerate(heads):
+                    if h:
+                        move = row.get(h, _ABSENT)
+                        if move is _ABSENT and nodes[h].kind == semantics._REGION \
+                                and not nodes[h].run(dict(store)):
+                            move = row[h] = None
+                        if move is not None:
+                            ready.append((t, move))
+                if not ready:
+                    deadlocked += 1
+                    outcome = _DEADLOCKED
                 else:
-                    choices = semantics.enabled(program, config)
-                    if not choices:
-                        deadlocked += 1
-                        outcome = _DEADLOCKED
-        if outcome is None:
-            edges = []
-            children = []
-            for choice in sorted(choices, reverse=True):
-                nxt = semantics.step(program, config, choice, costs)
-                child = key_of(nxt, steps_used + 1, arrive(key[4], nxt.snapshots))
-                edges.append((nxt.trace, child))
-                if child not in done:
-                    children.append((child, semantics.Configuration(
-                        nxt.residues, nxt.store, nxt.clock, (), ())))
-            pending[key] = edges
-            stepped += len(edges)
-            stack.append((key, config))
-            stack.extend(children)
-            continue
+                    edges: list = []
+                    stack.append([key, edges])
+                    for t, move in reversed(ready):
+                        head, after, advance, events, arrivals = (
+                            fill(heads, store, t, row) if move is _ABSENT else move)
+                        moved = heads[:t] + (head,) + heads[t + 1:]
+                        if clock is None:
+                            child = (moved, after, None, steps_used + 1, watched)
+                        else:
+                            if events and clock:
+                                events = tuple([semantics.Event(e.thread, e.payload,
+                                                                e.timestamp + clock)
+                                                for e in events])
+                            child = (moved, after, clock + advance, steps_used + 1,
+                                     arrive(watched, arrivals, clock) if arrivals else watched)
+                        edges.append((events, child))
+                        stack.append(child)
+                    edge_count += len(edges)
+                    continue
         done.add(key)
-        visit(key, config, outcome)
-    return Search(root_key, truncated, deadlocked, cells, configs, stepped, capped)
+        visit(key, outcome)
+    return Search(root, truncated, deadlocked, cells, configs, edge_count, stepped,
+                  capped)
 
 
 _ENDINGS = {end: frozenset({((), end)}) for end in (_DONE, _DEADLOCKED, _CUT)}
@@ -354,13 +394,13 @@ def explore(program: lang.Program, init_public: semantics.Store,
     store = _start_store(program, init_public, secret_val)
     suffixes: dict[tuple, frozenset] = {}
 
-    def merge(key: tuple, config: semantics.Configuration, outcome) -> None:
+    def merge(key: tuple, outcome) -> None:
         if isinstance(outcome, str):
             suffixes[key] = _ENDINGS[outcome]
             return
         merged: set = set()
         for events, child in outcome:
-            label = _project(events, bounds)
+            label = _project(events, bounds) if events else ()
             if label:
                 merged.update((label + suffix, end) for suffix, end in suffixes[child])
             else:
@@ -376,8 +416,8 @@ def explore(program: lang.Program, init_public: semantics.Store,
         truncated=found.truncated,
         deadlocked=found.deadlocked,
         prefixes=frozenset(Observation(events) for events, end in runs if end == _CUT),
-        stats={"states": found.states, "edges": found.edges, "truncated": found.truncated,
-               "deadlocked": found.deadlocked,
+        stats={"states": found.states, "edges": found.edges, "steps": found.steps,
+               "truncated": found.truncated, "deadlocked": found.deadlocked,
                "bounds_fired": [flag for flag, n in (("--bound-steps", found.truncated),
                                                      ("--bound-configs", found.capped)) if n]},
     )
@@ -516,18 +556,16 @@ def duration_stats(program: lang.Program, loc_from: lang.LocationId,
                    costs: semantics.CostModel = semantics.CostModel()) -> DurationStats:
     """For each secret valuation, the set of achievable ``t@to - t@from``.
 
-    :func:`search` watches the two locations, with the clock kept in the
-    key even when ``bounds`` is timing-blind.  At every state where a run
+    :func:`search` watches the two locations, so its keys hold the clock
+    even when ``bounds`` is timing-blind.  At every state where a run
     ends (terminated, deadlocked or cut short), each arrival at ``loc_from``
     pairs with the next arrival at ``loc_to`` after it.  A valuation with no
     such pair is ``unreached``.
     """
-    bounds = replace(bounds, timing_blind=False)
-
     def measure(store: semantics.Store) -> tuple[list, bool]:
         endings: set[tuple] = set()  # the watched arrivals where runs end
 
-        def collect(key: tuple, config: semantics.Configuration, outcome) -> None:
+        def collect(key: tuple, outcome) -> None:
             if isinstance(outcome, str):
                 endings.add(key[4])
 

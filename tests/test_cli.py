@@ -180,14 +180,22 @@ class TestLeakscan:
         _, out, _ = run_cli(capsys, "leakscan", fixture("semaphore_pair.cwl"),
                             "--format", "json", "--stats")
         stats = json.loads(out)["stats"]
-        assert sum(row["edges"] for row in stats) == len(calls) > 0
+        assert sum(row["steps"] for row in stats) == len(calls) > 0
         program = lang.parse_program(Path(fixture("semaphore_pair.cwl")).read_text())
         for row in stats:
             keys = []
+            edges = []
             explorer.search(program, {**program.initial_store(), **row["secret"]},
                             explorer.ExploreBounds(), semantics.CostModel(), frozenset(),
-                            lambda key, config, outcome: keys.append(key))
+                            lambda key, outcome: keys.append(key) or isinstance(outcome, str)
+                            or edges.extend((key, child) for _, child in outcome))
+            # Every statement of this program moves its thread on, so an
+            # edge's thread is the one whose head changed.
+            triples = {(t, key[0][t], key[1]) for key, child in edges
+                       for t, (a, b) in enumerate(zip(key[0], child[0])) if a != b}
             assert row["states"] == len(keys)
+            assert row["edges"] == len(edges)
+            assert row["steps"] == len(triples) < len(edges)
             assert (row["truncated"], row["deadlocked"], row["bounds_fired"]) == (0, 0, [])
 
     @pytest.mark.parametrize("flags,fired", [
@@ -224,8 +232,8 @@ class TestLeakscan:
         safe.write_text("var x : int[0..1] label low = 0;\nthread A { print('x'); }")
         _, out, _ = run_cli(capsys, "leakscan", str(safe), "--format", "json", "--stats")
         assert json.loads(out)["stats"] == [{"secret": {}, "explored_as": {}, "states": 2,
-                                             "edges": 1, "truncated": 0, "deadlocked": 0,
-                                             "bounds_fired": []}]
+                                             "edges": 1, "steps": 1, "truncated": 0,
+                                             "deadlocked": 0, "bounds_fired": []}]
 
     @pytest.mark.parametrize("name,expected", [("semaphore_pair.cwl", 1),
                                                ("corpus/06_unused_secret.cwl", 0)])

@@ -208,7 +208,7 @@ def test_steps_read_no_exit_label_or_declaration_off_the_ast(monkeypatch):
     found = explorer.search(program, {"h": 1, "x": 0}, explorer.ExploreBounds(),
                             semantics.CostModel(),
                             frozenset({lang.LocationId(0, 4), lang.LocationId(1, 2)}),
-                            lambda key, config, outcome:
+                            lambda key, outcome:
                                 isinstance(outcome, str) and ends.append(key[4]))
     assert found.complete and ends
     exits = {loc for watched in ends for loc in found.arrivals(watched)}

@@ -69,15 +69,20 @@ class TestExplore:
 
     def test_steps_each_state_once(self, monkeypatch):
         # Two threads that each skip twice reach the states of a 3x3 grid
-        # by six schedules; each of the grid's 12 edges is stepped once.
+        # by six schedules.  The grid has 12 edges, but a thread's step
+        # reads only its head and the store, so each of the 4 distinct
+        # (thread, head, store) triples over them is stepped once.
         p = lang.parse_program("var x : int[0..1] label low = 0;\n"
                                "thread A { skip; skip; }\nthread B { skip; skip; }")
         calls = []
         step = semantics.step
         monkeypatch.setattr(semantics, "step",
                             lambda *args: calls.append(args) or step(*args))
-        explorer.explore(p, {}, {}, BLIND)
-        assert len(calls) == 12
+        result = explorer.explore(p, {}, {}, BLIND)
+        triples = {(choice.thread, id(config.residues[choice.thread][0]), config.store)
+                   for _, config, choice, _ in calls}
+        assert len(calls) == len(triples) == 4
+        assert (result.stats["edges"], result.stats["steps"]) == (12, 4)
 
     def test_observer_sees_thread_ids_on_request(self, semaphore_pair):
         bounds = explorer.ExploreBounds(max_steps=40, timing_blind=True,

@@ -2,9 +2,9 @@
 valuation.
 
 ``knowledge_partition`` explores one secret valuation per class of
-valuations the program cannot tell apart, and the duration measures
-measure one per class; ``knowledge_oracle`` and singleton secret domains
-explore every valuation.  Both must give the same knowledge sets, leak
+valuations the program cannot tell apart, and the duration measures and
+``assertions.states_at_location`` search one per class;
+``knowledge_oracle`` and singleton secret domains explore every valuation.  Both must give the same knowledge sets, leak
 verdicts, completeness and stats, and raise the same error.
 """
 
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leaklab import explorer, lang
+from leaklab import assertions, explorer, lang
 from leaklab.errors import LeakLabError
 
 import knowledge_oracle
@@ -188,3 +188,62 @@ def test_leakscan_stats_name_the_search(capsys, tmp_path):
     assert cli.main(["leakscan", str(source), "--stats"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1].startswith("  stats {'h': 3}: explored as {'h': 2}, ")
+
+
+def states_by_valuation(program: lang.Program, loc: lang.LocationId, watch: frozenset,
+                        bounds: explorer.ExploreBounds):
+    """``states_at_location`` with one search per valuation, or the error
+    it raised."""
+    states, complete = [], True
+    try:
+        for valuation in explorer.secret_domain_of(program):
+            found, found_all = assertions.states_at_location(program, loc, watch,
+                                                             (valuation,), bounds)
+            states.extend(found)
+            complete = complete and found_all
+    except LeakLabError as e:
+        return type(e), str(e)
+    return states, complete
+
+
+def assert_same_states(program: lang.Program, bounds: explorer.ExploreBounds) -> list[int]:
+    """Compare ``states_at_location`` at every location with one search per
+    valuation, watching each thread's first location; return the searches
+    made at each location."""
+    searches = []
+    real = explorer.search
+
+    def counted(*args):
+        searches[-1] += 1
+        return real(*args)
+
+    watch = frozenset(program.labels_of_thread(t)[0] for t in range(len(program.threads)))
+    domain = explorer.secret_domain_of(program)
+    for t in range(len(program.threads)):
+        for loc in program.labels_of_thread(t):
+            want = states_by_valuation(program, loc, watch, bounds)
+            searches.append(0)
+            explorer.search = counted
+            try:
+                got = assertions.states_at_location(program, loc, watch, domain, bounds)
+            except LeakLabError as e:
+                got = type(e), str(e)
+            finally:
+                explorer.search = real
+            assert got == want, loc
+    return searches
+
+
+def test_wide_secret_states_by_class():
+    program = lang.parse_program("var h : int[0..15] label high = secret;\n"
+                                 "thread A { if h > 7 then { skip; } else { skip; skip; }; "
+                                 "print('a'); }")
+    for blind in (False, True):
+        bounds = explorer.ExploreBounds(timing_blind=blind)
+        assert assert_same_states(program, bounds) == [2] * 6
+
+
+@settings(deadline=None, max_examples=100)
+@given(secret_programs(), st.sampled_from((3, 40)))
+def test_generated_states_match_oracle(source: str, max_steps: int):
+    assert_same_states(lang.parse_program(source), explorer.ExploreBounds(max_steps=max_steps))

@@ -139,19 +139,25 @@ def test_generated_programs_match_oracle(source: str, max_steps: int):
 class TestSearch:
     def test_steps_each_key_once(self, semaphore_pair, monkeypatch):
         # Watching two locations splits states by their arrivals there, but
-        # every distinct key is still stepped once: one step per edge.
+        # every distinct key is still expanded once, and each distinct
+        # (thread, head, store) triple over the edges is stepped once.
         calls = []
         step = semantics.step
         monkeypatch.setattr(semantics, "step",
                             lambda *args: calls.append(args) or step(*args))
         visited = []
+        triples = set()
         edges = 0
 
-        def visit(key, config, outcome):
+        def visit(key, outcome):
             nonlocal edges
             visited.append(key)
             if not isinstance(outcome, str):
                 edges += len(outcome)
+                for _, child in outcome:
+                    # Every statement of this program moves its thread on.
+                    [t] = [t for t, (a, b) in enumerate(zip(key[0], child[0])) if a != b]
+                    triples.add((t, key[0][t], key[1]))
 
         t2 = semaphore_pair.thread_index("T2")
         watch = frozenset({lang.LocationId(t2, 0), lang.LocationId(t2, 7)})
@@ -159,7 +165,11 @@ class TestSearch:
                                 explorer.ExploreBounds(), semantics.CostModel(), watch, visit)
         assert len(visited) == len(set(visited))
         assert visited[-1] == found.root
-        assert len(calls) == edges > 0
+        stepped = {(choice.thread, id(config.residues[choice.thread][0]), config.store)
+                   for _, config, choice, _ in calls}
+        assert len(calls) == len(stepped) == found.steps
+        assert stepped == triples
+        assert found.edges == edges > found.steps > 0
         assert found.complete
 
     def test_arrivals_keep_only_watched_locations(self, region_thread):
@@ -167,7 +177,7 @@ class TestSearch:
         watch = frozenset({lang.LocationId(0, 7)})
         found = explorer.search(region_thread, {"h": 1, **region_thread.initial_store()},
                                 explorer.ExploreBounds(), semantics.CostModel(), watch,
-                                lambda key, config, outcome:
+                                lambda key, outcome:
                                     isinstance(outcome, str) and ends.append(key[4]))
         # print c (1), the branch (1), the region (entry 1 + body 3): l7 at 6.
         assert [found.arrivals(w) for w in ends] == [{lang.LocationId(0, 7): (6,)}]
@@ -180,7 +190,7 @@ class TestSearch:
         ends = []
         found = explorer.search(p, p.initial_store(), explorer.ExploreBounds(),
                                 semantics.CostModel(), frozenset({lang.LocationId(0, 1)}),
-                                lambda key, config, outcome:
+                                lambda key, outcome:
                                     isinstance(outcome, str) and ends.append(key[4]))
         [watched] = ends
         assert found.arrivals(watched) == {lang.LocationId(0, 1): (1, 4, 7)}
