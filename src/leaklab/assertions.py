@@ -586,6 +586,7 @@ def states_at_location(program: lang.Program, loc: lang.LocationId,
     bounds = replace(bounds, timing_blind=False)
     stmt = program.statement_at(loc)
     exit_loc = semantics.control_table(program).labels[loc.thread][-1]
+    # The head id of the thread at ``loc``: 0 once done, at the exit label.
     head = id(stmt) if stmt is not None else 0 if loc == exit_loc else None
     searched: dict[object, tuple[list[tuple], bool]] = {}
     states: list[tuple] = []
@@ -593,8 +594,8 @@ def states_at_location(program: lang.Program, loc: lang.LocationId,
     for valuation in (secret_domain or ((),)):
         store = dict(program.initial_store())
         store.update(valuation)
-        key = explorer._class_of(program, store)
-        if key not in searched:
+        cls = explorer._class_of(program, store)
+        if cls not in searched:
             at_loc: dict[tuple, None] = {}
 
             def record(key: tuple, outcome) -> None:
@@ -602,9 +603,9 @@ def states_at_location(program: lang.Program, loc: lang.LocationId,
                     at_loc[key[1], key[4], key[2]] = None
 
             found = explorer.search(program, store, bounds, costs, frozenset(watch), record)
-            searched[key] = ([(s, found.arrivals(watched), clock)
+            searched[cls] = ([(s, found.arrivals(watched), clock)
                               for s, watched, clock in at_loc], found.complete)
-        found_states, found_all = searched[key]
+        found_states, found_all = searched[cls]
         complete = complete and found_all
         own = dict(valuation)
         states.extend((dict(s, **own), dict(snaps), clock, valuation)
