@@ -580,36 +580,29 @@ def states_at_location(program: lang.Program, loc: lang.LocationId,
     a state holds its clock, which an assertion reads as ``t``, even when
     nothing is watched.  States that differ only in the steps used to
     reach them are listed once.  The first secret valuation of each class
-    (``explorer._class_of``) is searched, and every member gets its states
-    with its own secret values in the store.
+    (``explorer.secret_classes``) is searched, and every member gets its
+    states with its own secret values in the store.
     """
     bounds = replace(bounds, timing_blind=False)
     stmt = program.statement_at(loc)
     exit_loc = semantics.control_table(program).labels[loc.thread][-1]
     # The head id of the thread at ``loc``: 0 once done, at the exit label.
     head = id(stmt) if stmt is not None else 0 if loc == exit_loc else None
-    searched: dict[object, tuple[list[tuple], bool]] = {}
-    states: list[tuple] = []
+    classes = explorer.secret_classes(program, {}, secret_domain)
+    searched: dict[tuple, list[tuple]] = {}
     complete = True
-    for valuation in (secret_domain or ((),)):
-        store = dict(program.initial_store())
-        store.update(valuation)
-        cls = explorer._class_of(program, store)
-        if cls not in searched:
-            at_loc: dict[tuple, None] = {}
+    for first, store in dict(classes.values()).items():
+        at_loc: dict[tuple, None] = {}
 
-            def record(key: tuple, outcome) -> None:
-                if key[0][loc.thread] == head:
-                    at_loc[key[1], key[4], key[2]] = None
+        def record(key: tuple, outcome) -> None:
+            if key[0][loc.thread] == head:
+                at_loc[key[1], key[4], key[2]] = None
 
-            found = explorer.search(program, store, bounds, costs, frozenset(watch), record)
-            searched[cls] = ([(s, found.arrivals(watched), clock)
-                              for s, watched, clock in at_loc], found.complete)
-        found_states, found_all = searched[cls]
-        complete = complete and found_all
-        own = dict(valuation)
-        states.extend((dict(s, **own), dict(snaps), clock, valuation)
-                      for s, snaps, clock in found_states)
+        found = explorer.search(program, store, bounds, costs, frozenset(watch), record)
+        complete = complete and found.complete
+        searched[first] = [(s, found.arrivals(watched), clock) for s, watched, clock in at_loc]
+    states = [(dict(s, **dict(valuation)), dict(snaps), clock, valuation)
+              for valuation, (first, _) in classes.items() for s, snaps, clock in searched[first]]
     return states, complete
 
 

@@ -16,8 +16,9 @@ It expands each distinct state once and steps each distinct (thread, head
 statement, store) once, since a step reads nothing else.
 
 Secret valuations that the program cannot tell apart have the same runs
-with the secret renamed, so :func:`knowledge_partition` and the duration
-measures search once per class of them (:func:`_class_of`).  Two
+with the secret renamed, so :func:`knowledge_partition`, the duration
+measures and ``assertions.states_at_location`` search once per class of
+them, the first valuation of each in :func:`secret_classes`.  Two
 valuations are in one class when no statement assigns a secret and they
 agree on every way the program reads one: each guard that reads only
 secrets has the same truth value, and each other maximal subexpression
@@ -138,8 +139,9 @@ def _start_store(program: lang.Program, init_public: semantics.Store,
     """The store a search of one secret valuation starts from."""
     store = dict(program.initial_store())
     store.update(init_public)
+    domains = semantics.control_table(program).domains
     for name, value in secret_val.items():
-        if value not in program.decl(name).domain:
+        if value not in domains[name]:
             raise LeakLabError(f"secret value {name}={value!r} outside domain")
         store[name] = value
     return store
@@ -147,9 +149,9 @@ def _start_store(program: lang.Program, init_public: semantics.Store,
 
 def _secret_reads(program: lang.Program) -> Optional[tuple]:
     """The static part of the class rule, built on first use and kept on
-    the program: the secret names and a closure ``fn(store)`` for each way
-    the program reads them, one per distinct guard or maximal subexpression
-    that reads only secrets; None when some statement assigns a secret."""
+    the program: ``(guard, fn(store))`` for each way the program reads the
+    secrets, one per distinct guard or maximal subexpression that reads
+    only secrets; None when some statement assigns a secret."""
     try:
         return program._secret_reads
     except AttributeError:
@@ -177,30 +179,35 @@ def _secret_reads(program: lang.Program) -> Optional[tuple]:
                 visit(s.value, False)
             elif isinstance(s, lang.Delay):
                 visit(s.duration, False)
-        reads = secrets, tuple((guard, semantics.compile_expr(e)) for guard, e in found)
+        reads = tuple((guard, semantics.compile_expr(e)) for guard, e in found)
     object.__setattr__(program, "_secret_reads", reads)
     return reads
 
 
-def _class_of(program: lang.Program, store: semantics.Store) -> object:
-    """The class of the valuation in ``store`` under the rule of the module
-    docstring: a key equal for exactly the valuations in one class, or one
-    equal to no other when a secret is assigned.  The store is checked as
-    the start of a search checks it, raising what that would raise."""
-    start = semantics.initial_configuration(program, store)
+def secret_classes(program: lang.Program, init_public: semantics.Store,
+                   secret_domain: tuple[SecretValuation, ...]
+                   ) -> dict[SecretValuation, tuple[SecretValuation, semantics.Store]]:
+    """Each valuation of ``secret_domain`` (the empty one if it has none),
+    in order, mapped to the first valuation of its class under the rule of
+    the module docstring and that valuation's start store, one pair per
+    class, so ``dict(classes.values())`` lists the classes in order.  Each
+    start store is checked as the start of a search checks it."""
     reads = _secret_reads(program)
-    if reads is None:
-        return object()
-    secrets, contexts = reads
-    seen = []
-    for guard, read in contexts:
-        try:
-            value = read(store)
-        except LeakLabError as e:
-            seen.append((type(e), str(e)))
-        else:
-            seen.append(bool(value) if guard else (type(value), value))
-    return tuple((n, type(v), v) for n, v in start.store if n not in secrets), tuple(seen)
+    firsts: dict[object, tuple] = {}
+    classes = {}
+    for valuation in secret_domain or ((),):
+        store = _start_store(program, init_public, dict(valuation))
+        semantics.initial_configuration(program, store)
+        key = [valuation] if reads is None else []
+        for guard, read in reads or ():
+            try:
+                value = read(store)
+            except LeakLabError as e:
+                key.append((type(e), str(e)))
+            else:
+                key.append(bool(value) if guard else (type(value), value))
+        classes[valuation] = firsts.setdefault(tuple(key), (valuation, store))
+    return classes
 
 
 # How a run ends.  Deadlocked and cut-short runs both end unterminated, but
@@ -344,8 +351,7 @@ def search(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
                 for t, h in enumerate(heads):
                     if h:
                         move = row.get(h, _ABSENT)
-                        if move is _ABSENT and nodes[h].kind == semantics._REGION \
-                                and not nodes[h].run(dict(store)):
+                        if move is _ABSENT and table.blocked(h, store):
                             move = row[h] = None
                         if move is not None:
                             ready.append((t, move))
@@ -436,26 +442,23 @@ def knowledge_partition(program: lang.Program, init_public: semantics.Store,
     prefix, never a leak witness, so a bound can move the verdict toward
     ``inconclusive`` but never produce ``leak-found``.
 
-    Every valuation is checked, in order, but only the first of each class
-    (:func:`_class_of`) is explored; the others share its runs and its
-    stats, and the rule above runs once per class.
+    Only the first valuation of each class (:func:`secret_classes`) is
+    explored; the others share its runs and its stats, and the rule above
+    runs once per class.
     """
     if secret_domain is None:
         secret_domain = secret_domain_of(program)
-    classes: dict[object, tuple] = {}  # key -> (first valuation, its runs, members)
-    stats: list[dict] = []
-    for valuation in secret_domain or ((),):
-        key = _class_of(program, _start_store(program, init_public, dict(valuation)))
-        if key not in classes:
-            classes[key] = (valuation, explore(program, init_public, dict(valuation),
-                                               bounds, costs), [])
-        first, result, same = classes[key]
-        if secret_domain:  # else K(o) stays empty
-            same.append(valuation)
-        stats.append({"secret": dict(valuation), "explored_as": dict(first), **result.stats})
-
-    runs = [result for _, result, _ in classes.values()]
-    members = [same for _, _, same in classes.values()]
+    classes = secret_classes(program, init_public, secret_domain)
+    explored = {first: explore(program, init_public, dict(first), bounds, costs)
+                for first in dict(classes.values())}
+    stats = [{"secret": dict(valuation), "explored_as": dict(first), **explored[first].stats}
+             for valuation, (first, _) in classes.items()]
+    same: dict[SecretValuation, list] = {first: [] for first in explored}
+    if secret_domain:  # else K(o) stays empty
+        for valuation, (first, _) in classes.items():
+            same[first].append(valuation)
+    runs = list(explored.values())
+    members = list(same.values())
     seen = [frozenset(obs for obs, _ in r.observations) for r in runs]
     # A deadlocked run's observation that another run reaches cut short
     # counts as a prefix only: the side that cannot invent a leak.
@@ -518,34 +521,30 @@ def _durations(program: lang.Program, loc_from: lang.LocationId,
                secret_domain: Optional[tuple[SecretValuation, ...]],
                measure: Callable[[semantics.Store], tuple[list, bool]]) -> DurationStats:
     """Check the endpoints; then, for the start store of the first secret
-    valuation of each class (:func:`_class_of`), ``measure`` gives each
-    run's ``(starts, ends)`` arrival clocks, in clock order, and whether it
-    saw every run, and each start pairs with the first end not before it.
-    The other members of the class share its durations."""
+    valuation of each class (:func:`secret_classes`), ``measure`` gives
+    each run's ``(starts, ends)`` arrival clocks, in clock order, and
+    whether it saw every run, and each start pairs with the first end not
+    before it.  The other members of the class share its durations."""
     if loc_from.thread != loc_to.thread:
         raise LeakLabError("duration endpoints must lie in the same thread")
     if loc_from.index >= loc_to.index:
         raise LeakLabError("duration start must precede the end location")
     if secret_domain is None:
         secret_domain = secret_domain_of(program)
-    measured: dict[object, tuple[frozenset[int], bool]] = {}
-    stats: dict[SecretValuation, frozenset[int]] = {}
+    classes = secret_classes(program, {}, secret_domain)
+    measured: dict[SecretValuation, frozenset[int]] = {}
     complete = True
-    for valuation in secret_domain or ((),):
-        store = dict(program.initial_store())
-        store.update(valuation)
-        key = _class_of(program, store)
-        if key not in measured:
-            runs, saw_all = measure(store)
-            durations: set[int] = set()
-            for starts, ends in runs:
-                for start in starts:
-                    nxt = bisect.bisect_left(ends, start)
-                    if nxt < len(ends):
-                        durations.add(ends[nxt] - start)
-            measured[key] = frozenset(durations), saw_all
-        stats[valuation], saw_all = measured[key]
+    for first, store in dict(classes.values()).items():
+        runs, saw_all = measure(store)
         complete = complete and saw_all
+        durations: set[int] = set()
+        for starts, ends in runs:
+            for start in starts:
+                nxt = bisect.bisect_left(ends, start)
+                if nxt < len(ends):
+                    durations.add(ends[nxt] - start)
+        measured[first] = frozenset(durations)
+    stats = {valuation: measured[first] for valuation, (first, _) in classes.items()}
     return DurationStats(stats, [v for v, ds in stats.items() if not ds], complete)
 
 
@@ -597,6 +596,7 @@ def isolated_durations(program: lang.Program, loc_from: lang.LocationId,
     """
     thread = loc_from.thread
     alone = semantics.StepChoice(thread)
+    table = semantics.control_table(program)
 
     def measure(store: semantics.Store) -> tuple[list, bool]:
         starts: list[int] = []
@@ -614,13 +614,14 @@ def isolated_durations(program: lang.Program, loc_from: lang.LocationId,
         seen: dict[tuple, int] = {}  # (head statement id, store) -> order
         for order in range(bounds.max_configs):
             residue = config.residues[thread]
-            key = (id(residue[0]) if residue else 0, config.store)
+            head = id(residue[0]) if residue else 0
+            key = (head, config.store)
             if key in seen:
                 for _ in range(order - seen[key]):
                     config = enter(semantics.step(program, config, alone, costs))
                 return [(starts, ends)], True
             seen[key] = order
-            if alone not in semantics.enabled(program, config):
+            if not head or table.blocked(head, config.store):
                 return [(starts, ends)], True  # done, or blocked on an await
             config = enter(semantics.step(program, config, alone, costs))
         return [(starts, ends)], False

@@ -659,12 +659,12 @@ class ExprLanguage:
             inner = self.compile(e.operand)
             if e.op == "-":
                 return lambda store: -_as_int(inner(store))
-            return lambda store: not _as_bool(inner(store))
+            return lambda store: not as_bool(inner(store))
         left, right = self.compile(e.left), self.compile(e.right)
         if e.op == "and":
-            return lambda store: _as_bool(left(store)) and _as_bool(right(store))
+            return lambda store: as_bool(left(store)) and as_bool(right(store))
         if e.op == "or":
-            return lambda store: _as_bool(left(store)) or _as_bool(right(store))
+            return lambda store: as_bool(left(store)) or as_bool(right(store))
         op = _OPS[e.op]
         if e.op in ("=", "!="):
             return lambda store: op(left(store), right(store))
@@ -686,7 +686,7 @@ def _as_int(v: Union[int, bool]) -> int:
     return v
 
 
-def _as_bool(v: Union[int, bool]) -> bool:
+def as_bool(v: Union[int, bool]) -> bool:
     if isinstance(v, bool):
         return v
     return v != 0  # int guard means "value != 0"

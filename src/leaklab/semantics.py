@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 from . import lang
 from .errors import BudgetExceeded, DeadlockError, DomainError, LeakLabError
-from .lang import field, record
+from .lang import as_bool, field, record
 
 Value = Union[int, bool]
 Store = dict[str, Value]
@@ -84,7 +84,6 @@ class StepChoice(NamedTuple):
 
 
 compile_expr = lang.EXPRESSIONS.compile  # ``e`` as a closure ``fn(store)``
-_as_bool = lang._as_bool
 
 
 def render_value(v: Value) -> str:
@@ -177,10 +176,16 @@ class ControlTable:
             return delay
         raise TypeError(s)
 
+    def blocked(self, head: int, store: tuple) -> bool:
+        """Whether a thread at the statement with id ``head`` waits at an
+        await whose guard fails on ``store``, a configuration's."""
+        node = self.nodes[head]
+        return node.kind == _REGION and not node.run(dict(store))
+
 
 def _guard(e: lang.Expr) -> Callable[[Store], bool]:
     value = compile_expr(e)
-    return lambda store: _as_bool(value(store))
+    return lambda store: as_bool(value(store))
 
 
 def _payload(s: lang.Print) -> Callable[[Store], str]:
@@ -227,10 +232,8 @@ def _record_arrival(snaps: dict, table: ControlTable, thread: int,
 def enabled(program: lang.Program, config: Configuration) -> frozenset[StepChoice]:
     """Threads that may take a step: not done, and not blocked on an await."""
     table = control_table(program)
-    store = dict(config.store)
     return frozenset([table.choices[t_idx] for t_idx, residue in enumerate(config.residues)
-                      if residue and ((node := table.nodes[id(residue[0])]).kind != _REGION
-                                      or node.run(store))])
+                      if residue and not table.blocked(id(residue[0]), config.store)])
 
 
 # How many statements one region body may run before it is taken not to
@@ -340,6 +343,8 @@ def run_deterministic(program: lang.Program, init: Store,
                       costs: CostModel = CostModel(),
                       max_steps: int = 10_000) -> Configuration:
     """Run a single-thread program to completion."""
+    if max_steps <= 0:
+        raise LeakLabError("exploration bounds must be positive")
     if len(program.threads) != 1:
         raise LeakLabError("deterministic runner requires exactly one thread")
     config = initial_configuration(program, init)

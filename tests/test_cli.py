@@ -83,6 +83,13 @@ class TestRunCommand:
                                "--init", "h=0")
         assert code == 2
 
+    @pytest.mark.parametrize("bound", ("0", "-3"))
+    def test_non_positive_step_bound_rejected(self, capsys, bound):
+        code, out, err = run_cli(capsys, "run", fixture("region_thread.cwl"),
+                                 "--init", "h=0", "--bound-steps", bound)
+        assert code == 2 and out == ""
+        assert err == "error: exploration bounds must be positive\n"
+
 
 class TestLeakscan:
     def test_semaphore_pair_exit_1_and_acdb(self, capsys):

@@ -73,7 +73,7 @@ def test_compiled_expressions_match_the_interpreter(e, store):
     want = outcome(lambda: expr_oracle.eval_expr(e, store))
     assert outcome(lambda: semantics.compile_expr(e)(store)) == want
     guard = outcome(lambda: expr_oracle.eval_guard(e, store))
-    assert outcome(lambda: semantics._as_bool(semantics.compile_expr(e)(store))) == guard
+    assert outcome(lambda: lang.as_bool(semantics.compile_expr(e)(store))) == guard
 
 
 @pytest.mark.parametrize("text,store,want", [

@@ -10,11 +10,12 @@ verdicts, completeness and stats, and raise the same error.
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from leaklab import assertions, explorer, lang
@@ -247,3 +248,42 @@ def test_wide_secret_states_by_class():
 @given(secret_programs(), st.sampled_from((3, 40)))
 def test_generated_states_match_oracle(source: str, max_steps: int):
     assert_same_states(lang.parse_program(source), explorer.ExploreBounds(max_steps=max_steps))
+
+
+def durations_by_valuation(measure, program: lang.Program, start: lang.LocationId,
+                           end: lang.LocationId, bounds: explorer.ExploreBounds):
+    """``measure`` with one call per valuation, or the error it raised."""
+    durations, unreached, complete = {}, [], True
+    try:
+        for valuation in explorer.secret_domain_of(program):
+            one = measure(program, start, end, (valuation,), bounds)
+            durations.update(one.durations)
+            unreached.extend(one.unreached)
+            complete = complete and one.complete
+    except LeakLabError as e:
+        return type(e), str(e)
+    return explorer.DurationStats(durations, unreached, complete)
+
+
+@pytest.mark.parametrize("measure", ("duration_stats", "isolated_durations"))
+@settings(deadline=None, max_examples=60)
+@example(source=DECLS + "thread A { print('a'); x = h; print('b'); }",  # raises for h >= 2
+         max_steps=40, thread=0, pair=1)
+@example(source=DECLS + "thread A { h = x; if h then { delay(1); } else { skip; }; }\n"
+         "thread B { print('b'); }", max_steps=40, thread=0, pair=2)  # assigns a secret
+@given(secret_programs(), st.sampled_from((3, 40)), st.integers(0, 2), st.integers(0, 9))
+def test_generated_durations_match_oracle(measure: str, source: str, max_steps: int,
+                                          thread: int, pair: int):
+    program = lang.parse_program(source)
+    fn = getattr(explorer, measure)
+    bounds = explorer.ExploreBounds(max_steps=max_steps)
+    labels = program.labels_of_thread(thread % len(program.threads))
+    pairs = list(itertools.combinations(labels, 2))
+    assume(pairs)  # else the thread is empty
+    start, end = pairs[pair % len(pairs)]
+    want = durations_by_valuation(fn, program, start, end, bounds)
+    try:
+        got = fn(program, start, end, explorer.secret_domain_of(program), bounds)
+    except LeakLabError as e:
+        got = type(e), str(e)
+    assert got == want

@@ -28,8 +28,8 @@ class TestEvalExpr:
         assert evaluate(expr("h = 0 and true"), {"h": 0}) is True
 
     def test_int_guard_means_nonzero(self):
-        assert semantics._as_bool(evaluate(expr("h"), {"h": 1})) is True
-        assert semantics._as_bool(evaluate(expr("h"), {"h": 0})) is False
+        assert lang.as_bool(evaluate(expr("h"), {"h": 1})) is True
+        assert lang.as_bool(evaluate(expr("h"), {"h": 0})) is False
 
     def test_unbound_variable(self):
         with pytest.raises(LeakLabError):
