@@ -12,8 +12,8 @@ question asked of the schedules: :func:`explore` merges observation
 suffixes backwards along its edges, :func:`duration_stats` pairs the
 arrivals at two watched locations where runs end, and
 ``assertions.states_at_location`` collects the states at one location.
-It expands each distinct state once and steps each distinct (thread, head
-statement, store) once, since a step reads nothing else.
+It expands each distinct state once and reads its steps from the
+program's moves (``semantics.move``), kept per (head statement, store).
 
 Secret valuations that the program cannot tell apart have the same runs
 with the secret renamed, so :func:`knowledge_partition`, the duration
@@ -222,8 +222,9 @@ class Search:
     ``cells`` holds the hash-consed arrivals: cell ``i`` is ``(previous cell,
     clock)`` of one arrival, and cell 0 stands for no arrival yet.
     ``states`` counts the keys stepped or ended within ``max_configs``,
-    ``edges`` the transitions between keys, ``steps`` the ``semantics.step``
-    calls behind them and ``capped`` the keys cut past ``max_configs``.
+    ``edges`` the transitions between keys, ``steps`` the distinct
+    ``(thread, head, store)`` moves behind them, new to the table or not,
+    and ``capped`` the keys cut past ``max_configs``.
     """
 
     root: tuple
@@ -270,12 +271,10 @@ def search(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
     the trace or the snapshots, and ``steps_used`` stays in the key, so a
     caller learns exactly what enumerating every schedule would tell it.
 
-    Each distinct key is expanded once and each distinct ``(thread, head,
-    store)`` stepped once, since a step reads nothing else: a table local
-    to the call keeps, per store and head, None for a blocked await or else
-    the move, which is the next head and store, the clock advance, and the
-    events and watched arrivals timed from the step's start, shifted by the
-    parent's clock in a child key.
+    Each distinct key is expanded once, and each step read from the
+    program's moves, ``semantics.move`` running those it lacks.  A move's
+    events and arrivals, timed from the step's start, are shifted by the
+    parent's clock in a child key, which keeps watched arrivals only.
 
     ``visit(key, outcome)`` runs once per distinct key, after it has run
     for every successor of the key.  ``outcome`` is how a run ends at the
@@ -289,40 +288,29 @@ def search(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
     move ends deadlocked.  ``truncated`` and ``deadlocked`` count keys.
     """
     table = semantics.control_table(program)
-    nodes = table.nodes
+    moves = table.moves(costs)
     cells: list = [None]
     interned: dict[tuple, int] = {}
 
     def arrive(watched: tuple, snapshots: tuple, clock: int) -> tuple:
-        heads = dict(watched)
+        heads = None
         for loc, times in snapshots:
-            for at in times:
-                cell = (heads.get(loc, 0), clock + at)
-                if cell not in interned:
-                    interned[cell] = len(cells)
-                    cells.append(cell)
-                heads[loc] = interned[cell]
-        return tuple(sorted(heads.items()))
+            if loc in watch:
+                if heads is None:
+                    heads = dict(watched)
+                for at in times:
+                    cell = (heads.get(loc, 0), clock + at)
+                    if cell not in interned:
+                        interned[cell] = len(cells)
+                        cells.append(cell)
+                    heads[loc] = interned[cell]
+        return watched if heads is None else tuple(sorted(heads.items()))
 
     start = semantics.initial_configuration(program, store)
     root = (tuple([id(r[0]) if r else 0 for r in start.residues]), start.store,
             None if bounds.timing_blind and not watch else 0, 0,
-            arrive((), [s for s in start.snapshots if s[0] in watch], 0))
-    moves: dict[tuple, dict] = {}  # store -> head id -> None (blocked) or a move
-    stepped = 0
-
-    def fill(heads: tuple, store: tuple, t: int, row: dict) -> tuple:
-        """Step thread ``t`` from clock 0 and keep its move in ``row``."""
-        nonlocal stepped
-        stepped += 1
-        nxt = semantics.step(program, semantics.Configuration(
-            tuple([nodes[h].continuation if h else () for h in heads]), store, 0, (), ()),
-            table.choices[t], costs)
-        residue = nxt.residues[t]
-        move = row[heads[t]] = (id(residue[0]) if residue else 0, nxt.store, nxt.clock,
-                                nxt.trace, tuple([s for s in nxt.snapshots if s[0] in watch]))
-        return move
-
+            arrive((), start.snapshots, 0))
+    rows: dict[tuple, tuple] = {}  # store -> (its moves, the heads stepped from it)
     done: set = set()
     configs = truncated = deadlocked = capped = edge_count = 0
     stack: list = [root]  # keys to expand, and [key, edges] once expanded
@@ -344,44 +332,41 @@ def search(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
                 truncated += 1
                 outcome = _CUT
             else:
-                row = moves.get(store)
-                if row is None:
-                    row = moves[store] = {}
-                ready = []
-                for t, h in enumerate(heads):
-                    if h:
-                        move = row.get(h, _ABSENT)
-                        if move is _ABSENT and table.blocked(h, store):
-                            move = row[h] = None
-                        if move is not None:
-                            ready.append((t, move))
-                if not ready:
-                    deadlocked += 1
-                    outcome = _DEADLOCKED
-                else:
-                    edges: list = []
+                row, used = rows.get(store) or rows.setdefault(
+                    store, (moves.setdefault(store, {}), set()))
+                edges: list = []
+                for t in range(len(heads) - 1, -1, -1):
+                    h = heads[t]
+                    move = row.get(h, _ABSENT) if h else None
+                    if move is _ABSENT:
+                        move = (row.setdefault(h, None) if table.blocked(h, store)
+                                else semantics.move(program, t, h, store, costs))
+                    if move is None:  # done, or blocked on an await
+                        continue
+                    used.add(h)
+                    head, after, advance, events, arrivals = move
+                    moved = heads[:t] + (head,) + heads[t + 1:]
+                    if clock is None:
+                        child = (moved, after, None, steps_used + 1, watched)
+                    else:
+                        if events and clock:
+                            events = tuple([semantics.Event(e.thread, e.payload,
+                                                            e.timestamp + clock)
+                                            for e in events])
+                        child = (moved, after, clock + advance, steps_used + 1,
+                                 arrive(watched, arrivals, clock) if watch else watched)
+                    edges.append((events, child))
+                if edges:
                     stack.append([key, edges])
-                    for t, move in reversed(ready):
-                        head, after, advance, events, arrivals = (
-                            fill(heads, store, t, row) if move is _ABSENT else move)
-                        moved = heads[:t] + (head,) + heads[t + 1:]
-                        if clock is None:
-                            child = (moved, after, None, steps_used + 1, watched)
-                        else:
-                            if events and clock:
-                                events = tuple([semantics.Event(e.thread, e.payload,
-                                                                e.timestamp + clock)
-                                                for e in events])
-                            child = (moved, after, clock + advance, steps_used + 1,
-                                     arrive(watched, arrivals, clock) if arrivals else watched)
-                        edges.append((events, child))
-                        stack.append(child)
+                    stack.extend([child for _, child in edges])
                     edge_count += len(edges)
                     continue
+                deadlocked += 1
+                outcome = _DEADLOCKED
         done.add(key)
         visit(key, outcome)
-    return Search(root, truncated, deadlocked, cells, configs, edge_count, stepped,
-                  capped)
+    return Search(root, truncated, deadlocked, cells, configs, edge_count,
+                  sum(len(used) for _, used in rows.values()), capped)
 
 
 _ENDINGS = {end: frozenset({((), end)}) for end in (_DONE, _DEADLOCKED, _CUT)}
@@ -586,44 +571,42 @@ def isolated_durations(program: lang.Program, loc_from: lang.LocationId,
     ``loc_from`` alone.
 
     The thread steps by itself in ``program``, the others held at their
-    start.  Its next step depends only on its residue and the store, so its
-    one run ends, blocks on an await, or returns to an earlier state and
-    repeats that period forever, each pass later by the same clock shift.
-    One period past the first repeat, every arrival at ``loc_from`` has
-    paired as its later copies do, by the rule of :func:`duration_stats`.
-    Only ``bounds.max_configs`` distinct states are stepped, and a longer
-    run leaves the answer incomplete; the step bound does not apply.
+    start, through the program's moves (``semantics.move``).  Its next step
+    depends only on its head and the store, so its one run ends, blocks on
+    an await, or returns to an earlier state and repeats that period
+    forever, each pass later by the same clock shift.  One period past the
+    first repeat, every arrival at ``loc_from`` has paired as its later
+    copies do, by the rule of :func:`duration_stats`.  Only
+    ``bounds.max_configs`` distinct states are stepped, and a longer run
+    leaves the answer incomplete; the step bound does not apply.
     """
     thread = loc_from.thread
-    alone = semantics.StepChoice(thread)
     table = semantics.control_table(program)
+    moves = table.moves(costs)
 
     def measure(store: semantics.Store) -> tuple[list, bool]:
-        starts: list[int] = []
-        ends: list[int] = []
+        begin = semantics.initial_configuration(program, store)
+        residue = begin.residues[thread]
+        head, store = id(residue[0]) if residue else 0, begin.store
+        clock, timeline = 0, [(0, begin.snapshots)]  # each move's start and arrivals
+        seen: dict[tuple, int] = {}  # (head statement id, store) -> its move's place
+        while len(seen) < bounds.max_configs:
+            if (head, store) in seen:  # run the period once more
+                period = timeline[seen[head, store]:]
+                timeline += [(at - period[0][0] + clock, arrivals) for at, arrivals in period]
+                break
+            row = moves.get(store) or {}
+            move = (row[head] if head in row else None if not head or table.blocked(head, store)
+                    else semantics.move(program, thread, head, store, costs))
+            if move is None:
+                break  # done, or blocked on an await
+            seen[head, store] = len(timeline)
+            timeline.append((clock, move[4]))
+            head, store, clock = move[0], move[1], clock + move[2]
 
-        def enter(config: semantics.Configuration) -> semantics.Configuration:
-            for loc, times in config.snapshots:
-                if loc == loc_from:
-                    starts.extend(times)
-                elif loc == loc_to:
-                    ends.extend(times)
-            return config._replace(trace=(), snapshots=())
-
-        config = enter(semantics.initial_configuration(program, store))
-        seen: dict[tuple, int] = {}  # (head statement id, store) -> order
-        for order in range(bounds.max_configs):
-            residue = config.residues[thread]
-            head = id(residue[0]) if residue else 0
-            key = (head, config.store)
-            if key in seen:
-                for _ in range(order - seen[key]):
-                    config = enter(semantics.step(program, config, alone, costs))
-                return [(starts, ends)], True
-            seen[key] = order
-            if not head or table.blocked(head, config.store):
-                return [(starts, ends)], True  # done, or blocked on an await
-            config = enter(semantics.step(program, config, alone, costs))
-        return [(starts, ends)], False
+        def clocks(loc: lang.LocationId) -> list[int]:
+            return [at + t for at, arrivals in timeline for here, times in arrivals
+                    if here == loc for t in times]
+        return [(clocks(loc_from), clocks(loc_to))], len(seen) < bounds.max_configs
 
     return _durations(program, loc_from, loc_to, secret_domain, measure)

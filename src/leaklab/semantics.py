@@ -17,8 +17,10 @@ head statement: the rest of the head's block, then whatever follows the
 enclosing statement, which for a loop body is the loop itself.  So the
 table interns each statement's continuation and successor residues, holds
 the exit labels, the domains and a closure for every expression
-(:func:`compile_expr`, the evaluator assertions share), and :func:`step`
-runs by lookup.
+(:func:`compile_expr`, the evaluator assertions share).  A step reads
+only its head and the store, so the table also keeps, per cost model, the
+move :func:`move` found for each (head, store), which every search, the
+isolated walk and :func:`step` read.
 """
 
 from __future__ import annotations
@@ -115,14 +117,15 @@ class _Node(NamedTuple):
 
 class ControlTable:
     """Statement rows by ``id`` (``nodes``), each thread's first residue
-    (``starts``), labels, exit label last (``labels``) and step choice
-    (``choices``), and each variable's declared values (``domains``)."""
+    (``starts``), labels, exit label last (``labels``), each variable's
+    declared values (``domains``), and the moves found so far under each
+    cost model (:meth:`moves`)."""
 
     def __init__(self, program: lang.Program):
+        self._moves: dict[tuple, dict] = {}
         self.nodes: dict[int, _Node] = {}
         self.domains = {d.name: frozenset(d.domain) for d in program.declarations}
         self.starts = tuple(self._block(program, t.body, ()) for t in program.threads)
-        self.choices = tuple(map(StepChoice, range(len(program.threads))))
         self.labels = []
         for t_idx, thread in enumerate(program.threads):
             locs = [s.label for s in lang.iter_statements(thread.body)]
@@ -182,6 +185,10 @@ class ControlTable:
         node = self.nodes[head]
         return node.kind == _REGION and not node.run(dict(store))
 
+    def moves(self, costs: CostModel) -> dict[tuple, dict]:
+        """Store -> head id -> :func:`move`'s entry, under ``costs``."""
+        return self._moves.setdefault((costs.unit, frozenset(costs.overrides.items())), {})
+
 
 def _guard(e: lang.Expr) -> Callable[[Store], bool]:
     value = compile_expr(e)
@@ -216,23 +223,14 @@ def initial_configuration(program: lang.Program, store: Store) -> Configuration:
         if store[d.name] not in d.domain:
             raise DomainError(f"initial value of {d.name!r} outside domain")
     table = control_table(program)
-    snaps: dict[lang.LocationId, tuple[int, ...]] = {}
-    for t_idx, residue in enumerate(table.starts):
-        _record_arrival(snaps, table, t_idx, residue, 0)
     return Configuration(table.starts, tuple(sorted(store.items())), 0, (),
-                         tuple(sorted(snaps.items())))
-
-
-def _record_arrival(snaps: dict, table: ControlTable, thread: int,
-                    residue: tuple[lang.Stmt, ...], clock: int) -> None:
-    loc = residue[0].label if residue else table.labels[thread][-1]
-    snaps[loc] = snaps.get(loc, ()) + (clock,)
+                         tuple(sorted((labels[0], (0,)) for labels in table.labels)))
 
 
 def enabled(program: lang.Program, config: Configuration) -> frozenset[StepChoice]:
     """Threads that may take a step: not done, and not blocked on an await."""
     table = control_table(program)
-    return frozenset([table.choices[t_idx] for t_idx, residue in enumerate(config.residues)
+    return frozenset([StepChoice(t) for t, residue in enumerate(config.residues)
                       if residue and not table.blocked(id(residue[0]), config.store)])
 
 
@@ -289,24 +287,53 @@ def run_atomic(stmt: lang.Stmt, store: Store, clock: int, costs: CostModel,
     return clock
 
 
-def _recorder(table: ControlTable, head: lang.Stmt, thread: int, store: Store,
-              snaps: dict, events: list):
-    """The ``run_atomic`` hook of a step: it records each arrival inside a
-    region body and each printed event."""
-    def hook(s: lang.Stmt, before: int, after: int) -> None:
-        if s is not head:  # control reached s inside a region body
-            snaps[s.label] = snaps.get(s.label, ()) + (before,)
+def move(program: lang.Program, thread: int, head: int, store: tuple,
+         costs: CostModel) -> Optional[tuple]:
+    """Step thread ``thread`` from the statement with id ``head`` on a
+    configuration's ``store``; keep and return the entry in the table's
+    ``moves(costs)``: None where :meth:`ControlTable.blocked`, else the move
+    ``(next head or 0 once done, store, clock advance, events, arrivals)``,
+    events and sorted ``(location, clocks)`` arrivals timed from the step's
+    start, and ``store`` itself if not written.  A step that raises keeps
+    nothing.  Callers read the table first, so each call is a miss."""
+    table = control_table(program)
+    node = table.nodes[head]
+    stmt = node.continuation[0]
+    values = dict(store)
+    snaps: dict = {}  # location -> arrival clocks
+    events: list[Event] = []
+
+    def record(s: lang.Stmt, before: int, after: int) -> None:
+        if s is not stmt:  # control reached s inside a region body
+            snaps.setdefault(s.label, []).append(before)
         payload = table.nodes[id(s)].payload
         if payload is not None:
-            events.append(Event(thread, payload(store), after))
-    return hook
+            events.append(Event(thread, payload(values), after))
+
+    if node.kind == _BRANCH:
+        residue = node.succ if node.run(values) else node.alt
+        clock = costs.action_cost(stmt.label)
+    else:
+        clock = run_atomic(stmt, values, 0, costs, program,
+                           record if node.kind == _REGION or node.payload else None)
+        residue = node.succ
+    entry = None
+    if clock is not None:
+        loc = residue[0].label if residue else table.labels[thread][-1]
+        snaps.setdefault(loc, []).append(clock)
+        after = tuple(sorted(values.items()))
+        entry = (id(residue[0]) if residue else 0, store if after == store else after,
+                 clock, tuple(events),
+                 tuple(sorted([(loc, tuple(times)) for loc, times in snaps.items()])))
+    table.moves(costs).setdefault(store, {})[head] = entry
+    return entry
 
 
 def step(program: lang.Program, config: Configuration, choice: StepChoice,
          costs: CostModel = CostModel()) -> Configuration:
-    """Advance one thread by one atomic action.
+    """Advance one thread by one atomic action: apply its :func:`move`.
 
-    The new residue is the table's successor of the old one's head, so a
+    The new residue is the table's continuation of the next head, so a
     residue is always the static continuation of its head statement.
     """
     t_idx = choice.thread
@@ -314,29 +341,20 @@ def step(program: lang.Program, config: Configuration, choice: StepChoice,
     if not residue:
         raise LeakLabError(f"thread {t_idx} already done")
     table = control_table(program)
-    head = residue[0]
-    node = table.nodes[id(head)]
-    store = dict(config.store)
-    snaps = dict(config.snapshots)
-    trace = config.trace
-    if node.kind == _BRANCH:
-        new_residue = node.succ if node.run(store) else node.alt
-        clock = config.clock + costs.action_cost(head.label)
-    else:
-        events: list[Event] = []
-        hook = (_recorder(table, head, t_idx, store, snaps, events)
-                if node.kind == _REGION or node.payload else None)
-        clock = run_atomic(head, store, config.clock, costs, program, hook)
-        if clock is None:
-            raise LeakLabError("stepping a blocked await")
-        new_residue = node.succ
-        trace += tuple(events)
-
-    _record_arrival(snaps, table, t_idx, new_residue, clock)
+    head = id(residue[0])
+    row = table.moves(costs).get(config.store) or {}
+    entry = row[head] if head in row else move(program, t_idx, head, config.store, costs)
+    if entry is None:
+        raise LeakLabError("stepping a blocked await")
+    head, store, advance, events, arrivals = entry
+    clock, snaps = config.clock, dict(config.snapshots)
+    for loc, times in arrivals:
+        snaps[loc] = snaps.get(loc, ()) + tuple([clock + at for at in times])
     residues = list(config.residues)
-    residues[t_idx] = new_residue
-    return Configuration(tuple(residues), tuple(sorted(store.items())), clock, trace,
-                         tuple(sorted(snaps.items())))
+    residues[t_idx] = table.nodes[head].continuation if head else ()
+    return Configuration(tuple(residues), store, clock + advance, config.trace + tuple(
+        [Event(e.thread, e.payload, e.timestamp + clock) for e in events]),
+        tuple(sorted(snaps.items())))
 
 
 def run_deterministic(program: lang.Program, init: Store,
@@ -351,8 +369,7 @@ def run_deterministic(program: lang.Program, init: Store,
     for _ in range(max_steps):
         if config.all_done():
             return config
-        choices = enabled(program, config)
-        if not choices:
+        if not enabled(program, config):
             raise DeadlockError("single thread blocked on await")
-        config = step(program, config, next(iter(choices)), costs)
+        config = step(program, config, StepChoice(0), costs)
     raise BudgetExceeded(f"no termination within {max_steps} steps")

@@ -235,16 +235,22 @@ def test_domain_error_message_is_unchanged():
 # ---------------------------------------------------------------------------
 
 def test_repeated_scans_step_alike(monkeypatch):
+    # The second scan reads every move from the program's table, and its
+    # report, stats included, is the first's.
     program = lang.parse_program(family_member(2, 1))
     calls = []
-    step = semantics.step
-    monkeypatch.setattr(semantics, "step", lambda *args: calls.append(1) or step(*args))
+    move = semantics.move
+    monkeypatch.setattr(semantics, "move", lambda *args: calls.append(1) or move(*args))
     counts = []
+    reports = []
     for _ in range(2):
         calls.clear()
-        explorer.knowledge_partition(program, {}, None, explorer.ExploreBounds())
+        reports.append(explorer.knowledge_partition(program, {}, None,
+                                                    explorer.ExploreBounds()))
         counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+    assert counts[0] > counts[1] == 0
+    assert reports[0] == reports[1]
+    assert reports[0].stats == reports[1].stats
 
 
 SHAPE = ("var h : int[0..1] label high = secret;\n"

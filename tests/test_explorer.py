@@ -71,18 +71,21 @@ class TestExplore:
         # Two threads that each skip twice reach the states of a 3x3 grid
         # by six schedules.  The grid has 12 edges, but a thread's step
         # reads only its head and the store, so each of the 4 distinct
-        # (thread, head, store) triples over them is stepped once.
+        # (thread, head, store) triples over them is stepped once.  The
+        # program keeps the moves, so a second search steps nothing, and
+        # still reports the 4 moves it used.
         p = lang.parse_program("var x : int[0..1] label low = 0;\n"
                                "thread A { skip; skip; }\nthread B { skip; skip; }")
         calls = []
-        step = semantics.step
-        monkeypatch.setattr(semantics, "step",
-                            lambda *args: calls.append(args) or step(*args))
+        move = semantics.move
+        monkeypatch.setattr(semantics, "move",
+                            lambda *args: calls.append(args) or move(*args))
         result = explorer.explore(p, {}, {}, BLIND)
-        triples = {(choice.thread, id(config.residues[choice.thread][0]), config.store)
-                   for _, config, choice, _ in calls}
+        triples = {(thread, head, store) for _, thread, head, store, _ in calls}
         assert len(calls) == len(triples) == 4
         assert (result.stats["edges"], result.stats["steps"]) == (12, 4)
+        assert explorer.explore(p, {}, {}, BLIND) == result
+        assert len(calls) == 4
 
     def test_observer_sees_thread_ids_on_request(self, semaphore_pair):
         bounds = explorer.ExploreBounds(max_steps=40, timing_blind=True,

@@ -1,4 +1,4 @@
-"""No leaklab module reads another's private names.
+"""No leaklab module reads another's private names, and one interprets steps.
 
 A name with a leading underscore belongs to its module: another module
 that needs it asks for a public name instead (``lang.as_bool``, not
@@ -7,6 +7,10 @@ that needs it asks for a public name instead (``lang.as_bool``, not
 ``_name`` imported from one.  Attributes of other objects
 (``program._control_table``) and dunder names are not reads of a module's
 private name.
+
+``semantics`` is also the one interpreter of steps: no other module calls
+``semantics.step`` or builds a ``semantics.Configuration``, in any of the
+forms the scan of imports above binds.
 """
 
 from __future__ import annotations
@@ -23,12 +27,11 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
-def private_reads(source: str, own: str) -> list[str]:
-    """``module._name`` for each private name of another leaklab module
-    that ``source``, the text of module ``own``, reads."""
-    tree = ast.parse(source)
-    modules: dict[str, str] = {}  # bound name -> leaklab module
-    reads = []
+def bindings(tree: ast.AST) -> tuple[dict[str, str], dict[str, tuple[str, str]]]:
+    """The names a module binds to leaklab modules (name -> module), and
+    those it imports from one (name -> (module, imported name))."""
+    modules: dict[str, str] = {}
+    names: dict[str, tuple[str, str]] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             package = node.level == 1 and node.module is None or node.module == "leaklab"
@@ -38,18 +41,53 @@ def private_reads(source: str, own: str) -> list[str]:
             for alias in node.names:
                 if package:
                     modules[alias.asname or alias.name] = alias.name
-                elif module is not None and _private(alias.name):
-                    reads.append(f"{module}.{alias.name}")
+                elif module is not None:
+                    names[alias.asname or alias.name] = (module, alias.name)
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.startswith("leaklab.") and alias.asname:
                     modules[alias.asname] = alias.name[len("leaklab."):]
+    return modules, names
+
+
+def private_reads(source: str, own: str) -> list[str]:
+    """``module._name`` for each private name of another leaklab module
+    that ``source``, the text of module ``own``, reads."""
+    tree = ast.parse(source)
+    modules, names = bindings(tree)
+    reads = [f"{module}.{name}" for module, name in names.values() if _private(name)]
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in modules and _private(node.attr)
                 and modules[node.value.id] != own):
             reads.append(f"{modules[node.value.id]}.{node.attr}")
     return reads
+
+
+INTERPRETER = {("semantics", "step"), ("semantics", "Configuration")}
+
+
+def interpreter_calls(source: str, own: str) -> list[str]:
+    """``semantics.step`` and ``semantics.Configuration`` for each call of
+    them in ``source``, the text of module ``own``, unless it is
+    ``semantics``."""
+    tree = ast.parse(source)
+    modules, names = bindings(tree)
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                and func.value.id in modules):
+            called = (modules[func.value.id], func.attr)
+        elif isinstance(func, ast.Name) and func.id in names:
+            called = names[func.id]
+        else:
+            continue
+        if called in INTERPRETER and called[0] != own:
+            calls.append(".".join(called))
+    return calls
 
 
 def test_no_module_reads_another_modules_private_names():
@@ -70,3 +108,26 @@ def test_the_scan_sees_each_form_of_read():
     assert sorted(private_reads(source, "assertions")) == [
         "explorer._class_of", "lang._as_bool", "proofs._walk", "semantics._REGION"]
     assert private_reads("from . import lang\nlang._own\n", "lang") == []
+
+
+def test_only_semantics_steps_or_builds_a_configuration():
+    found = {path.name: interpreter_calls(path.read_text(encoding="utf-8"), path.stem)
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert "explorer.py" in found and "semantics.py" in found
+    assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+def test_the_interpreter_scan_sees_each_form_of_call():
+    source = ("from . import semantics\n"
+              "from .semantics import step as advance, Configuration\n"
+              "import leaklab.semantics as S\n"
+              "def f(program, config, choice):\n"
+              "    semantics.step(program, config, choice)\n"
+              "    advance(program, config, choice)\n"
+              "    S.Configuration((), (), 0, (), ())\n"
+              "    Configuration((), (), 0, (), ())\n"
+              "    semantics.move(program, 0, 1, (), None), semantics.step\n")
+    assert sorted(interpreter_calls(source, "explorer")) == [
+        "semantics.Configuration", "semantics.Configuration", "semantics.step",
+        "semantics.step"]
+    assert interpreter_calls(source, "semantics") == []

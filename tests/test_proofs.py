@@ -47,17 +47,18 @@ DOMAIN_EXIT_SOURCE = (
     "thread A { print('s'); print('e'); i = i + 1; i = i + 1; }")
 
 
-def count_steps(monkeypatch, measure) -> tuple:
-    """What ``measure()`` returns, and how many ``semantics.step`` calls it made."""
+def count_misses(monkeypatch, measure) -> tuple:
+    """What ``measure()`` returns, and how many moves it found missing from
+    the program's table (``semantics.move`` calls)."""
     calls = []
-    original = semantics.step
+    original = semantics.move
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(semantics, "step", counted)
+        patch.setattr(semantics, "move", counted)
         result = measure()
     return result, len(calls)
 
@@ -382,15 +383,19 @@ class TestIsolatedPathDuration:
                                                                   source):
         # Each pass takes 3 units from 's' to 'e', or 5 with the delay.  The
         # loop head, 's', the branch, its arm and 'e' are five distinct
-        # states; the head comes round again after them, and one more
-        # period of five steps follows.  Regression: unused variables
-        # lengthened the run to 100,000 steps when it was bounded by
-        # positions times stores, and the timings were underivable.
+        # states, each stepped once; the head comes round again after them,
+        # and one more period of five moves, read from the table, follows.
+        # Regression: unused variables lengthened the run to 100,000 steps
+        # when it was bounded by positions times stores, and the timings
+        # were underivable.
         p = lang.parse_program(source)
-        assert count_steps(monkeypatch, lambda: proofs.isolated_path_duration(
-            p, L(0, 1), L(0, 5), (H0,))) == ({H0: {3}}, 5 + 5)
-        assert count_steps(monkeypatch, lambda: proofs.isolated_path_duration(
-            p, L(0, 1), L(0, 5), (H1,))) == ({H1: {5}}, 5 + 5)
+        assert count_misses(monkeypatch, lambda: proofs.isolated_path_duration(
+            p, L(0, 1), L(0, 5), (H0,))) == ({H0: {3}}, 5)
+        assert count_misses(monkeypatch, lambda: proofs.isolated_path_duration(
+            p, L(0, 1), L(0, 5), (H1,))) == ({H1: {5}}, 5)
+        # Asked again, the walk reads every move from the table.
+        assert count_misses(monkeypatch, lambda: proofs.isolated_path_duration(
+            p, L(0, 1), L(0, 5), (H0,))) == ({H0: {3}}, 0)
 
     def test_wrong_postulate_on_an_endless_loop_is_refuted(self):
         p = lang.parse_program(FOREVER_UNUSED_SOURCE)
@@ -447,12 +452,13 @@ class TestIsolatedPathDuration:
         # Regression: the facts were measured one value of h at a time, so
         # sixteen values made sixteen searches, where the program tells
         # only two classes apart (h <= 7 and h > 7).
-        p = lang.parse_program(
+        source = (
             "var h : int[0..15] label high = secret;\n"
             "thread A { {| true |} print('a'); {| true |} if h > 7 then "
             "{ {| true |} delay(3); } else { {| true |} skip; }; "
             "{| true |} @leaky {| (t@l4 - t@l0 < 4 -> h <= 7) and "
             "(t@l4 - t@l0 >= 4 -> h > 7) |} print('b'); } post {| true |}")
+        p = lang.parse_program(source)
         domain = explorer.secret_domain_of(p)
         domains = []
         original = explorer.isolated_durations
@@ -466,12 +472,14 @@ class TestIsolatedPathDuration:
             result = proofs.check_proof(asrt.annotate_program(p))
         assert result.overall == "proven"
         assert domains == [domain]
-        durations, steps = count_steps(monkeypatch, lambda: proofs.isolated_path_duration(
-            p, L(0, 0), L(0, 4), domain))
+        # Each program is fresh, so that no earlier walk has filled its table.
+        durations, steps = count_misses(monkeypatch, lambda: proofs.isolated_path_duration(
+            lang.parse_program(source), L(0, 0), L(0, 4), domain))
         assert durations == {v: {5 if v[0][1] > 7 else 3} for v in domain}
         # as many steps as one search of each class
-        assert steps == sum(count_steps(monkeypatch, lambda: proofs.isolated_path_duration(
-            p, L(0, 0), L(0, 4), ((("h", h),),)))[1] for h in (0, 8))
+        assert steps == sum(count_misses(monkeypatch, lambda: proofs.isolated_path_duration(
+            lang.parse_program(source), L(0, 0), L(0, 4), ((("h", h),),)))[1]
+            for h in (0, 8)) > 0
 
     def test_path_facts_join_durations_with_or(self):
         p = lang.parse_program(LOOP_BRANCH_SOURCE)

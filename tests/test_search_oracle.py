@@ -142,9 +142,9 @@ class TestSearch:
         # every distinct key is still expanded once, and each distinct
         # (thread, head, store) triple over the edges is stepped once.
         calls = []
-        step = semantics.step
-        monkeypatch.setattr(semantics, "step",
-                            lambda *args: calls.append(args) or step(*args))
+        move = semantics.move
+        monkeypatch.setattr(semantics, "move",
+                            lambda *args: calls.append(args) or move(*args))
         visited = []
         triples = set()
         edges = 0
@@ -165,8 +165,7 @@ class TestSearch:
                                 explorer.ExploreBounds(), semantics.CostModel(), watch, visit)
         assert len(visited) == len(set(visited))
         assert visited[-1] == found.root
-        stepped = {(choice.thread, id(config.residues[choice.thread][0]), config.store)
-                   for _, config, choice, _ in calls}
+        stepped = {(thread, head, store) for _, thread, head, store, _ in calls}
         assert len(calls) == len(stepped) == found.steps
         assert stepped == triples
         assert found.edges == edges > found.steps > 0
