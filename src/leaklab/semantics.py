@@ -291,7 +291,7 @@ def move(program: lang.Program, thread: int, head: int, store: tuple,
          costs: CostModel) -> Optional[tuple]:
     """Step thread ``thread`` from the statement with id ``head`` on a
     configuration's ``store``; keep and return the entry in the table's
-    ``moves(costs)``: None where :meth:`ControlTable.blocked`, else the move
+    ``moves(costs)``: None if the thread is blocked at an await, else the move
     ``(next head or 0 once done, store, clock advance, events, arrivals)``,
     events and sorted ``(location, clocks)`` arrivals timed from the step's
     start, and ``store`` itself if not written.  A step that raises keeps
