@@ -575,15 +575,18 @@ def states_at_location(program: lang.Program, loc: lang.LocationId,
 
     A state is a (store, snapshots, clock, secret valuation) tuple whose
     snapshots hold the arrivals at the locations in ``watch`` and at no
-    others.  The states come from :func:`explorer.search`, which watches
-    those locations.  It runs timed even when ``bounds`` is timing-blind:
-    a state holds its clock, which an assertion reads as ``t``, even when
-    nothing is watched.  States that differ only in the steps used to
-    reach them are listed once.  The first secret valuation of each class
-    (``explorer.secret_classes``) is searched, and every member gets its
-    states with its own secret values in the store.
+    others.  The states are read from the program's kept search that
+    watches those locations (:func:`explorer.kept_search`), run timed even
+    when ``bounds`` is timing-blind: a state holds its clock, which an
+    assertion reads as ``t``, even when nothing is watched.  So a call at
+    another location, or a ``duration_stats`` call that watches the same
+    locations, reads the same search.  States that differ only in the
+    steps used to reach them are listed once.  The first secret valuation
+    of each class (``explorer.secret_classes``) is searched, and every
+    member gets its states with its own secret values in the store.
     """
     bounds = replace(bounds, timing_blind=False)
+    watch = frozenset(watch)
     stmt = program.statement_at(loc)
     exit_loc = semantics.control_table(program).labels[loc.thread][-1]
     # The head id of the thread at ``loc``: 0 once done, at the exit label.
@@ -592,14 +595,10 @@ def states_at_location(program: lang.Program, loc: lang.LocationId,
     searched: dict[tuple, list[tuple]] = {}
     complete = True
     for first, store in dict(classes.values()).items():
-        at_loc: dict[tuple, None] = {}
-
-        def record(key: tuple, outcome) -> None:
-            if key[0][loc.thread] == head:
-                at_loc[key[1], key[4], key[2]] = None
-
-        found = explorer.search(program, store, bounds, costs, frozenset(watch), record)
+        found, reached = explorer.kept_search(program, store, bounds, costs, watch)
         complete = complete and found.complete
+        at_loc = dict.fromkeys((s, watched, clock) for (heads, s, clock, watched), _ in reached
+                               if heads[loc.thread] == head)
         searched[first] = [(s, found.arrivals(watched), clock) for s, watched, clock in at_loc]
     states = [(dict(s, **dict(valuation)), dict(snaps), clock, valuation)
               for valuation, (first, _) in classes.items() for s, snaps, clock in searched[first]]

@@ -201,6 +201,10 @@ def cmd_ogcheck(args: argparse.Namespace) -> int:
     human.extend(f"warning: {w}" for w in result.warnings)
     if args.stats:
         distinct = result.discharged()
+        shared: set[int] = set()
+        for row, (_, outcome) in zip(rows, result.entries):
+            row["states"] = 0 if id(outcome) in shared else outcome.checked
+            shared.add(id(outcome))
         data["stats"] = stats = {
             "vcs": len(rows),
             "discharged": len(distinct),

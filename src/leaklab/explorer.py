@@ -8,12 +8,20 @@ strict subset of the full secret domain.  A run cut short by a bound
 yields only a prefix of an observation, which never witnesses a leak.
 
 One engine, :func:`search`, walks the program's state graph for every
-question asked of the schedules: :func:`explore` merges observation
-suffixes backwards along its edges, :func:`duration_stats` pairs the
-arrivals at two watched locations where runs end, and
-``assertions.states_at_location`` collects the states at one location.
-It expands each distinct state once and reads its steps from the
-program's moves (``semantics.move``), kept per (head statement, store).
+question asked of the schedules.  It expands each distinct state once and
+reads its steps from the program's moves (``semantics.move``), kept per
+(head statement, store).  :func:`explore` merges observation suffixes
+backwards along its edges.  The other questions read a watched search,
+one that keeps the clock and the arrivals at some locations:
+:func:`kept_search` runs it once per program, cost model, start store,
+bounds and watch set, keeps its states on the program's control table,
+and answers every later call from them.  :func:`duration_stats` pairs
+the arrivals at two watched locations where runs end, and
+``assertions.states_at_location`` reads the states at one location, so a
+leakiness check of a synthesized postulate reads the search that
+synthesis ran for its pair.  :func:`isolated_durations` keeps each
+thread's lone walk in the same way, so the proofs' path facts read the
+walks that synthesis left.
 
 Secret valuations that the program cannot tell apart have the same runs
 with the secret renamed, so :func:`knowledge_partition`, the duration
@@ -230,7 +238,7 @@ class Search:
     root: tuple
     truncated: int
     deadlocked: int
-    cells: list
+    cells: tuple
     states: int
     edges: int
     steps: int
@@ -365,8 +373,37 @@ def search(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
                 outcome = _DEADLOCKED
         done.add(key)
         visit(key, outcome)
-    return Search(root, truncated, deadlocked, cells, configs, edge_count,
+    return Search(root, truncated, deadlocked, tuple(cells), configs, edge_count,
                   sum(len(used) for _, used in rows.values()), capped)
+
+
+def kept_search(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
+                costs: semantics.CostModel, watch: frozenset) -> tuple[Search, tuple]:
+    """:func:`search` from ``store``, watching ``watch``, run on the first
+    call and kept in the program's ``searches(costs)`` for every later one.
+
+    Returns the :class:`Search` and, in the order they were first visited,
+    the distinct ``(heads, store, clock, arrivals)`` of its keys (their
+    step counts dropped), each with whether a run ends there.  The entry is
+    keyed by what the search reads: the start store, ``max_steps``,
+    ``max_configs``, ``watch`` and whether its keys hold the clock, so a
+    timed and a timing-blind search with a watch set share one.  A search
+    that raises keeps nothing.
+    """
+    holds_clock = not (bounds.timing_blind and not watch)
+    entry = (tuple(sorted(store.items())), bounds.max_steps, bounds.max_configs, watch,
+             holds_clock)
+    kept = semantics.control_table(program).searches(costs)
+    if entry not in kept:
+        reached: dict[tuple, bool] = {}
+
+        def collect(key: tuple, outcome) -> None:
+            state = (key[0], key[1], key[2], key[4])
+            reached[state] = reached.get(state, False) or isinstance(outcome, str)
+
+        found = search(program, store, bounds, costs, watch, collect)
+        kept[entry] = (found, tuple(reached.items()))
+    return kept[entry]
 
 
 _ENDINGS = {end: frozenset({((), end)}) for end in (_DONE, _DEADLOCKED, _CUT)}
@@ -540,25 +577,57 @@ def duration_stats(program: lang.Program, loc_from: lang.LocationId,
                    costs: semantics.CostModel = semantics.CostModel()) -> DurationStats:
     """For each secret valuation, the set of achievable ``t@to - t@from``.
 
-    :func:`search` watches the two locations, so its keys hold the clock
-    even when ``bounds`` is timing-blind.  At every state where a run
-    ends (terminated, deadlocked or cut short), each arrival at ``loc_from``
+    It reads the :func:`kept_search` that watches the two locations, so its
+    keys hold the clock even when ``bounds`` is timing-blind, and a timed
+    and a blind call share one search.  At every state where a run ends
+    (terminated, deadlocked or cut short), each arrival at ``loc_from``
     pairs with the next arrival at ``loc_to`` after it.  A valuation with no
     such pair is ``unreached``.
     """
+    watch = frozenset((loc_from, loc_to))
+
     def measure(store: semantics.Store) -> tuple[list, bool]:
-        endings: set[tuple] = set()  # the watched arrivals where runs end
-
-        def collect(key: tuple, outcome) -> None:
-            if isinstance(outcome, str):
-                endings.add(key[4])
-
-        found = search(program, store, bounds, costs, frozenset((loc_from, loc_to)),
-                       collect)
+        found, reached = kept_search(program, store, bounds, costs, watch)
+        endings = {state[3] for state, ends in reached if ends}
         return ([(snaps.get(loc_from, ()), snaps.get(loc_to, ()))
                  for snaps in map(found.arrivals, endings)], found.complete)
 
     return _durations(program, loc_from, loc_to, secret_domain, measure)
+
+
+def _isolated_walk(program: lang.Program, thread: int, store: semantics.Store,
+                   max_configs: int, costs: semantics.CostModel) -> tuple[tuple, bool]:
+    """Thread ``thread``'s lone run from ``store`` as each move's start
+    clock and arrivals, the start's arrivals first, and whether it ended
+    within ``max_configs`` distinct states; walked on the first call and
+    kept in the program's ``walks(costs)``.  A walk that raises keeps
+    nothing."""
+    table = semantics.control_table(program)
+    kept = table.walks(costs)
+    key = (thread, tuple(sorted(store.items())), max_configs)
+    if key in kept:
+        return kept[key]
+    moves = table.moves(costs)
+    begin = semantics.initial_configuration(program, store)
+    residue = begin.residues[thread]
+    head, store = id(residue[0]) if residue else 0, begin.store
+    clock, timeline = 0, [(0, begin.snapshots)]  # each move's start and arrivals
+    seen: dict[tuple, int] = {}  # (head statement id, store) -> its move's place
+    while len(seen) < max_configs:
+        if (head, store) in seen:  # run the period once more
+            period = timeline[seen[head, store]:]
+            timeline += [(at - period[0][0] + clock, arrivals) for at, arrivals in period]
+            break
+        row = moves.get(store) or {}
+        move = (row[head] if head in row else None if not head or table.blocked(head, store)
+                else semantics.move(program, thread, head, store, costs))
+        if move is None:
+            break  # done, or blocked on an await
+        seen[head, store] = len(timeline)
+        timeline.append((clock, move[4]))
+        head, store, clock = move[0], move[1], clock + move[2]
+    kept[key] = walk = (tuple(timeline), len(seen) < max_configs)
+    return walk
 
 
 def isolated_durations(program: lang.Program, loc_from: lang.LocationId,
@@ -578,35 +647,17 @@ def isolated_durations(program: lang.Program, loc_from: lang.LocationId,
     first repeat, every arrival at ``loc_from`` has paired as its later
     copies do, by the rule of :func:`duration_stats`.  Only
     ``bounds.max_configs`` distinct states are stepped, and a longer run
-    leaves the answer incomplete; the step bound does not apply.
+    leaves the answer incomplete; the step bound does not apply.  The walk
+    is kept on the program per thread, start store and ``max_configs``,
+    so every pair in the thread reads the same one.
     """
-    thread = loc_from.thread
-    table = semantics.control_table(program)
-    moves = table.moves(costs)
-
     def measure(store: semantics.Store) -> tuple[list, bool]:
-        begin = semantics.initial_configuration(program, store)
-        residue = begin.residues[thread]
-        head, store = id(residue[0]) if residue else 0, begin.store
-        clock, timeline = 0, [(0, begin.snapshots)]  # each move's start and arrivals
-        seen: dict[tuple, int] = {}  # (head statement id, store) -> its move's place
-        while len(seen) < bounds.max_configs:
-            if (head, store) in seen:  # run the period once more
-                period = timeline[seen[head, store]:]
-                timeline += [(at - period[0][0] + clock, arrivals) for at, arrivals in period]
-                break
-            row = moves.get(store) or {}
-            move = (row[head] if head in row else None if not head or table.blocked(head, store)
-                    else semantics.move(program, thread, head, store, costs))
-            if move is None:
-                break  # done, or blocked on an await
-            seen[head, store] = len(timeline)
-            timeline.append((clock, move[4]))
-            head, store, clock = move[0], move[1], clock + move[2]
+        timeline, complete = _isolated_walk(program, loc_from.thread, store,
+                                            bounds.max_configs, costs)
 
         def clocks(loc: lang.LocationId) -> list[int]:
             return [at + t for at, arrivals in timeline for here, times in arrivals
                     if here == loc for t in times]
-        return [(clocks(loc_from), clocks(loc_to))], len(seen) < bounds.max_configs
+        return [(clocks(loc_from), clocks(loc_to))], complete
 
     return _durations(program, loc_from, loc_to, secret_domain, measure)

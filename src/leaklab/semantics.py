@@ -20,7 +20,9 @@ the exit labels, the domains and a closure for every expression
 (:func:`compile_expr`, the evaluator assertions share).  A step reads
 only its head and the store, so the table also keeps, per cost model, the
 move :func:`move` found for each (head, store), which every search, the
-isolated walk and :func:`step` read.
+isolated walk and :func:`step` read.  Beside the moves it keeps, per cost
+model, what ``explorer`` found of its watched searches and isolated walks,
+so each is run once per program.
 """
 
 from __future__ import annotations
@@ -118,11 +120,12 @@ class _Node(NamedTuple):
 class ControlTable:
     """Statement rows by ``id`` (``nodes``), each thread's first residue
     (``starts``), labels, exit label last (``labels``), each variable's
-    declared values (``domains``), and the moves found so far under each
-    cost model (:meth:`moves`)."""
+    declared values (``domains``), and under each cost model the moves
+    found so far (:meth:`moves`) and the searches and walks run so far
+    (:meth:`searches`, :meth:`walks`)."""
 
     def __init__(self, program: lang.Program):
-        self._moves: dict[tuple, dict] = {}
+        self._kept: dict[tuple, tuple[dict, dict, dict]] = {}
         self.nodes: dict[int, _Node] = {}
         self.domains = {d.name: frozenset(d.domain) for d in program.declarations}
         self.starts = tuple(self._block(program, t.body, ()) for t in program.threads)
@@ -185,9 +188,26 @@ class ControlTable:
         node = self.nodes[head]
         return node.kind == _REGION and not node.run(dict(store))
 
+    def _under(self, costs: CostModel) -> tuple[dict, dict, dict]:
+        key = (costs.unit, frozenset(costs.overrides.items()))
+        kept = self._kept.get(key)
+        if kept is None:
+            kept = self._kept[key] = ({}, {}, {})
+        return kept
+
     def moves(self, costs: CostModel) -> dict[tuple, dict]:
         """Store -> head id -> :func:`move`'s entry, under ``costs``."""
-        return self._moves.setdefault((costs.unit, frozenset(costs.overrides.items())), {})
+        return self._under(costs)[0]
+
+    def searches(self, costs: CostModel) -> dict[tuple, tuple]:
+        """``explorer.kept_search``'s entries under ``costs``, keyed by
+        what each search reads."""
+        return self._under(costs)[1]
+
+    def walks(self, costs: CostModel) -> dict[tuple, tuple]:
+        """The isolated walks of ``explorer.isolated_durations`` under
+        ``costs``, keyed by what each walk reads."""
+        return self._under(costs)[2]
 
 
 def _guard(e: lang.Expr) -> Callable[[Store], bool]:

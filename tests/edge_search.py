@@ -88,5 +88,5 @@ def search_by_edges(program, store, bounds, costs, watch, visit) -> Search:
             continue
         done.add(key)
         visit(key, outcome)
-    return Search(root_key, truncated, deadlocked, cells, configs, edge_count, len(stepped),
-                  capped)
+    return Search(root_key, truncated, deadlocked, tuple(cells), configs, edge_count,
+                  len(stepped), capped)

@@ -423,7 +423,11 @@ class TestOgcheck:
                                    "--stats")
         data = json.loads(with_stats)
         stats = data.pop("stats")
+        states = [row.pop("states") for row in data["vcs"]]
         assert json.dumps(data, sort_keys=True, indent=2) + "\n" == plain
+        # Each distinct triple counts its states once, at its first entry.
+        assert sum(states) == stats["states_enumerated"]
+        assert sum(n > 0 for n in states) <= stats["discharged"] < len(states)
         assert stats["vcs"] == len(data["vcs"]) == sum(stats["by_status"].values())
         assert stats["by_status"] == {
             status: sum(row["status"] == status for row in data["vcs"])

@@ -144,6 +144,21 @@ def test_wide_secret_explores_twice():
         assert assert_same(program, explorer.ExploreBounds(**mode)) == 2
 
 
+def count_starts(monkeypatch, measure) -> tuple:
+    """``measure()``, the secret of each start store checked or searched
+    from, and the ``semantics.move`` misses it made."""
+    started, misses = [], []
+    initial_configuration = explorer.semantics.initial_configuration
+    move = explorer.semantics.move
+    with monkeypatch.context() as patch:
+        patch.setattr(explorer.semantics, "initial_configuration", lambda p, store: (
+            started.append(store["h"]) or initial_configuration(p, store)))
+        patch.setattr(explorer.semantics, "move",
+                      lambda *args: misses.append(1) or move(*args))
+        result = measure()
+    return result, sorted(started), len(misses)
+
+
 @pytest.mark.parametrize("measure", ("duration_stats", "isolated_durations"))
 def test_wide_secret_durations_by_class(measure: str, monkeypatch):
     program = lang.parse_program(WIDE)
@@ -153,17 +168,21 @@ def test_wide_secret_durations_by_class(measure: str, monkeypatch):
     bounds = explorer.ExploreBounds()
     domain = explorer.secret_domain_of(program)
     alone = [fn(program, start, end, (v,), bounds) for v in domain]
-    started = []
-    initial_configuration = explorer.semantics.initial_configuration
-    monkeypatch.setattr(explorer.semantics, "initial_configuration", lambda p, store: (
-        started.append(store["h"]) or initial_configuration(p, store)))
-    stats = fn(program, start, end, domain, bounds)
+    # Measured on a fresh program, which has kept no search of its own.
+    fresh = lang.parse_program(WIDE)
+    stats, started, _ = count_starts(monkeypatch,
+                                     lambda: fn(fresh, start, end, domain, bounds))
     assert stats.durations == {v: one.durations[v] for v, one in zip(domain, alone)}
     assert stats.unreached == [v for one in alone for v in one.unreached] == []
     assert stats.complete and all(one.complete for one in alone)
     assert len(set(stats.durations.values())) == 2
     # Every valuation's start is checked once; h = 0 and h = 8 start a search.
-    assert sorted(started) == sorted([*range(16), 0, 8])
+    assert started == sorted([*range(16), 0, 8])
+    # Asked again, each program reads what it kept: the starts are checked,
+    # and nothing is searched or stepped.
+    for served in (fresh, program):
+        assert count_starts(monkeypatch, lambda: fn(served, start, end, domain, bounds)) == (
+            stats, list(range(16)), 0)
 
 
 @pytest.mark.parametrize("mode", ("timed", "blind"))
@@ -207,10 +226,11 @@ def states_by_valuation(program: lang.Program, loc: lang.LocationId, watch: froz
     return states, complete
 
 
-def assert_same_states(program: lang.Program, bounds: explorer.ExploreBounds) -> list[int]:
-    """Compare ``states_at_location`` at every location with one search per
-    valuation, watching each thread's first location; return the searches
-    made at each location."""
+def assert_same_states(source: str, bounds: explorer.ExploreBounds) -> list[int]:
+    """Compare ``states_at_location`` at every location of the program
+    ``source`` with one search per valuation, watching each thread's first
+    location; return the searches made at each location, each measured on
+    a freshly parsed program."""
     searches = []
     real = explorer.search
 
@@ -218,11 +238,13 @@ def assert_same_states(program: lang.Program, bounds: explorer.ExploreBounds) ->
         searches[-1] += 1
         return real(*args)
 
-    watch = frozenset(program.labels_of_thread(t)[0] for t in range(len(program.threads)))
-    domain = explorer.secret_domain_of(program)
-    for t in range(len(program.threads)):
-        for loc in program.labels_of_thread(t):
-            want = states_by_valuation(program, loc, watch, bounds)
+    oracle = lang.parse_program(source)
+    watch = frozenset(oracle.labels_of_thread(t)[0] for t in range(len(oracle.threads)))
+    domain = explorer.secret_domain_of(oracle)
+    for t in range(len(oracle.threads)):
+        for loc in oracle.labels_of_thread(t):
+            want = states_by_valuation(oracle, loc, watch, bounds)
+            program = lang.parse_program(source)
             searches.append(0)
             explorer.search = counted
             try:
@@ -235,19 +257,32 @@ def assert_same_states(program: lang.Program, bounds: explorer.ExploreBounds) ->
     return searches
 
 
-def test_wide_secret_states_by_class():
-    program = lang.parse_program("var h : int[0..15] label high = secret;\n"
-                                 "thread A { if h > 7 then { skip; } else { skip; skip; }; "
-                                 "print('a'); }")
+def test_wide_secret_states_by_class(monkeypatch):
+    source = ("var h : int[0..15] label high = secret;\n"
+              "thread A { if h > 7 then { skip; } else { skip; skip; }; print('a'); }")
     for blind in (False, True):
         bounds = explorer.ExploreBounds(timing_blind=blind)
-        assert assert_same_states(program, bounds) == [2] * 6
+        assert assert_same_states(source, bounds) == [2] * 6
+    # On one program every location reads the one kept search per class:
+    # asked again, no location starts a search or steps a move.
+    program = lang.parse_program(source)
+    domain = explorer.secret_domain_of(program)
+    watch = frozenset({program.labels_of_thread(0)[0]})
+    bounds = explorer.ExploreBounds()
+
+    def every_location():
+        return [assertions.states_at_location(program, loc, watch, domain, bounds)
+                for loc in program.labels_of_thread(0)]
+
+    first, started, misses = count_starts(monkeypatch, every_location)
+    assert started.count(0) == started.count(8) == 7 and misses > 0
+    assert count_starts(monkeypatch, every_location) == (first, sorted([*range(16)] * 6), 0)
 
 
 @settings(deadline=None, max_examples=100)
 @given(secret_programs(), st.sampled_from((3, 40)))
 def test_generated_states_match_oracle(source: str, max_steps: int):
-    assert_same_states(lang.parse_program(source), explorer.ExploreBounds(max_steps=max_steps))
+    assert_same_states(source, explorer.ExploreBounds(max_steps=max_steps))
 
 
 def durations_by_valuation(measure, program: lang.Program, start: lang.LocationId,

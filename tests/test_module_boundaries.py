@@ -10,7 +10,9 @@ private name.
 
 ``semantics`` is also the one interpreter of steps: no other module calls
 ``semantics.step`` or builds a ``semantics.Configuration``, in any of the
-forms the scan of imports above binds.
+forms the scan of imports above binds.  And ``explorer`` alone starts a
+search: another module that needs one asks ``explorer.kept_search``, which
+runs each watched search once per program.
 """
 
 from __future__ import annotations
@@ -65,12 +67,13 @@ def private_reads(source: str, own: str) -> list[str]:
 
 
 INTERPRETER = {("semantics", "step"), ("semantics", "Configuration")}
+SEARCH = {("explorer", "search")}
 
 
-def interpreter_calls(source: str, own: str) -> list[str]:
-    """``semantics.step`` and ``semantics.Configuration`` for each call of
-    them in ``source``, the text of module ``own``, unless it is
-    ``semantics``."""
+def interpreter_calls(source: str, own: str, watched: set = INTERPRETER) -> list[str]:
+    """``module.name`` for each call in ``source``, the text of module
+    ``own``, of a name in ``watched`` (by default ``semantics.step`` and
+    ``semantics.Configuration``) that another module defines."""
     tree = ast.parse(source)
     modules, names = bindings(tree)
     calls = []
@@ -85,7 +88,7 @@ def interpreter_calls(source: str, own: str) -> list[str]:
             called = names[func.id]
         else:
             continue
-        if called in INTERPRETER and called[0] != own:
+        if called in watched and called[0] != own:
             calls.append(".".join(called))
     return calls
 
@@ -131,3 +134,21 @@ def test_the_interpreter_scan_sees_each_form_of_call():
         "semantics.Configuration", "semantics.Configuration", "semantics.step",
         "semantics.step"]
     assert interpreter_calls(source, "semantics") == []
+
+
+def test_only_explorer_starts_a_search():
+    found = {path.name: interpreter_calls(path.read_text(encoding="utf-8"), path.stem, SEARCH)
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert "assertions.py" in found and "explorer.py" in found
+    assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+def test_the_search_scan_sees_each_form_of_call():
+    source = ("from . import explorer as E\n"
+              "from .explorer import search as walk\n"
+              "def f(program, store, bounds, costs):\n"
+              "    E.search(program, store, bounds, costs, frozenset(), print)\n"
+              "    walk(program, store, bounds, costs, frozenset(), print)\n"
+              "    E.kept_search(program, store, bounds, costs, frozenset()), E.search\n")
+    assert interpreter_calls(source, "assertions", SEARCH) == ["explorer.search"] * 2
+    assert interpreter_calls(source, "explorer", SEARCH) == []
