@@ -341,14 +341,18 @@ def search(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
                 outcome = _CUT
             else:
                 row, used = rows.get(store) or rows.setdefault(
-                    store, (moves.setdefault(store, {}), set()))
+                    store, (moves.get(store, {}), set()))
                 edges: list = []
                 for t in range(len(heads) - 1, -1, -1):
                     h = heads[t]
                     move = row.get(h, _ABSENT) if h else None
                     if move is _ABSENT:
-                        move = (row.setdefault(h, None) if table.blocked(h, store)
+                        # The store's row is made once a move is stored in it.
+                        move = (None if table.blocked(h, store)
                                 else semantics.move(program, t, h, store, costs))
+                        row = moves.setdefault(store, row)
+                        row[h] = move
+                        rows[store] = row, used
                     if move is None:  # done, or blocked on an await
                         continue
                     used.add(h)

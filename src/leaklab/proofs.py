@@ -28,10 +28,18 @@ with no upper bound, so the verdict does not depend on the snapshot
 bound.  Otherwise the snapshots, like the clock always, range over
 [0, snapshot_bound].  A transition that leaves a declared domain, or a
 region whose guard fails, is vacuous for partial correctness.
+
+A program keeps its proof state on its control table
+(``semantics.ControlTable.proofs``), per cost model and tolerance: one
+:class:`AssertionTable` and every discharge result so far, each kept under
+its triple and, only when the discharge read it, the snapshot bound.  So a
+repeated check, or a check at a second bound, discharges only the triples
+it has not met and those that read the bound.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 from typing import Optional
@@ -68,12 +76,16 @@ class FactlessVC(VC):
     carries over to the condition with them, a counterexample does not."""
 
 
-@record
+@record(frozen=True)
 class DischargeResult:
+    """One discharge.  ``bounded`` says whether it read the snapshot bound:
+    the clock or a snapshot slot ranged over [0, snapshot_bound]."""
+
     status: str  # "valid" | "counterexample" | "undischarged"
     counterexample: Optional[dict] = None
     reason: Optional[str] = None
     checked: int = 0
+    bounded: bool = False
 
 
 @record
@@ -378,17 +390,18 @@ def _execute_atomic(stmt: lang.Stmt, store: dict, clock: int,
 
 
 class AssertionTable:
-    """Hash-consed assertions of one proof check or one ``emit-smt`` run.
+    """Hash-consed assertions of one program under one tolerance.
 
     :meth:`number` numbers assertion nodes bottom-up: a node's key is its
     type with its fields, each subterm replaced by its number, so two
     nodes get one number exactly when they are equal.  Statements are
-    numbered by value the same way.  Lookups are memoised by identity, and
-    the table keeps every node and statement it has seen alive so that no
-    identity is reused.  Each number is analysed once
+    numbered by value the same way.  Each number is analysed once
     (:func:`assertions.analyse`); its evaluator and the classification of
-    a snapshot atom are built on first use.  A table must not outlive the
-    call that made it: it holds every assertion of that call.
+    a snapshot atom are built on first use.  All of that is kept for the
+    table's life, which for the table of :func:`kept_table` is the
+    program's.  Lookups are memoised by identity for one call only, since
+    each call builds fresh nodes: the memo keeps every node and statement
+    it has seen alive, so that no identity is reused, until :meth:`forget`.
     """
 
     def __init__(self, program: lang.Program, tolerance: int = 0) -> None:
@@ -404,6 +417,15 @@ class AssertionTable:
         self._classified: dict[int, Optional[tuple]] = {}
         self._stmt_numbers: dict[lang.Stmt, int] = {}
         self._stmts: dict[int, tuple[int, frozenset[str]]] = {}  # number, free names
+
+    def forget(self) -> None:
+        """Drop the identity memos, and with them the nodes they hold."""
+        self._by_id, self._seen, self._stmts = {}, [], {}
+
+    def numbered(self) -> int:
+        """How many distinct numbers :meth:`number` gave since the memos
+        were last dropped."""
+        return len(set(self._by_id.values()))
 
     def number(self, a: asrt.Assertion) -> int:
         n = self._by_id.get(id(a))
@@ -488,6 +510,24 @@ def _table_for(program: lang.Program, tolerance: int,
     return table
 
 
+@contextlib.contextmanager
+def kept_table(program: lang.Program, costs: semantics.CostModel, tolerance: int):
+    """The program's :class:`AssertionTable` for ``tolerance`` and the
+    discharge results kept beside it under ``costs``, as ``(table,
+    results)``; made on first use and kept in the control table's
+    ``proofs(costs)``.  ``results`` maps ``(triple key, snapshot bound)``
+    to a :class:`DischargeResult`, the bound None when the discharge did
+    not read it.  The table's identity memos are dropped on leaving."""
+    kept = semantics.control_table(program).proofs(costs)
+    if tolerance not in kept:
+        kept[tolerance] = AssertionTable(program, tolerance), {}
+    table, results = kept[tolerance]
+    try:
+        yield table, results
+    finally:
+        table.forget()
+
+
 def _snapshot_map(slot_axes: list[tuple[lang.LocationId, int]],
                   point: tuple[int, ...]) -> dict[lang.LocationId, tuple[int, ...]]:
     snaps: dict[lang.LocationId, tuple[int, ...]] = {}
@@ -521,7 +561,9 @@ def discharge_vc(vc: VC, program: lang.Program,
     enumerating every slot over [0, snapshot_bound] finds whenever that one
     lies inside the bound.  Otherwise every slot does range over
     [0, snapshot_bound].  ``checked`` counts the enumerated states; the
-    transition runs once per store and clock.
+    transition runs once per store and clock.  ``bounded`` is set when the
+    clock or a slot ranged over [0, snapshot_bound]; otherwise the result
+    is the same at every bound.
 
     Pre and post are read through ``table``, which analyses and compiles
     each distinct assertion once; it must have been made for ``program``
@@ -556,10 +598,11 @@ def discharge_vc(vc: VC, program: lang.Program,
     else:
         snap_maps = None
         total = others * len(box) ** len(slot_axes)
+    bounded = uses_clock or points is None
     if total > max_states:
         return DischargeResult(
             "undischarged",
-            reason=f"state space exceeds budget ({total} > {max_states})")
+            reason=f"state space exceeds budget ({total} > {max_states})", bounded=bounded)
 
     pre_fn = table.evaluator(vc.pre)
     post_fn = table.evaluator(vc.post)
@@ -589,7 +632,7 @@ def discharge_vc(vc: VC, program: lang.Program,
                                                            costs, program)
                         except BudgetExceeded as e:
                             return DischargeResult("undischarged", reason=str(e),
-                                                   checked=checked)
+                                                   checked=checked, bounded=bounded)
                 result = after[clock]
                 if result is None:
                     continue  # blocked guard or domain exit: vacuous
@@ -598,10 +641,11 @@ def discharge_vc(vc: VC, program: lang.Program,
                     ok = post_fn(post_store, snaps, post_clock)
                 except LeakLabError as e:
                     return DischargeResult("undischarged", reason=str(e),
-                                           checked=checked)
+                                           checked=checked, bounded=bounded)
                 if not ok and isinstance(vc, FactlessVC):
-                    return DischargeResult("undischarged", checked=checked, reason=(
-                        "the rule fails without the underivable isolated path timings"))
+                    return DischargeResult("undischarged", checked=checked, bounded=bounded,
+                                           reason=("the rule fails without the "
+                                                   "underivable isolated path timings"))
                 if not ok:
                     cx = {"store": dict(store),
                           "snapshots": {f"{program.location_str(l)}": list(v)
@@ -609,8 +653,8 @@ def discharge_vc(vc: VC, program: lang.Program,
                     if uses_clock:
                         cx["clock"] = clock
                     return DischargeResult("counterexample", counterexample=cx,
-                                           checked=checked)
-    return DischargeResult("valid", checked=checked)
+                                           checked=checked, bounded=bounded)
+    return DischargeResult("valid", checked=checked, bounded=bounded)
 
 
 # ---------------------------------------------------------------------------
@@ -826,23 +870,30 @@ def check_proof(annotated: asrt.AnnotatedProgram,
                 tolerance: int = 0) -> ProofResult:
     """Generate all three VC families, discharge them, and aggregate.
 
-    Each distinct triple is discharged once: VCs that differ only in kind
-    and provenance share one :class:`DischargeResult`.  The class stays in
-    the key because a :class:`FactlessVC` judges a failing rule apart.
-    One :class:`AssertionTable`, local to this call, numbers the triples'
-    assertions and analyses and compiles each distinct one once.
+    Each distinct triple is discharged once per program: VCs that differ
+    only in kind and provenance share one :class:`DischargeResult`.  The
+    class stays in the key because a :class:`FactlessVC` judges a failing
+    rule apart.  The program's :func:`kept_table` numbers the triples'
+    assertions and analyses and compiles each distinct one once, and keeps
+    each result, so a later check of the program, at this bound or, for a
+    result that did not read the bound, at any other, discharges only the
+    triples it has not met.  ``assertions`` counts the terms this call
+    numbered.
     """
     program = annotated.program
     vcs, notices = gen_vcs(annotated, costs)
-    table = AssertionTable(program, tolerance)
-    discharged: dict[tuple, DischargeResult] = {}
+    _clock_box(snapshot_bound)  # a kept result must not pass a negative bound
     entries = []
-    for vc in vcs:
-        key = table.key(vc)
-        if key not in discharged:
-            discharged[key] = discharge_vc(vc, program, costs, snapshot_bound,
-                                           STATE_BUDGET, tolerance, table)
-        entries.append((vc, discharged[key]))
+    with kept_table(program, costs, tolerance) as (table, kept):
+        for vc in vcs:
+            key = table.key(vc)
+            result = kept.get((key, None)) or kept.get((key, snapshot_bound))
+            if result is None:
+                result = discharge_vc(vc, program, costs, snapshot_bound,
+                                      STATE_BUDGET, tolerance, table)
+                kept[key, snapshot_bound if result.bounded else None] = result
+            entries.append((vc, result))
+        numbered = table.numbered()
     statuses = [r.status for _, r in entries]
     if any(s == "counterexample" for s in statuses):
         overall = "refuted"
@@ -869,4 +920,4 @@ def check_proof(annotated: asrt.AnnotatedProgram,
         else:
             message = "outline not established"
     return ProofResult(entries, overall, message, certified,
-                       annotated.warnings + notices, len(table.nodes))
+                       annotated.warnings + notices, numbered)

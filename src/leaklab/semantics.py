@@ -22,7 +22,8 @@ only its head and the store, so the table also keeps, per cost model, the
 move :func:`move` found for each (head, store), which every search, the
 isolated walk and :func:`step` read.  Beside the moves it keeps, per cost
 model, what ``explorer`` found of its watched searches and isolated walks,
-so each is run once per program.
+so each is run once per program, and the assertion tables and discharge
+results of ``proofs``, so a triple is discharged once per program.
 """
 
 from __future__ import annotations
@@ -121,11 +122,11 @@ class ControlTable:
     """Statement rows by ``id`` (``nodes``), each thread's first residue
     (``starts``), labels, exit label last (``labels``), each variable's
     declared values (``domains``), and under each cost model the moves
-    found so far (:meth:`moves`) and the searches and walks run so far
-    (:meth:`searches`, :meth:`walks`)."""
+    found so far (:meth:`moves`), the searches and walks run so far
+    (:meth:`searches`, :meth:`walks`) and the proof state (:meth:`proofs`)."""
 
     def __init__(self, program: lang.Program):
-        self._kept: dict[tuple, tuple[dict, dict, dict]] = {}
+        self._kept: dict[tuple, tuple[dict, dict, dict, dict]] = {}
         self.nodes: dict[int, _Node] = {}
         self.domains = {d.name: frozenset(d.domain) for d in program.declarations}
         self.starts = tuple(self._block(program, t.body, ()) for t in program.threads)
@@ -188,11 +189,11 @@ class ControlTable:
         node = self.nodes[head]
         return node.kind == _REGION and not node.run(dict(store))
 
-    def _under(self, costs: CostModel) -> tuple[dict, dict, dict]:
+    def _under(self, costs: CostModel) -> tuple[dict, dict, dict, dict]:
         key = (costs.unit, frozenset(costs.overrides.items()))
         kept = self._kept.get(key)
         if kept is None:
-            kept = self._kept[key] = ({}, {}, {})
+            kept = self._kept[key] = ({}, {}, {}, {})
         return kept
 
     def moves(self, costs: CostModel) -> dict[tuple, dict]:
@@ -208,6 +209,11 @@ class ControlTable:
         """The isolated walks of ``explorer.isolated_durations`` under
         ``costs``, keyed by what each walk reads."""
         return self._under(costs)[2]
+
+    def proofs(self, costs: CostModel) -> dict[int, tuple]:
+        """Tolerance -> ``proofs``' assertion table and the discharge
+        results kept beside it, under ``costs``."""
+        return self._under(costs)[3]
 
 
 def _guard(e: lang.Expr) -> Callable[[Store], bool]:

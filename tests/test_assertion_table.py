@@ -169,7 +169,7 @@ def test_a_quantifier_does_not_bind_its_variable_outside():
     assert table.forms[table.number(both)][0] == {"q"}
 
 
-def test_the_table_does_not_outlive_the_proof(monkeypatch):
+def test_the_table_goes_with_its_program(monkeypatch):
     tables = []
 
     class Recorded(proofs.AssertionTable):
@@ -180,10 +180,20 @@ def test_the_table_does_not_outlive_the_proof(monkeypatch):
     monkeypatch.setattr(proofs, "AssertionTable", Recorded)
     program = lang.parse_program(
         "var x : int[0..3] label low = 0;\nthread A { x = x + 1; print('a'); }")
-    result = proofs.check_proof(trivially_annotate(program))
-    assert result.overall == "proven" and result.assertions > 0
+    results = [proofs.check_proof(trivially_annotate(program), snapshot_bound=bound)
+               for bound in (64, 16, 64)]
+    assert [r.overall for r in results] == ["proven"] * 3
+    assert len({r.assertions for r in results}) == 1 and results[0].assertions > 0
+    # One table serves every call, and holds none of a call's nodes after it.
+    assert len(tables) == 1
+    table = tables[0]()
+    assert (table._by_id, table._seen, table._stmts) == ({}, [], {})
+    del table, results
     gc.collect()
-    assert len(tables) == 1 and tables[0]() is None
+    assert tables[0]() is not None
+    del program
+    gc.collect()
+    assert tables[0]() is None
 
 
 def test_a_table_serves_only_its_program_and_tolerance():

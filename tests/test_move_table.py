@@ -236,3 +236,16 @@ def test_a_step_that_raised_raises_again(source: str, error: type):
     # Only the move before the failing one was kept.
     moves = semantics.control_table(program).moves(semantics.CostModel())
     assert [list(row) for row in moves.values() if row] == [[id(program.threads[0].body[0])]]
+
+
+def test_a_search_whose_move_raised_leaves_no_empty_row():
+    # The search once made a store's row before stepping from it, so the
+    # store where x + 1 leaves x's domain kept an empty row.
+    program = lang.parse_program(
+        "var h : int[0..1] label high = secret; var x : int[0..1] label low = 0; "
+        "thread A { x = x + 1; x = x + 1; }")
+    with pytest.raises(DomainError):
+        explorer.knowledge_partition(program, {}, None, explorer.ExploreBounds())
+    moves = semantics.control_table(program).moves(semantics.CostModel())
+    assert {store: list(row) for store, row in moves.items()} == {
+        (("h", 0), ("x", 0)): [id(program.threads[0].body[0])]}
