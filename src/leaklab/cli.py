@@ -394,18 +394,18 @@ def cmd_emit_smt(args: argparse.Namespace) -> int:
     costs = tool_config.cost_model(program)
     annotated = asrt.annotate_program(program)
     vcs, _notices = proofs.gen_vcs(annotated, costs)
+    table = proofs.AssertionTable(program, tool_config.tolerance)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     counters: dict[str, int] = {}
     written = 0
-    with proofs.kept_table(program, costs, tool_config.tolerance) as (table, _results):
-        for vc in vcs:
-            index = counters.get(vc.kind, 0)
-            counters[vc.kind] = index + 1
-            text = proofs.emit_smtlib(vc, program, costs, args.snapshot_bound,
-                                      tool_config.tolerance, table)
-            (out_dir / f"vc_{vc.kind}_{index}.smt2").write_text(text, encoding="utf-8")
-            written += 1
+    for vc in vcs:
+        index = counters.get(vc.kind, 0)
+        counters[vc.kind] = index + 1
+        text = proofs.emit_smtlib(vc, program, costs, args.snapshot_bound,
+                                  tool_config.tolerance, table)
+        (out_dir / f"vc_{vc.kind}_{index}.smt2").write_text(text, encoding="utf-8")
+        written += 1
     _write(f"wrote {written} SMT-LIB files to {out_dir}\n")
     return 0
 

@@ -347,12 +347,11 @@ def search(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
                     h = heads[t]
                     move = row.get(h, _ABSENT) if h else None
                     if move is _ABSENT:
-                        # The store's row is made once a move is stored in it.
-                        move = (None if table.blocked(h, store)
+                        move = (table.keep(costs, store, h, None) if table.blocked(h, store)
                                 else semantics.move(program, t, h, store, costs))
-                        row = moves.setdefault(store, row)
-                        row[h] = move
-                        rows[store] = row, used
+                        if not row:  # the store's row was made with this move
+                            row = moves[store]
+                            rows[store] = row, used
                     if move is None:  # done, or blocked on an await
                         continue
                     used.add(h)

@@ -29,17 +29,16 @@ bound.  Otherwise the snapshots, like the clock always, range over
 [0, snapshot_bound].  A transition that leaves a declared domain, or a
 region whose guard fails, is vacuous for partial correctness.
 
-A program keeps its proof state on its control table
-(``semantics.ControlTable.proofs``), per cost model and tolerance: one
-:class:`AssertionTable` and every discharge result so far, each kept under
-its triple and, only when the discharge read it, the snapshot bound.  So a
-repeated check, or a check at a second bound, discharges only the triples
-it has not met and those that read the bound.
+A program keeps its discharge results on its control table
+(``semantics.ControlTable.proofs``), per cost model and tolerance, with
+the numbering of assertions and statements that keys them: each result
+under its triple and, only when the discharge read it, the snapshot
+bound.  So a repeated check, or a check at a second bound, discharges
+only the triples it has not met and those that read the bound.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 from typing import Optional
@@ -78,14 +77,31 @@ class FactlessVC(VC):
 
 @record(frozen=True)
 class DischargeResult:
-    """One discharge.  ``bounded`` says whether it read the snapshot bound:
-    the clock or a snapshot slot ranged over [0, snapshot_bound]."""
+    """One discharge, kept by the program and shared by its later checks,
+    so nothing in it can change: ``cx`` is the counterexample as (store
+    items, snapshot items, clock or None), which :attr:`counterexample`
+    hands out as a new dict.  ``bounded`` says whether the discharge read
+    the snapshot bound: the clock or a snapshot slot ranged over
+    [0, snapshot_bound]."""
 
     status: str  # "valid" | "counterexample" | "undischarged"
-    counterexample: Optional[dict] = None
+    cx: Optional[tuple] = None
     reason: Optional[str] = None
     checked: int = 0
     bounded: bool = False
+
+    @property
+    def counterexample(self) -> Optional[dict]:
+        """``store``, ``snapshots`` by location and, when the VC reads the
+        clock, ``clock``; None unless the status is ``counterexample``."""
+        if self.cx is None:
+            return None
+        store, snapshots, clock = self.cx
+        out = {"store": dict(store),
+               "snapshots": {loc: list(times) for loc, times in snapshots}}
+        if clock is not None:
+            out["clock"] = clock
+        return out
 
 
 @record
@@ -390,42 +406,35 @@ def _execute_atomic(stmt: lang.Stmt, store: dict, clock: int,
 
 
 class AssertionTable:
-    """Hash-consed assertions of one program under one tolerance.
+    """Hash-consed assertions of one proof check or one ``emit-smt`` run.
 
     :meth:`number` numbers assertion nodes bottom-up: a node's key is its
     type with its fields, each subterm replaced by its number, so two
     nodes get one number exactly when they are equal.  Statements are
-    numbered by value the same way.  Each number is analysed once
-    (:func:`assertions.analyse`); its evaluator and the classification of
-    a snapshot atom are built on first use.  All of that is kept for the
-    table's life, which for the table of :func:`kept_table` is the
-    program's.  Lookups are memoised by identity for one call only, since
-    each call builds fresh nodes: the memo keeps every node and statement
-    it has seen alive, so that no identity is reused, until :meth:`forget`.
+    numbered by value the same way.  The numbering is ``numbers``, which
+    :func:`check_proof` keeps with the program so that a triple's key
+    means the same in every check of it; all else is the table's own.
+    Lookups are memoised by identity, and the table keeps every node and
+    statement it has seen alive so that no identity is reused.  Each
+    number the table meets is analysed once (:func:`assertions.analyse`);
+    its evaluator and the classification of a snapshot atom are built on
+    first use.  A table must not outlive the call that made it: it holds
+    every assertion of that call.
     """
 
-    def __init__(self, program: lang.Program, tolerance: int = 0) -> None:
+    def __init__(self, program: lang.Program, tolerance: int = 0,
+                 numbers: Optional[dict] = None) -> None:
         self.program = program
         self.tolerance = tolerance
         self.decls = {d.name: d for d in program.ghosts + program.declarations}
-        self.nodes: list[asrt.Assertion] = []  # number -> first node seen
-        self.forms: list[tuple] = []  # number -> analysed form
-        self._by_key: dict[tuple, int] = {}
+        self.nodes: dict[int, asrt.Assertion] = {}  # number -> first node seen
+        self.forms: dict[int, tuple] = {}  # number -> analysed form
+        self._numbers = {} if numbers is None else numbers  # key or statement -> number
         self._by_id: dict[int, int] = {}
         self._seen: list = []  # every node and statement memoised by identity
         self._evaluators: dict[int, object] = {}
         self._classified: dict[int, Optional[tuple]] = {}
-        self._stmt_numbers: dict[lang.Stmt, int] = {}
         self._stmts: dict[int, tuple[int, frozenset[str]]] = {}  # number, free names
-
-    def forget(self) -> None:
-        """Drop the identity memos, and with them the nodes they hold."""
-        self._by_id, self._seen, self._stmts = {}, [], {}
-
-    def numbered(self) -> int:
-        """How many distinct numbers :meth:`number` gave since the memos
-        were last dropped."""
-        return len(set(self._by_id.values()))
 
     def number(self, a: asrt.Assertion) -> int:
         n = self._by_id.get(id(a))
@@ -439,12 +448,10 @@ class AssertionTable:
                 value = self.number(value)
                 parts.append(self.forms[value])
             values.append(value)
-        key = tuple(values)
-        n = self._by_key.get(key)
-        if n is None:
-            n = self._by_key[key] = len(self.nodes)
-            self.nodes.append(a)
-            self.forms.append(asrt.analyse(a, n, parts))
+        n = self._numbers.setdefault(tuple(values), len(self._numbers))
+        if n not in self.forms:
+            self.nodes[n] = a
+            self.forms[n] = asrt.analyse(a, n, parts)
         self._by_id[id(a)] = n
         self._seen.append(a)
         return n
@@ -452,7 +459,7 @@ class AssertionTable:
     def _statement(self, stmt: lang.Stmt) -> tuple[int, frozenset[str]]:
         found = self._stmts.get(id(stmt))
         if found is None:
-            n = self._stmt_numbers.setdefault(stmt, len(self._stmt_numbers))
+            n = self._numbers.setdefault(stmt, len(self._numbers))
             # A branch or loop head only moves the clock: it reads nothing.
             names = (frozenset() if isinstance(stmt, (lang.If, lang.While))
                      else lang.free_vars(stmt))
@@ -508,24 +515,6 @@ def _table_for(program: lang.Program, tolerance: int,
     if table.program is not program or table.tolerance != tolerance:
         raise ValueError("assertion table made for another program or tolerance")
     return table
-
-
-@contextlib.contextmanager
-def kept_table(program: lang.Program, costs: semantics.CostModel, tolerance: int):
-    """The program's :class:`AssertionTable` for ``tolerance`` and the
-    discharge results kept beside it under ``costs``, as ``(table,
-    results)``; made on first use and kept in the control table's
-    ``proofs(costs)``.  ``results`` maps ``(triple key, snapshot bound)``
-    to a :class:`DischargeResult`, the bound None when the discharge did
-    not read it.  The table's identity memos are dropped on leaving."""
-    kept = semantics.control_table(program).proofs(costs)
-    if tolerance not in kept:
-        kept[tolerance] = AssertionTable(program, tolerance), {}
-    table, results = kept[tolerance]
-    try:
-        yield table, results
-    finally:
-        table.forget()
 
 
 def _snapshot_map(slot_axes: list[tuple[lang.LocationId, int]],
@@ -647,12 +636,10 @@ def discharge_vc(vc: VC, program: lang.Program,
                                            reason=("the rule fails without the "
                                                    "underivable isolated path timings"))
                 if not ok:
-                    cx = {"store": dict(store),
-                          "snapshots": {f"{program.location_str(l)}": list(v)
-                                        for l, v in snaps.items()}}
-                    if uses_clock:
-                        cx["clock"] = clock
-                    return DischargeResult("counterexample", counterexample=cx,
+                    cx = (tuple(store.items()),
+                          tuple((program.location_str(l), v) for l, v in snaps.items()),
+                          clock if uses_clock else None)
+                    return DischargeResult("counterexample", cx=cx,
                                            checked=checked, bounded=bounded)
     return DischargeResult("valid", checked=checked, bounded=bounded)
 
@@ -873,27 +860,29 @@ def check_proof(annotated: asrt.AnnotatedProgram,
     Each distinct triple is discharged once per program: VCs that differ
     only in kind and provenance share one :class:`DischargeResult`.  The
     class stays in the key because a :class:`FactlessVC` judges a failing
-    rule apart.  The program's :func:`kept_table` numbers the triples'
-    assertions and analyses and compiles each distinct one once, and keeps
-    each result, so a later check of the program, at this bound or, for a
-    result that did not read the bound, at any other, discharges only the
-    triples it has not met.  ``assertions`` counts the terms this call
-    numbered.
+    rule apart.  The program keeps, per cost model and tolerance, each
+    result under its triple and, only when the discharge read it
+    (``bounded``), the snapshot bound, with the numbering that keys the
+    triples; so a later check of the program discharges only the triples
+    it has not met and, at another bound, those that read the bound.  One
+    :class:`AssertionTable`, local to this call, numbers the triples'
+    assertions and analyses and compiles each distinct one once.
     """
     program = annotated.program
     vcs, notices = gen_vcs(annotated, costs)
     _clock_box(snapshot_bound)  # a kept result must not pass a negative bound
+    numbers, kept = semantics.control_table(program).proofs(costs).setdefault(
+        tolerance, ({}, {}))
+    table = AssertionTable(program, tolerance, numbers)
     entries = []
-    with kept_table(program, costs, tolerance) as (table, kept):
-        for vc in vcs:
-            key = table.key(vc)
-            result = kept.get((key, None)) or kept.get((key, snapshot_bound))
-            if result is None:
-                result = discharge_vc(vc, program, costs, snapshot_bound,
-                                      STATE_BUDGET, tolerance, table)
-                kept[key, snapshot_bound if result.bounded else None] = result
-            entries.append((vc, result))
-        numbered = table.numbered()
+    for vc in vcs:
+        key = table.key(vc)
+        result = kept.get((key, None)) or kept.get((key, snapshot_bound))
+        if result is None:
+            result = discharge_vc(vc, program, costs, snapshot_bound,
+                                  STATE_BUDGET, tolerance, table)
+            kept[key, snapshot_bound if result.bounded else None] = result
+        entries.append((vc, result))
     statuses = [r.status for _, r in entries]
     if any(s == "counterexample" for s in statuses):
         overall = "refuted"
@@ -920,4 +909,4 @@ def check_proof(annotated: asrt.AnnotatedProgram,
         else:
             message = "outline not established"
     return ProofResult(entries, overall, message, certified,
-                       annotated.warnings + notices, numbered)
+                       annotated.warnings + notices, len(table.nodes))

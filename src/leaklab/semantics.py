@@ -22,8 +22,8 @@ only its head and the store, so the table also keeps, per cost model, the
 move :func:`move` found for each (head, store), which every search, the
 isolated walk and :func:`step` read.  Beside the moves it keeps, per cost
 model, what ``explorer`` found of its watched searches and isolated walks,
-so each is run once per program, and the assertion tables and discharge
-results of ``proofs``, so a triple is discharged once per program.
+so each is run once per program, and the discharge results of
+``proofs``, so a triple is discharged once per program.
 """
 
 from __future__ import annotations
@@ -123,7 +123,8 @@ class ControlTable:
     (``starts``), labels, exit label last (``labels``), each variable's
     declared values (``domains``), and under each cost model the moves
     found so far (:meth:`moves`), the searches and walks run so far
-    (:meth:`searches`, :meth:`walks`) and the proof state (:meth:`proofs`)."""
+    (:meth:`searches`, :meth:`walks`) and the discharge results kept so far
+    (:meth:`proofs`)."""
 
     def __init__(self, program: lang.Program):
         self._kept: dict[tuple, tuple[dict, dict, dict, dict]] = {}
@@ -200,6 +201,13 @@ class ControlTable:
         """Store -> head id -> :func:`move`'s entry, under ``costs``."""
         return self._under(costs)[0]
 
+    def keep(self, costs: CostModel, store: tuple, head: int,
+             entry: Optional[tuple]) -> Optional[tuple]:
+        """Keep and return ``entry`` as the move from ``head`` on ``store``
+        under ``costs``; a store's row is made with its first entry."""
+        self.moves(costs).setdefault(store, {})[head] = entry
+        return entry
+
     def searches(self, costs: CostModel) -> dict[tuple, tuple]:
         """``explorer.kept_search``'s entries under ``costs``, keyed by
         what each search reads."""
@@ -211,8 +219,8 @@ class ControlTable:
         return self._under(costs)[2]
 
     def proofs(self, costs: CostModel) -> dict[int, tuple]:
-        """Tolerance -> ``proofs``' assertion table and the discharge
-        results kept beside it, under ``costs``."""
+        """Tolerance -> ``proofs.check_proof``'s numbering of assertions
+        and statements and the discharge results it keys, under ``costs``."""
         return self._under(costs)[3]
 
 
@@ -351,8 +359,7 @@ def move(program: lang.Program, thread: int, head: int, store: tuple,
         entry = (id(residue[0]) if residue else 0, store if after == store else after,
                  clock, tuple(events),
                  tuple(sorted([(loc, tuple(times)) for loc, times in snaps.items()])))
-    table.moves(costs).setdefault(store, {})[head] = entry
-    return entry
+    return table.keep(costs, store, head, entry)
 
 
 def step(program: lang.Program, config: Configuration, choice: StepChoice,

@@ -85,11 +85,10 @@ def discharge_box(vc: proofs.VC, program: lang.Program,
             return proofs.DischargeResult("undischarged", reason=str(e),
                                           checked=checked)
         if not ok:
-            cx = {"store": dict(store),
-                  "snapshots": {f"{program.location_str(l)}": list(v)
-                                for l, v in snaps.items()}}
-            if uses_clock:
-                cx["clock"] = clock
-            return proofs.DischargeResult("counterexample", counterexample=cx,
-                                          checked=checked)
+            # A result's counterexample is frozen: (store items, snapshot
+            # items, clock or None).
+            cx = (tuple(store.items()),
+                  tuple((program.location_str(l), tuple(v)) for l, v in snaps.items()),
+                  clock if uses_clock else None)
+            return proofs.DischargeResult("counterexample", cx=cx, checked=checked)
     return proofs.DischargeResult("valid", checked=checked)

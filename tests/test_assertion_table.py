@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leaklab import assertions as asrt
-from leaklab import lang, proofs, regions
+from leaklab import lang, proofs, regions, semantics
 
 import analysis_oracle
 from conftest import trivially_annotate
@@ -169,7 +169,7 @@ def test_a_quantifier_does_not_bind_its_variable_outside():
     assert table.forms[table.number(both)][0] == {"q"}
 
 
-def test_the_table_goes_with_its_program(monkeypatch):
+def test_the_table_does_not_outlive_the_proof(monkeypatch):
     tables = []
 
     class Recorded(proofs.AssertionTable):
@@ -180,20 +180,30 @@ def test_the_table_goes_with_its_program(monkeypatch):
     monkeypatch.setattr(proofs, "AssertionTable", Recorded)
     program = lang.parse_program(
         "var x : int[0..3] label low = 0;\nthread A { x = x + 1; print('a'); }")
+    result = proofs.check_proof(trivially_annotate(program))
+    assert result.overall == "proven" and result.assertions > 0
+    gc.collect()
+    assert len(tables) == 1 and tables[0]() is None
+
+
+def test_the_kept_results_go_with_the_program():
+    program = lang.parse_program(
+        "var x : int[0..3] label low = 0;\nthread A { x = x + 1; print('a'); }")
     results = [proofs.check_proof(trivially_annotate(program), snapshot_bound=bound)
                for bound in (64, 16, 64)]
     assert [r.overall for r in results] == ["proven"] * 3
     assert len({r.assertions for r in results}) == 1 and results[0].assertions > 0
-    # One table serves every call, and holds none of a call's nodes after it.
-    assert len(tables) == 1
-    table = tables[0]()
-    assert (table._by_id, table._seen, table._stmts) == ({}, [], {})
-    del table, results
+    # Every check reads the results the first one kept.
+    assert all(a is b for r in results[1:]
+               for (_, a), (_, b) in zip(r.entries, results[0].entries))
+    table = semantics.control_table(program)
+    [(numbers, kept)] = table.proofs(semantics.CostModel()).values()
+    assert {id(r) for r in kept.values()} == {id(r) for r in results[0].discharged()}
+    assert numbers
+    refs = [weakref.ref(program), weakref.ref(table), weakref.ref(results[0].entries[0][1])]
+    del program, table, numbers, kept, results
     gc.collect()
-    assert tables[0]() is not None
-    del program
-    gc.collect()
-    assert tables[0]() is None
+    assert [ref() for ref in refs] == [None, None, None]
 
 
 def test_a_table_serves_only_its_program_and_tolerance():

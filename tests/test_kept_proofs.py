@@ -1,16 +1,18 @@
 """The proof state a program keeps against fresh checks.
 
 ``proofs.check_proof`` keeps, on the program's control table per cost
-model and tolerance, one assertion table and each discharge result, the
-result under its snapshot bound only when its discharge read the bound.
+model and tolerance, each discharge result and the numbering that keys
+it, the result under its snapshot bound only when its discharge read the
+bound.
 The oracle here checks one program under interleaved bounds, cost models
 and tolerances, forwards and then backwards, and compares each report
 with the same check of a freshly parsed program: entries, which entries
 share a result, verdict, message, certified locations, warnings and the
 count of assertion terms.  The backwards pass discharges nothing.  The
 other tests hold that a kept result never crosses a bound it read, that a
-result that did not read the bound serves every bound, and that a
-negative bound is refused after results were kept.
+result that did not read the bound serves every bound, that a negative
+bound is refused after results were kept, and that no reader can change a
+kept result, its counterexample included.
 """
 
 from __future__ import annotations
@@ -156,7 +158,18 @@ def test_a_negative_bound_is_refused_after_results_were_kept():
 
 
 def test_a_kept_result_cannot_be_changed():
-    result = proofs.check_proof(asrt.annotate_program(
-        load_program("semaphore_pair_annotated.cwl"))).entries[0][1]
+    program = lang.parse_program(NOT_DIFFERENCE)
+    [(_, result)] = proofs.check_proof(asrt.annotate_program(program),
+                                       snapshot_bound=64).by_status("counterexample")
     with pytest.raises(AttributeError):
-        result.status = "counterexample"
+        result.status = "valid"
+    seen = result.counterexample
+    seen["store"]["h"] = 7
+    seen["snapshots"]["A.l0"].append(5)
+    seen["snapshots"]["A.l1"] = []
+    seen["clock"] = 0
+    [(_, again)] = proofs.check_proof(asrt.annotate_program(program),
+                                      snapshot_bound=64).by_status("counterexample")
+    assert again is result and again.counterexample == proofs.check_proof(
+        asrt.annotate_program(lang.parse_program(NOT_DIFFERENCE)),
+        snapshot_bound=64).by_status("counterexample")[0][1].counterexample
