@@ -595,7 +595,7 @@ def states_at_location(program: lang.Program, loc: lang.LocationId,
     searched: dict[tuple, list[tuple]] = {}
     complete = True
     for first, store in dict(classes.values()).items():
-        found, reached = explorer.kept_search(program, store, bounds, costs, watch)
+        found, reached, _ = explorer.kept_search(program, store, bounds, costs, watch)
         complete = complete and found.complete
         at_loc = dict.fromkeys((s, watched, clock) for (heads, s, clock, watched), _ in reached
                                if heads[loc.thread] == head)

@@ -10,13 +10,15 @@ yields only a prefix of an observation, which never witnesses a leak.
 One engine, :func:`search`, walks the program's state graph for every
 question asked of the schedules.  It expands each distinct state once and
 reads its steps from the program's moves (``semantics.move``), kept per
-(head statement, store).  :func:`explore` merges observation suffixes
-backwards along its edges.  The other questions read a watched search,
-one that keeps the clock and the arrivals at some locations:
-:func:`kept_search` runs it once per program, cost model, start store,
-bounds and watch set, keeps its states on the program's control table,
-and answers every later call from them.  :func:`duration_stats` pairs
-the arrivals at two watched locations where runs end, and
+(head statement, store).  Only :func:`kept_search` calls it: it runs each
+search once per program, cost model, start store, step bound, state cap,
+watch set and clock-in-key, keeps the search's record, reached states and
+graph on the program's control table, and answers every later call from
+them.  :func:`explore` watches nothing and merges observation suffixes
+backwards over the kept graph, so a repeated scan searches no more.  The
+other questions read a watched search, one that keeps the clock and the
+arrivals at some locations: :func:`duration_stats` pairs the arrivals at
+two watched locations where runs end, and
 ``assertions.states_at_location`` reads the states at one location, so a
 leakiness check of a synthesized postulate reads the search that
 synthesis ran for its pair.  :func:`isolated_durations` keeps each
@@ -265,7 +267,8 @@ _ABSENT = object()
 
 def search(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
            costs: semantics.CostModel, watch: frozenset, visit) -> Search:
-    """The exploration engine: a memoised depth-first search over states.
+    """The exploration engine: a memoised depth-first search over states,
+    started by :func:`kept_search` alone, which keeps what it found.
 
     A state is keyed by ``(heads, store, clock, steps_used, arrivals)``:
     ``heads`` holds each thread's head statement id (0 once it is done),
@@ -381,17 +384,21 @@ def search(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
 
 
 def kept_search(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
-                costs: semantics.CostModel, watch: frozenset) -> tuple[Search, tuple]:
+                costs: semantics.CostModel, watch: frozenset) -> tuple[Search, tuple, tuple]:
     """:func:`search` from ``store``, watching ``watch``, run on the first
     call and kept in the program's ``searches(costs)`` for every later one.
 
-    Returns the :class:`Search` and, in the order they were first visited,
-    the distinct ``(heads, store, clock, arrivals)`` of its keys (their
-    step counts dropped), each with whether a run ends there.  The entry is
-    keyed by what the search reads: the start store, ``max_steps``,
-    ``max_configs``, ``watch`` and whether its keys hold the clock, so a
-    timed and a timing-blind search with a watch set share one.  A search
-    that raises keeps nothing.
+    Returns the :class:`Search`; in the order they were first visited, the
+    distinct ``(heads, store, clock, arrivals)`` of its keys (their step
+    counts dropped), each with whether a run ends there; and the search's
+    graph, each ``(key, outcome)`` it visited, in the order it visited
+    them, each key after its successors, with its edges as a tuple.  The
+    entry is keyed by what the search reads: the start store,
+    ``max_steps``, ``max_configs``, ``watch`` and whether its keys hold the
+    clock, so a timed and a timing-blind search with a watch set share one,
+    and so do a timed :func:`explore` and a search that watches nothing
+    for ``assertions.states_at_location``.  A search that raises keeps
+    nothing.
     """
     holds_clock = not (bounds.timing_blind and not watch)
     entry = (tuple(sorted(store.items())), bounds.max_steps, bounds.max_configs, watch,
@@ -399,13 +406,16 @@ def kept_search(program: lang.Program, store: semantics.Store, bounds: ExploreBo
     kept = semantics.control_table(program).searches(costs)
     if entry not in kept:
         reached: dict[tuple, bool] = {}
+        graph: list = []
 
         def collect(key: tuple, outcome) -> None:
             state = (key[0], key[1], key[2], key[4])
-            reached[state] = reached.get(state, False) or isinstance(outcome, str)
+            ends = isinstance(outcome, str)
+            reached[state] = reached.get(state, False) or ends
+            graph.append((key, outcome if ends else tuple(outcome)))
 
         found = search(program, store, bounds, costs, watch, collect)
-        kept[entry] = (found, tuple(reached.items()))
+        kept[entry] = (found, tuple(reached.items()), tuple(graph))
     return kept[entry]
 
 
@@ -417,18 +427,21 @@ def explore(program: lang.Program, init_public: semantics.Store,
             costs: semantics.CostModel = semantics.CostModel()) -> ExploreResult:
     """All observations reachable under any schedule, within bounds.
 
-    :func:`search` watches no location here, and every key maps to its set
-    of ``(suffix events, ending)`` pairs, merged backwards along the edges
-    once its successors are done, so a suffix shared by many schedules is
-    derived once.
+    It reads the graph of the :func:`kept_search` that watches nothing, so
+    a repeated call on one program searches no more, and the attacker's
+    view (``timing_blind`` beyond the clock in the key, and
+    ``observe_thread_ids``) is applied here alone.  Every key maps to its
+    set of ``(suffix events, ending)`` pairs, merged backwards along the
+    edges in the order the search visited the keys, each after its
+    successors, so a suffix shared by many schedules is derived once.
     """
     store = _start_store(program, init_public, secret_val)
+    found, _, graph = kept_search(program, store, bounds, costs, frozenset())
     suffixes: dict[tuple, frozenset] = {}
-
-    def merge(key: tuple, outcome) -> None:
-        if isinstance(outcome, str):
+    for key, outcome in graph:
+        if outcome.__class__ is str:
             suffixes[key] = _ENDINGS[outcome]
-            return
+            continue
         merged: set = set()
         for events, child in outcome:
             label = _project(events, bounds) if events else ()
@@ -437,8 +450,6 @@ def explore(program: lang.Program, init_public: semantics.Store,
             else:
                 merged.update(suffixes[child])
         suffixes[key] = frozenset(merged)
-
-    found = search(program, store, bounds, costs, frozenset(), merge)
     runs = suffixes[found.root]
     return ExploreResult(
         observations=frozenset((Observation(events), end == _DONE)
@@ -590,7 +601,7 @@ def duration_stats(program: lang.Program, loc_from: lang.LocationId,
     watch = frozenset((loc_from, loc_to))
 
     def measure(store: semantics.Store) -> tuple[list, bool]:
-        found, reached = kept_search(program, store, bounds, costs, watch)
+        found, reached, _ = kept_search(program, store, bounds, costs, watch)
         endings = {state[3] for state, ends in reached if ends}
         return ([(snaps.get(loc_from, ()), snaps.get(loc_to, ()))
                  for snaps in map(found.arrivals, endings)], found.complete)

@@ -21,8 +21,9 @@ the exit labels, the domains and a closure for every expression
 only its head and the store, so the table also keeps, per cost model, the
 move :func:`move` found for each (head, store), which every search, the
 isolated walk and :func:`step` read.  Beside the moves it keeps, per cost
-model, what ``explorer`` found of its watched searches and isolated walks,
-so each is run once per program, and the discharge results of
+model, what ``explorer`` found of its searches (each with its state
+graph) and isolated walks, so each is run once per program, and the
+discharge results of
 ``proofs``, so a triple is discharged once per program.
 """
 
@@ -122,9 +123,9 @@ class ControlTable:
     """Statement rows by ``id`` (``nodes``), each thread's first residue
     (``starts``), labels, exit label last (``labels``), each variable's
     declared values (``domains``), and under each cost model the moves
-    found so far (:meth:`moves`), the searches and walks run so far
-    (:meth:`searches`, :meth:`walks`) and the discharge results kept so far
-    (:meth:`proofs`)."""
+    found so far (:meth:`moves`), every search and walk run so far
+    (:meth:`searches`, :meth:`walks`; a search with its graph, which every
+    scan reads) and the discharge results kept so far (:meth:`proofs`)."""
 
     def __init__(self, program: lang.Program):
         self._kept: dict[tuple, tuple[dict, dict, dict, dict]] = {}
@@ -209,8 +210,10 @@ class ControlTable:
         return entry
 
     def searches(self, costs: CostModel) -> dict[tuple, tuple]:
-        """``explorer.kept_search``'s entries under ``costs``, keyed by
-        what each search reads."""
+        """``explorer.kept_search``'s entries under ``costs``, one per
+        search, keyed by what the search reads: each holds the search's
+        ``explorer.Search`` record, its reached states and its graph, which
+        ``explorer.explore`` merges observations over."""
         return self._under(costs)[1]
 
     def walks(self, costs: CostModel) -> dict[tuple, tuple]:

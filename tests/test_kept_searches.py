@@ -1,21 +1,26 @@
 """The searches and walks a program keeps against fresh ones.
 
-``explorer.kept_search`` runs each watched search once per program, cost
-model, start store, bounds and watch set, and ``isolated_durations`` each
-lone walk once per thread, start store and ``max_configs``; both are kept
-on the program's control table.  The oracle here asks ``duration_stats``,
-``isolated_durations`` and ``states_at_location`` about every pair of
-locations of one program, under interleaved bounds and cost models, and
-compares each answer, stats and completeness included, with the same call
-on a freshly parsed program.  The other tests hold that a timed and a
-blind measure share one search, that what raised raises again and keeps
-nothing, and that what a program kept goes with it.
+``explorer.kept_search`` runs each search once per program, cost model,
+start store, bounds, watch set and clock-in-key, and ``isolated_durations``
+each lone walk once per thread, start store and ``max_configs``; both are
+kept on the program's control table.  One oracle here asks
+``duration_stats``, ``isolated_durations`` and ``states_at_location``
+about every pair of locations of one program, under interleaved bounds and
+cost models; another asks ``explore`` and ``knowledge_partition`` under an
+interleaved cycle of attacker views, bounds, cost models, secret domains
+and public starts.  Each compares every answer, stats and completeness
+included, with the same call on a freshly parsed program, and a repeated
+scan must search and step nothing.  The other tests hold which calls share
+one search, that what raised raises again and keeps nothing, and that what
+a program kept goes with it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import itertools
+import sys
 import weakref
 from pathlib import Path
 
@@ -91,13 +96,15 @@ def portable(program: lang.Program, answer):
     if not (isinstance(answer, tuple) and isinstance(answer[0], explorer.Search)):
         return answer
     labels = {id(s): s.label for t in program.threads for s in lang.iter_statements(t.body)}
-    found, reached = answer
+    found, reached, graph = answer
 
     def state(heads, *rest):
         return (tuple(labels.get(h) for h in heads), *rest)
 
+    # The graph's merge is compared through ``explore`` below; its size
+    # here tells a kept entry of another search apart.
     return (lang.replace(found, root=state(*found.root)),
-            tuple((state(*key), ends) for key, ends in reached))
+            tuple((state(*key), ends) for key, ends in reached), len(graph))
 
 
 def assert_kept_match_fresh(source: str, every_bounds: tuple = BOUNDS) -> None:
@@ -131,6 +138,164 @@ def test_generated_kept_matches_fresh(source: str):
     assert_kept_match_fresh(source, GENERATED_BOUNDS)
 
 
+@contextlib.contextmanager
+def counting():
+    """Count the ``explorer.search`` calls and the ``semantics.move``
+    misses made within, as ``[searches, moves]``."""
+    made = [0, 0]
+    search, move = explorer.search, semantics.move
+
+    def searching(*args):
+        made[0] += 1
+        return search(*args)
+
+    def moving(*args):
+        made[1] += 1
+        return move(*args)
+
+    explorer.search, semantics.move = searching, moving
+    try:
+        yield made
+    finally:
+        explorer.search, semantics.move = search, move
+
+
+def scan_settings(program: lang.Program, long: int, short: int) -> list[tuple]:
+    """A cycle of ``(bounds, costs, secret domain, public start)``: blind
+    then timed and timed then blind under one cost model, blind with
+    thread ids, a step bound of ``short`` that cuts runs, a cap of 4
+    states, each cost model of ``cost_models``, the domain without its
+    first valuation and a public start off the declared one."""
+    models = cost_models(program)
+    domain = explorer.secret_domain_of(program)
+    restricted = domain[1:] or domain
+    public = {}
+    for d in program.declarations:
+        others = [v for v in d.domain if v != d.init]
+        if not d.secret and others:
+            public = {d.name: others[-1]}
+            break
+    timed = explorer.ExploreBounds(max_steps=long)
+    blind = explorer.ExploreBounds(max_steps=long, timing_blind=True)
+    return [
+        (blind, models[0], domain, {}),
+        (timed, models[0], domain, {}),
+        (lang.replace(blind, observe_thread_ids=True), models[0], domain, {}),
+        (explorer.ExploreBounds(max_steps=short), models[0], domain, {}),
+        (explorer.ExploreBounds(max_steps=long, max_configs=4), models[1], domain, {}),
+        (timed, models[1], domain, {}),
+        (blind, models[1], domain, {}),
+        (blind, models[2], restricted, {}),
+        (timed, models[2], domain, public),
+        (lang.replace(timed, observe_thread_ids=True), models[0], restricted, public),
+    ]
+
+
+def scan_answer(fn):
+    """Every field a scan reports, or the error it raised."""
+    try:
+        got = fn()
+    except LeakLabError as e:
+        return "raised", type(e), str(e)
+    if isinstance(got, explorer.KnowledgeReport):
+        return "ok", got.knowledge, got.leaky, got.verdict, got.complete, got.stats
+    return ("ok", got.observations, got.prefixes, got.truncated, got.deadlocked,
+            got.complete, got.stats)
+
+
+def assert_scans_match_fresh(source: str, long: int = 200, short: int = 6) -> None:
+    """``knowledge_partition`` and ``explore`` through the cycle of
+    :func:`scan_settings` on one program equal the same calls on a fresh
+    one; asked again in reverse order, each call that returned searches
+    and steps nothing and answers alike."""
+    shared = lang.parse_program(source)
+    asked = []
+    for j, (bounds, costs, domain, public) in enumerate(scan_settings(shared, long, short)):
+        valuation = dict(domain[j % len(domain)]) if domain else {}
+        asked += [
+            (f"knowledge_partition {j}", lambda p, b=bounds, c=costs, d=domain, i=public:
+                explorer.knowledge_partition(p, i, d, b, c)),
+            (f"explore {j}", lambda p, b=bounds, c=costs, v=valuation, i=public:
+                explorer.explore(p, i, v, b, c))]
+    want = {}
+    for name, ask in asked:
+        fresh = lang.parse_program(source)
+        want[name] = scan_answer(lambda: ask(fresh))
+        assert scan_answer(lambda: ask(shared)) == want[name], name
+    for name, ask in reversed(asked):
+        with counting() as made:
+            got = scan_answer(lambda: ask(shared))
+        assert got == want[name], name
+        if got[0] == "ok":
+            assert made == [0, 0], name
+
+
+@pytest.mark.parametrize("path", sorted(PROGRAMS.rglob("*.cwl")), ids=lambda p: p.name)
+def test_corpus_scans_kept_match_fresh(path: Path):
+    assert_scans_match_fresh(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2, 3) for k in (0, 1)])
+def test_family_scans_kept_match_fresh(n: int, k: int):
+    assert_scans_match_fresh(family_member(n, k))
+
+
+@settings(deadline=None, max_examples=30)
+@given(small_programs())
+def test_generated_scans_kept_match_fresh(source: str):
+    assert_scans_match_fresh(source, 9, 4)
+
+
+def test_truncated_scans_kept_match_fresh():
+    # Cut at 3 steps only when h = 1, so the prefix rule decides the verdict.
+    assert_scans_match_fresh(
+        "var h : int[0..1] label high = secret;\n"
+        "thread A { if h then { skip; skip; } else { skip; }; print('x'); }", short=3)
+
+
+def test_a_timed_scan_and_a_state_query_share_one_search():
+    """Under the default bounds a timed ``explore`` and the states of a
+    leakiness check whose assertion names no snapshot read one search,
+    whichever runs first, and answer as on a fresh program."""
+    source = (PROGRAMS / "semaphore_pair.cwl").read_text(encoding="utf-8")
+    bounds, h0 = explorer.ExploreBounds(), (("h", 0),)
+    postulate = assertions.parse_assertion("h = 0")
+
+    def ask(program: lang.Program) -> dict:
+        end = program.labels_of_thread(1)[-1]
+        return {"explore": lambda: scan_answer(
+                    lambda: explorer.explore(program, {}, dict(h0), bounds)),
+                "states": lambda: assertions.is_leaky_assertion(
+                    postulate, end, program, (h0,), bounds)}
+
+    want = {name: fn() for name, fn in ask(lang.parse_program(source)).items()}
+    for order in (("explore", "states"), ("states", "explore")):
+        program = lang.parse_program(source)
+        calls, made = ask(program), []
+        for name in order:
+            with counting() as work:
+                assert calls[name]() == want[name], name
+            made.append(work[0])
+        assert made == [1, 0], order
+        assert len(semantics.control_table(program).searches(semantics.CostModel())) == 1
+
+
+def test_plain_and_thread_id_blind_scans_share_one_entry():
+    source = (PROGRAMS / "semaphore_pair.cwl").read_text(encoding="utf-8")
+    program = lang.parse_program(source)
+    blind = explorer.ExploreBounds(timing_blind=True)
+    named = lang.replace(blind, observe_thread_ids=True)
+    with counting() as first:
+        plain = explorer.knowledge_partition(program, {}, None, blind)
+    with counting() as second:
+        got = scan_answer(lambda: explorer.knowledge_partition(program, {}, None, named))
+    assert first[0] == 2 and second == [0, 0]  # one search per class: h = 0 and h = 1
+    assert len(semantics.control_table(program).searches(semantics.CostModel())) == 2
+    fresh = lang.parse_program(source)
+    assert got == scan_answer(lambda: explorer.knowledge_partition(fresh, {}, None, named))
+    assert set(plain.knowledge).isdisjoint(got[1])  # the letters name their threads
+
+
 def count_searches(monkeypatch, measure) -> tuple:
     started = []
     search = explorer.search
@@ -153,15 +318,17 @@ def test_timed_and_blind_duration_stats_share_one_search(monkeypatch):
     kept = semantics.control_table(program).searches(costs)
     assert len(kept) == 2
     # What a caller gets back cannot be changed in place.
-    for found, reached in kept.values():
+    for found, reached, graph in kept.values():
         assert isinstance(found.cells, tuple) and isinstance(reached, tuple)
+        assert isinstance(graph, tuple)
+        assert all(isinstance(outcome, (str, tuple)) for _, outcome in graph)
 
 
 @pytest.mark.parametrize("source,error,kept", [
     # x leaves its domain when h = 1; the searches and the walk of h = 0
-    # are kept.
+    # are kept, the scan's among them.
     ("var h : int[0..1] label high = secret;\nvar x : int[0..1] label low = 0;\n"
-     "thread A { print('a'); x = h + 1; print('b'); }", DomainError, 3),
+     "thread A { print('a'); x = h + 1; print('b'); }", DomainError, 4),
     # The region body never ends, whatever h is.
     ("var h : int[0..1] label high = secret;\nvar x : int[0..1] label low = 0;\n"
      "thread A { print('a'); await true then { while true do { skip; }; }; print('b'); }",
@@ -175,7 +342,9 @@ def test_what_raised_raises_again_and_keeps_nothing(source: str, error: type, ke
             lambda: explorer.duration_stats(program, start, end, None, bounds),
             lambda: explorer.isolated_durations(program, start, end, None, bounds),
             lambda: assertions.states_at_location(program, end, frozenset({start}),
-                                                  explorer.secret_domain_of(program), bounds)):
+                                                  explorer.secret_domain_of(program), bounds),
+            lambda: explorer.explore(program, {}, {"h": 1}, bounds),
+            lambda: explorer.knowledge_partition(program, {}, None, bounds)):
         raised = []
         for _ in range(2):
             with pytest.raises(error) as caught:
@@ -194,9 +363,16 @@ def test_what_a_program_kept_goes_with_it():
     start, end = program.labels_of_thread(1)[0], program.labels_of_thread(1)[-1]
     for measure in (explorer.duration_stats, explorer.isolated_durations):
         measure(program, start, end, None, BOUNDS[0])
+    explorer.knowledge_partition(program, {}, None, BOUNDS[1])
     table = semantics.control_table(program)
-    found, _ = next(iter(table.searches(semantics.CostModel()).values()))
+    kept = table.searches(semantics.CostModel())
+    assert len(kept) == 4  # two watched searches and two scans, one per class
+    found = next(iter(kept.values()))[0]
+    graphs = [graph for _, _, graph in kept.values()]
     refs = [weakref.ref(program), weakref.ref(table), weakref.ref(found)]
-    del program, table, found
+    del program, table, kept, found
     gc.collect()
     assert [ref() for ref in refs] == [None, None, None]
+    # A tuple takes no weak reference: each graph is held by this list and
+    # by the call's argument alone.
+    assert [sys.getrefcount(graph) for graph in graphs] == [3] * 4

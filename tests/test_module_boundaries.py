@@ -11,8 +11,10 @@ private name.
 ``semantics`` is also the one interpreter of steps: no other module calls
 ``semantics.step`` or builds a ``semantics.Configuration``, in any of the
 forms the scan of imports above binds.  And ``explorer`` alone starts a
-search: another module that needs one asks ``explorer.kept_search``, which
-runs each watched search once per program.
+search, from one function: another module that needs one asks
+``explorer.kept_search``, and so does every function of ``explorer``
+itself, ``explore`` included, so each search runs once per program and is
+kept.  The scan names the function that holds each call of ``search``.
 """
 
 from __future__ import annotations
@@ -152,3 +154,39 @@ def test_the_search_scan_sees_each_form_of_call():
               "    E.kept_search(program, store, bounds, costs, frozenset()), E.search\n")
     assert interpreter_calls(source, "assertions", SEARCH) == ["explorer.search"] * 2
     assert interpreter_calls(source, "explorer", SEARCH) == []
+
+
+def search_holders(source: str) -> list[str]:
+    """The name of the innermost function that holds each call of
+    ``search`` in ``source``, the text of ``explorer``, or ``<module>``."""
+    holders = []
+
+    def scan(node: ast.AST, holder: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                scan(child, getattr(child, "name", "<lambda>"))
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "search"):
+                holders.append(holder)
+            scan(child, holder)
+
+    scan(ast.parse(source), "<module>")
+    return holders
+
+
+def test_inside_explorer_only_kept_search_calls_search():
+    source = (PACKAGE / "explorer.py").read_text(encoding="utf-8")
+    assert search_holders(source) == ["kept_search"]
+
+
+def test_the_holder_scan_names_each_holder():
+    source = ("def search(program): pass\n"
+              "search(None)\n"
+              "def kept_search(program):\n"
+              "    def collect(key): search(key)\n"
+              "    return search(program), search\n"
+              "def explore(program):\n"
+              "    return [search(p) for p in program], (lambda: search(program))()\n")
+    assert search_holders(source) == [
+        "<module>", "collect", "kept_search", "explore", "<lambda>"]
