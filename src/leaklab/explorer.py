@@ -12,13 +12,15 @@ question asked of the schedules.  It expands each distinct state once and
 reads its steps from the program's moves (``semantics.move``), kept per
 (head statement, store).  Only :func:`kept_search` calls it: it runs each
 search once per program, cost model, start store, step bound, state cap,
-watch set and clock-in-key, keeps the search's record, reached states and
-graph on the program's control table, and answers every later call from
-them.  :func:`explore` watches nothing and merges observation suffixes
-backwards over the kept graph, so a repeated scan searches no more.  The
-other questions read a watched search, one that keeps the clock and the
-arrivals at some locations: :func:`duration_stats` pairs the arrivals at
-two watched locations where runs end, and
+watch set and clock-in-key, keeps the search's record and graph on the
+program's control table (a :class:`KeptSearch`, whose reached states are
+derived from the graph once, for the first reader of states), and answers
+every later call from them.  :func:`explore` watches nothing and merges
+observation suffixes backwards over the kept graph, so a repeated scan
+searches no more.  The other questions read a watched search, one that
+keeps the clock and the arrivals at some locations:
+:func:`duration_stats` pairs the arrivals at two watched locations where
+runs end, and
 ``assertions.states_at_location`` reads the states at one location, so a
 leakiness check of a synthesized postulate reads the search that
 synthesis ran for its pair.  :func:`isolated_durations` keeps each
@@ -383,17 +385,44 @@ def search(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
                   sum(len(used) for _, used in rows.values()), capped)
 
 
+class KeptSearch:
+    """One search as its program keeps it (:func:`kept_search`).
+
+    ``found`` is the :class:`Search`, and ``graph`` each ``(key, outcome)``
+    that the search visited, in the order it visited them, so each key
+    after its successors and the root last.  An outcome is how a run ends
+    at the key, or else the tuple of its ``(events, child)`` edges, as
+    :func:`search` hands them over but with each child given by its place
+    in ``graph``: the graph holds each key once, and a reader indexes a
+    list rather than hashing keys.
+    """
+
+    __slots__ = ("found", "graph", "_reached")
+
+    def __init__(self, found: Search, graph: tuple) -> None:
+        self.found, self.graph, self._reached = found, graph, None
+
+    @property
+    def reached(self) -> tuple:
+        """In the order they were first visited, the distinct ``(heads,
+        store, clock, arrivals)`` of the keys (their step counts dropped),
+        each with whether a run ends there; derived from the graph on
+        first use and kept, so only the readers of states pay for them."""
+        if self._reached is None:
+            reached: dict[tuple, bool] = {}
+            for key, outcome in self.graph:
+                state = (key[0], key[1], key[2], key[4])
+                reached[state] = reached.get(state, False) or isinstance(outcome, str)
+            self._reached = tuple(reached.items())
+        return self._reached
+
+
 def kept_search(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
-                costs: semantics.CostModel, watch: frozenset) -> tuple[Search, tuple, tuple]:
+                costs: semantics.CostModel, watch: frozenset) -> KeptSearch:
     """:func:`search` from ``store``, watching ``watch``, run on the first
     call and kept in the program's ``searches(costs)`` for every later one.
 
-    Returns the :class:`Search`; in the order they were first visited, the
-    distinct ``(heads, store, clock, arrivals)`` of its keys (their step
-    counts dropped), each with whether a run ends there; and the search's
-    graph, each ``(key, outcome)`` it visited, in the order it visited
-    them, each key after its successors, with its edges as a tuple.  The
-    entry is keyed by what the search reads: the start store,
+    The entry is keyed by what the search reads: the start store,
     ``max_steps``, ``max_configs``, ``watch`` and whether its keys hold the
     clock, so a timed and a timing-blind search with a watch set share one,
     and so do a timed :func:`explore` and a search that watches nothing
@@ -405,17 +434,17 @@ def kept_search(program: lang.Program, store: semantics.Store, bounds: ExploreBo
              holds_clock)
     kept = semantics.control_table(program).searches(costs)
     if entry not in kept:
-        reached: dict[tuple, bool] = {}
         graph: list = []
+        place: dict[tuple, int] = {}
 
         def collect(key: tuple, outcome) -> None:
-            state = (key[0], key[1], key[2], key[4])
-            ends = isinstance(outcome, str)
-            reached[state] = reached.get(state, False) or ends
-            graph.append((key, outcome if ends else tuple(outcome)))
+            place[key] = len(graph)
+            if outcome.__class__ is not str:
+                outcome = tuple([(events, place[child]) for events, child in outcome])
+            graph.append((key, outcome))
 
         found = search(program, store, bounds, costs, watch, collect)
-        kept[entry] = (found, tuple(reached.items()), tuple(graph))
+        kept[entry] = KeptSearch(found, tuple(graph))
     return kept[entry]
 
 
@@ -436,11 +465,12 @@ def explore(program: lang.Program, init_public: semantics.Store,
     successors, so a suffix shared by many schedules is derived once.
     """
     store = _start_store(program, init_public, secret_val)
-    found, _, graph = kept_search(program, store, bounds, costs, frozenset())
-    suffixes: dict[tuple, frozenset] = {}
-    for key, outcome in graph:
+    kept = kept_search(program, store, bounds, costs, frozenset())
+    found = kept.found
+    suffixes: list[frozenset] = []  # by place in the graph
+    for _, outcome in kept.graph:
         if outcome.__class__ is str:
-            suffixes[key] = _ENDINGS[outcome]
+            suffixes.append(_ENDINGS[outcome])
             continue
         merged: set = set()
         for events, child in outcome:
@@ -449,8 +479,8 @@ def explore(program: lang.Program, init_public: semantics.Store,
                 merged.update((label + suffix, end) for suffix, end in suffixes[child])
             else:
                 merged.update(suffixes[child])
-        suffixes[key] = frozenset(merged)
-    runs = suffixes[found.root]
+        suffixes.append(frozenset(merged))
+    runs = suffixes[-1]  # the root's
     return ExploreResult(
         observations=frozenset((Observation(events), end == _DONE)
                                for events, end in runs),
@@ -601,10 +631,10 @@ def duration_stats(program: lang.Program, loc_from: lang.LocationId,
     watch = frozenset((loc_from, loc_to))
 
     def measure(store: semantics.Store) -> tuple[list, bool]:
-        found, reached, _ = kept_search(program, store, bounds, costs, watch)
-        endings = {state[3] for state, ends in reached if ends}
+        kept = kept_search(program, store, bounds, costs, watch)
+        endings = {state[3] for state, ends in kept.reached if ends}
         return ([(snaps.get(loc_from, ()), snaps.get(loc_to, ()))
-                 for snaps in map(found.arrivals, endings)], found.complete)
+                 for snaps in map(kept.found.arrivals, endings)], kept.found.complete)
 
     return _durations(program, loc_from, loc_to, secret_domain, measure)
 

@@ -209,11 +209,12 @@ class ControlTable:
         self.moves(costs).setdefault(store, {})[head] = entry
         return entry
 
-    def searches(self, costs: CostModel) -> dict[tuple, tuple]:
+    def searches(self, costs: CostModel) -> dict[tuple, object]:
         """``explorer.kept_search``'s entries under ``costs``, one per
         search, keyed by what the search reads: each holds the search's
-        ``explorer.Search`` record, its reached states and its graph, which
-        ``explorer.explore`` merges observations over."""
+        record and its graph, which ``explorer.explore`` merges
+        observations over, and the reached states derived from the graph
+        for the first reader of states (``explorer.KeptSearch``)."""
         return self._under(costs)[1]
 
     def walks(self, costs: CostModel) -> dict[tuple, tuple]:

@@ -93,10 +93,10 @@ def queries(program: lang.Program, every_bounds: tuple) -> list:
 def portable(program: lang.Program, answer):
     """A :func:`explorer.kept_search` answer with each head statement id
     replaced by the statement's label, which a fresh parse shares."""
-    if not (isinstance(answer, tuple) and isinstance(answer[0], explorer.Search)):
+    if not isinstance(answer, explorer.KeptSearch):
         return answer
     labels = {id(s): s.label for t in program.threads for s in lang.iter_statements(t.body)}
-    found, reached, graph = answer
+    found, reached, graph = answer.found, answer.reached, answer.graph
 
     def state(heads, *rest):
         return (tuple(labels.get(h) for h in heads), *rest)
@@ -318,10 +318,10 @@ def test_timed_and_blind_duration_stats_share_one_search(monkeypatch):
     kept = semantics.control_table(program).searches(costs)
     assert len(kept) == 2
     # What a caller gets back cannot be changed in place.
-    for found, reached, graph in kept.values():
-        assert isinstance(found.cells, tuple) and isinstance(reached, tuple)
-        assert isinstance(graph, tuple)
-        assert all(isinstance(outcome, (str, tuple)) for _, outcome in graph)
+    for entry in kept.values():
+        assert isinstance(entry.found.cells, tuple) and isinstance(entry.reached, tuple)
+        assert isinstance(entry.graph, tuple)
+        assert entry.reached is entry.reached  # derived once and kept
 
 
 @pytest.mark.parametrize("source,error,kept", [
@@ -367,8 +367,8 @@ def test_what_a_program_kept_goes_with_it():
     table = semantics.control_table(program)
     kept = table.searches(semantics.CostModel())
     assert len(kept) == 4  # two watched searches and two scans, one per class
-    found = next(iter(kept.values()))[0]
-    graphs = [graph for _, _, graph in kept.values()]
+    found = next(iter(kept.values())).found
+    graphs = [entry.graph for entry in kept.values()]
     refs = [weakref.ref(program), weakref.ref(table), weakref.ref(found)]
     del program, table, kept, found
     gc.collect()
