@@ -23,8 +23,8 @@ move :func:`move` found for each (head, store), which every search, the
 isolated walk and :func:`step` read.  Beside the moves it keeps, per cost
 model, what ``explorer`` found of its searches (each with its state
 graph) and isolated walks, so each is run once per program, and the
-discharge results of
-``proofs``, so a triple is discharged once per program.
+discharge results of ``proofs``, so a triple is discharged once per
+program.
 """
 
 from __future__ import annotations

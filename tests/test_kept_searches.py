@@ -373,6 +373,6 @@ def test_what_a_program_kept_goes_with_it():
     del program, table, kept, found
     gc.collect()
     assert [ref() for ref in refs] == [None, None, None]
-    # A tuple takes no weak reference: each graph is held by this list and
-    # by the call's argument alone.
+    # A tuple takes no weak reference: each graph is held by this list, the
+    # loop's name and the call's argument alone.
     assert [sys.getrefcount(graph) for graph in graphs] == [3] * 4
