@@ -12,15 +12,14 @@ question asked of the schedules.  It expands each distinct state once and
 reads its steps from the program's moves (``semantics.move``), kept per
 (head statement, store).  Only :func:`kept_search` calls it: it runs each
 search once per program, cost model, start store, step bound, state cap,
-watch set and clock-in-key, keeps the search's record and graph on the
-program's control table (a :class:`KeptSearch`, whose reached states are
-derived from the graph once, for the first reader of states), and answers
-every later call from them.  :func:`explore` watches nothing and merges
-observation suffixes backwards over the kept graph, so a repeated scan
-searches no more.  The other questions read a watched search, one that
-keeps the clock and the arrivals at some locations:
-:func:`duration_stats` pairs the arrivals at two watched locations where
-runs end, and
+watch set and clock-in-key, keeps what it found on the program's control
+table (a :class:`KeptSearch`), and answers every later call from it.  A
+search that watches nothing keeps its graph, over which :func:`explore`
+merges observation suffixes backwards, so a repeated scan searches no
+more.  The other questions read a watched search, one that keeps the
+clock and the arrivals at some locations, and that keeps the states it
+reached: :func:`duration_stats` pairs the arrivals at two watched
+locations where runs end, and
 ``assertions.states_at_location`` reads the states at one location, so a
 leakiness check of a synthesized postulate reads the search that
 synthesis ran for its pair.  :func:`isolated_durations` keeps each
@@ -137,13 +136,13 @@ def secret_domain_of(program: lang.Program) -> tuple[SecretValuation, ...]:
     )
 
 
-def _project(trace: tuple[semantics.Event, ...],
-             bounds: ExploreBounds) -> tuple[tuple[str, Optional[int]], ...]:
-    """The attacker's view of some printed events."""
-    return tuple(
-        (f"{ev.thread}:{ev.payload}" if bounds.observe_thread_ids else ev.payload,
-         None if bounds.timing_blind else ev.timestamp)
-        for ev in trace)
+def _project(label: tuple, bounds: ExploreBounds) -> tuple[tuple[str, Optional[int]], ...]:
+    """The attacker's view of some printed events, given flat as
+    ``(thread, payload, timestamp, ...)``."""
+    return tuple([
+        (f"{label[i]}:{label[i + 1]}" if bounds.observe_thread_ids else label[i + 1],
+         None if bounds.timing_blind else label[i + 2])
+        for i in range(0, len(label), 3)])
 
 
 def _start_store(program: lang.Program, init_public: semantics.Store,
@@ -388,31 +387,38 @@ def search(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
 class KeptSearch:
     """One search as its program keeps it (:func:`kept_search`).
 
-    ``found`` is the :class:`Search`, and ``graph`` each ``(key, outcome)``
-    that the search visited, in the order it visited them, so each key
-    after its successors and the root last.  An outcome is how a run ends
-    at the key, or else the tuple of its ``(events, child)`` edges, as
-    :func:`search` hands them over but with each child given by its place
-    in ``graph``: the graph holds each key once, and a reader indexes a
-    list rather than hashing keys.
+    ``found`` is the :class:`Search`.  A search that watches nothing, the
+    one :func:`explore` merges over, also keeps its graph; a watched one
+    keeps none (``graph`` is None).  ``keys`` holds each key that the search
+    visited, in the order it visited them, so each key after its
+    successors and the root last, and ``graph`` at the same place how a run
+    ends at the key, or else its edges as one flat tuple ``(label, child,
+    label, child, ...)``: ``label`` the place in ``labels`` of what the step
+    printed and ``child`` the child's place in ``keys``.  Each label is
+    held once, as a flat ``(thread, payload, timestamp, ...)`` tuple.  The
+    graph holds ints and strings alone, which the cyclic collector stops
+    tracking, and a reader indexes tuples rather than hashing keys.
     """
 
-    __slots__ = ("found", "graph", "_reached")
+    __slots__ = ("found", "keys", "graph", "labels", "_reached")
 
-    def __init__(self, found: Search, graph: tuple) -> None:
-        self.found, self.graph, self._reached = found, graph, None
+    def __init__(self, found: Search, reached: Optional[tuple], keys: tuple = (),
+                 graph: Optional[tuple] = None, labels: tuple = ()) -> None:
+        self.found, self._reached = found, reached
+        self.keys, self.graph, self.labels = keys, graph, labels
 
     @property
     def reached(self) -> tuple:
         """In the order they were first visited, the distinct ``(heads,
         store, clock, arrivals)`` of the keys (their step counts dropped),
-        each with whether a run ends there; derived from the graph on
-        first use and kept, so only the readers of states pay for them."""
+        each with whether a run ends there.  A watched search collects
+        them as it runs; for one that watches nothing they are derived from
+        the graph on first use and kept, so a scan does not pay for them."""
         if self._reached is None:
             reached: dict[tuple, bool] = {}
-            for key, outcome in self.graph:
+            for key, outcome in zip(self.keys, self.graph):
                 state = (key[0], key[1], key[2], key[4])
-                reached[state] = reached.get(state, False) or isinstance(outcome, str)
+                reached[state] = reached.get(state, False) or outcome.__class__ is str
             self._reached = tuple(reached.items())
         return self._reached
 
@@ -426,25 +432,43 @@ def kept_search(program: lang.Program, store: semantics.Store, bounds: ExploreBo
     ``max_steps``, ``max_configs``, ``watch`` and whether its keys hold the
     clock, so a timed and a timing-blind search with a watch set share one,
     and so do a timed :func:`explore` and a search that watches nothing
-    for ``assertions.states_at_location``.  A search that raises keeps
-    nothing.
+    for ``assertions.states_at_location``.  A watched search keeps the
+    reached states it collects as it runs, and one that watches nothing
+    its graph (:class:`KeptSearch`).  A search that raises keeps nothing.
     """
     holds_clock = not (bounds.timing_blind and not watch)
     entry = (tuple(sorted(store.items())), bounds.max_steps, bounds.max_configs, watch,
              holds_clock)
     kept = semantics.control_table(program).searches(costs)
-    if entry not in kept:
-        graph: list = []
-        place: dict[tuple, int] = {}
+    if entry in kept:
+        return kept[entry]
+    reached: dict[tuple, bool] = {}
+    keys: list = []
+    graph: list = []
+    place: dict[tuple, int] = {}
+    labels: dict[tuple, int] = {(): 0}
 
-        def collect(key: tuple, outcome) -> None:
-            place[key] = len(graph)
-            if outcome.__class__ is not str:
-                outcome = tuple([(events, place[child]) for events, child in outcome])
-            graph.append((key, outcome))
+    def collect(key: tuple, outcome) -> None:
+        state = (key[0], key[1], key[2], key[4])
+        reached[state] = reached.get(state, False) or outcome.__class__ is str
 
-        found = search(program, store, bounds, costs, watch, collect)
-        kept[entry] = KeptSearch(found, tuple(graph))
+    def add(key: tuple, outcome) -> None:
+        place[key] = len(keys)
+        keys.append(key)
+        if outcome.__class__ is not str:
+            edges = []
+            for events, child in outcome:
+                edges.append(labels.setdefault(events, len(labels)) if events else 0)
+                edges.append(place[child])
+            outcome = tuple(edges)
+        graph.append(outcome)
+
+    found = search(program, store, bounds, costs, watch, collect if watch else add)
+    # An event is a tuple subclass, which the collector tracks for good.
+    kept[entry] = (KeptSearch(found, tuple(reached.items())) if watch else
+                   KeptSearch(found, None, tuple(keys), tuple(graph),
+                              tuple([tuple([x for event in events for x in event])
+                                     for events in labels])))
     return kept[entry]
 
 
@@ -459,28 +483,32 @@ def explore(program: lang.Program, init_public: semantics.Store,
     It reads the graph of the :func:`kept_search` that watches nothing, so
     a repeated call on one program searches no more, and the attacker's
     view (``timing_blind`` beyond the clock in the key, and
-    ``observe_thread_ids``) is applied here alone.  Every key maps to its
-    set of ``(suffix events, ending)`` pairs, merged backwards along the
-    edges in the order the search visited the keys, each after its
-    successors, so a suffix shared by many schedules is derived once.
+    ``observe_thread_ids``) is applied here alone, once per label.  Every
+    key maps to its set of ``(suffix events, ending)`` pairs, merged
+    backwards along the edges in the order the search visited the keys,
+    each after its successors, so a suffix shared by many schedules is
+    derived once; a key with one silent edge shares its child's set.
     """
     store = _start_store(program, init_public, secret_val)
     kept = kept_search(program, store, bounds, costs, frozenset())
     found = kept.found
-    suffixes: list[frozenset] = []  # by place in the graph
-    for _, outcome in kept.graph:
+    views = [_project(label, bounds) for label in kept.labels]
+    suffixes: list = []  # by place in the graph; no set changes once listed
+    for outcome in kept.graph:
         if outcome.__class__ is str:
             suffixes.append(_ENDINGS[outcome])
             continue
-        merged: set = set()
-        for events, child in outcome:
-            label = _project(events, bounds) if events else ()
-            if label:
-                merged.update((label + suffix, end) for suffix, end in suffixes[child])
-            else:
-                merged.update(suffixes[child])
-        suffixes.append(frozenset(merged))
+        label, runs = views[outcome[0]], suffixes[outcome[1]]
+        merged = {(label + suffix, end) for suffix, end in runs} if label else runs
+        if len(outcome) > 2:
+            if merged is runs:
+                merged = set(runs)
+            for i in range(2, len(outcome), 2):
+                label, runs = views[outcome[i]], suffixes[outcome[i + 1]]
+                merged.update([(label + suffix, end) for suffix, end in runs] if label else runs)
+        suffixes.append(merged)
     runs = suffixes[-1]  # the root's
+    suffixes.clear()  # the others' sets go before the result is built
     return ExploreResult(
         observations=frozenset((Observation(events), end == _DONE)
                                for events, end in runs),

@@ -21,7 +21,7 @@ the exit labels, the domains and a closure for every expression
 only its head and the store, so the table also keeps, per cost model, the
 move :func:`move` found for each (head, store), which every search, the
 isolated walk and :func:`step` read.  Beside the moves it keeps, per cost
-model, what ``explorer`` found of its searches (each with its state
+model, what ``explorer`` found of its searches (a scan's with its state
 graph) and isolated walks, so each is run once per program, and the
 discharge results of ``proofs``, so a triple is discharged once per
 program.
@@ -124,8 +124,8 @@ class ControlTable:
     (``starts``), labels, exit label last (``labels``), each variable's
     declared values (``domains``), and under each cost model the moves
     found so far (:meth:`moves`), every search and walk run so far
-    (:meth:`searches`, :meth:`walks`; a search with its graph, which every
-    scan reads) and the discharge results kept so far (:meth:`proofs`)."""
+    (:meth:`searches`, :meth:`walks`; a scan's search with its graph) and
+    the discharge results kept so far (:meth:`proofs`)."""
 
     def __init__(self, program: lang.Program):
         self._kept: dict[tuple, tuple[dict, dict, dict, dict]] = {}
@@ -212,9 +212,9 @@ class ControlTable:
     def searches(self, costs: CostModel) -> dict[tuple, object]:
         """``explorer.kept_search``'s entries under ``costs``, one per
         search, keyed by what the search reads: each holds the search's
-        record and its graph, which ``explorer.explore`` merges
-        observations over, and the reached states derived from the graph
-        for the first reader of states (``explorer.KeptSearch``)."""
+        record and, for a watched search, the states it reached, or for
+        one that watches nothing its graph, which ``explorer.explore``
+        merges observations over (``explorer.KeptSearch``)."""
         return self._under(costs)[1]
 
     def walks(self, costs: CostModel) -> dict[tuple, tuple]:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import contextlib
 import gc
 import itertools
-import sys
 import weakref
 from pathlib import Path
 
@@ -96,15 +95,15 @@ def portable(program: lang.Program, answer):
     if not isinstance(answer, explorer.KeptSearch):
         return answer
     labels = {id(s): s.label for t in program.threads for s in lang.iter_statements(t.body)}
-    found, reached, graph = answer.found, answer.reached, answer.graph
+    found, reached = answer.found, answer.reached
 
     def state(heads, *rest):
         return (tuple(labels.get(h) for h in heads), *rest)
 
-    # The graph's merge is compared through ``explore`` below; its size
-    # here tells a kept entry of another search apart.
+    # A watched search keeps no graph; a scan's graph is compared through
+    # ``explore`` below.
     return (lang.replace(found, root=state(*found.root)),
-            tuple((state(*key), ends) for key, ends in reached), len(graph))
+            tuple((state(*key), ends) for key, ends in reached), answer.graph is None)
 
 
 def assert_kept_match_fresh(source: str, every_bounds: tuple = BOUNDS) -> None:
@@ -277,7 +276,11 @@ def test_a_timed_scan_and_a_state_query_share_one_search():
                 assert calls[name]() == want[name], name
             made.append(work[0])
         assert made == [1, 0], order
-        assert len(semantics.control_table(program).searches(semantics.CostModel())) == 1
+        entry, = semantics.control_table(program).searches(semantics.CostModel()).values()
+        # The graph's edges are ints alone; the states are derived once.
+        assert all(outcome.__class__ is str or all(type(n) is int for n in outcome)
+                   for outcome in entry.graph)
+        assert entry.reached is entry.reached
 
 
 def test_plain_and_thread_id_blind_scans_share_one_entry():
@@ -320,8 +323,7 @@ def test_timed_and_blind_duration_stats_share_one_search(monkeypatch):
     # What a caller gets back cannot be changed in place.
     for entry in kept.values():
         assert isinstance(entry.found.cells, tuple) and isinstance(entry.reached, tuple)
-        assert isinstance(entry.graph, tuple)
-        assert entry.reached is entry.reached  # derived once and kept
+        assert entry.graph is None  # only a search that watches nothing keeps its graph
 
 
 @pytest.mark.parametrize("source,error,kept", [
@@ -368,11 +370,11 @@ def test_what_a_program_kept_goes_with_it():
     kept = table.searches(semantics.CostModel())
     assert len(kept) == 4  # two watched searches and two scans, one per class
     found = next(iter(kept.values())).found
-    graphs = [entry.graph for entry in kept.values()]
+    graphs = [entry.graph for entry in kept.values() if entry.graph is not None]
+    assert len(graphs) == 2  # the scans' alone
     refs = [weakref.ref(program), weakref.ref(table), weakref.ref(found)]
     del program, table, kept, found
     gc.collect()
     assert [ref() for ref in refs] == [None, None, None]
-    # A tuple takes no weak reference: each graph is held by this list, the
-    # loop's name and the call's argument alone.
-    assert [sys.getrefcount(graph) for graph in graphs] == [3] * 4
+    # A tuple takes no weak reference: nothing but this list holds a graph.
+    assert [gc.get_referrers(graph) for graph in graphs] == [[graphs]] * 2
