@@ -395,9 +395,9 @@ class KeptSearch:
     ends at the key, or else its edges as one flat tuple ``(label, child,
     label, child, ...)``: ``label`` the place in ``labels`` of what the step
     printed and ``child`` the child's place in ``keys``.  Each label is
-    held once, as a flat ``(thread, payload, timestamp, ...)`` tuple.  The
-    graph holds ints and strings alone, which the cyclic collector stops
-    tracking, and a reader indexes tuples rather than hashing keys.
+    held once, as a flat ``(thread, payload, timestamp, ...)`` tuple.  Edges
+    and labels hold ints and strings alone, so the cyclic collector stops
+    tracking them, and a reader indexes tuples rather than hashing keys.
     """
 
     __slots__ = ("found", "keys", "graph", "labels", "_reached")
@@ -464,7 +464,8 @@ def kept_search(program: lang.Program, store: semantics.Store, bounds: ExploreBo
         graph.append(outcome)
 
     found = search(program, store, bounds, costs, watch, collect if watch else add)
-    # An event is a tuple subclass, which the collector tracks for good.
+    # Labels go flat into plain tuples: an event is a tuple subclass, which
+    # the collector never stops tracking.
     kept[entry] = (KeptSearch(found, tuple(reached.items())) if watch else
                    KeptSearch(found, None, tuple(keys), tuple(graph),
                               tuple([tuple([x for event in events for x in event])
