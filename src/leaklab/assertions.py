@@ -535,6 +535,12 @@ def valuations_assertion(valuations: list[explorer.SecretValuation]) -> Assertio
     return functools.reduce(functools.partial(lang.BinOp, "or"), map(conj, valuations))
 
 
+def duration_term(loc_from: lang.LocationId, loc_to: lang.LocationId) -> Assertion:
+    """``t@to - t@from``: the latest arrivals at two locations, resolved."""
+    return lang.BinOp("-", SnapshotTerm(None, loc_to.index, None, loc_to),
+                      SnapshotTerm(None, loc_from.index, None, loc_from))
+
+
 def decompose_rules(a: Assertion, secrets: frozenset[str]) -> Optional[list[Implies]]:
     """Split a rule-form assertion into its implication cases.
 

@@ -121,19 +121,29 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from . import semantics
+    from . import explorer
     from .config import load_config
+    from .errors import BudgetExceeded, DeadlockError
     program = _read_program(args.file)
     costs = load_config(args.config).cost_model(program)
-    store = dict(program.initial_store())
-    store.update(_parse_inits(program, args.init or []))
-    missing = [d.name for d in program.declarations if d.name not in store]
+    init = _parse_inits(program, args.init or [])
+    known = {**program.initial_store(), **init}
+    missing = [d.name for d in program.declarations if d.name not in known]
     if missing:
         raise LeakLabError(f"secret variable(s) {missing} need --init values")
-    final = semantics.run_deterministic(program, store, costs,
-                                        max_steps=args.bound_steps)
-    _write("".join(f"{program.threads[event.thread].name}\t{event.payload}\t{event.timestamp}\n"
-                   for event in final.trace))
+    steps = args.bound_steps
+    bounds = explorer.ExploreBounds(max_steps=steps, max_configs=steps + 1)
+    if len(program.threads) != 1:
+        raise LeakLabError("deterministic runner requires exactly one thread")
+    # One thread has one run: the search's one observation is its trace.
+    result = explorer.explore(program, init, {}, bounds, costs)
+    if result.deadlocked:
+        raise DeadlockError("single thread blocked on await")
+    if not result.complete:
+        raise BudgetExceeded(f"no termination within {steps} steps")
+    [(observation, _)] = result.observations
+    name = program.threads[0].name
+    _write("".join(f"{name}\t{payload}\t{at}\n" for payload, at in observation.events))
     return 0
 
 

@@ -231,10 +231,7 @@ def synthesize_leaky_assertions(program: lang.Program,
         composed = explorer.duration_stats(program, loc_from, loc_to,
                                            secret_domain, bounds, costs)
         theta, low_group, high_group = split
-        diff = lang.BinOp(
-            "-",
-            asrt.SnapshotTerm(None, loc_to.index, None, loc_to),
-            asrt.SnapshotTerm(None, loc_from.index, None, loc_from))
+        diff = asrt.duration_term(loc_from, loc_to)
         rule_low = asrt.Implies(lang.BinOp("<", diff, lang.IntLit(theta)),
                                 asrt.valuations_assertion(low_group))
         rule_high = asrt.Implies(lang.BinOp(">=", diff, lang.IntLit(theta)),

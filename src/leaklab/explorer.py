@@ -284,9 +284,10 @@ def search(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
     caller learns exactly what enumerating every schedule would tell it.
 
     Each distinct key is expanded once, and each step read from the
-    program's moves, ``semantics.move`` running those it lacks.  A move's
-    events and arrivals, timed from the step's start, are shifted by the
-    parent's clock in a child key, which keeps watched arrivals only.
+    program's moves, ``semantics.move`` running those it lacks, a thread
+    blocked at an await included.  A move's events and arrivals, timed
+    from the step's start, are shifted by the parent's clock in a child
+    key, which keeps watched arrivals only.
 
     ``visit(key, outcome)`` runs once per distinct key, after it has run
     for every successor of the key.  ``outcome`` is how a run ends at the
@@ -299,8 +300,7 @@ def search(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
     cut short, as a key at ``max_steps`` does; a key where no thread can
     move ends deadlocked.  ``truncated`` and ``deadlocked`` count keys.
     """
-    table = semantics.control_table(program)
-    moves = table.moves(costs)
+    moves = semantics.control_table(program).moves(costs)
     cells: list = [None]
     interned: dict[tuple, int] = {}
 
@@ -351,8 +351,7 @@ def search(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
                     h = heads[t]
                     move = row.get(h, _ABSENT) if h else None
                     if move is _ABSENT:
-                        move = (table.keep(costs, store, h, None) if table.blocked(h, store)
-                                else semantics.move(program, t, h, store, costs))
+                        move = semantics.move(program, t, h, store, costs)
                         if not row:  # the store's row was made with this move
                             row = moves[store]
                             rows[store] = row, used
@@ -692,8 +691,8 @@ def _isolated_walk(program: lang.Program, thread: int, store: semantics.Store,
             timeline += [(at - period[0][0] + clock, arrivals) for at, arrivals in period]
             break
         row = moves.get(store) or {}
-        move = (row[head] if head in row else None if not head or table.blocked(head, store)
-                else semantics.move(program, thread, head, store, costs))
+        move = (row[head] if head in row else
+                semantics.move(program, thread, head, store, costs) if head else None)
         if move is None:
             break  # done, or blocked on an await
         seen[head, store] = len(timeline)

@@ -321,10 +321,7 @@ def path_fact_assertion(program: lang.Program, loc_from: lang.LocationId,
                  if secret_domain else {})
     if durations is None:
         return None
-    diff = lang.BinOp(
-        "-",
-        asrt.SnapshotTerm(None, loc_to.index, None, loc_to),
-        asrt.SnapshotTerm(None, loc_from.index, None, loc_from))
+    diff = asrt.duration_term(loc_from, loc_to)
     parts: list[asrt.Assertion] = []
     for valuation in secret_domain:
         equations = [lang.BinOp("=", diff, lang.IntLit(d))

@@ -20,11 +20,17 @@ the exit labels, the domains and a closure for every expression
 (:func:`compile_expr`, the evaluator assertions share).  A step reads
 only its head and the store, so the table also keeps, per cost model, the
 move :func:`move` found for each (head, store), which every search, the
-isolated walk and :func:`step` read.  Beside the moves it keeps, per cost
-model, what ``explorer`` found of its searches (a scan's with its state
-graph) and isolated walks, so each is run once per program, and the
-discharge results of ``proofs``, so a triple is discharged once per
-program.
+isolated walk and :func:`step` read.  :func:`move` alone writes it, and a
+thread blocked at an await is one of its entries, kept as None.  Beside
+the moves it keeps, per cost model, what ``explorer`` found of its
+searches (a scan's with its state graph) and isolated walks, so each is
+run once per program, and the discharge results of ``proofs``, so a
+triple is discharged once per program.
+
+:func:`enabled` and :func:`step` step a :class:`Configuration` at a time,
+as the reference that tests compare the move table against: no analysis
+calls them, and a single-thread run is the one-thread case of
+``explorer.explore``.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Optional, Union
 
 from . import lang
-from .errors import BudgetExceeded, DeadlockError, DomainError, LeakLabError
+from .errors import BudgetExceeded, DomainError, LeakLabError
 from .lang import as_bool, field, record
 
 Value = Union[int, bool]
@@ -123,7 +129,8 @@ class ControlTable:
     """Statement rows by ``id`` (``nodes``), each thread's first residue
     (``starts``), labels, exit label last (``labels``), each variable's
     declared values (``domains``), and under each cost model the moves
-    found so far (:meth:`moves`), every search and walk run so far
+    :func:`move` found so far (:meth:`moves`), None where a thread is
+    blocked at an await, every search and walk run so far
     (:meth:`searches`, :meth:`walks`; a scan's search with its graph) and
     the discharge results kept so far (:meth:`proofs`)."""
 
@@ -185,12 +192,6 @@ class ControlTable:
             return delay
         raise TypeError(s)
 
-    def blocked(self, head: int, store: tuple) -> bool:
-        """Whether a thread at the statement with id ``head`` waits at an
-        await whose guard fails on ``store``, a configuration's."""
-        node = self.nodes[head]
-        return node.kind == _REGION and not node.run(dict(store))
-
     def _under(self, costs: CostModel) -> tuple[dict, dict, dict, dict]:
         key = (costs.unit, frozenset(costs.overrides.items()))
         kept = self._kept.get(key)
@@ -201,13 +202,6 @@ class ControlTable:
     def moves(self, costs: CostModel) -> dict[tuple, dict]:
         """Store -> head id -> :func:`move`'s entry, under ``costs``."""
         return self._under(costs)[0]
-
-    def keep(self, costs: CostModel, store: tuple, head: int,
-             entry: Optional[tuple]) -> Optional[tuple]:
-        """Keep and return ``entry`` as the move from ``head`` on ``store``
-        under ``costs``; a store's row is made with its first entry."""
-        self.moves(costs).setdefault(store, {})[head] = entry
-        return entry
 
     def searches(self, costs: CostModel) -> dict[tuple, object]:
         """``explorer.kept_search``'s entries under ``costs``, one per
@@ -266,10 +260,12 @@ def initial_configuration(program: lang.Program, store: Store) -> Configuration:
 
 
 def enabled(program: lang.Program, config: Configuration) -> frozenset[StepChoice]:
-    """Threads that may take a step: not done, and not blocked on an await."""
-    table = control_table(program)
-    return frozenset([StepChoice(t) for t, residue in enumerate(config.residues)
-                      if residue and not table.blocked(id(residue[0]), config.store)])
+    """Threads that may take a step: not done, and not at an await whose
+    guard fails."""
+    nodes, store = control_table(program).nodes, config.store_dict()
+    heads = [(t, nodes[id(residue[0])]) for t, residue in enumerate(config.residues) if residue]
+    return frozenset([StepChoice(t) for t, node in heads
+                      if node.kind != _REGION or node.run(store)])
 
 
 # How many statements one region body may run before it is taken not to
@@ -329,11 +325,13 @@ def move(program: lang.Program, thread: int, head: int, store: tuple,
          costs: CostModel) -> Optional[tuple]:
     """Step thread ``thread`` from the statement with id ``head`` on a
     configuration's ``store``; keep and return the entry in the table's
-    ``moves(costs)``: None if the thread is blocked at an await, else the move
-    ``(next head or 0 once done, store, clock advance, events, arrivals)``,
-    events and sorted ``(location, clocks)`` arrivals timed from the step's
-    start, and ``store`` itself if not written.  A step that raises keeps
-    nothing.  Callers read the table first, so each call is a miss."""
+    ``moves(costs)``: None if the thread is blocked at an await, its guard
+    failing in :func:`run_atomic`, else the move ``(next head or 0 once
+    done, store, clock advance, events, arrivals)``, events and sorted
+    ``(location, clocks)`` arrivals timed from the step's start, and
+    ``store`` itself if not written.  A step that raises keeps nothing.
+    This is the table's one writer, and callers read the table first, so
+    each call is a miss and makes one entry, a blocked one included."""
     table = control_table(program)
     node = table.nodes[head]
     stmt = node.continuation[0]
@@ -363,7 +361,8 @@ def move(program: lang.Program, thread: int, head: int, store: tuple,
         entry = (id(residue[0]) if residue else 0, store if after == store else after,
                  clock, tuple(events),
                  tuple(sorted([(loc, tuple(times)) for loc, times in snaps.items()])))
-    return table.keep(costs, store, head, entry)
+    table.moves(costs).setdefault(store, {})[head] = entry  # a row comes with its first entry
+    return entry
 
 
 def step(program: lang.Program, config: Configuration, choice: StepChoice,
@@ -392,21 +391,3 @@ def step(program: lang.Program, config: Configuration, choice: StepChoice,
     return Configuration(tuple(residues), store, clock + advance, config.trace + tuple(
         [Event(e.thread, e.payload, e.timestamp + clock) for e in events]),
         tuple(sorted(snaps.items())))
-
-
-def run_deterministic(program: lang.Program, init: Store,
-                      costs: CostModel = CostModel(),
-                      max_steps: int = 10_000) -> Configuration:
-    """Run a single-thread program to completion."""
-    if max_steps <= 0:
-        raise LeakLabError("exploration bounds must be positive")
-    if len(program.threads) != 1:
-        raise LeakLabError("deterministic runner requires exactly one thread")
-    config = initial_configuration(program, init)
-    for _ in range(max_steps):
-        if config.all_done():
-            return config
-        if not enabled(program, config):
-            raise DeadlockError("single thread blocked on await")
-        config = step(program, config, StepChoice(0), costs)
-    raise BudgetExceeded(f"no termination within {max_steps} steps")

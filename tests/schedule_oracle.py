@@ -12,7 +12,9 @@ thread could move there.  That is ``explore``'s rule; the original
 duration search took a deadlock at the bound for a complete run.
 ``isolate_thread`` makes one thread a program of its own, on which
 ``explorer.duration_stats`` is a reference for
-``explorer.isolated_durations``.
+``explorer.isolated_durations``.  ``run_deterministic`` is ``leaklab run``
+as it was before it read the search: a one-thread program stepped a
+configuration at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import functools
 
 from leaklab import explorer, lang, semantics
-from leaklab.errors import LeakLabError
+from leaklab.errors import BudgetExceeded, DeadlockError, LeakLabError
 
 
 def _project(config: semantics.Configuration,
@@ -168,3 +170,24 @@ def isolate_thread(program: lang.Program, thread: int) -> lang.Program:
     return lang.label_statements(lang.Program(program.declarations,
                                               (program.threads[thread],),
                                               program.ghosts))
+
+
+def run_deterministic(program: lang.Program, init: semantics.Store,
+                      costs: semantics.CostModel = semantics.CostModel(),
+                      max_steps: int = 10_000) -> semantics.Configuration:
+    """Run a single-thread program to completion within ``max_steps``
+    steps.  A run that ends on exactly its ``max_steps``-th step raises
+    here, and ``leaklab run``, which checks a finished state before the
+    step bound as the search does, prints it."""
+    if max_steps <= 0:
+        raise LeakLabError("exploration bounds must be positive")
+    if len(program.threads) != 1:
+        raise LeakLabError("deterministic runner requires exactly one thread")
+    config = semantics.initial_configuration(program, init)
+    for _ in range(max_steps):
+        if config.all_done():
+            return config
+        if not semantics.enabled(program, config):
+            raise DeadlockError("single thread blocked on await")
+        config = semantics.step(program, config, semantics.StepChoice(0), costs)
+    raise BudgetExceeded(f"no termination within {max_steps} steps")

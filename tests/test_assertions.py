@@ -12,6 +12,7 @@ from leaklab.errors import AnnotationError, LeakLabError, SnapshotUndefined
 
 import assertion_oracle
 from conftest import load_program
+from schedule_oracle import run_deterministic
 from test_discharge_oracle import CERTIFY_CORPUS, OWN_OUTLINES, outline
 
 L = lang.LocationId
@@ -142,10 +143,7 @@ class TestEval:
     def test_snapshot_coherence_with_substitution(self, region_thread):
         # Evaluating with snapshot lookups equals evaluating the assertion
         # with each snapshot term replaced by its recorded value.
-        from leaklab import semantics
-
-        final = semantics.run_deterministic(region_thread,
-                                            {"h": 1, "sem": 1, "v": 0})
+        final = run_deterministic(region_thread, {"h": 1, "sem": 1, "v": 0})
         snaps = final.snapshot_dict()
         a = resolved("t@l7 - t@l0 >= 4 -> h = 1", region_thread)
 

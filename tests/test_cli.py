@@ -90,6 +90,36 @@ class TestRunCommand:
         assert code == 2 and out == ""
         assert err == "error: exploration bounds must be positive\n"
 
+    @staticmethod
+    def run_source(capsys, tmp_path, source: str, bound: str) -> tuple[int, str, str]:
+        path = tmp_path / "one.cwl"
+        path.write_text(source)
+        return run_cli(capsys, "run", str(path), "--bound-steps", bound)
+
+    def test_run_that_ends_on_its_last_step_is_printed(self, capsys, tmp_path):
+        # The search checks a finished state before the step bound.
+        assert self.run_source(capsys, tmp_path, "thread A { print('a'); }", "1") == (
+            0, "A\ta\t1\n", "")
+
+    def test_run_one_step_past_the_bound_is_cut(self, capsys, tmp_path):
+        assert self.run_source(capsys, tmp_path, "thread A { print('a'); print('b'); }",
+                               "1") == (2, "", "error: no termination within 1 steps\n")
+
+    def test_endless_loop_is_cut(self, capsys, tmp_path):
+        assert self.run_source(capsys, tmp_path, "thread A { while true do { skip; }; }",
+                               "5") == (2, "", "error: no termination within 5 steps\n")
+
+    def test_blocked_await_is_a_deadlock(self, capsys, tmp_path):
+        source = ("var x : int[0..1] label low = 0;\n"
+                  "thread A { print('a'); await x > 0 then { skip; }; }")
+        assert self.run_source(capsys, tmp_path, source, "50") == (
+            2, "", "error: single thread blocked on await\n")
+
+    def test_the_bound_is_checked_before_the_thread_count(self, capsys):
+        assert run_cli(capsys, "run", fixture("semaphore_pair.cwl"), "--init", "h=0",
+                       "--bound-steps", "0") == (
+            2, "", "error: exploration bounds must be positive\n")
+
 
 class TestLeakscan:
     def test_semaphore_pair_exit_1_and_acdb(self, capsys):
@@ -183,13 +213,19 @@ class TestLeakscan:
         from leaklab import explorer, lang, semantics
         calls = []
         move = semantics.move
-        monkeypatch.setattr(semantics, "move", lambda *args: calls.append(1) or move(*args))
+        monkeypatch.setattr(semantics, "move", lambda *args: calls.append(
+            (args[2], args[3], move(*args))) or calls[-1][2])
         _, out, _ = run_cli(capsys, "leakscan", fixture("semaphore_pair.cwl"),
                             "--format", "json", "--stats")
         stats = json.loads(out)["stats"]
-        # The command parses its own program and the two classes never share
-        # a store, so each move a search used was one miss of the table.
-        assert sum(row["steps"] for row in stats) == len(calls) > 0
+        # One call per table entry: each (head, store) is stepped once.  The
+        # command parses its own program and the two classes never share a
+        # store, so each move a search used was one miss of the table, and
+        # the other misses are the entries of a thread blocked at an await.
+        assert len({(head, store) for head, store, _ in calls}) == len(calls)
+        moved = [entry for _, _, entry in calls if entry is not None]
+        assert sum(row["steps"] for row in stats) == len(moved) > 0
+        assert len(calls) - len(moved) == 2  # T2's await while T1 holds sem, h = 1
         program = lang.parse_program(Path(fixture("semaphore_pair.cwl")).read_text())
         for row in stats:
             keys = []

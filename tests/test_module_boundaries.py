@@ -9,8 +9,10 @@ that needs it asks for a public name instead (``lang.as_bool``, not
 private name.
 
 ``semantics`` is also the one interpreter of steps: no other module calls
-``semantics.step`` or builds a ``semantics.Configuration``, in any of the
-forms the scan of imports above binds.  And ``explorer`` alone starts a
+``semantics.step`` or ``semantics.enabled`` or builds a
+``semantics.Configuration`` or ``semantics.StepChoice``, in any of the
+forms the scan of imports above binds, so every analysis steps through the
+move table.  And ``explorer`` alone starts a
 search, from one function: another module that needs one asks
 ``explorer.kept_search``, and so does every function of ``explorer``
 itself, ``explore`` included, so each search runs once per program and is
@@ -68,14 +70,15 @@ def private_reads(source: str, own: str) -> list[str]:
     return reads
 
 
-INTERPRETER = {("semantics", "step"), ("semantics", "Configuration")}
+INTERPRETER = {("semantics", "step"), ("semantics", "enabled"), ("semantics", "Configuration"),
+               ("semantics", "StepChoice")}
 SEARCH = {("explorer", "search")}
 
 
 def interpreter_calls(source: str, own: str, watched: set = INTERPRETER) -> list[str]:
     """``module.name`` for each call in ``source``, the text of module
-    ``own``, of a name in ``watched`` (by default ``semantics.step`` and
-    ``semantics.Configuration``) that another module defines."""
+    ``own``, of a name in ``watched`` (by default ``INTERPRETER``) that
+    another module defines."""
     tree = ast.parse(source)
     modules, names = bindings(tree)
     calls = []
@@ -124,17 +127,20 @@ def test_only_semantics_steps_or_builds_a_configuration():
 
 def test_the_interpreter_scan_sees_each_form_of_call():
     source = ("from . import semantics\n"
-              "from .semantics import step as advance, Configuration\n"
+              "from .semantics import step as advance, Configuration, enabled, StepChoice\n"
               "import leaklab.semantics as S\n"
               "def f(program, config, choice):\n"
               "    semantics.step(program, config, choice)\n"
               "    advance(program, config, choice)\n"
               "    S.Configuration((), (), 0, (), ())\n"
               "    Configuration((), (), 0, (), ())\n"
-              "    semantics.move(program, 0, 1, (), None), semantics.step\n")
+              "    semantics.enabled(program, config), enabled(program, config)\n"
+              "    S.StepChoice(0), StepChoice(1)\n"
+              "    semantics.move(program, 0, 1, (), None), semantics.step, S.enabled\n")
     assert sorted(interpreter_calls(source, "explorer")) == [
-        "semantics.Configuration", "semantics.Configuration", "semantics.step",
-        "semantics.step"]
+        "semantics.Configuration", "semantics.Configuration", "semantics.StepChoice",
+        "semantics.StepChoice", "semantics.enabled", "semantics.enabled",
+        "semantics.step", "semantics.step"]
     assert interpreter_calls(source, "semantics") == []
 
 

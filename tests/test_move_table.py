@@ -28,6 +28,7 @@ from leaklab.errors import BudgetExceeded, DomainError, LeakLabError
 from conftest import PROGRAMS, load_program
 from test_control_table import reference_residue
 from test_explore_oracle import family_member, small_programs
+from test_search_reference import BLOCKED
 
 CORPUS_FILES = sorted(PROGRAMS.rglob("*.cwl"))
 
@@ -249,3 +250,23 @@ def test_a_search_whose_move_raised_leaves_no_empty_row():
     moves = semantics.control_table(program).moves(semantics.CostModel())
     assert {store: list(row) for store, row in moves.items()} == {
         (("h", 0), ("x", 0)): [id(program.threads[0].body[0])]}
+
+
+@pytest.mark.parametrize("source", (BLOCKED, (PROGRAMS / "semaphore_pair.cwl").read_text()),
+                         ids=("blocked", "semaphore_pair"))
+def test_move_makes_every_entry_of_the_table(source: str, monkeypatch):
+    # ``semantics.move`` is the table's one writer: one call per entry, an
+    # entry of None for a thread blocked at an await included.
+    program = lang.parse_program(source)
+    bounds, costs = explorer.ExploreBounds(), semantics.CostModel()
+    start, end = program.labels_of_thread(0)[0], program.labels_of_thread(0)[-1]
+
+    def measure():
+        return (explorer.knowledge_partition(program, {}, None, bounds, costs),
+                explorer.isolated_durations(program, start, end, None, bounds, costs))
+
+    first, calls = count_misses(monkeypatch, measure)
+    entries = [entry for row in semantics.control_table(program).moves(costs).values()
+               for entry in row.values()]
+    assert calls == len(entries) and None in entries
+    assert count_misses(monkeypatch, measure) == (first, 0)

@@ -7,6 +7,8 @@ import pytest
 from leaklab import lang, semantics
 from leaklab.errors import BudgetExceeded, DeadlockError, DomainError, LeakLabError
 
+from schedule_oracle import run_deterministic
+
 
 def expr(text: str) -> lang.Expr:
     return lang.parse_expr(lang.TokenStream(lang.tokenize(text)))
@@ -168,37 +170,39 @@ class TestStepCost:
 
 
 class TestRunDeterministic:
+    """The reference one-thread runner that ``leaklab run`` is compared with."""
+
     def test_two_prints(self):
         p = lang.parse_program(
             "var x : int[0..1] label low = 0;\nthread A { print('c'); print('d'); }")
-        final = semantics.run_deterministic(p, {"x": 0})
+        final = run_deterministic(p, {"x": 0})
         assert [(e.payload, e.timestamp) for e in final.trace] == [("c", 1), ("d", 2)]
 
     def test_thread2_alone_golden_timestamps(self, region_thread):
-        final = semantics.run_deterministic(region_thread, {"h": 0, "sem": 1, "v": 0})
+        final = run_deterministic(region_thread, {"h": 0, "sem": 1, "v": 0})
         assert [(e.payload, e.timestamp) for e in final.trace] == [("c", 1), ("d", 4)]
 
     def test_delay_then_print(self):
         p = lang.parse_program(
             "var x : int[0..9] label low = 7;\nthread A { delay(5); print('x'); }")
-        final = semantics.run_deterministic(p, {"x": 7})
+        final = run_deterministic(p, {"x": 7})
         assert [(e.payload, e.timestamp) for e in final.trace] == [("x", 6)]
 
     def test_requires_single_thread(self, semaphore_pair):
         with pytest.raises(LeakLabError, match="one thread"):
-            semantics.run_deterministic(semaphore_pair, {"h": 0, "sem": 1, "v": 0})
+            run_deterministic(semaphore_pair, {"h": 0, "sem": 1, "v": 0})
 
     def test_blocked_await_reports_deadlock(self):
         p = lang.parse_program(
             "var x : int[0..1] label low = 0;\nthread A { await x > 0 then { skip; }; }")
         with pytest.raises(DeadlockError):
-            semantics.run_deterministic(p, {"x": 0})
+            run_deterministic(p, {"x": 0})
 
     def test_step_bound(self):
         p = lang.parse_program(
             "var x : int[0..1] label low = 0;\nthread A { while true do { skip; }; }")
         with pytest.raises(BudgetExceeded):
-            semantics.run_deterministic(p, {"x": 0}, max_steps=50)
+            run_deterministic(p, {"x": 0}, max_steps=50)
 
 
 class TestInvariants:
@@ -258,7 +262,7 @@ class TestInvariants:
             assert stamps == sorted(stamps)
 
     def test_snapshots_record_arrivals_in_order(self, region_thread):
-        final = semantics.run_deterministic(region_thread, {"h": 1, "sem": 1, "v": 0})
+        final = run_deterministic(region_thread, {"h": 1, "sem": 1, "v": 0})
         snaps = final.snapshot_dict()
         assert snaps[lang.LocationId(0, 0)] == (0,)
         assert snaps[lang.LocationId(0, 7)] == (6,)
