@@ -658,37 +658,33 @@ def is_leaky_assertion(a: Assertion, loc: lang.LocationId, program: lang.Program
                 out.append((store, snaps, clock, valuation))
         return out
 
-    def analyse(sat_states: list[tuple]) -> tuple[dict, bool]:
+    def excluded_values(sat_states: list[tuple]) -> dict[str, tuple]:
+        """Per secret variable, its domain values missing among
+        ``sat_states``, when some are present and some missing."""
         excluded: dict[str, tuple] = {}
         for name, domain in per_var_domain.items():
             seen = {store[name] for store, _, _, _ in sat_states}
             missing = tuple(v for v in domain if v not in seen)
             if seen and missing:
                 excluded[name] = missing
-        return excluded, bool(excluded)
+        return excluded
 
+    # A plain assertion is one case with no consequent, over its own states.
     rules = decompose_rules(a, secrets)
     cases: list[CaseResult] = []
-    if rules is None:
-        sat = satisfying(a)
-        excluded, determinizes = analyse(sat)
+    for antecedent, consequent in ([(None, None)] if rules is None else
+                                   [(r.antecedent, r.consequent) for r in rules]):
+        sat = satisfying(a if antecedent is None else antecedent)
+        excluded = excluded_values(sat)
+        holds = True
+        if consequent is not None:
+            check = compile_assertion(consequent, tolerance)
+            holds = all(check(store, snaps, clock) for store, snaps, clock, _ in sat)
         cases.append(CaseResult(
-            antecedent=None, consequent=None,
+            antecedent=antecedent, consequent=consequent,
             satisfying_secrets=tuple(sorted({v for _, _, _, v in sat})),
-            excluded=excluded, determinizes=bool(sat) and determinizes,
-            consequent_holds=True))
-    else:
-        for rule in rules:
-            sat = satisfying(rule.antecedent)
-            excluded, determinizes = analyse(sat)
-            consequent = compile_assertion(rule.consequent, tolerance)
-            holds = all(consequent(store, snaps, clock) for store, snaps, clock, _ in sat)
-            cases.append(CaseResult(
-                antecedent=rule.antecedent, consequent=rule.consequent,
-                satisfying_secrets=tuple(sorted({v for _, _, _, v in sat})),
-                excluded=excluded,
-                determinizes=bool(sat) and determinizes and holds,
-                consequent_holds=holds))
+            excluded=excluded, determinizes=bool(sat) and bool(excluded) and holds,
+            consequent_holds=holds))
 
     if all(not c.satisfying_secrets for c in cases):
         verdict = "vacuous"

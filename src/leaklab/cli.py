@@ -123,7 +123,6 @@ def cmd_parse(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     from . import explorer
     from .config import load_config
-    from .errors import BudgetExceeded, DeadlockError
     program = _read_program(args.file)
     costs = load_config(args.config).cost_model(program)
     init = _parse_inits(program, args.init or [])
@@ -135,15 +134,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     bounds = explorer.ExploreBounds(max_steps=steps, max_configs=steps + 1)
     if len(program.threads) != 1:
         raise LeakLabError("deterministic runner requires exactly one thread")
-    # One thread has one run: the search's one observation is its trace.
-    result = explorer.explore(program, init, {}, bounds, costs)
-    if result.deadlocked:
-        raise DeadlockError("single thread blocked on await")
-    if not result.complete:
-        raise BudgetExceeded(f"no termination within {steps} steps")
-    [(observation, _)] = result.observations
+    events = explorer.lone_run(program, known, bounds, costs)
     name = program.threads[0].name
-    _write("".join(f"{name}\t{payload}\t{at}\n" for payload, at in observation.events))
+    _write("".join(f"{name}\t{payload}\t{at}\n" for payload, at in events))
     return 0
 
 

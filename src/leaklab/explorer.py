@@ -16,7 +16,8 @@ watch set and clock-in-key, keeps what it found on the program's control
 table (a :class:`KeptSearch`), and answers every later call from it.  A
 search that watches nothing keeps its graph, over which :func:`explore`
 merges observation suffixes backwards, so a repeated scan searches no
-more.  The other questions read a watched search, one that keeps the
+more, and along which :func:`lone_run` reads the one run of a one-thread
+program.  The other questions read a watched search, one that keeps the
 clock and the arrivals at some locations, and that keeps the states it
 reached: :func:`duration_stats` pairs the arrivals at two watched
 locations where runs end, and
@@ -44,7 +45,7 @@ import itertools
 from typing import Callable, NamedTuple, Optional
 
 from . import lang, semantics
-from .errors import LeakLabError
+from .errors import BudgetExceeded, DeadlockError, LeakLabError
 from .lang import field, record
 
 SecretValuation = tuple[tuple[str, semantics.Value], ...]
@@ -470,6 +471,28 @@ def kept_search(program: lang.Program, store: semantics.Store, bounds: ExploreBo
                               tuple([tuple([x for event in events for x in event])
                                      for events in labels])))
     return kept[entry]
+
+
+def lone_run(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
+             costs: semantics.CostModel) -> tuple[tuple[str, Optional[int]], ...]:
+    """The printed events of the one run of a one-thread program from
+    ``store``, as ``bounds`` projects them: the graph of the
+    :func:`kept_search` that watches nothing, followed from its root along
+    each key's one edge.  A run that ends blocked on an await raises
+    :class:`DeadlockError`, and one cut short by a bound
+    :class:`BudgetExceeded`."""
+    kept = kept_search(program, store, bounds, costs, frozenset())
+    flat: list = []
+    outcome = kept.graph[-1]  # the root's, visited last
+    while outcome.__class__ is not str:
+        label, child = outcome
+        flat.extend(kept.labels[label])
+        outcome = kept.graph[child]
+    if outcome == _DEADLOCKED:
+        raise DeadlockError("single thread blocked on await")
+    if outcome == _CUT:
+        raise BudgetExceeded(f"no termination within {bounds.max_steps} steps")
+    return _project(tuple(flat), bounds)
 
 
 _ENDINGS = {end: frozenset({((), end)}) for end in (_DONE, _DEADLOCKED, _CUT)}

@@ -4,8 +4,9 @@ one evaluator of expressions (:meth:`ExprLanguage.compile`).
 A program is a list of variable declarations followed by one or more
 ``thread NAME { ... }`` blocks executed in parallel.  Statement bodies are
 plain Python lists (sequencing carries no label of its own); every
-executable or control statement carries a :class:`LocationId` assigned by
-:func:`label_statements` in source order, plus one exit label per thread.
+executable or control statement carries a :class:`LocationId` that the
+parser assigns as it reads the statement, in source order, and each thread
+owns one exit label past its last.
 
 Proof-outline annotations (``{| ... |}`` before a statement, ``@leaky
 {| ... |}`` markers, ``post {| ... |}`` after a thread block) are captured
@@ -15,6 +16,7 @@ here as raw text and parsed into assertion ASTs by
 
 from __future__ import annotations
 
+import itertools
 import operator
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
@@ -196,7 +198,8 @@ class LocationId(NamedTuple):
 
 @record(frozen=True)
 class Stmt:
-    """Base statement.  ``label`` is None until label_statements runs."""
+    """Base statement.  ``label`` is None only on a statement parsed alone
+    (:func:`parse_statement`) or built outside the parser."""
 
     label: Optional[LocationId] = field(default=None, kw_only=True)
     pre_text: Optional[str] = field(default=None, kw_only=True)
@@ -711,13 +714,13 @@ def parse_program(text: str) -> Program:
         (ghosts if ts.at("keyword", "ghost") else decls).append(_parse_decl(ts))
     threads: list[Thread] = []
     while ts.at("keyword", "thread"):
-        threads.append(_parse_thread(ts))
+        threads.append(_parse_thread(ts, len(threads)))
     tok = ts.peek()
     if tok.kind != "eof":
         raise ts.error(f"unexpected {tok.text!r} at top level")
     if not threads:
         raise ParseError("program has no threads", tok.line, tok.col)
-    program = label_statements(Program(tuple(decls), tuple(threads), tuple(ghosts)))
+    program = Program(tuple(decls), tuple(threads), tuple(ghosts))
     _validate(program)
     return program
 
@@ -775,29 +778,33 @@ def _parse_decl(ts: TokenStream) -> Decl:
     return Decl(name, vtype, security, domain, init, secret)
 
 
-def _parse_thread(ts: TokenStream) -> Thread:
+def _parse_thread(ts: TokenStream, thread: int) -> Thread:
     ts.expect("keyword", "thread")
     name = ts.expect("ident").text
-    body = _parse_block(ts, in_await=False)
+    body = _parse_block(ts, False, (LocationId(thread, i) for i in itertools.count()))
     post_text = None
     if ts.at("keyword", "post"):
         ts.next()
         post_text = ts.expect("annotation").text
-    return Thread(name, tuple(body), post_text)
+    return Thread(name, body, post_text)
 
 
-def _parse_block(ts: TokenStream, in_await: bool) -> list[Stmt]:
+def _parse_block(ts: TokenStream, in_await: bool, labels: Iterator[Optional[LocationId]]
+                 ) -> tuple[Stmt, ...]:
     ts.expect("sym", "{")
     stmts: list[Stmt] = []
     while not ts.at("sym", "}"):
-        stmts.append(_parse_stmt(ts, in_await))
+        stmts.append(_parse_stmt(ts, in_await, labels))
     ts.expect("sym", "}")
-    return stmts
+    return tuple(stmts)
 
 
-def _parse_stmt(ts: TokenStream, in_await: bool) -> Stmt:
-    pre_text = None
-    leaky_text = None
+def _parse_stmt(ts: TokenStream, in_await: bool, labels: Iterator[Optional[LocationId]]
+                ) -> Stmt:
+    """One statement with its annotations and its closing ``;``.  Its label
+    is the thread's next one, taken before its body's: labels run in
+    source order, and only statements take one (sequencing is transparent)."""
+    pre_text = leaky_text = None
     while True:
         if ts.at("annotation"):
             pre_text = ts.next().text
@@ -809,24 +816,29 @@ def _parse_stmt(ts: TokenStream, in_await: bool) -> Stmt:
             leaky_text = ts.expect("annotation").text
         else:
             break
-    stmt = _parse_bare_stmt(ts, in_await)
+    stmt = _parse_bare_stmt(ts, in_await, labels,
+                            dict(label=next(labels), pre_text=pre_text, leaky_text=leaky_text))
     ts.expect("sym", ";")
-    return replace(stmt, pre_text=pre_text, leaky_text=leaky_text)
+    return stmt
 
 
 def parse_statement(text: str) -> Stmt:
-    """Parse text holding exactly one statement, without its closing ``;``."""
+    """Parse text holding exactly one statement, without its closing ``;``;
+    it has no label."""
     ts = TokenStream(tokenize(text))
-    stmt = _parse_bare_stmt(ts, in_await=False)
+    stmt = _parse_bare_stmt(ts, False, itertools.repeat(None), {})
     ts.expect("eof")
     return stmt
 
 
-def _parse_bare_stmt(ts: TokenStream, in_await: bool) -> Stmt:
+def _parse_bare_stmt(ts: TokenStream, in_await: bool, labels: Iterator[Optional[LocationId]],
+                     marks: dict) -> Stmt:
+    """A statement without its annotations and its ``;``, built with
+    ``marks``, its label and annotation fields, as keywords."""
     tok = ts.peek()
     if ts.at("keyword", "skip"):
         ts.next()
-        return Skip()
+        return Skip(**marks)
     if ts.at("keyword", "print"):
         ts.next()
         ts.expect("sym", "(")
@@ -835,81 +847,41 @@ def _parse_bare_stmt(ts: TokenStream, in_await: bool) -> Stmt:
         else:
             value = parse_expr(ts)
         ts.expect("sym", ")")
-        return Print(value)
+        return Print(value, **marks)
     if ts.at("keyword", "delay"):
         ts.next()
         ts.expect("sym", "(")
         duration = parse_expr(ts)
         ts.expect("sym", ")")
-        return Delay(duration)
+        return Delay(duration, **marks)
     if ts.at("keyword", "if"):
         ts.next()
         guard = parse_expr(ts)
         ts.expect("keyword", "then")
-        then_body = _parse_block(ts, in_await)
-        else_body: list[Stmt] = []
+        then_body = _parse_block(ts, in_await, labels)
+        else_body: tuple[Stmt, ...] = ()
         if ts.at("keyword", "else"):
             ts.next()
-            else_body = _parse_block(ts, in_await)
-        return If(guard, tuple(then_body), tuple(else_body))
+            else_body = _parse_block(ts, in_await, labels)
+        return If(guard, then_body, else_body, **marks)
     if ts.at("keyword", "while"):
         ts.next()
         guard = parse_expr(ts)
         ts.expect("keyword", "do")
-        body = _parse_block(ts, in_await)
-        return While(guard, tuple(body))
+        return While(guard, _parse_block(ts, in_await, labels), **marks)
     if ts.at("keyword", "await"):
         if in_await:
             raise ParseError("nested await rejected", tok.line, tok.col)
         ts.next()
         guard = parse_expr(ts)
         ts.expect("keyword", "then")
-        body = _parse_block(ts, in_await=True)
-        return Await(guard, tuple(body))
+        return Await(guard, _parse_block(ts, True, labels), **marks)
     if ts.at("ident"):
         target = ts.next().text
         ts.expect("sym", "=")
         value = parse_expr(ts)
-        return Assign(target, value)
+        return Assign(target, value, **marks)
     raise ts.error(f"expected statement, found {tok.text!r}")
-
-
-# ---------------------------------------------------------------------------
-# Labelling
-# ---------------------------------------------------------------------------
-
-def label_statements(program: Program) -> Program:
-    """Assign per-thread location labels l0, l1, ... in source order.
-
-    Sequencing is transparent: only executable and control statements consume
-    an index.  Statements inside if/while/await bodies are labelled where the
-    pre-order walk meets them, and each thread additionally owns an exit
-    label one past its last statement index.
-    """
-    threads = []
-    for t_idx, thread in enumerate(program.threads):
-        counter = 0
-
-        def relabel(body: tuple[Stmt, ...]) -> tuple[Stmt, ...]:
-            nonlocal counter
-            out = []
-            for s in body:
-                loc = LocationId(t_idx, counter)
-                counter += 1
-                if isinstance(s, If):
-                    then_body = relabel(s.then_body)
-                    else_body = relabel(s.else_body)
-                    s = replace(s, then_body=then_body, else_body=else_body, label=loc)
-                elif isinstance(s, (While, Await)):
-                    # The statement's own label precedes its body labels.
-                    s = replace(s, body=relabel(s.body), label=loc)
-                else:
-                    s = replace(s, label=loc)
-                out.append(s)
-            return tuple(out)
-
-        threads.append(replace(thread, body=relabel(thread.body)))
-    return Program(program.declarations, tuple(threads), program.ghosts)
 
 
 def _validate(program: Program) -> None:

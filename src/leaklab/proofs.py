@@ -154,18 +154,16 @@ def _reads(a: asrt.Assertion) -> tuple[frozenset[str], bool]:
 
 WRITERS = (lang.Assign, lang.Await)
 
-
-@record
-class Outline:
-    """Effective pre/post assertions per location after chain construction."""
-
-    pre: dict[lang.LocationId, asrt.Assertion]
-    post: dict[lang.LocationId, asrt.Assertion]
+# A thread's outline, as its chain walked it: each atomic action, the
+# statements outside region bodies, by location in program order, with its
+# effective pre-assertion.
+OutlineMap = dict[lang.LocationId, tuple[lang.Stmt, asrt.Assertion]]
 
 
 def gen_sequential_vcs(annotated: asrt.AnnotatedProgram, thread: int,
-                       ) -> tuple[list[VC], Outline]:
-    """Chain VCs for one thread's proof outline.
+                       ) -> tuple[list[VC], OutlineMap]:
+    """Chain VCs for one thread's proof outline, and the outline the chain
+    walked, as ``{location: (statement, pre-assertion)}``.
 
     Every statement needs a pre-assertion, except the first statement of a
     branch or loop body, which defaults to the parent assertion conjoined
@@ -175,7 +173,7 @@ def gen_sequential_vcs(annotated: asrt.AnnotatedProgram, thread: int,
     name = program.threads[thread].name
     if thread not in annotated.posts:
         raise AnnotationError(f"thread {name} lacks a post assertion")
-    outline = Outline({}, {})
+    outline: OutlineMap = {}
     vcs: list[VC] = []
 
     def ann(s: lang.Stmt) -> Optional[asrt.Assertion]:
@@ -206,7 +204,7 @@ def gen_sequential_vcs(annotated: asrt.AnnotatedProgram, thread: int,
                 post_note = f"pre of {where(nxt)}"
             else:
                 post, post_note = exit_assertion, exit_note
-            outline.pre[s.label] = pre
+            outline[s.label] = s, pre
             if isinstance(s, lang.If):
                 g = _guard_assertion(s.guard, program)
                 chain(s.then_body, _conj(pre, g), post, post_note)
@@ -217,7 +215,6 @@ def gen_sequential_vcs(annotated: asrt.AnnotatedProgram, thread: int,
                 if not s.else_body:
                     vcs.append(VC(_conj(pre, _negate(g)), None, post, SEQUENTIAL,
                                   f"{name}: else of {where(s)}"))
-                outline.post[s.label] = post
             elif isinstance(s, lang.While):
                 g = _guard_assertion(s.guard, program)
                 inv = pre  # the loop location's annotation is its invariant
@@ -227,11 +224,9 @@ def gen_sequential_vcs(annotated: asrt.AnnotatedProgram, thread: int,
                                   f"{name}: empty loop body of {where(s)}"))
                 vcs.append(VC(_conj(inv, _negate(g)), None, post, SEQUENTIAL,
                               f"{name}: loop exit of {where(s)}"))
-                outline.post[s.label] = post
             else:
                 vcs.append(VC(pre, s, post, SEQUENTIAL,
                               f"{name}: {where(s)} establishes {post_note}"))
-                outline.post[s.label] = post
 
     body = program.threads[thread].body
     post = annotated.posts[thread]
@@ -241,35 +236,30 @@ def gen_sequential_vcs(annotated: asrt.AnnotatedProgram, thread: int,
     return vcs, outline
 
 
-def thread_outlines(annotated: asrt.AnnotatedProgram) -> dict[int, Outline]:
+def thread_outlines(annotated: asrt.AnnotatedProgram) -> dict[int, OutlineMap]:
     """Every thread's outline, by thread index."""
     return {t: gen_sequential_vcs(annotated, t)[1]
             for t in range(len(annotated.program.threads))}
 
 
-def _actions(program: lang.Program, outlines: dict[int, Outline]) -> list[list[tuple]]:
-    """Each thread's atomic actions, the statements with an outline entry,
-    as ``(statement, pre-assertion, location)`` in program order."""
-    stmts = {s.label: s for t in program.threads for s in lang.iter_statements(t.body)}
-    return [[(stmts[loc], pre, program.location_str(loc)) for loc, pre in outlines[j].pre.items()]
-            for j in sorted(outlines)]
-
-
-def _protect(actions: list[list[tuple]], protected: dict[int, list[tuple]],
-             kind: str, given: asrt.Assertion = asrt.TRUE) -> list[VC]:
+def _protect(program: lang.Program, outlines: dict[int, OutlineMap],
+             protected: dict[int, list[tuple]], kind: str,
+             given: asrt.Assertion = asrt.TRUE) -> list[VC]:
     """The interference rule of the module docstring: each ``(assertion,
-    name)`` protected for thread i against each action of another thread
-    that can change what it reads, by action, then in the order given.
-    ``given`` holds wherever the protected assertions do."""
+    name)`` protected for thread i against each action of another thread,
+    read from its outline, that can change what it reads, by action, then
+    in the order given.  ``given`` holds wherever the protected assertions
+    do."""
     clocked = {id(a): _reads(a)[1] for items in protected.values() for a, _ in items}
-    return [VC(_conj(given, a, pre), s, a, kind, f"{where} preserves {what}")
-            for j, thread_actions in enumerate(actions) for s, pre, where in thread_actions
+    return [VC(_conj(given, a, pre), s, a, kind,
+               f"{program.location_str(loc)} preserves {what}")
+            for j in sorted(outlines) for loc, (s, pre) in outlines[j].items()
             for i, items in protected.items() if i != j
             for a, what in items if isinstance(s, WRITERS) or clocked[id(a)]]
 
 
 def gen_interference_vcs(annotated: asrt.AnnotatedProgram,
-                         outlines: Optional[dict[int, Outline]] = None) -> list[VC]:
+                         outlines: Optional[dict[int, OutlineMap]] = None) -> list[VC]:
     """Freedom-from-interference conditions between every thread pair:
     each action of thread j against every other thread i's post, then the
     pre-assertion of each statement of i outside region bodies in program
@@ -279,9 +269,9 @@ def gen_interference_vcs(annotated: asrt.AnnotatedProgram,
     program = annotated.program
     if outlines is None:
         outlines = thread_outlines(annotated)
-    return _protect(_actions(program, outlines), {
+    return _protect(program, outlines, {
         i: [(annotated.posts[i], f"post of {thread.name}")]
-        + [(a, f"pre of {program.location_str(loc)}") for loc, a in outlines[i].pre.items()]
+        + [(a, f"pre of {program.location_str(loc)}") for loc, (_, a) in outlines[i].items()]
         for i, thread in enumerate(program.threads)}, INTERFERENCE)
 
 
@@ -333,7 +323,7 @@ def path_fact_assertion(program: lang.Program, loc_from: lang.LocationId,
 
 def gen_leaky_vcs(annotated: asrt.AnnotatedProgram,
                   costs: semantics.CostModel = semantics.CostModel(),
-                  outlines: Optional[dict[int, Outline]] = None,
+                  outlines: Optional[dict[int, OutlineMap]] = None,
                   ) -> tuple[list[VC], list[str]]:
     """Interference and rule conditions for every leak postulate, as stated
     in the module docstring; ``outlines`` as for :func:`gen_interference_vcs`.
@@ -347,15 +337,15 @@ def gen_leaky_vcs(annotated: asrt.AnnotatedProgram,
     vcs: list[VC] = []
     if outlines is None:
         outlines = thread_outlines(annotated)
-    actions = _actions(program, outlines)
 
     for loc, postulate in sorted(annotated.leaky.items()):
-        output_stmt = program.statement_at(loc)
         t_thread = loc.thread
         t_where = program.location_str(loc)
-        pre = outlines[t_thread].pre.get(loc, asrt.TRUE)
-        vcs += _protect(actions, {t_thread: [(postulate, f"postulate at {t_where}")]}, LEAKY,
-                        pre)
+        # a postulate in a region body has no outline entry of its own
+        output_stmt, pre = (outlines[t_thread].get(loc)
+                            or (program.statement_at(loc), asrt.TRUE))
+        vcs += _protect(program, outlines,
+                        {t_thread: [(postulate, f"postulate at {t_where}")]}, LEAKY, pre)
 
         rules = (asrt.decompose_rules(postulate, frozenset(program.secret_names()))
                  or [asrt.Implies(asrt.TRUE, postulate)])
@@ -645,12 +635,6 @@ def discharge_vc(vc: VC, program: lang.Program,
 # SMT-LIB emission
 # ---------------------------------------------------------------------------
 
-def _substitute_var(a: asrt.Assertion, name: str, value: int) -> asrt.Assertion:
-    """``a`` with the free occurrences of ``name`` replaced by ``value``."""
-    return asrt.rewrite(a, lambda x, bound: lang.IntLit(value) if (
-        isinstance(x, lang.Var) and x.name == name and name not in bound) else None)
-
-
 def emit_smtlib(vc: VC, program: lang.Program,
                 costs: semantics.CostModel = semantics.CostModel(),
                 snapshot_bound: int = 64,
@@ -730,7 +714,7 @@ def emit_smtlib(vc: VC, program: lang.Program,
             return (f"(<= (abs (- {expr_smt(e.left, env, clock)} "
                     f"{expr_smt(e.right, env, clock)})) {tol})")
         if isinstance(e, asrt.Quantified):
-            parts = [expr_smt(_substitute_var(e.body, e.var, v), env, clock)
+            parts = [expr_smt(e.body, {**env, e.var: smt_value(v)}, clock)
                      for v in range(e.lo, e.hi + 1)]
             if not parts:
                 return "true" if e.kind == "forall" else "false"
@@ -839,7 +823,7 @@ def gen_vcs(annotated: asrt.AnnotatedProgram,
     thread its :func:`_initial_vc` and its chain, then interference, then
     the leak conditions.  Each thread's outline is built once."""
     vcs: list[VC] = []
-    outlines: dict[int, Outline] = {}
+    outlines: dict[int, OutlineMap] = {}
     for t in range(len(annotated.program.threads)):
         seq, outlines[t] = gen_sequential_vcs(annotated, t)
         vcs += [_initial_vc(annotated, t)] + seq

@@ -14,7 +14,8 @@ duration search took a deadlock at the bound for a complete run.
 ``explorer.duration_stats`` is a reference for
 ``explorer.isolated_durations``.  ``run_deterministic`` is ``leaklab run``
 as it was before it read the search: a one-thread program stepped a
-configuration at a time.
+configuration at a time.  ``label_statements`` is the labelling pass the
+parser had before it labelled statements as it read them.
 """
 
 from __future__ import annotations
@@ -167,9 +168,42 @@ def isolate_thread(program: lang.Program, thread: int) -> lang.Program:
     """The program with one thread alone, as thread 0: a reference for
     ``explorer.isolated_durations``, which steps the thread alone in place.
     Labels are per-thread, so only the thread index moves to 0."""
-    return lang.label_statements(lang.Program(program.declarations,
-                                              (program.threads[thread],),
-                                              program.ghosts))
+    return label_statements(lang.Program(program.declarations, (program.threads[thread],),
+                                         program.ghosts))
+
+
+def label_statements(program: lang.Program) -> lang.Program:
+    """The program rebuilt with per-thread location labels l0, l1, ... in
+    source order: the labelling that the parser does as it reads.
+
+    Sequencing is transparent: only executable and control statements consume
+    an index.  Statements inside if/while/await bodies are labelled where the
+    pre-order walk meets them.
+    """
+    threads = []
+    for t_idx, thread in enumerate(program.threads):
+        counter = 0
+
+        def relabel(body: tuple[lang.Stmt, ...]) -> tuple[lang.Stmt, ...]:
+            nonlocal counter
+            out = []
+            for s in body:
+                loc = lang.LocationId(t_idx, counter)
+                counter += 1
+                if isinstance(s, lang.If):
+                    then_body = relabel(s.then_body)
+                    else_body = relabel(s.else_body)
+                    s = lang.replace(s, then_body=then_body, else_body=else_body, label=loc)
+                elif isinstance(s, (lang.While, lang.Await)):
+                    # The statement's own label precedes its body labels.
+                    s = lang.replace(s, body=relabel(s.body), label=loc)
+                else:
+                    s = lang.replace(s, label=loc)
+                out.append(s)
+            return tuple(out)
+
+        threads.append(lang.replace(thread, body=relabel(thread.body)))
+    return lang.Program(program.declarations, tuple(threads), program.ghosts)
 
 
 def run_deterministic(program: lang.Program, init: semantics.Store,

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,20 @@ class TestRunCommand:
     def test_endless_loop_is_cut(self, capsys, tmp_path):
         assert self.run_source(capsys, tmp_path, "thread A { while true do { skip; }; }",
                                "5") == (2, "", "error: no termination within 5 steps\n")
+
+    def test_long_printing_run_needs_little_memory(self, capsys, tmp_path):
+        # One run holds no copy of the rest of its trace per state: the
+        # memory it takes grows with the run, not with its square.
+        source = ("var i : int[0..5000] label low = 0;\n"
+                  "thread A { while i < 5000 do { print('x'); i = i + 1; }; }")
+        tracemalloc.start()
+        try:
+            result = self.run_source(capsys, tmp_path, source, "5000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (2, "", "error: no termination within 5000 steps\n")
+        assert peak < 10 * 2**20
 
     def test_blocked_await_is_a_deadlock(self, capsys, tmp_path):
         source = ("var x : int[0..1] label low = 0;\n"

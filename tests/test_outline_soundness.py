@@ -160,7 +160,7 @@ def _outline_assertions(annotated: asrt.AnnotatedProgram):
     """Every ``(location, assertion)`` of every thread's outline, posts at
     the thread's exit location."""
     for t, outline in proofs.thread_outlines(annotated).items():
-        yield from outline.pre.items()
+        yield from ((loc, pre) for loc, (_, pre) in outline.items())
         yield annotated.program.labels_of_thread(t)[-1], annotated.posts[t]
 
 

@@ -208,7 +208,7 @@ class TestInterferenceVcs:
         vcs = proofs.gen_interference_vcs(annotated)
         writers = 0
         for j in sorted(outlines):
-            for loc in outlines[j].pre:
+            for loc in outlines[j]:
                 prefix = f"{p.location_str(loc)} preserves pre of "
                 protected = [vc.provenance.removeprefix(prefix) for vc in vcs
                              if vc.provenance.startswith(prefix)]
@@ -217,10 +217,10 @@ class TestInterferenceVcs:
                 writes = isinstance(p.statement_at(loc), proofs.WRITERS)
                 writers += writes
                 assert protected == [p.location_str(other) for i in sorted(outlines)
-                                     if i != j and writes for other in outlines[i].pre]
+                                     if i != j and writes for other in outlines[i]]
         assert writers == 4  # T1's region and two assignments, T2's region
         # T2's prints, branch head, region and skip; not the region's body.
-        assert [p.location_str(loc) for loc in outlines[1].pre] == [
+        assert [p.location_str(loc) for loc in outlines[1]] == [
             "T2.l0", "T2.l1", "T2.l2", "T2.l6", "T2.l7"]
 
 
@@ -260,6 +260,20 @@ class TestLeakyVcs:
         assert (rule.pre, rule.post) == (asrt.TRUE, annotated.leaky[L(t2, 7)])
         for vc in vcs:
             assert proofs.discharge_vc(vc, semaphore_pair).status == "valid"
+
+    def test_postulate_in_a_region_body_holds_without_a_pre(self):
+        # A region body has no outline entries, so its print's rule
+        # condition starts from true.
+        annotated = annotated_from(
+            "var h : int[0..1] label high = secret;\n"
+            "var s : int[0..1] label low = 1;\n"
+            "thread A { {| h = 0 |} await s > 0 then { @leaky {| h = 0 |} print('a'); }; }"
+            " post {| true |}\n"
+            "thread B { {| true |} s = 1; } post {| true |}\n")
+        vcs, _ = proofs.gen_leaky_vcs(annotated)
+        assert [(vc.provenance, vc.pre, vc.stmt.label) for vc in vcs] == [
+            ("B.l0 preserves postulate at A.l1", annotated.leaky[L(0, 1)], L(1, 0)),
+            ("rule 0 of postulate at A.l1", asrt.TRUE, L(0, 1))]
 
 
 # A's outline reads the clock; running B first ends A at t = 3.

@@ -82,6 +82,7 @@ PROGRAM = lang.parse_program(
 TEMPLATES = ("forall q in 0..2 : (({f}) or x = q)",
              "exists q in 0..2 : (({f}) and x * q >= 2)",
              "forall q in 0..1 : ((exists q in 0..2 : x + q = 2) or ({f}))",
+             "x = 1 and (forall x in 0..1 : (({f}) or x = 1))",  # the bound x shadows x
              "({f}) and t >= {k}",
              "({f}) or approx(t, {k})")
 
