@@ -16,16 +16,16 @@ watch set and clock-in-key, keeps what it found on the program's control
 table (a :class:`KeptSearch`), and answers every later call from it.  A
 search that watches nothing keeps its graph, over which :func:`explore`
 merges observation suffixes backwards, so a repeated scan searches no
-more, and along which :func:`lone_run` reads the one run of a one-thread
-program.  The other questions read a watched search, one that keeps the
+more.  The other questions read a watched search, one that keeps the
 clock and the arrivals at some locations, and that keeps the states it
 reached: :func:`duration_stats` pairs the arrivals at two watched
 locations where runs end, and
 ``assertions.states_at_location`` reads the states at one location, so a
 leakiness check of a synthesized postulate reads the search that
-synthesis ran for its pair.  :func:`isolated_durations` keeps each
-thread's lone walk in the same way, so the proofs' path facts read the
-walks that synthesis left.
+synthesis ran for its pair.  One thread's single run has one walk, kept
+in the same way: :func:`isolated_durations` reads each thread's, so the
+proofs' path facts read the walks that synthesis left, and
+:func:`lone_run` a one-thread program's, for ``run``.
 
 Secret valuations that the program cannot tell apart have the same runs
 with the secret renamed, so :func:`knowledge_partition`, the duration
@@ -137,13 +137,11 @@ def secret_domain_of(program: lang.Program) -> tuple[SecretValuation, ...]:
     )
 
 
-def _project(label: tuple, bounds: ExploreBounds) -> tuple[tuple[str, Optional[int]], ...]:
-    """The attacker's view of some printed events, given flat as
-    ``(thread, payload, timestamp, ...)``."""
-    return tuple([
-        (f"{label[i]}:{label[i + 1]}" if bounds.observe_thread_ids else label[i + 1],
-         None if bounds.timing_blind else label[i + 2])
-        for i in range(0, len(label), 3)])
+def _project(events: tuple, bounds: ExploreBounds) -> tuple[tuple[str, Optional[int]], ...]:
+    """The attacker's view of some printed ``(thread, payload, timestamp)``
+    events."""
+    return tuple([(f"{thread}:{payload}" if bounds.observe_thread_ids else payload,
+                   None if bounds.timing_blind else at) for thread, payload, at in events])
 
 
 def _start_store(program: lang.Program, init_public: semantics.Store,
@@ -223,8 +221,8 @@ def secret_classes(program: lang.Program, init_public: semantics.Store,
 
 
 # How a run ends.  Deadlocked and cut-short runs both end unterminated, but
-# only a cut-short run could have printed more.
-_DONE, _DEADLOCKED, _CUT = "done", "deadlocked", "cut"
+# only a cut-short run could have printed more, and a lone walk's may cycle.
+_DONE, _DEADLOCKED, _CUT, _CYCLE = "done", "deadlocked", "cut", "cycle"
 
 
 @record(frozen=True)
@@ -365,9 +363,8 @@ def search(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
                         child = (moved, after, None, steps_used + 1, watched)
                     else:
                         if events and clock:
-                            events = tuple([semantics.Event(e.thread, e.payload,
-                                                            e.timestamp + clock)
-                                            for e in events])
+                            events = tuple([(thread, payload, at + clock)
+                                            for thread, payload, at in events])
                         child = (moved, after, clock + advance, steps_used + 1,
                                  arrive(watched, arrivals, clock) if watch else watched)
                     edges.append((events, child))
@@ -395,9 +392,9 @@ class KeptSearch:
     ends at the key, or else its edges as one flat tuple ``(label, child,
     label, child, ...)``: ``label`` the place in ``labels`` of what the step
     printed and ``child`` the child's place in ``keys``.  Each label is
-    held once, as a flat ``(thread, payload, timestamp, ...)`` tuple.  Edges
-    and labels hold ints and strings alone, so the cyclic collector stops
-    tracking them, and a reader indexes tuples rather than hashing keys.
+    held once, as the step's ``(thread, payload, timestamp)`` events, plain
+    tuples like the edges, so the cyclic collector stops tracking them,
+    and a reader indexes tuples rather than hashing keys.
     """
 
     __slots__ = ("found", "keys", "graph", "labels", "_reached")
@@ -464,35 +461,9 @@ def kept_search(program: lang.Program, store: semantics.Store, bounds: ExploreBo
         graph.append(outcome)
 
     found = search(program, store, bounds, costs, watch, collect if watch else add)
-    # Labels go flat into plain tuples: an event is a tuple subclass, which
-    # the collector never stops tracking.
     kept[entry] = (KeptSearch(found, tuple(reached.items())) if watch else
-                   KeptSearch(found, None, tuple(keys), tuple(graph),
-                              tuple([tuple([x for event in events for x in event])
-                                     for events in labels])))
+                   KeptSearch(found, None, tuple(keys), tuple(graph), tuple(labels)))
     return kept[entry]
-
-
-def lone_run(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
-             costs: semantics.CostModel) -> tuple[tuple[str, Optional[int]], ...]:
-    """The printed events of the one run of a one-thread program from
-    ``store``, as ``bounds`` projects them: the graph of the
-    :func:`kept_search` that watches nothing, followed from its root along
-    each key's one edge.  A run that ends blocked on an await raises
-    :class:`DeadlockError`, and one cut short by a bound
-    :class:`BudgetExceeded`."""
-    kept = kept_search(program, store, bounds, costs, frozenset())
-    flat: list = []
-    outcome = kept.graph[-1]  # the root's, visited last
-    while outcome.__class__ is not str:
-        label, child = outcome
-        flat.extend(kept.labels[label])
-        outcome = kept.graph[child]
-    if outcome == _DEADLOCKED:
-        raise DeadlockError("single thread blocked on await")
-    if outcome == _CUT:
-        raise BudgetExceeded(f"no termination within {bounds.max_steps} steps")
-    return _project(tuple(flat), bounds)
 
 
 _ENDINGS = {end: frozenset({((), end)}) for end in (_DONE, _DEADLOCKED, _CUT)}
@@ -691,12 +662,12 @@ def duration_stats(program: lang.Program, loc_from: lang.LocationId,
 
 
 def _isolated_walk(program: lang.Program, thread: int, store: semantics.Store,
-                   max_configs: int, costs: semantics.CostModel) -> tuple[tuple, bool]:
+                   max_configs: int, costs: semantics.CostModel) -> tuple[tuple, str]:
     """Thread ``thread``'s lone run from ``store`` as each move's start
-    clock and arrivals, the start's arrivals first, and whether it ended
-    within ``max_configs`` distinct states; walked on the first call and
-    kept in the program's ``walks(costs)``.  A walk that raises keeps
-    nothing."""
+    clock, arrivals and events, the start's arrivals first, and how it ended
+    (``_CYCLE`` with its period run once more, ``_CUT`` past ``max_configs``
+    distinct states); walked on the first call and kept in the program's
+    ``walks(costs)``.  A walk that raises keeps nothing."""
     table = semantics.control_table(program)
     kept = table.walks(costs)
     key = (thread, tuple(sorted(store.items())), max_configs)
@@ -706,23 +677,50 @@ def _isolated_walk(program: lang.Program, thread: int, store: semantics.Store,
     begin = semantics.initial_configuration(program, store)
     residue = begin.residues[thread]
     head, store = id(residue[0]) if residue else 0, begin.store
-    clock, timeline = 0, [(0, begin.snapshots)]  # each move's start and arrivals
+    clock, timeline = 0, [(0, begin.snapshots, ())]  # each move's start, arrivals, events
     seen: dict[tuple, int] = {}  # (head statement id, store) -> its move's place
+    ending = _CUT
     while len(seen) < max_configs:
         if (head, store) in seen:  # run the period once more
             period = timeline[seen[head, store]:]
-            timeline += [(at - period[0][0] + clock, arrivals) for at, arrivals in period]
+            timeline += [(at - period[0][0] + clock, arrivals, events)
+                         for at, arrivals, events in period]
+            ending = _CYCLE
             break
         row = moves.get(store) or {}
         move = (row[head] if head in row else
                 semantics.move(program, thread, head, store, costs) if head else None)
         if move is None:
-            break  # done, or blocked on an await
+            ending = _DEADLOCKED if head else _DONE
+            break
         seen[head, store] = len(timeline)
-        timeline.append((clock, move[4]))
+        timeline.append((clock, move[4], move[3]))
         head, store, clock = move[0], move[1], clock + move[2]
-    kept[key] = walk = (tuple(timeline), len(seen) < max_configs)
+    kept[key] = walk = (tuple(timeline), ending)
     return walk
+
+
+def lone_run(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
+             costs: semantics.CostModel) -> tuple[tuple[str, Optional[int]], ...]:
+    """The printed events of the one run of a one-thread program from
+    ``store``, as ``bounds`` projects them, read off thread 0's
+    :func:`_isolated_walk` within ``max_configs`` states.  As in a search,
+    a state after ``max_steps`` steps ends the run cut short unless the
+    thread is done there.  A run that ends blocked on an await raises
+    :class:`DeadlockError`, and one cut short or cycling :class:`BudgetExceeded`."""
+    try:
+        timeline, ending = _isolated_walk(program, 0, store, bounds.max_configs, costs)
+    except LeakLabError:  # a step failed, past the step bound unless a walk to it fails
+        if bounds.max_configs <= bounds.max_steps:
+            raise
+        timeline, ending = _isolated_walk(program, 0, store, bounds.max_steps, costs)
+    steps = len(timeline) - 1
+    if ending in (_CUT, _CYCLE) or steps + (ending == _DEADLOCKED) > bounds.max_steps:
+        raise BudgetExceeded(f"no termination within {bounds.max_steps} steps")
+    if ending == _DEADLOCKED:
+        raise DeadlockError("single thread blocked on await")
+    return _project(tuple([(thread, payload, start + at) for start, _, events in timeline
+                           for thread, payload, at in events]), bounds)
 
 
 def isolated_durations(program: lang.Program, loc_from: lang.LocationId,
@@ -747,12 +745,12 @@ def isolated_durations(program: lang.Program, loc_from: lang.LocationId,
     so every pair in the thread reads the same one.
     """
     def measure(store: semantics.Store) -> tuple[list, bool]:
-        timeline, complete = _isolated_walk(program, loc_from.thread, store,
-                                            bounds.max_configs, costs)
+        timeline, ending = _isolated_walk(program, loc_from.thread, store,
+                                          bounds.max_configs, costs)
 
         def clocks(loc: lang.LocationId) -> list[int]:
-            return [at + t for at, arrivals in timeline for here, times in arrivals
+            return [at + t for at, arrivals, _ in timeline for here, times in arrivals
                     if here == loc for t in times]
-        return [(clocks(loc_from), clocks(loc_to))], complete
+        return [(clocks(loc_from), clocks(loc_to))], ending != _CUT
 
     return _durations(program, loc_from, loc_to, secret_domain, measure)

@@ -29,8 +29,8 @@ triple is discharged once per program.
 
 :func:`enabled` and :func:`step` step a :class:`Configuration` at a time,
 as the reference that tests compare the move table against: no analysis
-calls them, and a single-thread run is the one-thread case of
-``explorer.explore``.
+calls them, and ``run`` reads a single-thread run off ``explorer``'s
+isolated walk.  Only :func:`step`'s trace holds :class:`Event` records.
 """
 
 from __future__ import annotations
@@ -212,8 +212,8 @@ class ControlTable:
         return self._under(costs)[1]
 
     def walks(self, costs: CostModel) -> dict[tuple, tuple]:
-        """The isolated walks of ``explorer.isolated_durations`` under
-        ``costs``, keyed by what each walk reads."""
+        """The isolated walks of ``explorer.isolated_durations`` and
+        ``explorer.lone_run`` under ``costs``, keyed by what each reads."""
         return self._under(costs)[2]
 
     def proofs(self, costs: CostModel) -> dict[int, tuple]:
@@ -327,9 +327,10 @@ def move(program: lang.Program, thread: int, head: int, store: tuple,
     configuration's ``store``; keep and return the entry in the table's
     ``moves(costs)``: None if the thread is blocked at an await, its guard
     failing in :func:`run_atomic`, else the move ``(next head or 0 once
-    done, store, clock advance, events, arrivals)``, events and sorted
-    ``(location, clocks)`` arrivals timed from the step's start, and
-    ``store`` itself if not written.  A step that raises keeps nothing.
+    done, store, clock advance, events, arrivals)``, ``(thread, payload,
+    timestamp)`` events and sorted ``(location, clocks)`` arrivals timed
+    from the step's start, and ``store`` itself if not written.  A step
+    that raises keeps nothing.
     This is the table's one writer, and callers read the table first, so
     each call is a miss and makes one entry, a blocked one included."""
     table = control_table(program)
@@ -337,14 +338,14 @@ def move(program: lang.Program, thread: int, head: int, store: tuple,
     stmt = node.continuation[0]
     values = dict(store)
     snaps: dict = {}  # location -> arrival clocks
-    events: list[Event] = []
+    events: list[tuple] = []
 
     def record(s: lang.Stmt, before: int, after: int) -> None:
         if s is not stmt:  # control reached s inside a region body
             snaps.setdefault(s.label, []).append(before)
         payload = table.nodes[id(s)].payload
         if payload is not None:
-            events.append(Event(thread, payload(values), after))
+            events.append((thread, payload(values), after))
 
     if node.kind == _BRANCH:
         residue = node.succ if node.run(values) else node.alt
@@ -389,5 +390,5 @@ def step(program: lang.Program, config: Configuration, choice: StepChoice,
     residues = list(config.residues)
     residues[t_idx] = table.nodes[head].continuation if head else ()
     return Configuration(tuple(residues), store, clock + advance, config.trace + tuple(
-        [Event(e.thread, e.payload, e.timestamp + clock) for e in events]),
+        [Event(thread, payload, at + clock) for thread, payload, at in events]),
         tuple(sorted(snaps.items())))

@@ -124,6 +124,37 @@ class TestRunCommand:
         assert result == (2, "", "error: no termination within 5000 steps\n")
         assert peak < 10 * 2**20
 
+    def test_cycling_run_fails_fast(self, capsys, tmp_path):
+        # The run comes back to a state it left, so it is cut at once
+        # rather than stepped to its bound.
+        tracemalloc.start()
+        try:
+            result = self.run_source(capsys, tmp_path,
+                                     "thread A { while true do { print('x'); }; }", "50000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (2, "", "error: no termination within 50000 steps\n")
+        assert peak < 4 * 2**20
+
+    def test_block_at_the_step_bound_is_cut(self, capsys, tmp_path):
+        # The state at the bound is cut before the blocked await is seen.
+        source = ("var x : int[0..1] label low = 0;\n"
+                  "thread A { skip; await x = 1 then { skip; }; }")
+        assert self.run_source(capsys, tmp_path, source, "1") == (
+            2, "", "error: no termination within 1 steps\n")
+        assert self.run_source(capsys, tmp_path, source, "2") == (
+            2, "", "error: single thread blocked on await\n")
+
+    def test_failing_step_past_the_bound_is_cut(self, capsys, tmp_path):
+        # The fourth step leaves i's domain; a bound of 3 cuts the run first.
+        source = ("var i : int[0..3] label low = 0;\n"
+                  "thread A { i = i + 1; i = i + 1; i = i + 1; i = i + 1; }")
+        assert self.run_source(capsys, tmp_path, source, "3") == (
+            2, "", "error: no termination within 3 steps\n")
+        assert self.run_source(capsys, tmp_path, source, "4") == (
+            2, "", "error: assignment at A.l3 sets i to 4, outside its declared domain\n")
+
     def test_blocked_await_is_a_deadlock(self, capsys, tmp_path):
         source = ("var x : int[0..1] label low = 0;\n"
                   "thread A { print('a'); await x > 0 then { skip; }; }")

@@ -2,8 +2,8 @@
 
 ``explorer.kept_search`` runs each search once per program, cost model,
 start store, bounds, watch set and clock-in-key, and ``isolated_durations``
-each lone walk once per thread, start store and ``max_configs``; both are
-kept on the program's control table.  One oracle here asks
+and ``lone_run`` each lone walk once per thread, start store and
+``max_configs``; both are kept on the program's control table.  One oracle here asks
 ``duration_stats``, ``isolated_durations`` and ``states_at_location``
 about every pair of locations of one program, under interleaved bounds and
 cost models; another asks ``explore`` and ``knowledge_partition`` under an
@@ -26,7 +26,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from leaklab import assertions, explorer, lang, semantics
+from leaklab import assertions, dl, explorer, lang, semantics
 from leaklab.errors import BudgetExceeded, DomainError, LeakLabError
 
 from conftest import PROGRAMS
@@ -324,6 +324,21 @@ def test_timed_and_blind_duration_stats_share_one_search(monkeypatch):
     for entry in kept.values():
         assert isinstance(entry.found.cells, tuple) and isinstance(entry.reached, tuple)
         assert entry.graph is None  # only a search that watches nothing keeps its graph
+
+
+def test_run_and_the_isolated_durations_share_one_walk():
+    program = lang.parse_program(
+        (PROGRAMS / "corpus" / "07_three_phase.cwl").read_text(encoding="utf-8"))
+    (start, end), *_ = dl.dl_certify(program).suggested_pairs
+    costs = semantics.CostModel()
+    explorer.isolated_durations(program, start, end, None, explorer.ExploreBounds(), costs)
+    with counting() as made:  # as ``run --bound-steps 199999`` asks
+        events = explorer.lone_run(program, {**program.initial_store(), "h": 0},
+                                   explorer.ExploreBounds(max_steps=199_999,
+                                                          max_configs=200_000), costs)
+    assert " ".join(f"{payload}@{at}" for payload, at in events) == "p@1 q@4 r@26"
+    assert made == [0, 0]
+    assert semantics.control_table(program).searches(costs) == {}
 
 
 @pytest.mark.parametrize("source,error,kept", [

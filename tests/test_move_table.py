@@ -127,8 +127,8 @@ def assert_moves_match(program: lang.Program, costs: semantics.CostModel,
                 assert (nodes[head].continuation if head else ()) == after
                 assert store == nxt.store
                 assert config.clock + advance == nxt.clock
-                assert tuple(e._replace(timestamp=config.clock + e.timestamp)
-                             for e in events) == nxt.trace[len(config.trace):]
+                assert tuple(semantics.Event(thread, text, config.clock + at)
+                             for thread, text, at in events) == nxt.trace[len(config.trace):]
                 before = config.snapshot_dict()
                 added = {loc: times[len(before.get(loc, ())):]
                          for loc, times in nxt.snapshots if times != before.get(loc)}

@@ -1,6 +1,7 @@
 """Differential test: ``leaklab run`` against the one-thread reference.
 
-``run`` reads a one-thread program's one run from ``explorer.explore``;
+``run`` reads a one-thread program's one run from the thread's isolated
+walk (``explorer.lone_run``), judged by the search's rule;
 ``schedule_oracle.run_deterministic`` steps it a configuration at a time.
 At every step bound both print the same trace, or fail with the same exit
 code and message, but for one documented edge: a run that ends on exactly
