@@ -601,12 +601,12 @@ def states_at_location(program: lang.Program, loc: lang.LocationId,
     searched: dict[tuple, list[tuple]] = {}
     complete = True
     for first, store in dict(classes.values()).items():
-        kept = explorer.kept_search(program, store, bounds, costs, watch)
-        complete = complete and kept.found.complete
+        found = explorer.kept_search(program, store, bounds, costs, watch)
+        complete = complete and found.complete
         at_loc = dict.fromkeys((s, watched, clock)
-                               for (heads, s, clock, watched), _ in kept.reached
+                               for (heads, s, clock, watched), _ in found.reached
                                if heads[loc.thread] == head)
-        searched[first] = [(s, kept.found.arrivals(watched), clock)
+        searched[first] = [(s, found.arrivals(watched), clock)
                            for s, watched, clock in at_loc]
     states = [(dict(s, **dict(valuation)), dict(snaps), clock, valuation)
               for valuation, (first, _) in classes.items() for s, snaps, clock in searched[first]]

@@ -10,16 +10,17 @@ yields only a prefix of an observation, which never witnesses a leak.
 One engine, :func:`search`, walks the program's state graph for every
 question asked of the schedules.  It expands each distinct state once and
 reads its steps from the program's moves (``semantics.move``), kept per
-(head statement, store).  Only :func:`kept_search` calls it: it runs each
-search once per program, cost model, start store, step bound, state cap,
-watch set and clock-in-key, keeps what it found on the program's control
-table (a :class:`KeptSearch`), and answers every later call from it.  A
-search that watches nothing keeps its graph, over which :func:`explore`
-merges observation suffixes backwards, so a repeated scan searches no
-more.  The other questions read a watched search, one that keeps the
-clock and the arrivals at some locations, and that keeps the states it
-reached: :func:`duration_stats` pairs the arrivals at two watched
-locations where runs end, and
+(head statement, store), and returns one record, a :class:`Search`: the
+state graph it walked and its counts.  Only :func:`kept_search` calls
+it: it runs each search once per program, cost model, start store, step
+bound, state cap, watch set and clock-in-key, keeps the record on the
+program's control table, and answers every later call from it.  Each
+question is a read of a record: :func:`explore` merges observation
+suffixes backwards over the graph of the search that watches nothing,
+so a repeated scan searches no more, and the other questions read the
+states a watched search reached, one whose keys hold the clock and the
+arrivals at some locations: :func:`duration_stats` pairs the arrivals at
+two watched locations where runs end, and
 ``assertions.states_at_location`` reads the states at one location, so a
 leakiness check of a synthesized postulate reads the search that
 synthesis ran for its pair.  One thread's single run has one walk, kept
@@ -41,6 +42,7 @@ view of the secret: its knowledge can never split such a class.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 from typing import Callable, NamedTuple, Optional
 
@@ -227,7 +229,17 @@ _DONE, _DEADLOCKED, _CUT, _CYCLE = "done", "deadlocked", "cut", "cycle"
 
 @record(frozen=True)
 class Search:
-    """What one :func:`search` found, besides what its visitor collected.
+    """What one :func:`search` found: its state graph and its counts.
+
+    ``keys`` holds each distinct key the search reached, in the order it
+    finished them, so each key after its successors and the root last, and
+    ``graph`` at the same place how a run ends at the key, or else its
+    edges as one flat tuple ``(label, child, label, child, ...)``:
+    ``label`` the place in ``labels`` of what the step printed and
+    ``child`` the child's place in ``keys``.  Each label is held once, as
+    the step's ``(thread, payload, timestamp)`` events, plain tuples like
+    the edges, so the cyclic collector stops tracking them, and a reader
+    indexes tuples rather than hashing keys.
 
     ``cells`` holds the hash-consed arrivals: cell ``i`` is ``(previous cell,
     clock)`` of one arrival, and cell 0 stands for no arrival yet.
@@ -237,7 +249,9 @@ class Search:
     and ``capped`` the keys cut past ``max_configs``.
     """
 
-    root: tuple
+    keys: tuple
+    graph: tuple
+    labels: tuple
     truncated: int
     deadlocked: int
     cells: tuple
@@ -247,8 +261,24 @@ class Search:
     capped: int
 
     @property
+    def root(self) -> tuple:
+        return self.keys[-1]
+
+    @property
     def complete(self) -> bool:
         return not (self.truncated or self.capped)
+
+    @functools.cached_property
+    def reached(self) -> tuple:
+        """In the order they were finished, the distinct ``(heads, store,
+        clock, arrivals)`` of the keys (their step counts dropped), each
+        with whether a run ends there; derived from the graph on first
+        read and kept, so a scan does not pay for them."""
+        reached: dict[tuple, bool] = {}
+        for key, outcome in zip(self.keys, self.graph):
+            state = (key[0], key[1], key[2], key[4])
+            reached[state] = reached.get(state, False) or outcome.__class__ is str
+        return tuple(reached.items())
 
     def arrivals(self, watched: tuple) -> dict[lang.LocationId, tuple[int, ...]]:
         """The snapshots that the ``arrivals`` entry of a key stands for."""
@@ -266,7 +296,7 @@ _ABSENT = object()
 
 
 def search(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
-           costs: semantics.CostModel, watch: frozenset, visit) -> Search:
+           costs: semantics.CostModel, watch: frozenset) -> Search:
     """The exploration engine: a memoised depth-first search over states,
     started by :func:`kept_search` alone, which keeps what it found.
 
@@ -288,12 +318,12 @@ def search(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
     from the step's start, are shifted by the parent's clock in a child
     key, which keeps watched arrivals only.
 
-    ``visit(key, outcome)`` runs once per distinct key, after it has run
-    for every successor of the key.  ``outcome`` is how a run ends at the
-    key (``_DONE``, ``_DEADLOCKED`` or ``_CUT``), or else the list of its
-    ``(events, child key)`` edges: one per enabled thread, highest first,
-    labelled with the events its one step printed, timestamped from the
-    step's start when the key holds no clock.
+    Each distinct key takes its place in the graph (:class:`Search`) once
+    every successor of it has one.  Its outcome is how a run ends at the
+    key (``_DONE``, ``_DEADLOCKED`` or ``_CUT``), or else its edges: one
+    per enabled thread, highest first, labelled with the events its one
+    step printed, timestamped from the step's start when the key holds no
+    clock.
 
     ``max_configs`` counts distinct keys, and a key past it ends its run
     cut short, as a key at ``max_steps`` does; a key where no thread can
@@ -322,14 +352,22 @@ def search(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
             None if bounds.timing_blind and not watch else 0, 0,
             arrive((), start.snapshots, 0))
     rows: dict[tuple, tuple] = {}  # store -> (its moves, the heads stepped from it)
-    done: set = set()
+    place: dict[tuple, int] = {}  # key -> its place in keys and graph
+    keys: list = []
+    graph: list = []
+    labels: dict[tuple, int] = {(): 0}
     configs = truncated = deadlocked = capped = edge_count = 0
     stack: list = [root]  # keys to expand, and [key, edges] once expanded
     while stack:
         key = stack.pop()
-        if key.__class__ is list:  # every successor of the key is visited
-            key, outcome = key
-        elif key in done:
+        if key.__class__ is list:  # every successor of the key has its place
+            key, edges = key
+            flat = []
+            for events, child in edges:
+                flat.append(labels.setdefault(events, len(labels)) if events else 0)
+                flat.append(place[child])
+            outcome = tuple(flat)
+        elif key in place:
             continue
         elif configs >= bounds.max_configs:
             capped += 1
@@ -375,53 +413,16 @@ def search(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
                     continue
                 deadlocked += 1
                 outcome = _DEADLOCKED
-        done.add(key)
-        visit(key, outcome)
-    return Search(root, truncated, deadlocked, tuple(cells), configs, edge_count,
+        place[key] = len(keys)
+        keys.append(key)
+        graph.append(outcome)
+    return Search(tuple(keys), tuple(graph), tuple(labels), truncated, deadlocked,
+                  tuple(cells), configs, edge_count,
                   sum(len(used) for _, used in rows.values()), capped)
 
 
-class KeptSearch:
-    """One search as its program keeps it (:func:`kept_search`).
-
-    ``found`` is the :class:`Search`.  A search that watches nothing, the
-    one :func:`explore` merges over, also keeps its graph; a watched one
-    keeps none (``graph`` is None).  ``keys`` holds each key that the search
-    visited, in the order it visited them, so each key after its
-    successors and the root last, and ``graph`` at the same place how a run
-    ends at the key, or else its edges as one flat tuple ``(label, child,
-    label, child, ...)``: ``label`` the place in ``labels`` of what the step
-    printed and ``child`` the child's place in ``keys``.  Each label is
-    held once, as the step's ``(thread, payload, timestamp)`` events, plain
-    tuples like the edges, so the cyclic collector stops tracking them,
-    and a reader indexes tuples rather than hashing keys.
-    """
-
-    __slots__ = ("found", "keys", "graph", "labels", "_reached")
-
-    def __init__(self, found: Search, reached: Optional[tuple], keys: tuple = (),
-                 graph: Optional[tuple] = None, labels: tuple = ()) -> None:
-        self.found, self._reached = found, reached
-        self.keys, self.graph, self.labels = keys, graph, labels
-
-    @property
-    def reached(self) -> tuple:
-        """In the order they were first visited, the distinct ``(heads,
-        store, clock, arrivals)`` of the keys (their step counts dropped),
-        each with whether a run ends there.  A watched search collects
-        them as it runs; for one that watches nothing they are derived from
-        the graph on first use and kept, so a scan does not pay for them."""
-        if self._reached is None:
-            reached: dict[tuple, bool] = {}
-            for key, outcome in zip(self.keys, self.graph):
-                state = (key[0], key[1], key[2], key[4])
-                reached[state] = reached.get(state, False) or outcome.__class__ is str
-            self._reached = tuple(reached.items())
-        return self._reached
-
-
 def kept_search(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
-                costs: semantics.CostModel, watch: frozenset) -> KeptSearch:
+                costs: semantics.CostModel, watch: frozenset) -> Search:
     """:func:`search` from ``store``, watching ``watch``, run on the first
     call and kept in the program's ``searches(costs)`` for every later one.
 
@@ -429,40 +430,15 @@ def kept_search(program: lang.Program, store: semantics.Store, bounds: ExploreBo
     ``max_steps``, ``max_configs``, ``watch`` and whether its keys hold the
     clock, so a timed and a timing-blind search with a watch set share one,
     and so do a timed :func:`explore` and a search that watches nothing
-    for ``assertions.states_at_location``.  A watched search keeps the
-    reached states it collects as it runs, and one that watches nothing
-    its graph (:class:`KeptSearch`).  A search that raises keeps nothing.
+    for ``assertions.states_at_location``.  Every search is kept whole, its
+    graph included.  A search that raises keeps nothing.
     """
     holds_clock = not (bounds.timing_blind and not watch)
     entry = (tuple(sorted(store.items())), bounds.max_steps, bounds.max_configs, watch,
              holds_clock)
     kept = semantics.control_table(program).searches(costs)
-    if entry in kept:
-        return kept[entry]
-    reached: dict[tuple, bool] = {}
-    keys: list = []
-    graph: list = []
-    place: dict[tuple, int] = {}
-    labels: dict[tuple, int] = {(): 0}
-
-    def collect(key: tuple, outcome) -> None:
-        state = (key[0], key[1], key[2], key[4])
-        reached[state] = reached.get(state, False) or outcome.__class__ is str
-
-    def add(key: tuple, outcome) -> None:
-        place[key] = len(keys)
-        keys.append(key)
-        if outcome.__class__ is not str:
-            edges = []
-            for events, child in outcome:
-                edges.append(labels.setdefault(events, len(labels)) if events else 0)
-                edges.append(place[child])
-            outcome = tuple(edges)
-        graph.append(outcome)
-
-    found = search(program, store, bounds, costs, watch, collect if watch else add)
-    kept[entry] = (KeptSearch(found, tuple(reached.items())) if watch else
-                   KeptSearch(found, None, tuple(keys), tuple(graph), tuple(labels)))
+    if entry not in kept:
+        kept[entry] = search(program, store, bounds, costs, watch)
     return kept[entry]
 
 
@@ -479,16 +455,15 @@ def explore(program: lang.Program, init_public: semantics.Store,
     view (``timing_blind`` beyond the clock in the key, and
     ``observe_thread_ids``) is applied here alone, once per label.  Every
     key maps to its set of ``(suffix events, ending)`` pairs, merged
-    backwards along the edges in the order the search visited the keys,
+    backwards along the edges in the order the search finished the keys,
     each after its successors, so a suffix shared by many schedules is
     derived once; a key with one silent edge shares its child's set.
     """
     store = _start_store(program, init_public, secret_val)
-    kept = kept_search(program, store, bounds, costs, frozenset())
-    found = kept.found
-    views = [_project(label, bounds) for label in kept.labels]
+    found = kept_search(program, store, bounds, costs, frozenset())
+    views = [_project(label, bounds) for label in found.labels]
     suffixes: list = []  # by place in the graph; no set changes once listed
-    for outcome in kept.graph:
+    for outcome in found.graph:
         if outcome.__class__ is str:
             suffixes.append(_ENDINGS[outcome])
             continue
@@ -653,10 +628,10 @@ def duration_stats(program: lang.Program, loc_from: lang.LocationId,
     watch = frozenset((loc_from, loc_to))
 
     def measure(store: semantics.Store) -> tuple[list, bool]:
-        kept = kept_search(program, store, bounds, costs, watch)
-        endings = {state[3] for state, ends in kept.reached if ends}
+        found = kept_search(program, store, bounds, costs, watch)
+        endings = {state[3] for state, ends in found.reached if ends}
         return ([(snaps.get(loc_from, ()), snaps.get(loc_to, ()))
-                 for snaps in map(kept.found.arrivals, endings)], kept.found.complete)
+                 for snaps in map(found.arrivals, endings)], found.complete)
 
     return _durations(program, loc_from, loc_to, secret_domain, measure)
 

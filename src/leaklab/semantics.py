@@ -23,7 +23,7 @@ move :func:`move` found for each (head, store), which every search, the
 isolated walk and :func:`step` read.  :func:`move` alone writes it, and a
 thread blocked at an await is one of its entries, kept as None.  Beside
 the moves it keeps, per cost model, what ``explorer`` found of its
-searches (a scan's with its state graph) and isolated walks, so each is
+searches (each with its state graph) and isolated walks, so each is
 run once per program, and the discharge results of ``proofs``, so a
 triple is discharged once per program.
 
@@ -205,10 +205,8 @@ class ControlTable:
 
     def searches(self, costs: CostModel) -> dict[tuple, object]:
         """``explorer.kept_search``'s entries under ``costs``, one per
-        search, keyed by what the search reads: each holds the search's
-        record and, for a watched search, the states it reached, or for
-        one that watches nothing its graph, which ``explorer.explore``
-        merges observations over (``explorer.KeptSearch``)."""
+        search, keyed by what the search reads: each is the search's
+        record (``explorer.Search``), its state graph included."""
         return self._under(costs)[1]
 
     def walks(self, costs: CostModel) -> dict[tuple, tuple]:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import settings
 
 from leaklab import assertions as asrt
-from leaklab import lang
+from leaklab import lang, semantics
+from leaklab.errors import LeakLabError
 
 settings.register_profile("ci", derandomize=True, max_examples=60)
 settings.load_profile("ci")
@@ -22,6 +23,36 @@ def load_program(name: str) -> lang.Program:
 def load_corpus() -> dict[str, lang.Program]:
     return {p.name: lang.parse_program(p.read_text(encoding="utf-8"))
             for p in sorted(CORPUS.glob("*.cwl"))}
+
+
+def outcome(fn):
+    """``("ok", fn())``, or ``("error", type, message)`` of the
+    ``LeakLabError`` it raised, so that errors compare by type and message."""
+    try:
+        return "ok", fn()
+    except LeakLabError as e:
+        return "error", type(e), str(e)
+
+
+def count_misses(monkeypatch, measure) -> tuple:
+    """What ``measure()`` returns, and how many moves it found missing from
+    the program's table (``semantics.move`` calls)."""
+    calls = []
+    move = semantics.move
+    with monkeypatch.context() as patch:
+        patch.setattr(semantics, "move", lambda *args: calls.append(1) or move(*args))
+        result = measure()
+    return result, len(calls)
+
+
+def visits(found) -> list[tuple]:
+    """``(key, outcome)`` of each key of an ``explorer.Search``, in the
+    order the search finished them: how a run ends at the key, or else its
+    ``(events, child key)`` edges."""
+    return [(key, outcome if outcome.__class__ is str else
+             [(found.labels[outcome[i]], found.keys[outcome[i + 1]])
+              for i in range(0, len(outcome), 2)])
+            for key, outcome in zip(found.keys, found.graph)]
 
 
 def trivially_annotate(program: lang.Program,

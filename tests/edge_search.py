@@ -2,11 +2,11 @@
 search, calling ``semantics.step`` once per edge on full configurations
 and ``semantics.enabled`` once per expanded key.
 
-It keys states as ``explorer.search`` does, visits them in the same order
-and gives the same outcomes: on a key without a clock, an edge's events
-are timestamped from the step's start.  Its ``steps`` counts the distinct
-``(thread, head statement, store)`` triples over its edges, which is the
-number of steps the fast search runs.
+It keys states as ``explorer.search`` does, finishes them in the same
+order and builds the same graph: on a key without a clock, an edge's
+events are timestamped from the step's start.  Its ``steps`` counts the
+distinct ``(thread, head statement, store)`` triples over its edges, which
+is the number of steps the fast search runs.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from leaklab import semantics
 from leaklab.explorer import _CUT, _DEADLOCKED, _DONE, Search
 
 
-def search_by_edges(program, store, bounds, costs, watch, visit) -> Search:
+def search_by_edges(program, store, bounds, costs, watch) -> Search:
     cells: list = [None]
     interned: dict[tuple, int] = {}
     keep_clock = not bounds.timing_blind or bool(watch)
@@ -41,14 +41,17 @@ def search_by_edges(program, store, bounds, costs, watch, visit) -> Search:
     start = semantics.initial_configuration(program, store)
     root = semantics.Configuration(start.residues, start.store, start.clock, (), ())
     root_key = key_of(root, 0, arrive((), start.snapshots))
-    done: set = set()
+    place: dict[tuple, int] = {}  # key -> its place in keys and graph
+    keys: list = []
+    graph: list = []
+    labels: dict[tuple, int] = {(): 0}
     pending: dict[tuple, list] = {}
     stepped: set = set()
     configs = truncated = deadlocked = capped = edge_count = 0
     stack = [(root_key, root)]
     while stack:
         key, config = stack.pop()
-        if key in done:
+        if key in place:
             continue
         outcome = pending.pop(key, None)
         if outcome is None:
@@ -78,7 +81,7 @@ def search_by_edges(program, store, bounds, costs, watch, visit) -> Search:
                 events = nxt.trace if keep_clock else tuple(
                     e._replace(timestamp=e.timestamp - config.clock) for e in nxt.trace)
                 edges.append((events, child))
-                if child not in done:
+                if child not in place:
                     children.append((child, semantics.Configuration(
                         nxt.residues, nxt.store, nxt.clock, (), ())))
             pending[key] = edges
@@ -86,7 +89,12 @@ def search_by_edges(program, store, bounds, costs, watch, visit) -> Search:
             stack.append((key, config))
             stack.extend(children)
             continue
-        done.add(key)
-        visit(key, outcome)
-    return Search(root_key, truncated, deadlocked, tuple(cells), configs, edge_count,
-                  len(stepped), capped)
+        if not isinstance(outcome, str):
+            outcome = tuple(n for events, child in outcome
+                            for n in (labels.setdefault(events, len(labels)) if events else 0,
+                                      place[child]))
+        place[key] = len(keys)
+        keys.append(key)
+        graph.append(outcome)
+    return Search(tuple(keys), tuple(graph), tuple(labels), truncated, deadlocked,
+                  tuple(cells), configs, edge_count, len(stepped), capped)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from leaklab import cli, lang
 
-from conftest import PROGRAMS
+from conftest import PROGRAMS, visits
 from test_lang import int_exprs
 
 
@@ -276,10 +276,12 @@ class TestLeakscan:
         for row in stats:
             keys = []
             edges = []
-            explorer.search(program, {**program.initial_store(), **row["secret"]},
-                            explorer.ExploreBounds(), semantics.CostModel(), frozenset(),
-                            lambda key, outcome: keys.append(key) or isinstance(outcome, str)
-                            or edges.extend((key, child) for _, child in outcome))
+            found = explorer.search(program, {**program.initial_store(), **row["secret"]},
+                                    explorer.ExploreBounds(), semantics.CostModel(), frozenset())
+            for key, outcome in visits(found):
+                keys.append(key)
+                if not isinstance(outcome, str):
+                    edges.extend((key, child) for _, child in outcome)
             # Every statement of this program moves its thread on, so an
             # edge's thread is the one whose head changed.
             triples = {(t, key[0][t], key[1]) for key, child in edges

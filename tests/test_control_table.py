@@ -22,7 +22,7 @@ from leaklab import assertions as asrt
 from leaklab import explorer, lang, semantics
 from leaklab.errors import DomainError, LeakLabError
 
-from conftest import PROGRAMS
+from conftest import PROGRAMS, visits
 from test_explore_oracle import family_member, small_programs
 
 CORPUS_FILES = sorted(PROGRAMS.rglob("*.cwl"))
@@ -204,12 +204,10 @@ def test_steps_read_no_exit_label_or_declaration_off_the_ast(monkeypatch):
     monkeypatch.setattr(lang.Program, "decl", walked)
     assert program.labels_of_thread(0)[-1] == lang.LocationId(0, 4)
     assert program.labels_of_thread(1)[-1] == lang.LocationId(1, 2)
-    ends = []
     found = explorer.search(program, {"h": 1, "x": 0}, explorer.ExploreBounds(),
                             semantics.CostModel(),
-                            frozenset({lang.LocationId(0, 4), lang.LocationId(1, 2)}),
-                            lambda key, outcome:
-                                isinstance(outcome, str) and ends.append(key[4]))
+                            frozenset({lang.LocationId(0, 4), lang.LocationId(1, 2)}))
+    ends = [key[4] for key, outcome in visits(found) if isinstance(outcome, str)]
     assert found.complete and ends
     exits = {loc for watched in ends for loc in found.arrivals(watched)}
     assert exits == {lang.LocationId(0, 4), lang.LocationId(1, 2)}

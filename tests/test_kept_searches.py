@@ -4,9 +4,10 @@
 start store, bounds, watch set and clock-in-key, and ``isolated_durations``
 and ``lone_run`` each lone walk once per thread, start store and
 ``max_configs``; both are kept on the program's control table.  One oracle here asks
-``duration_stats``, ``isolated_durations`` and ``states_at_location``
-about every pair of locations of one program, under interleaved bounds and
-cost models; another asks ``explore`` and ``knowledge_partition`` under an
+``duration_stats``, ``isolated_durations``, ``states_at_location`` and
+``kept_search`` itself (its whole record, graph included) about every
+pair of locations of one program, under interleaved bounds and cost
+models; another asks ``explore`` and ``knowledge_partition`` under an
 interleaved cycle of attacker views, bounds, cost models, secret domains
 and public starts.  Each compares every answer, stats and completeness
 included, with the same call on a freshly parsed program, and a repeated
@@ -29,7 +30,7 @@ from hypothesis import given, settings
 from leaklab import assertions, dl, explorer, lang, semantics
 from leaklab.errors import BudgetExceeded, DomainError, LeakLabError
 
-from conftest import PROGRAMS
+from conftest import PROGRAMS, outcome
 from test_explore_oracle import family_member, small_programs
 from test_move_table import cost_models
 
@@ -47,13 +48,6 @@ def bound_sets(long: int, short: int) -> tuple[explorer.ExploreBounds, ...]:
 BOUNDS = bound_sets(200, 6)
 # Generated loops unfold to the step bound, so they get smaller ones.
 GENERATED_BOUNDS = bound_sets(9, 4)
-
-
-def outcome(fn):
-    try:
-        return fn()
-    except LeakLabError as e:  # compared by type and message
-        return type(e), str(e)
 
 
 def queries(program: lang.Program, every_bounds: tuple) -> list:
@@ -90,20 +84,15 @@ def queries(program: lang.Program, every_bounds: tuple) -> list:
 
 
 def portable(program: lang.Program, answer):
-    """A :func:`explorer.kept_search` answer with each head statement id
-    replaced by the statement's label, which a fresh parse shares."""
-    if not isinstance(answer, explorer.KeptSearch):
+    """An :func:`outcome` with each head statement id in a kept search's
+    keys replaced by the statement's label, which a fresh parse shares, so
+    the whole search compares, its graph included."""
+    found = answer[-1]
+    if not isinstance(found, explorer.Search):
         return answer
     labels = {id(s): s.label for t in program.threads for s in lang.iter_statements(t.body)}
-    found, reached = answer.found, answer.reached
-
-    def state(heads, *rest):
-        return (tuple(labels.get(h) for h in heads), *rest)
-
-    # A watched search keeps no graph; a scan's graph is compared through
-    # ``explore`` below.
-    return (lang.replace(found, root=state(*found.root)),
-            tuple((state(*key), ends) for key, ends in reached), answer.graph is None)
+    return "ok", lang.replace(found, keys=tuple(
+        (tuple(labels.get(h) for h in heads), *rest) for heads, *rest in found.keys))
 
 
 def assert_kept_match_fresh(source: str, every_bounds: tuple = BOUNDS) -> None:
@@ -322,8 +311,8 @@ def test_timed_and_blind_duration_stats_share_one_search(monkeypatch):
     assert len(kept) == 2
     # What a caller gets back cannot be changed in place.
     for entry in kept.values():
-        assert isinstance(entry.found.cells, tuple) and isinstance(entry.reached, tuple)
-        assert entry.graph is None  # only a search that watches nothing keeps its graph
+        assert all(isinstance(part, tuple) for part in (
+            entry.keys, entry.graph, entry.labels, entry.cells, entry.reached))
 
 
 def test_run_and_the_isolated_durations_share_one_walk():
@@ -384,12 +373,11 @@ def test_what_a_program_kept_goes_with_it():
     table = semantics.control_table(program)
     kept = table.searches(semantics.CostModel())
     assert len(kept) == 4  # two watched searches and two scans, one per class
-    found = next(iter(kept.values())).found
-    graphs = [entry.graph for entry in kept.values() if entry.graph is not None]
-    assert len(graphs) == 2  # the scans' alone
+    found = next(iter(kept.values()))
+    graphs = [entry.graph for entry in kept.values()]  # every search keeps its graph
     refs = [weakref.ref(program), weakref.ref(table), weakref.ref(found)]
     del program, table, kept, found
     gc.collect()
     assert [ref() for ref in refs] == [None, None, None]
     # A tuple takes no weak reference: nothing but this list holds a graph.
-    assert [gc.get_referrers(graph) for graph in graphs] == [[graphs]] * 2
+    assert [gc.get_referrers(graph) for graph in graphs] == [[graphs]] * 4

@@ -23,9 +23,9 @@ from hypothesis import given, settings
 import expr_oracle
 from leaklab import explorer, lang, semantics
 from leaklab.config import parse_config
-from leaklab.errors import BudgetExceeded, DomainError, LeakLabError
+from leaklab.errors import BudgetExceeded, DomainError
 
-from conftest import PROGRAMS, load_program
+from conftest import PROGRAMS, count_misses, load_program, outcome
 from test_control_table import reference_residue
 from test_explore_oracle import family_member, small_programs
 from test_search_reference import BLOCKED
@@ -63,13 +63,6 @@ def reference_step(program: lang.Program, config: semantics.Configuration, threa
     residues[thread] = after
     return semantics.Configuration(tuple(residues), tuple(sorted(store.items())), clock,
                                    tuple(trace), tuple(sorted(snaps.items())))
-
-
-def outcome(fn):
-    try:
-        return "ok", fn()
-    except LeakLabError as e:
-        return "error", type(e), str(e)
 
 
 def from_table(program: lang.Program, thread: int, head: int, store: tuple,
@@ -175,15 +168,6 @@ def test_a_move_that_writes_nothing_keeps_its_store():
 # ---------------------------------------------------------------------------
 # What the table kept never shows in a result
 # ---------------------------------------------------------------------------
-
-def count_misses(monkeypatch, measure) -> tuple:
-    calls = []
-    move = semantics.move
-    with monkeypatch.context() as patch:
-        patch.setattr(semantics, "move", lambda *args: calls.append(1) or move(*args))
-        result = measure()
-    return result, len(calls)
-
 
 def analyses(program: lang.Program, costs: semantics.CostModel) -> list:
     """A scan with its stats, and both duration measures, on ``program``."""

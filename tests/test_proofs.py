@@ -10,7 +10,7 @@ from leaklab import dl, explorer, lang, proofs, semantics
 from leaklab.errors import AnnotationError
 
 import assertion_oracle
-from conftest import load_corpus, load_program, trivially_annotate
+from conftest import count_misses, load_corpus, load_program, trivially_annotate
 from schedule_oracle import isolate_thread
 from test_discharge_oracle import CERTIFY_CORPUS, OWN_OUTLINES, outline
 from test_explore_oracle import small_programs
@@ -45,22 +45,6 @@ DOMAIN_EXIT_SOURCE = (
     "var h : int[0..1] label high = secret;\n"
     "var i : int[0..1] label low = 0;\n"
     "thread A { print('s'); print('e'); i = i + 1; i = i + 1; }")
-
-
-def count_misses(monkeypatch, measure) -> tuple:
-    """What ``measure()`` returns, and how many moves it found missing from
-    the program's table (``semantics.move`` calls)."""
-    calls = []
-    original = semantics.move
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(semantics, "move", counted)
-        result = measure()
-    return result, len(calls)
 
 
 def annotated_from(src: str) -> asrt.AnnotatedProgram:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from leaklab import assertions as asrt
 from leaklab import explorer, lang, semantics
 
-from conftest import PROGRAMS
+from conftest import PROGRAMS, visits
 from schedule_oracle import duration_stats_by_schedules, states_at_location_by_schedules
 from test_explore_oracle import small_programs
 
@@ -162,7 +162,9 @@ class TestSearch:
         t2 = semaphore_pair.thread_index("T2")
         watch = frozenset({lang.LocationId(t2, 0), lang.LocationId(t2, 7)})
         found = explorer.search(semaphore_pair, {"h": 0, **semaphore_pair.initial_store()},
-                                explorer.ExploreBounds(), semantics.CostModel(), watch, visit)
+                                explorer.ExploreBounds(), semantics.CostModel(), watch)
+        for key, outcome in visits(found):
+            visit(key, outcome)
         assert len(visited) == len(set(visited))
         assert visited[-1] == found.root
         stepped = {(thread, head, store) for _, thread, head, store, _ in calls}
@@ -172,12 +174,10 @@ class TestSearch:
         assert found.complete
 
     def test_arrivals_keep_only_watched_locations(self, region_thread):
-        ends = []
         watch = frozenset({lang.LocationId(0, 7)})
         found = explorer.search(region_thread, {"h": 1, **region_thread.initial_store()},
-                                explorer.ExploreBounds(), semantics.CostModel(), watch,
-                                lambda key, outcome:
-                                    isinstance(outcome, str) and ends.append(key[4]))
+                                explorer.ExploreBounds(), semantics.CostModel(), watch)
+        ends = [key[4] for key, outcome in visits(found) if isinstance(outcome, str)]
         # print c (1), the branch (1), the region (entry 1 + body 3): l7 at 6.
         assert [found.arrivals(w) for w in ends] == [{lang.LocationId(0, 7): (6,)}]
 
@@ -186,11 +186,9 @@ class TestSearch:
         # the history reads back oldest first.
         p = lang.parse_program("var i : int[0..3] label low = 0;\n"
                                "thread A { while i < 3 do { print('s'); i = i + 1; }; }")
-        ends = []
         found = explorer.search(p, p.initial_store(), explorer.ExploreBounds(),
-                                semantics.CostModel(), frozenset({lang.LocationId(0, 1)}),
-                                lambda key, outcome:
-                                    isinstance(outcome, str) and ends.append(key[4]))
+                                semantics.CostModel(), frozenset({lang.LocationId(0, 1)}))
+        ends = [key[4] for key, outcome in visits(found) if isinstance(outcome, str)]
         [watched] = ends
         assert found.arrivals(watched) == {lang.LocationId(0, 1): (1, 4, 7)}
         assert len(found.cells) == 4
