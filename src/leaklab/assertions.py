@@ -157,7 +157,7 @@ class _AssertionLanguage(lang.ExprLanguage):
                 raise ParseError("approx on non-int operands")
             return lang.BOOL
         if isinstance(x, Quantified):
-            var = lang.Decl(x.var, lang.INT, "low", tuple(range(x.lo, x.hi + 1)), None, False)
+            var = lang.Decl(x.var, lang.INT, "low", range(x.lo, x.hi + 1), None, False)
             if self.type_of(x.body, {**decls, x.var: var}) != lang.BOOL:
                 raise ParseError(f"{x.kind} over a non-bool body")
             return lang.BOOL
@@ -205,7 +205,7 @@ class _AssertionLanguage(lang.ExprLanguage):
             return lambda store: abs(left(store) - right(store)) <= tol(store)
         if isinstance(x, Quantified):
             body, var = self.compile(x.body), x.var
-            values = tuple(range(x.lo, x.hi + 1))
+            values = range(x.lo, x.hi + 1)
             if x.kind == "forall":
                 return lambda store: all(body({**store, var: v}) for v in values)
             return lambda store: any(body({**store, var: v}) for v in values)
@@ -593,10 +593,7 @@ def states_at_location(program: lang.Program, loc: lang.LocationId,
     """
     bounds = replace(bounds, timing_blind=False)
     watch = frozenset(watch)
-    stmt = program.statement_at(loc)
-    exit_loc = semantics.control_table(program).labels[loc.thread][-1]
-    # The head id of the thread at ``loc``: 0 once done, at the exit label.
-    head = id(stmt) if stmt is not None else 0 if loc == exit_loc else None
+    head = semantics.head_at(program, loc)
     classes = explorer.secret_classes(program, {}, secret_domain)
     searched: dict[tuple, list[tuple]] = {}
     complete = True
@@ -644,7 +641,7 @@ def is_leaky_assertion(a: Assertion, loc: lang.LocationId, program: lang.Program
     states, complete = states_at_location(
         program, loc, watch, secret_domain, bounds, costs)
 
-    per_var_domain = {d.name: tuple(d.domain) for d in program.declarations if d.secret}
+    per_var_domain = {d.name: d.domain for d in program.declarations if d.secret}
 
     def satisfying(pred: Assertion) -> list[tuple]:
         pred_fn = compile_assertion(pred, tolerance)

@@ -70,24 +70,23 @@ def _parse_secret_override(program: lang.Program, specs: list[str]) -> tuple:
     from . import explorer
     if not specs:
         return explorer.secret_domain_of(program)
-    domains: dict[str, tuple] = {
-        d.name: d.domain for d in program.declarations if d.secret}
+    domains = {d.name: d.domain for d in program.declarations if d.secret}
     for spec in specs:
         name, _, rng = spec.partition("=")
         if name not in domains:
             raise LeakLabError(f"--secret {name}: not a declared secret variable")
         lo, _, hi = rng.partition("..")
         try:
-            values = tuple(range(int(lo), int(hi) + 1)) if hi else (int(lo),)
+            values = range(int(lo), int(hi or lo) + 1)
         except ValueError:
             raise LeakLabError(f"--secret {spec!r}: expected NAME=LO..HI with "
                                "integer bounds") from None
         if not values:
             raise LeakLabError(f"--secret {spec!r}: empty range {rng}")
         # The bounds are ints, and 0 == False: a bool secret takes none of them.
-        bad = [v for v in values
-               if program.decl(name).type != lang.INT or v not in domains[name]]
-        if bad:
+        declared = domains[name] if program.decl(name).type == lang.INT else range(0)
+        if values[0] not in declared or values[-1] not in declared:
+            bad = [v for v in values if v not in declared]
             raise LeakLabError(f"--secret {name}: {bad} outside the declared domain")
         domains[name] = values
     return tuple(tuple(zip(domains, combo))

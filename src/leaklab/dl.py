@@ -170,12 +170,9 @@ def _separating_threshold(durations: dict) -> Optional[tuple[int, list, list]]:
     """A threshold splitting per-secret duration sets into a low and a high
     group; the threshold is the floor midpoint of the gap."""
     items = [(val, ds) for val, ds in durations.items() if ds]
-    if len(items) < 2 or any(not ds for _, ds in items):
-        return None
     order = sorted(items, key=lambda kv: (min(kv[1]), max(kv[1])))
     for split in range(1, len(order)):
-        lows = [kv for kv in order[:split]]
-        highs = [kv for kv in order[split:]]
+        lows, highs = order[:split], order[split:]
         lo_max = max(max(ds) for _, ds in lows)
         hi_min = min(min(ds) for _, ds in highs)
         if lo_max < hi_min:

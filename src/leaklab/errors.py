@@ -7,8 +7,8 @@ class LeakLabError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class SourceError(LeakLabError):
-    """An error anchored to a position in an input file."""
+class ParseError(LeakLabError):
+    """Malformed source text or an ill-formed program, at ``line:col`` if given."""
 
     def __init__(self, message: str, line: int = 0, col: int = 0) -> None:
         self.line = line
@@ -16,10 +16,6 @@ class SourceError(LeakLabError):
         if line:
             message = f"{line}:{col}: {message}"
         super().__init__(message)
-
-
-class ParseError(SourceError):
-    """Malformed source text or an ill-formed program."""
 
 
 class AnnotationError(LeakLabError):

@@ -146,19 +146,6 @@ def _project(events: tuple, bounds: ExploreBounds) -> tuple[tuple[str, Optional[
                    None if bounds.timing_blind else at) for thread, payload, at in events])
 
 
-def _start_store(program: lang.Program, init_public: semantics.Store,
-                 secret_val: dict) -> semantics.Store:
-    """The store a search of one secret valuation starts from."""
-    store = dict(program.initial_store())
-    store.update(init_public)
-    domains = semantics.control_table(program).domains
-    for name, value in secret_val.items():
-        if value not in domains[name]:
-            raise LeakLabError(f"secret value {name}={value!r} outside domain")
-        store[name] = value
-    return store
-
-
 def _secret_reads(program: lang.Program) -> Optional[tuple]:
     """The static part of the class rule, built on first use and kept on
     the program: ``(guard, fn(store))`` for each way the program reads the
@@ -203,13 +190,13 @@ def secret_classes(program: lang.Program, init_public: semantics.Store,
     in order, mapped to the first valuation of its class under the rule of
     the module docstring and that valuation's start store, one pair per
     class, so ``dict(classes.values())`` lists the classes in order.  Each
-    start store is checked as the start of a search checks it."""
+    start store is checked, as a search checks it (``semantics.start_store``)."""
     reads = _secret_reads(program)
     firsts: dict[object, tuple] = {}
     classes = {}
     for valuation in secret_domain or ((),):
-        store = _start_store(program, init_public, dict(valuation))
-        semantics.initial_configuration(program, store)
+        store = {**program.initial_store(), **init_public, **dict(valuation)}
+        semantics.start_store(program, store)
         key = [valuation] if reads is None else []
         for guard, read in reads or ():
             try:
@@ -243,20 +230,16 @@ class Search:
 
     ``cells`` holds the hash-consed arrivals: cell ``i`` is ``(previous cell,
     clock)`` of one arrival, and cell 0 stands for no arrival yet.
-    ``states`` counts the keys stepped or ended within ``max_configs``,
-    ``edges`` the transitions between keys, ``steps`` the distinct
-    ``(thread, head, store)`` moves behind them, new to the table or not,
-    and ``capped`` the keys cut past ``max_configs``.
+    ``steps`` counts the distinct ``(thread, head, store)`` moves behind
+    the edges, new to the table or not, and ``capped`` the keys cut past
+    ``max_configs``; ``states`` (the other keys), ``edges``, ``truncated``
+    (the keys cut at ``max_steps``) and ``deadlocked`` are read off the graph.
     """
 
     keys: tuple
     graph: tuple
     labels: tuple
-    truncated: int
-    deadlocked: int
     cells: tuple
-    states: int
-    edges: int
     steps: int
     capped: int
 
@@ -265,8 +248,24 @@ class Search:
         return self.keys[-1]
 
     @property
+    def states(self) -> int:
+        return len(self.keys) - self.capped
+
+    @functools.cached_property
+    def edges(self) -> int:
+        return sum([len(outcome) // 2 for outcome in self.graph if outcome.__class__ is tuple])
+
+    @functools.cached_property
+    def truncated(self) -> int:
+        return self.graph.count(_CUT) - self.capped
+
+    @functools.cached_property
+    def deadlocked(self) -> int:
+        return self.graph.count(_DEADLOCKED)
+
+    @property
     def complete(self) -> bool:
-        return not (self.truncated or self.capped)
+        return _CUT not in self.graph
 
     @functools.cached_property
     def reached(self) -> tuple:
@@ -327,9 +326,10 @@ def search(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
 
     ``max_configs`` counts distinct keys, and a key past it ends its run
     cut short, as a key at ``max_steps`` does; a key where no thread can
-    move ends deadlocked.  ``truncated`` and ``deadlocked`` count keys.
+    move ends deadlocked.
     """
-    moves = semantics.control_table(program).moves(costs)
+    table = semantics.control_table(program)
+    moves = table.moves(costs)
     cells: list = [None]
     interned: dict[tuple, int] = {}
 
@@ -347,16 +347,14 @@ def search(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
                     heads[loc] = interned[cell]
         return watched if heads is None else tuple(sorted(heads.items()))
 
-    start = semantics.initial_configuration(program, store)
-    root = (tuple([id(r[0]) if r else 0 for r in start.residues]), start.store,
-            None if bounds.timing_blind and not watch else 0, 0,
-            arrive((), start.snapshots, 0))
+    root = (table.heads, semantics.start_store(program, store),
+            None if bounds.timing_blind and not watch else 0, 0, arrive((), table.arrivals, 0))
     rows: dict[tuple, tuple] = {}  # store -> (its moves, the heads stepped from it)
     place: dict[tuple, int] = {}  # key -> its place in keys and graph
     keys: list = []
     graph: list = []
     labels: dict[tuple, int] = {(): 0}
-    configs = truncated = deadlocked = capped = edge_count = 0
+    configs = 0  # keys stepped or ended within max_configs
     stack: list = [root]  # keys to expand, and [key, edges] once expanded
     while stack:
         key = stack.pop()
@@ -370,7 +368,6 @@ def search(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
         elif key in place:
             continue
         elif configs >= bounds.max_configs:
-            capped += 1
             outcome = _CUT
         else:
             configs += 1
@@ -378,7 +375,6 @@ def search(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
             if not any(heads):
                 outcome = _DONE
             elif steps_used >= bounds.max_steps:
-                truncated += 1
                 outcome = _CUT
             else:
                 row, used = rows.get(store) or rows.setdefault(
@@ -409,16 +405,13 @@ def search(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
                 if edges:
                     stack.append([key, edges])
                     stack.extend([child for _, child in edges])
-                    edge_count += len(edges)
                     continue
-                deadlocked += 1
                 outcome = _DEADLOCKED
         place[key] = len(keys)
         keys.append(key)
         graph.append(outcome)
-    return Search(tuple(keys), tuple(graph), tuple(labels), truncated, deadlocked,
-                  tuple(cells), configs, edge_count,
-                  sum(len(used) for _, used in rows.values()), capped)
+    return Search(tuple(keys), tuple(graph), tuple(labels), tuple(cells),
+                  sum(len(used) for _, used in rows.values()), len(keys) - configs)
 
 
 def kept_search(program: lang.Program, store: semantics.Store, bounds: ExploreBounds,
@@ -459,8 +452,8 @@ def explore(program: lang.Program, init_public: semantics.Store,
     each after its successors, so a suffix shared by many schedules is
     derived once; a key with one silent edge shares its child's set.
     """
-    store = _start_store(program, init_public, secret_val)
-    found = kept_search(program, store, bounds, costs, frozenset())
+    found = kept_search(program, {**program.initial_store(), **init_public, **secret_val},
+                        bounds, costs, frozenset())
     views = [_project(label, bounds) for label in found.labels]
     suffixes: list = []  # by place in the graph; no set changes once listed
     for outcome in found.graph:
@@ -649,10 +642,8 @@ def _isolated_walk(program: lang.Program, thread: int, store: semantics.Store,
     if key in kept:
         return kept[key]
     moves = table.moves(costs)
-    begin = semantics.initial_configuration(program, store)
-    residue = begin.residues[thread]
-    head, store = id(residue[0]) if residue else 0, begin.store
-    clock, timeline = 0, [(0, begin.snapshots, ())]  # each move's start, arrivals, events
+    head, store = table.heads[thread], semantics.start_store(program, store)
+    clock, timeline = 0, [(0, table.arrivals, ())]  # each move's start, arrivals, events
     seen: dict[tuple, int] = {}  # (head statement id, store) -> its move's place
     ending = _CUT
     while len(seen) < max_configs:

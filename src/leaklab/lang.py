@@ -6,7 +6,7 @@ A program is a list of variable declarations followed by one or more
 plain Python lists (sequencing carries no label of its own); every
 executable or control statement carries a :class:`LocationId` that the
 parser assigns as it reads the statement, in source order, and each thread
-owns one exit label past its last.
+owns one exit label past its last, all computed once (:attr:`Program.locations`).
 
 Proof-outline annotations (``{| ... |}`` before a statement, ``@leaky
 {| ... |}`` markers, ``post {| ... |}`` after a thread block) are captured
@@ -16,8 +16,10 @@ here as raw text and parsed into assertion ASTs by
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
+import sys
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .errors import LeakLabError, ParseError
@@ -253,7 +255,7 @@ class Decl:
     name: str
     type: str  # INT or BOOL
     security_label: str
-    domain: tuple  # ints (lo..hi inclusive) or (False, True)
+    domain: Union[range, tuple]  # range(lo, hi + 1), or (False, True)
     init: Union[int, bool, None]  # None means the variable is secret
     secret: bool
 
@@ -290,16 +292,23 @@ class Program:
         """Declared initializers; secret variables are left out."""
         return {d.name: d.init for d in self.declarations if not d.secret}
 
+    @functools.cached_property
+    def locations(self) -> tuple[tuple[tuple, dict], ...]:
+        """Per thread, its labels in pre-order, its exit label last, and the
+        first statement at each label; computed on first read and kept."""
+        found = []
+        for t_idx, thread in enumerate(self.threads):
+            stmts = list(iter_statements(thread.body))
+            found.append(((*[s.label for s in stmts], LocationId(t_idx, len(stmts))),
+                          {s.label: s for s in reversed(stmts)}))  # the first one wins
+        return tuple(found)
+
     def labels_of_thread(self, thread: int) -> list[LocationId]:
         """All statement labels of a thread plus its exit label, in order."""
-        from .semantics import control_table
-        return list(control_table(self).labels[thread])
+        return list(self.locations[thread][0])
 
     def statement_at(self, loc: LocationId) -> Optional[Stmt]:
-        for s in iter_statements(self.threads[loc.thread].body):
-            if s.label == loc:
-                return s
-        return None
+        return self.locations[loc.thread][1].get(loc)
 
     def location_str(self, loc: LocationId) -> str:
         return f"{self.threads[loc.thread].name}.l{loc.index}"
@@ -317,8 +326,7 @@ def iter_statements(body: tuple[Stmt, ...]) -> Iterator[Stmt]:
 
 
 def exit_label(program: Program, thread: int) -> LocationId:
-    count = sum(1 for _ in iter_statements(program.threads[thread].body))
-    return LocationId(thread, count)
+    return program.locations[thread][0][-1]
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +750,9 @@ def _parse_decl(ts: TokenStream) -> Decl:
         ts.expect("sym", "]")
         if hi < lo:
             raise ts.error(f"empty domain [{lo}..{hi}] for {name}")
-        vtype, domain = INT, tuple(range(lo, hi + 1))
+        if hi - lo >= sys.maxsize:  # len() of a wider range overflows
+            raise ts.error(f"domain [{lo}..{hi}] for {name} has too many values")
+        vtype, domain = INT, range(lo, hi + 1)
     elif ts.at("keyword", "bool"):
         ts.next()
         vtype, domain = BOOL, (False, True)

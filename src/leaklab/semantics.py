@@ -16,7 +16,7 @@ the program.  A thread's residue is always the static continuation of its
 head statement: the rest of the head's block, then whatever follows the
 enclosing statement, which for a loop body is the loop itself.  So the
 table interns each statement's continuation and successor residues, holds
-the exit labels, the domains and a closure for every expression
+where each thread starts and a closure for every expression
 (:func:`compile_expr`, the evaluator assertions share).  A step reads
 only its head and the store, so the table also keeps, per cost model, the
 move :func:`move` found for each (head, store), which every search, the
@@ -27,10 +27,10 @@ searches (each with its state graph) and isolated walks, so each is
 run once per program, and the discharge results of ``proofs``, so a
 triple is discharged once per program.
 
-:func:`enabled` and :func:`step` step a :class:`Configuration` at a time,
-as the reference that tests compare the move table against: no analysis
-calls them, and ``run`` reads a single-thread run off ``explorer``'s
-isolated walk.  Only :func:`step`'s trace holds :class:`Event` records.
+:class:`Configuration`, :func:`initial_configuration`, :func:`enabled` and
+:func:`step` are the reference, kept for the tests, which compare the move
+table against them, and for the benchmark tracer: no analysis calls them.
+Only :func:`step`'s trace holds :class:`Event` records.
 """
 
 from __future__ import annotations
@@ -126,23 +126,20 @@ class _Node(NamedTuple):
 
 
 class ControlTable:
-    """Statement rows by ``id`` (``nodes``), each thread's first residue
-    (``starts``), labels, exit label last (``labels``), each variable's
-    declared values (``domains``), and under each cost model the moves
-    :func:`move` found so far (:meth:`moves`), None where a thread is
-    blocked at an await, every search and walk run so far
+    """Statement rows by ``id`` (``nodes``), each thread's start head id, 0
+    if it is empty (``heads``), and the arrivals at clock 0 (``arrivals``),
+    and under each cost model the moves :func:`move` found so far
+    (:meth:`moves`), None where a thread is blocked at an await, every
+    search and walk run so far
     (:meth:`searches`, :meth:`walks`; a scan's search with its graph) and
     the discharge results kept so far (:meth:`proofs`)."""
 
     def __init__(self, program: lang.Program):
         self._kept: dict[tuple, tuple[dict, dict, dict, dict]] = {}
         self.nodes: dict[int, _Node] = {}
-        self.domains = {d.name: frozenset(d.domain) for d in program.declarations}
-        self.starts = tuple(self._block(program, t.body, ()) for t in program.threads)
-        self.labels = []
-        for t_idx, thread in enumerate(program.threads):
-            locs = [s.label for s in lang.iter_statements(thread.body)]
-            self.labels.append((*locs, lang.LocationId(t_idx, len(locs))))
+        self.heads = tuple([id(r[0]) if r else 0 for r in
+                            [self._block(program, t.body, ()) for t in program.threads]])
+        self.arrivals = tuple([(labels[0], (0,)) for labels, _ in program.locations])  # sorted
 
     def _block(self, program: lang.Program, body: tuple, after: tuple) -> tuple:
         """Enter ``body``, which ``after`` follows; return its first residue."""
@@ -158,18 +155,19 @@ class ControlTable:
                 node = _Node(_REGION, _guard(s.guard), after, self._block(program, s.body, ()),
                              here)
             else:
-                node = _Node(_ACTION, self._action(s, program.location_str(s.label)),
+                node = _Node(_ACTION, self._action(s, program),
                              after, (), here, _payload(s) if isinstance(s, lang.Print) else None)
             self.nodes[id(s)] = node
             after = here
         return after
 
-    def _action(self, s: lang.Stmt, where: str) -> Callable:
-        label = s.label
+    def _action(self, s: lang.Stmt, program: lang.Program) -> Callable:
+        label, where = s.label, program.location_str(s.label)
         if isinstance(s, (lang.Skip, lang.Print)):
             return lambda store, at, costs: at + costs.action_cost(label)
         if isinstance(s, lang.Assign):
-            value, target, domain = compile_expr(s.value), s.target, self.domains[s.target]
+            value, target = compile_expr(s.value), s.target
+            domain = {d.name: d.domain for d in program.declarations}[target]
 
             def assign(store, at, costs):
                 v = value(store)
@@ -245,16 +243,27 @@ def control_table(program: lang.Program) -> ControlTable:
 # Configurations and steps
 # ---------------------------------------------------------------------------
 
-def initial_configuration(program: lang.Program, store: Store) -> Configuration:
-    """Start state: every thread at its first statement, arrivals at clock 0."""
+def start_store(program: lang.Program, store: Store) -> tuple:
+    """``store``, sorted, once checked to hold every declared name within its domain."""
     for d in program.declarations:
         if d.name not in store:
             raise LeakLabError(f"initial store misses {d.name!r}")
         if store[d.name] not in d.domain:
             raise DomainError(f"initial value of {d.name!r} outside domain")
-    table = control_table(program)
-    return Configuration(table.starts, tuple(sorted(store.items())), 0, (),
-                         tuple(sorted((labels[0], (0,)) for labels in table.labels)))
+    return tuple(sorted(store.items()))
+
+
+def head_at(program: lang.Program, loc: lang.LocationId) -> Optional[int]:
+    """A thread's head id at ``loc``: its statement's id, 0 at the exit, else None."""
+    labels, statements = program.locations[loc.thread]
+    return id(statements[loc]) if loc in statements else 0 if loc == labels[-1] else None
+
+
+def initial_configuration(program: lang.Program, store: Store) -> Configuration:
+    """Start state: every thread at its first statement, arrivals at clock 0."""
+    checked, table = start_store(program, store), control_table(program)
+    return Configuration(tuple([table.nodes[h].continuation if h else () for h in table.heads]),
+                         checked, 0, (), table.arrivals)
 
 
 def enabled(program: lang.Program, config: Configuration) -> frozenset[StepChoice]:
@@ -354,7 +363,7 @@ def move(program: lang.Program, thread: int, head: int, store: tuple,
         residue = node.succ
     entry = None
     if clock is not None:
-        loc = residue[0].label if residue else table.labels[thread][-1]
+        loc = residue[0].label if residue else program.locations[thread][0][-1]
         snaps.setdefault(loc, []).append(clock)
         after = tuple(sorted(values.items()))
         entry = (id(residue[0]) if residue else 0, store if after == store else after,

@@ -47,7 +47,7 @@ def search_by_edges(program, store, bounds, costs, watch) -> Search:
     labels: dict[tuple, int] = {(): 0}
     pending: dict[tuple, list] = {}
     stepped: set = set()
-    configs = truncated = deadlocked = capped = edge_count = 0
+    configs = capped = 0
     stack = [(root_key, root)]
     while stack:
         key, config = stack.pop()
@@ -64,12 +64,10 @@ def search_by_edges(program, store, bounds, costs, watch) -> Search:
                 if config.all_done():
                     outcome = _DONE
                 elif steps_used >= bounds.max_steps:
-                    truncated += 1
                     outcome = _CUT
                 else:
                     choices = semantics.enabled(program, config)
                     if not choices:
-                        deadlocked += 1
                         outcome = _DEADLOCKED
         if outcome is None:
             edges = []
@@ -85,7 +83,6 @@ def search_by_edges(program, store, bounds, costs, watch) -> Search:
                     children.append((child, semantics.Configuration(
                         nxt.residues, nxt.store, nxt.clock, (), ())))
             pending[key] = edges
-            edge_count += len(edges)
             stack.append((key, config))
             stack.extend(children)
             continue
@@ -96,5 +93,4 @@ def search_by_edges(program, store, bounds, costs, watch) -> Search:
         place[key] = len(keys)
         keys.append(key)
         graph.append(outcome)
-    return Search(tuple(keys), tuple(graph), tuple(labels), truncated, deadlocked,
-                  tuple(cells), configs, edge_count, len(stepped), capped)
+    return Search(tuple(keys), tuple(graph), tuple(labels), tuple(cells), len(stepped), capped)

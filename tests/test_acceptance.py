@@ -55,9 +55,9 @@ class TestCriterion2:
         started = time.time()
         program = load_program("semaphore_pair_annotated.cwl")
         domains = {d.name: d.domain for d in program.declarations}
-        assert domains["h"] == (0, 1)
-        assert domains["sem"] == (0, 1)
-        assert domains["v"] == tuple(range(5))
+        assert tuple(domains["h"]) == (0, 1)
+        assert tuple(domains["sem"]) == (0, 1)
+        assert tuple(domains["v"]) == tuple(range(5))
 
         annotated = asrt.annotate_program(program)
         result = proofs.check_proof(annotated, snapshot_bound=64)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leaklab import cli, lang
+from leaklab import assertions as asrt, cli, lang
 
 from conftest import PROGRAMS, visits
 from test_lang import int_exprs
@@ -1139,6 +1139,54 @@ class TestBadInput:
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err.getvalue()
 
+
+
+WIDE = ("var h : int[0..1] label high = secret; "
+        "var x : int[0..1000000000000] label low = 0; "
+        "thread A { {| x >= 0 |} x = x + 1; {| true |} print(x); } post {| true |}")
+
+
+class TestWideDomains:
+    """A declared domain is enumerated only where an analysis enumerates
+    it, so a wide public variable costs no memory of its width."""
+
+    @pytest.mark.parametrize("argv, code, text", (
+        (("parse",), 0, "var x : int[0..1000000000000] label low = 0;"),
+        (("run", "--init", "h=1"), 0, "A\t1\t2\n"),
+        (("leakscan",), 0, "no-leak"),
+        (("dl", "--synthesize"), 0, "flags: 0"),
+        (("ogcheck",), 3, "state space exceeds budget (1000000000001 > 2000000)"),
+    ), ids=("parse", "run", "leakscan", "dl", "ogcheck"))
+    def test_wide_public_domain_takes_little_memory(self, capsys, tmp_path, argv, code, text):
+        source = tmp_path / "wide.cwl"
+        source.write_text(WIDE)
+        tracemalloc.start()
+        try:
+            result = run_cli(capsys, argv[0], str(source), *argv[1:])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result[0] == code and text in result[1]
+        assert result[2] == "" and peak < 10 * 2**20
+
+    def test_domain_wider_than_a_length_is_a_parse_error(self, capsys, tmp_path):
+        source = tmp_path / "wider.cwl"
+        source.write_text(WIDE.replace("1000000000000", "99999999999999999999"))
+        code, out, err = run_cli(capsys, "parse", str(source))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "too many values" in err
+        assert "Traceback" not in err
+
+    def test_wide_quantifier_is_not_listed(self):
+        program = lang.parse_program("thread A { skip; } post {| forall i in 0..1000000000000 : "
+                                     "true |}")
+        tracemalloc.start()
+        try:
+            annotated = asrt.annotate_program(program)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 in annotated.posts and peak < 10 * 2**20
 
 
 class TestStartUp:

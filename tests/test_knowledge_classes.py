@@ -148,11 +148,11 @@ def count_starts(monkeypatch, measure) -> tuple:
     """``measure()``, the secret of each start store checked or searched
     from, and the ``semantics.move`` misses it made."""
     started, misses = [], []
-    initial_configuration = explorer.semantics.initial_configuration
+    start_store = explorer.semantics.start_store
     move = explorer.semantics.move
     with monkeypatch.context() as patch:
-        patch.setattr(explorer.semantics, "initial_configuration", lambda p, store: (
-            started.append(store["h"]) or initial_configuration(p, store)))
+        patch.setattr(explorer.semantics, "start_store", lambda p, store: (
+            started.append(store["h"]) or start_store(p, store)))
         patch.setattr(explorer.semantics, "move",
                       lambda *args: misses.append(1) or move(*args))
         result = measure()

@@ -77,7 +77,7 @@ class TestParsing:
     def test_ghost_declarations(self):
         p = parse("ghost V0 : int[0..4];\n" + MINI + "thread A { skip; }")
         assert p.ghosts[0].name == "V0"
-        assert p.ghosts[0].domain == tuple(range(5))
+        assert p.ghosts[0].domain == range(5)
 
     @pytest.mark.parametrize("keyword", ["var", "ghost"])
     def test_empty_domain_rejected(self, keyword):
@@ -177,8 +177,8 @@ def statements(depth: int = 2) -> st.SearchStrategy:
 def programs(draw) -> lang.Program:
     y_secret = draw(st.booleans())
     decls = (
-        lang.Decl("x", lang.INT, "low", tuple(range(10)), 0, False),
-        lang.Decl("y", lang.INT, "high", tuple(range(10)),
+        lang.Decl("x", lang.INT, "low", range(10), 0, False),
+        lang.Decl("y", lang.INT, "high", range(10),
                   None if y_secret else 3, y_secret),
         lang.Decl("p", lang.BOOL, "low", (False, True), True, False),
     )

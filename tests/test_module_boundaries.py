@@ -12,11 +12,16 @@ private name.
 ``semantics.step`` or ``semantics.enabled`` or builds a
 ``semantics.Configuration`` or ``semantics.StepChoice``, in any of the
 forms the scan of imports above binds, so every analysis steps through the
-move table.  And ``explorer`` alone starts a
-search, from one function: another module that needs one asks
-``explorer.kept_search``, and so does every function of ``explorer``
-itself, ``explore`` included, so each search runs once per program and is
-kept.  The scan names the function that holds each call of ``search``.
+move table.  Nor does another module call
+``semantics.initial_configuration``: a walk starts from the control table.
+And ``explorer`` alone starts a search, from one function: another module
+that needs one asks ``explorer.kept_search``, and so does every function
+of ``explorer`` itself, ``explore`` included, so each search runs once per
+program and is kept.  The scan names the function that holds each call of
+``search``.
+
+``lang`` imports no leaklab module but ``errors``: a program's static
+facts (its locations, its domains) need no other module.
 """
 
 from __future__ import annotations
@@ -123,6 +128,33 @@ def test_only_semantics_steps_or_builds_a_configuration():
              for path in sorted(PACKAGE.glob("*.py"))}
     assert "explorer.py" in found and "semantics.py" in found
     assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+def test_only_semantics_builds_an_initial_configuration():
+    start = {("semantics", "initial_configuration")}
+    found = {path.name: interpreter_calls(path.read_text(encoding="utf-8"), path.stem, start)
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert "explorer.py" in found and "semantics.py" in found
+    assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+def imported_modules(source: str) -> set[str]:
+    """The leaklab modules that ``source`` imports, in any form."""
+    modules, names = bindings(ast.parse(source))
+    return set(modules.values()) | {module for module, _ in names.values()}
+
+
+def test_lang_imports_only_errors():
+    assert imported_modules((PACKAGE / "lang.py").read_text(encoding="utf-8")) == {"errors"}
+
+
+def test_the_import_scan_sees_each_form_of_import():
+    source = ("from .errors import ParseError\n"
+              "from . import lattice\n"
+              "import leaklab.proofs as P\n"
+              "def labels(program):\n"
+              "    from .semantics import control_table\n")
+    assert imported_modules(source) == {"errors", "lattice", "proofs", "semantics"}
 
 
 def test_the_interpreter_scan_sees_each_form_of_call():
