@@ -17,7 +17,9 @@ import itertools
 import json
 import os
 import sys
+from collections import defaultdict
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import lang
 from .errors import LeakLabError
@@ -48,9 +50,95 @@ def _write(text: str) -> None:
         _drop_stdout()
 
 
-def _emit(data: dict, as_json: bool, human_lines: list[str]) -> None:
+_ESCAPE = json.encoder.encode_basestring_ascii
+
+
+def _json_key(key) -> str:
+    """A dict key as ``json`` writes it, before escaping."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _json_text(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte.
+
+    With ``indent`` set, ``json`` encodes in pure Python and yields one
+    chunk per token, and a leak scan's report holds millions of tokens.
+    This writer joins each container's items once, and encodes a container
+    met again at the same depth once: a report shares its repeated parts
+    (``KnowledgeReport.to_json``), so each is written once per depth.  Keys
+    are sorted as ``json`` sorts them, before conversion; strings are
+    escaped by ``json``'s own ASCII escaper, and any other scalar than a
+    str, int, bool or None goes through ``json.dumps``.  Containers are
+    known by identity, so ``value`` must not change meanwhile; a cycle in
+    it raises ``RecursionError``.
+    """
+    memos: defaultdict[int, dict] = defaultdict(dict)  # depth -> id -> text, None if met once
+    heads: dict[str, str] = {}  # a str key -> its escaped text and separator
+
+    def encode(v, depth: int) -> str:
+        cls = v.__class__
+        if cls is str:
+            return _ESCAPE(v)
+        if cls is dict or cls is list:
+            is_dict = cls is dict
+        elif isinstance(v, str):
+            return _ESCAPE(v)
+        elif v is None:
+            return "null"
+        elif v is True:
+            return "true"
+        elif v is False:
+            return "false"
+        elif isinstance(v, int):
+            return int.__repr__(v)
+        elif isinstance(v, (list, tuple, dict)):
+            is_dict = isinstance(v, dict)
+        else:
+            return json.dumps(v)
+        if not v:
+            return "{}" if is_dict else "[]"
+        memo = memos[depth]
+        text = memo.get(id(v))
+        if text is not None:
+            return text
+        inner = "\n" + "  " * (depth + 1)
+        sep = "," + inner
+        if is_dict:
+            chunks = []
+            for k, x in sorted(v.items()):
+                head = heads.get(k) if k.__class__ is str else None
+                if head is None:
+                    head = _ESCAPE(_json_key(k)) + ": "
+                    if k.__class__ is str:
+                        heads[k] = head
+                chunks += (sep, head, encode(x, depth + 1))
+        else:  # items already written at their depth are read without a call
+            texts = list(map(memos[depth + 1].get, map(id, v)))
+            for i, part in enumerate(texts):
+                if part is None:
+                    texts[i] = encode(v[i], depth + 1)
+            chunks = [sep] * (2 * len(texts))
+            chunks[1::2] = texts
+        # One join per container: a report's text is copied once per level.
+        chunks[0] = ("{" if is_dict else "[") + inner
+        chunks.append(inner[:-2] + ("}" if is_dict else "]"))
+        text = "".join(chunks)
+        memo[id(v)] = text if id(v) in memo else None
+        return text
+
+    return encode(value, 0)
+
+
+def _emit(data: dict, as_json: bool, human_lines: Iterable[str]) -> None:
+    """Write ``data`` as JSON, or else ``human_lines``, which a caller may
+    pass as a generator so that it is only built for human output."""
     if as_json:
-        _write(json.dumps(data, sort_keys=True, indent=2) + "\n")
+        _write(_json_text(data) + "\n")
     else:
         _write("".join(line + "\n" for line in human_lines))
 
@@ -86,8 +174,15 @@ def _parse_secret_override(program: lang.Program, specs: list[str]) -> tuple:
         # The bounds are ints, and 0 == False: a bool secret takes none of them.
         declared = domains[name] if program.decl(name).type == lang.INT else range(0)
         if values[0] not in declared or values[-1] not in declared:
-            bad = [v for v in values if v not in declared]
-            raise LeakLabError(f"--secret {name}: {bad} outside the declared domain")
+            # The parts below and above the declared range; the empty bool
+            # range splits at 0, so there every value is out.
+            bad = [r for r in (range(values.start, min(values.stop, declared.start)),
+                               range(max(values.start, declared.stop), values.stop)) if r]
+            if sum(r.stop - r.start for r in bad) <= 10:
+                shown = str([v for r in bad for v in r])
+            else:
+                shown = " and ".join(f"{r.start}..{r.stop - 1}" for r in bad)
+            raise LeakLabError(f"--secret {name}: {shown} outside the declared domain")
         domains[name] = values
     return tuple(tuple(zip(domains, combo))
                  for combo in itertools.product(*domains.values()))
@@ -149,25 +244,35 @@ def cmd_leakscan(args: argparse.Namespace) -> int:
     init = _parse_inits(program, args.init or [], secrets=False)
     report = explorer.knowledge_partition(program, init, secret_domain, bounds, costs)
     data = report.to_json()
+    if args.stats:
+        data["stats"] = report.stats
+    _emit(data, args.format == "json", _leakscan_lines(report, data))
+    return {"leak-found": 1, "no-leak": 0, "inconclusive": 3}[report.verdict]
+
+
+def _leakscan_lines(report: explorer.KnowledgeReport, data: dict) -> Iterator[str]:
+    """The human form of a scan's ``data``.  Rows share their K(o) lists
+    (``KnowledgeReport.to_json``), so each is rendered once."""
     verdict = f"verdict: {report.verdict} (complete={report.complete}"
     if report.verdict == "inconclusive":
         verdict += "; bounds fired: " + " ".join(
             flag for flag in ("--bound-steps", "--bound-configs")
             if any(flag in row["bounds_fired"] for row in report.stats))
-    human = [verdict + ")"]
+    yield verdict + ")"
+    known: dict[int, str] = {}  # id of a K(o) list -> its text
     for row in data["observations"]:
-        flag = " LEAKY" if row["leaky"] else ""
-        events = " ".join(f"{e['payload']}@{e['timestamp']}" if "timestamp" in e
-                          else e["payload"] for e in row["events"])
-        human.append(f"  obs [{events}] K={row['knowledge']}{flag}")
-    if args.stats:
-        data["stats"] = report.stats
-        human.extend(f"  stats {row['secret']}: explored as {row['explored_as']}, "
-                     f"{row['states']} states, {row['edges']} edges, {row['steps']} steps, "
-                     f"{row['truncated']} truncated, {row['deadlocked']} deadlocked, bounds "
-                     f"fired: {' '.join(row['bounds_fired']) or 'none'}" for row in report.stats)
-    _emit(data, args.format == "json", human)
-    return {"leak-found": 1, "no-leak": 0, "inconclusive": 3}[report.verdict]
+        k = row["knowledge"]
+        text = known.get(id(k))
+        if text is None:
+            text = known[id(k)] = str(k)
+        events = " ".join([f"{e['payload']}@{e['timestamp']}" if "timestamp" in e
+                           else e["payload"] for e in row["events"]])
+        yield f"  obs [{events}] K={text}{' LEAKY' if row['leaky'] else ''}"
+    for row in data.get("stats", ()):
+        yield (f"  stats {row['secret']}: explored as {row['explored_as']}, "
+               f"{row['states']} states, {row['edges']} edges, {row['steps']} steps, "
+               f"{row['truncated']} truncated, {row['deadlocked']} deadlocked, bounds "
+               f"fired: {' '.join(row['bounds_fired']) or 'none'}")
 
 
 def cmd_ogcheck(args: argparse.Namespace) -> int:

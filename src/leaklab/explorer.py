@@ -43,7 +43,9 @@ from __future__ import annotations
 
 import bisect
 import functools
+import gc
 import itertools
+import operator
 from typing import Callable, NamedTuple, Optional
 
 from . import lang, semantics
@@ -61,9 +63,6 @@ class Observation(NamedTuple):
     @property
     def letters(self) -> str:
         return " ".join(p for p, _ in self.events)
-
-    def sort_key(self):
-        return tuple((p, -1 if t is None else t) for p, t in self.events)
 
 
 @record(frozen=True)
@@ -97,6 +96,27 @@ class ExploreResult:
     stats: dict = field(default_factory=dict, compare=False)
 
 
+def _collector_paused(fn: Callable) -> Callable:
+    """``fn`` run with CPython's cyclic collector paused, and the collector
+    left as it was found, also when ``fn`` raises.
+
+    A scan and its report build up to millions of small containers that
+    hold no cycle: observations, suffix sets, K(o) sets and report rows.
+    The collector can free none of them, yet as they grow it traverses
+    them again and again (see the README's ``leakscan`` report costs).
+    """
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
+
+
 @record
 class KnowledgeReport:
     secret_domain: tuple[SecretValuation, ...]
@@ -107,21 +127,32 @@ class KnowledgeReport:
     timing_blind: bool
     stats: list[dict] = field(default_factory=list)  # per valuation, with ``explored_as``
 
+    @_collector_paused
     def to_json(self) -> dict:
-        obs_rows = []
-        for obs in sorted(self.knowledge, key=Observation.sort_key):
-            obs_rows.append({
-                "letters": obs.letters,
-                "events": [
-                    {"payload": p, "timestamp": t} if t is not None else {"payload": p}
-                    for p, t in obs.events
-                ],
-                "knowledge": [dict(val) for val in sorted(self.knowledge[obs])],
-                "leaky": self.leaky[obs],
-            })
+        """The report as JSON data, one row per observation in the order of
+        their events, each event ordered by payload, then timestamp (a
+        missing one first).  Each distinct event, valuation and K(o) list
+        is one object that every row holding it shares, so a caller must
+        not change a row in place.  Rows are sorted by the places of their
+        events among the distinct events, so a comparison reads ints."""
+        distinct = sorted({e for obs in self.knowledge for e in obs.events},
+                          key=lambda e: (e[0], -1 if e[1] is None else e[1]))
+        place = {e: i for i, e in enumerate(distinct)}
+        payloads = [p for p, _ in distinct]
+        events = [{"payload": p} if t is None else {"payload": p, "timestamp": t}
+                  for p, t in distinct]
+        sets = set(self.knowledge.values())
+        valuations = {v: dict(v) for v in itertools.chain(self.secret_domain, *sets)}
+        known = {k: [valuations[v] for v in sorted(k)] for k in sets}
+        keyed = [(tuple(map(place.__getitem__, obs.events)), obs, k)
+                 for obs, k in self.knowledge.items()]
+        keyed.sort(key=operator.itemgetter(0))
         return {
-            "secret_domain": [dict(v) for v in self.secret_domain],
-            "observations": obs_rows,
+            "secret_domain": [valuations[v] for v in self.secret_domain],
+            "observations": [{"letters": " ".join(map(payloads.__getitem__, places)),
+                              "events": list(map(events.__getitem__, places)),
+                              "knowledge": known[k],
+                              "leaky": self.leaky[obs]} for places, obs, k in keyed],
             "verdict": self.verdict,
             "complete": self.complete,
             "timing_blind": self.timing_blind,
@@ -485,6 +516,7 @@ def explore(program: lang.Program, init_public: semantics.Store,
     )
 
 
+@_collector_paused
 def knowledge_partition(program: lang.Program, init_public: semantics.Store,
                         secret_domain: Optional[tuple[SecretValuation, ...]],
                         bounds: ExploreBounds,

@@ -1188,6 +1188,68 @@ class TestWideDomains:
             tracemalloc.stop()
         assert 0 in annotated.posts and peak < 10 * 2**20
 
+    @pytest.mark.parametrize("spec, shown", (
+        ("h=0..1000000000", "2..1000000000"),
+        ("h=-5..1000000000000000000000000000000", "-5..-1 and 2..1000000000000000000000000000000"),
+        ("h=-3..4", "[-3, -2, -1, 2, 3, 4]"),
+    ), ids=("above", "both-sides", "short"))
+    def test_wide_secret_range_names_its_parts_outside_the_domain(self, capsys, spec, shown):
+        tracemalloc.start()
+        try:
+            result = run_cli(capsys, "leakscan", fixture("semaphore_pair.cwl"), "--secret", spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (2, "", f"error: --secret h: {shown} outside the declared domain\n")
+        assert peak < 10 * 2**20
+
+
+def json_scalars() -> st.SearchStrategy:
+    return st.one_of(
+        st.none(), st.booleans(), st.integers(), st.integers(-2**200, 2**200),
+        st.floats(), st.text(),
+        st.sampled_from(['"', "\\", "\x00", "\x1f\x7f", "\u2028", "é ü", "\U0001f600",
+                         "\ud800", "a\"b\\c\nd\te"]))
+
+
+def json_values() -> st.SearchStrategy:
+    return st.recursive(json_scalars(), lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+        # Keys of one dict must order among themselves, as json sorts them.
+        st.dictionaries(st.integers(-3, 3) | st.booleans() | st.floats(-2, 2), children,
+                        max_size=4),
+        st.dictionaries(st.none(), children),
+    ), max_leaves=20)
+
+
+class TestJsonWriter:
+    """``cli._json_text`` writes what ``json.dumps(v, sort_keys=True,
+    indent=2)`` writes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_values())
+    def test_matches_json_dumps(self, value):
+        assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(json_values(), json_values())
+    def test_a_container_shared_at_several_depths(self, shared, other):
+        shared = [shared, {"k": shared}]
+        value = {"a": shared, "b": [shared, [other, shared]], "c": {"d": [[shared]]},
+                 "e": shared}
+        assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", ({"a": object()}, [1, {2}], {(1, 2): 0},
+                                       {"a": 1, 2: 0}), ids=("object", "set", "tuple-key",
+                                                             "mixed-keys"))
+    def test_what_json_cannot_write_raises_as_there(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            cli._json_text(value)
+
 
 class TestStartUp:
     """Each command loads only the leaklab modules it runs."""

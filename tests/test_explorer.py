@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from leaklab import explorer, lang, semantics
-from leaklab.errors import LeakLabError
+from leaklab.errors import DomainError, LeakLabError
 
 from conftest import load_corpus, load_program
 
@@ -181,6 +183,68 @@ class TestKnowledgePartition:
             h0 = letters_of(explorer.explore(semaphore_pair, {}, {"h": 0}, bounds))
             h1 = letters_of(explorer.explore(semaphore_pair, {}, {"h": 1}, bounds))
             assert "acdb" in h0 and "acdb" not in h1
+
+
+class TestReport:
+    @pytest.mark.parametrize("bounds", (BOUNDS, BLIND, explorer.ExploreBounds(
+        max_steps=40, observe_thread_ids=True)), ids=("timed", "blind", "threads"))
+    def test_rows_follow_the_events_and_share_their_parts(self, bounds):
+        for name, program in load_corpus().items():
+            report = explorer.knowledge_partition(program, {}, None, bounds)
+            rows = report.to_json()["observations"]
+            # Each event ordered by payload, then timestamp, a missing one first.
+            order = sorted(report.knowledge, key=lambda obs: tuple(
+                (p, -1 if t is None else t) for p, t in obs.events))
+            assert [row["letters"] for row in rows] == [obs.letters for obs in order], name
+            assert [row["knowledge"] for row in rows] == [
+                [dict(v) for v in sorted(report.knowledge[obs])] for obs in order]
+            events = [e for row in rows for e in row["events"]]
+            assert len({id(e) for e in events}) == len(
+                {tuple(e.values()) for e in events}), name
+            known = [row["knowledge"] for row in rows]
+            assert len({id(k) for k in known}) == len(
+                set(map(frozenset, report.knowledge.values()))), name
+
+
+class TestCollectorPause:
+    """A scan and its report hold no cycles, so the cyclic collector is
+    paused while they are built and left as it was found."""
+
+    @pytest.fixture(params=(True, False), ids=("enabled", "disabled"))
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def test_scan_and_report_leave_the_collector_as_found(self, semaphore_pair, collector,
+                                                         monkeypatch):
+        during = []
+        explore = explorer.explore
+        monkeypatch.setattr(explorer, "explore",
+                            lambda *a, **k: during.append(gc.isenabled()) or explore(*a, **k))
+        report = explorer.knowledge_partition(semaphore_pair, {}, None, BOUNDS)
+        assert gc.isenabled() is collector
+        report.to_json()
+        assert gc.isenabled() is collector
+        assert during == [False, False]
+
+    def test_a_scan_that_raises_leaves_the_collector_as_found(self, semaphore_pair,
+                                                               collector):
+        with pytest.raises(DomainError, match="outside domain"):
+            explorer.knowledge_partition(semaphore_pair, {}, ((("h", 7),),), BOUNDS)
+        assert gc.isenabled() is collector
+
+    def test_a_report_that_raises_leaves_the_collector_as_found(self, collector):
+        # Timestamps of two types cannot be ordered.
+        report = explorer.KnowledgeReport(
+            secret_domain=(), verdict="no-leak", complete=True, timing_blind=False,
+            knowledge={explorer.Observation((("a", 1),)): frozenset(),
+                       explorer.Observation((("a", "x"),)): frozenset()},
+            leaky={})
+        with pytest.raises(TypeError):
+            report.to_json()
+        assert gc.isenabled() is collector
 
 
 class TestDurationStats:

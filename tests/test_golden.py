@@ -40,6 +40,9 @@ def commands() -> list[list[str]]:
     for path in programs:
         out.append(["leakscan", path, "--format", "json"])
         out.append(["leakscan", path, "--timing-blind", "--format", "json"])
+        out.append(["leakscan", path])
+        out.append(["leakscan", path, "--timing-blind"])
+        out.append(["leakscan", path, "--stats"])
         out.append(["dl", path, "--synthesize", "--format", "json"])
     for path in ANNOTATED:
         out.append(["ogcheck", path, "--format", "json"])
