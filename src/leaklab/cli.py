@@ -13,7 +13,6 @@ environment variable.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -156,8 +155,6 @@ def _bounds_from(args: argparse.Namespace) -> explorer.ExploreBounds:
 def _parse_secret_override(program: lang.Program, specs: list[str]) -> tuple:
     """``--secret h=0..1`` restricts a declared secret's enumerated domain."""
     from . import explorer
-    if not specs:
-        return explorer.secret_domain_of(program)
     domains = {d.name: d.domain for d in program.declarations if d.secret}
     for spec in specs:
         name, _, rng = spec.partition("=")
@@ -184,8 +181,7 @@ def _parse_secret_override(program: lang.Program, specs: list[str]) -> tuple:
                 shown = " and ".join(f"{r.start}..{r.stop - 1}" for r in bad)
             raise LeakLabError(f"--secret {name}: {shown} outside the declared domain")
         domains[name] = values
-    return tuple(tuple(zip(domains, combo))
-                 for combo in itertools.product(*domains.values()))
+    return explorer.secret_domain_of(program, domains)
 
 
 def _parse_inits(program: lang.Program, specs: list[str], secrets: bool = True) -> dict:
@@ -251,8 +247,8 @@ def cmd_leakscan(args: argparse.Namespace) -> int:
 
 
 def _leakscan_lines(report: explorer.KnowledgeReport, data: dict) -> Iterator[str]:
-    """The human form of a scan's ``data``.  Rows share their K(o) lists
-    (``KnowledgeReport.to_json``), so each is rendered once."""
+    """The human form of a scan's ``data``.  Rows share their events and
+    K(o) lists (``KnowledgeReport.to_json``), so each is rendered once."""
     verdict = f"verdict: {report.verdict} (complete={report.complete}"
     if report.verdict == "inconclusive":
         verdict += "; bounds fired: " + " ".join(
@@ -260,13 +256,19 @@ def _leakscan_lines(report: explorer.KnowledgeReport, data: dict) -> Iterator[st
             if any(flag in row["bounds_fired"] for row in report.stats))
     yield verdict + ")"
     known: dict[int, str] = {}  # id of a K(o) list -> its text
+    shown: dict[int, str] = {}  # id of an event -> its text
     for row in data["observations"]:
         k = row["knowledge"]
         text = known.get(id(k))
         if text is None:
             text = known[id(k)] = str(k)
-        events = " ".join([f"{e['payload']}@{e['timestamp']}" if "timestamp" in e
-                           else e["payload"] for e in row["events"]])
+        try:
+            events = " ".join(map(shown.__getitem__, map(id, row["events"])))
+        except KeyError:  # an event not met before
+            for e in row["events"]:
+                shown[id(e)] = (f"{e['payload']}@{e['timestamp']}" if "timestamp" in e
+                                else e["payload"])
+            events = " ".join(map(shown.__getitem__, map(id, row["events"])))
         yield f"  obs [{events}] K={text}{' LEAKY' if row['leaky'] else ''}"
     for row in data.get("stats", ()):
         yield (f"  stats {row['secret']}: explored as {row['explored_as']}, "

@@ -15,12 +15,15 @@ state graph it walked and its counts.  Only :func:`kept_search` calls
 it: it runs each search once per program, cost model, start store, step
 bound, state cap, watch set and clock-in-key, keeps the record on the
 program's control table, and answers every later call from it.  Each
-question is a read of a record: :func:`explore` merges observation
-suffixes backwards over the graph of the search that watches nothing,
-so a repeated scan searches no more, and the other questions read the
-states a watched search reached, one whose keys hold the clock and the
-arrivals at some locations: :func:`duration_stats` pairs the arrivals at
-two watched locations where runs end, and
+question is a read of a record.  :func:`merge` merges what runs print
+backwards over the graph of the search that watches nothing, into one set
+of event tuples per way a run ends, and a scan reads that: once per class
+of secret valuations in :func:`knowledge_partition`, which makes one
+:class:`Observation` per distinct observation, and once per valuation in
+:func:`explore`.  So a repeated scan searches no more.  The other
+questions read the states a watched search reached, one whose keys hold
+the clock and the arrivals at some locations: :func:`duration_stats` pairs
+the arrivals at two watched locations where runs end, and
 ``assertions.states_at_location`` reads the states at one location, so a
 leakiness check of a synthesized postulate reads the search that
 synthesis ran for its pair.  One thread's single run has one walk, kept
@@ -45,8 +48,9 @@ import bisect
 import functools
 import gc
 import itertools
+import math
 import operator
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import lang, semantics
 from .errors import BudgetExceeded, DeadlockError, LeakLabError
@@ -101,7 +105,7 @@ def _collector_paused(fn: Callable) -> Callable:
     left as it was found, also when ``fn`` raises.
 
     A scan and its report build up to millions of small containers that
-    hold no cycle: observations, suffix sets, K(o) sets and report rows.
+    hold no cycle: observations, event sets, K(o) sets and report rows.
     The collector can free none of them, yet as they grow it traverses
     them again and again (see the README's ``leakscan`` report costs).
     """
@@ -159,15 +163,26 @@ class KnowledgeReport:
         }
 
 
-def secret_domain_of(program: lang.Program) -> tuple[SecretValuation, ...]:
-    """Cartesian product of the declared secret variables' domains."""
-    secrets = [d for d in program.declarations if d.secret]
+# The valuations a secret domain may have, the figure of ``proofs.STATE_BUDGET``.
+DOMAIN_BUDGET = 2_000_000
+
+
+def secret_domain_of(program: lang.Program,
+                     domains: Optional[dict[str, Sequence]] = None
+                     ) -> tuple[SecretValuation, ...]:
+    """Cartesian product of the declared secret variables' domains, each
+    restricted to ``domains[name]`` where that is given.  A product wider
+    than ``DOMAIN_BUDGET`` valuations raises before any is listed."""
+    secrets = {d.name: d.domain for d in program.declarations if d.secret}
     if not secrets:
         return ()
-    combos = itertools.product(*(d.domain for d in secrets))
-    return tuple(
-        tuple(zip((d.name for d in secrets), combo)) for combo in combos
-    )
+    secrets.update(domains or {})
+    width = math.prod(map(len, secrets.values()))
+    if width > DOMAIN_BUDGET:
+        raise LeakLabError(f"the secret domain has {width} valuations, more than the "
+                           f"{DOMAIN_BUDGET} an analysis enumerates; leakscan's "
+                           "--secret NAME=LO..HI restricts it")
+    return tuple(tuple(zip(secrets, combo)) for combo in itertools.product(*secrets.values()))
 
 
 def _project(events: tuple, bounds: ExploreBounds) -> tuple[tuple[str, Optional[int]], ...]:
@@ -466,7 +481,62 @@ def kept_search(program: lang.Program, store: semantics.Store, bounds: ExploreBo
     return kept[entry]
 
 
-_ENDINGS = {end: frozenset({((), end)}) for end in (_DONE, _DEADLOCKED, _CUT)}
+_ENDINGS = {end: {end: frozenset({()})} for end in (_DONE, _DEADLOCKED, _CUT)}
+
+
+def merge(found: Search, bounds: ExploreBounds) -> dict[str, set]:
+    """The printed events of every run of ``found``, as the attacker sees
+    them (``bounds``), by how the run ends: ``_DONE``, ``_DEADLOCKED`` or
+    ``_CUT`` mapped to the set of event tuples printed on the way there.
+
+    The view is applied once per label.  The sets are merged backwards
+    along the edges in the order the search finished the keys, each after
+    its successors, so a suffix shared by many schedules is derived once.
+    A key with one silent edge shares its child's map.  At a key with more
+    edges, a silent edge that reaches an ending first shares its child's
+    set for it, and that set is copied before another edge's runs join it,
+    so no set changes once listed.
+    """
+    views = [_project(label, bounds) for label in found.labels]
+    ends: list = []  # by place in the graph
+    for outcome in found.graph:
+        if outcome.__class__ is str:
+            ends.append(_ENDINGS[outcome])
+            continue
+        if len(outcome) == 2:  # one edge
+            label, runs = views[outcome[0]], ends[outcome[1]]
+            ends.append({end: {label + suffix for suffix in suffixes}
+                         for end, suffixes in runs.items()} if label else runs)
+            continue
+        merged: dict = {}
+        owned: set = set()  # the endings whose set is new here
+        for i in range(0, len(outcome), 2):
+            label, runs = views[outcome[i]], ends[outcome[i + 1]]
+            for end, suffixes in runs.items():
+                have = merged.get(end)
+                if have is None:  # no edge before reaches the ending
+                    if label:
+                        merged[end] = {label + suffix for suffix in suffixes}
+                        owned.add(end)
+                    else:
+                        merged[end] = suffixes
+                    continue
+                if label:
+                    suffixes = [label + suffix for suffix in suffixes]
+                if end not in owned:  # a child's set: copied, not changed
+                    merged[end] = have = set(have)
+                    owned.add(end)
+                have.update(suffixes)
+        ends.append(merged)
+    return ends[-1]
+
+
+def _search_stats(found: Search) -> dict:
+    """A search's deterministic account, as ``leakscan --stats`` reports it."""
+    return {"states": found.states, "edges": found.edges, "steps": found.steps,
+            "truncated": found.truncated, "deadlocked": found.deadlocked,
+            "bounds_fired": [flag for flag, n in (("--bound-steps", found.truncated),
+                                                  ("--bound-configs", found.capped)) if n]}
 
 
 def explore(program: lang.Program, init_public: semantics.Store,
@@ -474,45 +544,22 @@ def explore(program: lang.Program, init_public: semantics.Store,
             costs: semantics.CostModel = semantics.CostModel()) -> ExploreResult:
     """All observations reachable under any schedule, within bounds.
 
-    It reads the graph of the :func:`kept_search` that watches nothing, so
-    a repeated call on one program searches no more, and the attacker's
-    view (``timing_blind`` beyond the clock in the key, and
-    ``observe_thread_ids``) is applied here alone, once per label.  Every
-    key maps to its set of ``(suffix events, ending)`` pairs, merged
-    backwards along the edges in the order the search finished the keys,
-    each after its successors, so a suffix shared by many schedules is
-    derived once; a key with one silent edge shares its child's set.
+    It reads the :func:`merge` of the :func:`kept_search` that watches
+    nothing, so a repeated call on one program searches no more: each run's
+    events become an :class:`Observation`, paired with whether the run
+    terminated, and those of runs cut short are the prefixes.
     """
     found = kept_search(program, {**program.initial_store(), **init_public, **secret_val},
                         bounds, costs, frozenset())
-    views = [_project(label, bounds) for label in found.labels]
-    suffixes: list = []  # by place in the graph; no set changes once listed
-    for outcome in found.graph:
-        if outcome.__class__ is str:
-            suffixes.append(_ENDINGS[outcome])
-            continue
-        label, runs = views[outcome[0]], suffixes[outcome[1]]
-        merged = {(label + suffix, end) for suffix, end in runs} if label else runs
-        if len(outcome) > 2:
-            if merged is runs:
-                merged = set(runs)
-            for i in range(2, len(outcome), 2):
-                label, runs = views[outcome[i]], suffixes[outcome[i + 1]]
-                merged.update([(label + suffix, end) for suffix, end in runs] if label else runs)
-        suffixes.append(merged)
-    runs = suffixes[-1]  # the root's
-    suffixes.clear()  # the others' sets go before the result is built
+    ends = merge(found, bounds)
     return ExploreResult(
         observations=frozenset((Observation(events), end == _DONE)
-                               for events, end in runs),
+                               for end, runs in ends.items() for events in runs),
         complete=found.complete,
         truncated=found.truncated,
         deadlocked=found.deadlocked,
-        prefixes=frozenset(Observation(events) for events, end in runs if end == _CUT),
-        stats={"states": found.states, "edges": found.edges, "steps": found.steps,
-               "truncated": found.truncated, "deadlocked": found.deadlocked,
-               "bounds_fired": [flag for flag, n in (("--bound-steps", found.truncated),
-                                                     ("--bound-configs", found.capped)) if n]},
+        prefixes=frozenset(map(Observation, ends.get(_CUT, ()))),
+        stats=_search_stats(found),
     )
 
 
@@ -531,53 +578,76 @@ def knowledge_partition(program: lang.Program, init_public: semantics.Store,
     ``inconclusive`` but never produce ``leak-found``.
 
     Only the first valuation of each class (:func:`secret_classes`) is
-    explored; the others share its runs and its stats, and the rule above
-    runs once per class.
+    searched, and its search merged once (:func:`merge`); the others share
+    its runs and its stats, and the rule above runs once per class, by set
+    algebra over the merged event tuples, which keeps their hashes.  Each
+    distinct observation becomes one :class:`Observation`, across all
+    classes.
     """
     if secret_domain is None:
         secret_domain = secret_domain_of(program)
     classes = secret_classes(program, init_public, secret_domain)
-    explored = {first: explore(program, init_public, dict(first), bounds, costs)
-                for first in dict(classes.values())}
-    stats = [{"secret": dict(valuation), "explored_as": dict(first), **explored[first].stats}
-             for valuation, (first, _) in classes.items()]
-    same: dict[SecretValuation, list] = {first: [] for first in explored}
+    same: dict[SecretValuation, list] = {first: [] for first, _ in classes.values()}
     if secret_domain:  # else K(o) stays empty
         for valuation, (first, _) in classes.items():
             same[first].append(valuation)
-    runs = list(explored.values())
-    members = list(same.values())
-    seen = [frozenset(obs for obs, _ in r.observations) for r in runs]
-    # A deadlocked run's observation that another run reaches cut short
-    # counts as a prefix only: the side that cannot invent a leak.
-    full = [(s - r.prefixes).union(obs for obs, terminated in r.observations if terminated)
-            if r.prefixes else s for s, r in zip(seen, runs)]
-    cut = [frozenset(p.events for p in r.prefixes) for r in runs]
+    seen: list = []  # per class, the events of every run
+    full: list = []  # ... of the runs that end, as the rule reads them (below)
+    cut: list = []  # ... of the runs cut short
+    counts: dict[SecretValuation, dict] = {}
+    complete = True
+    for first, store in dict(classes.values()).items():
+        found = kept_search(program, store, bounds, costs, frozenset())
+        counts[first] = _search_stats(found)
+        complete = complete and found.complete
+        ends = merge(found, bounds)
+        runs = list(ends.values())
+        seen.append(runs[0].union(*runs[1:]) if len(runs) > 1 else runs[0])
+        prefixes = ends.get(_CUT, frozenset())
+        # A deadlocked run's observation that another run reaches cut short
+        # counts as a prefix only: the side that cannot invent a leak.
+        full.append((seen[-1] - prefixes).union(ends.get(_DONE, ())) if prefixes
+                    else seen[-1])
+        cut.append(prefixes)
+    stats = [{"secret": dict(valuation), "explored_as": dict(first), **counts[first]}
+             for valuation, (first, _) in classes.items()]
 
-    def produces(c: int, obs: Observation) -> bool:
-        return obs in full[c] or any(
-            obs.events[:n] in cut[c] for n in range(len(obs.events) + 1))
+    def produces(c: int, events: tuple) -> bool:
+        return events in full[c] or any(events[:n] in cut[c] for n in range(len(events) + 1))
 
     # The rule by set algebra over whole classes: an observation leaks when
     # some class ends a run with it and another does not produce it, which
     # without cut-short runs is not ending a run with it.
-    leaks = frozenset().union(*full) - full[0].intersection(*full[1:])
-    if any(cut):
-        leaks = {obs for obs in leaks if not all(produces(c, obs) for c in range(len(runs)))}
-    every = frozenset().union(*seen)
-    leaky = dict.fromkeys(every, False)
-    leaky.update(dict.fromkeys(leaks, True))
-    # K(o): split the observations by the classes whose runs show them;
-    # each part knows the members of its classes.
-    parts = [(every, ())]
+    leaks: set = set()
+    if len(full) > 1:
+        leaks = set().union(*full) - full[0].intersection(*full[1:])
+    if leaks and any(cut):
+        leaks = {events for events in leaks
+                 if not all(produces(c, events) for c in range(len(full)))}
+    every = seen[0].union(*seen[1:]) if len(seen) > 1 else seen[0]
+    # K(o) and the flag: split the observations by leaking, then by the
+    # classes whose runs show them; each part knows the members of its
+    # classes.
+    parts = [(leaks, (), True), (every - leaks, (), False)] if leaks else [(every, (), False)]
     for c, s in enumerate(seen):
-        parts = [(part, cs) for whole, within in parts
-                 for part, cs in ((whole & s, within + (c,)), (whole - s, within)) if part]
+        split = []
+        for whole, within, flag in parts:
+            inside = whole & s
+            if len(inside) == len(whole):
+                split.append((whole, within + (c,), flag))
+            elif not inside:
+                split.append((whole, within, flag))
+            else:
+                split += [(inside, within + (c,), flag), (whole - inside, within, flag)]
+        parts = split
+    members = list(same.values())
     knowledge: dict[Observation, frozenset[SecretValuation]] = {}
-    for part, cs in parts:
-        known = frozenset(v for c in cs for v in members[c])
-        knowledge.update(dict.fromkeys(part, known))
-    complete = all(r.complete for r in runs)
+    leaky: dict[Observation, bool] = {}
+    for part, cs, flag in parts:
+        shown = dict.fromkeys(map(Observation, part),
+                              frozenset(v for c in cs for v in members[c]))
+        knowledge.update(shown)
+        leaky.update(dict.fromkeys(shown, flag))
     if leaks:
         verdict = "leak-found"
     elif complete:

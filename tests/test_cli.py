@@ -1169,6 +1169,36 @@ class TestWideDomains:
         assert result[0] == code and text in result[1]
         assert result[2] == "" and peak < 10 * 2**20
 
+    @pytest.mark.parametrize("argv", (("leakscan",), ("dl", "--synthesize")),
+                             ids=("leakscan", "dl"))
+    def test_wide_secret_domain_is_refused_before_it_is_listed(self, capsys, tmp_path, argv):
+        source = tmp_path / "wide-secret.cwl"
+        source.write_text("var h : int[0..1000000000000] label high = secret; "
+                          "thread A { print('a'); }")
+        tracemalloc.start()
+        try:
+            result = run_cli(capsys, argv[0], str(source), *argv[1:])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result[:2] == (2, "")
+        assert result[2] == ("error: the secret domain has 1000000000001 valuations, more "
+                             "than the 2000000 an analysis enumerates; leakscan's "
+                             "--secret NAME=LO..HI restricts it\n")
+        assert peak < 10 * 2**20
+
+    def test_a_restricted_secret_range_is_what_the_budget_counts(self, capsys, tmp_path):
+        source = tmp_path / "wide-secret.cwl"
+        source.write_text("var h : int[0..1000000000000] label high = secret; "
+                          "var g : int[0..1999999] label high = secret; "
+                          "thread A { print('a'); }")
+        code, out, err = run_cli(capsys, "leakscan", str(source), "--secret", "h=5..6")
+        assert (code, out) == (2, "") and "has 4000000 valuations" in err
+        code, out, err = run_cli(capsys, "leakscan", str(source), "--secret", "h=5..5",
+                                 "--secret", "g=0..2", "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["secret_domain"] == [{"h": 5, "g": g} for g in range(3)]
+
     def test_domain_wider_than_a_length_is_a_parse_error(self, capsys, tmp_path):
         source = tmp_path / "wider.cwl"
         source.write_text(WIDE.replace("1000000000000", "99999999999999999999"))

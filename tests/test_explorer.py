@@ -8,6 +8,7 @@ from leaklab import explorer, lang, semantics
 from leaklab.errors import DomainError, LeakLabError
 
 from conftest import load_corpus, load_program
+from test_explore_oracle import family_member
 
 
 def letters_of(result: explorer.ExploreResult) -> set[str]:
@@ -185,6 +186,34 @@ class TestKnowledgePartition:
             assert "acdb" in h0 and "acdb" not in h1
 
 
+SCANNED = [*load_corpus().items(),
+           *((f"family-{n}-{k}", lang.parse_program(family_member(n, k)))
+             for n in (1, 2, 3) for k in (0, 1))]
+
+
+class TestOneMergePerClass:
+    """A scan merges each class's runs once, and builds one Observation per
+    distinct observation, whatever the number of classes that show it."""
+
+    @pytest.mark.parametrize("bounds", (explorer.ExploreBounds(max_steps=1_000), BLIND),
+                             ids=("timed", "blind"))
+    @pytest.mark.parametrize("name,program", SCANNED, ids=[name for name, _ in SCANNED])
+    def test_one_merge_per_class_and_one_observation_each(self, name, program, bounds,
+                                                          monkeypatch):
+        merged, built = [], []
+        merge, observation = explorer.merge, explorer.Observation
+        monkeypatch.setattr(explorer, "merge", lambda found, b: (
+            merged.append(found) or merge(found, b)))
+        monkeypatch.setattr(explorer, "Observation", lambda events: (
+            built.append(events) or observation(events)))
+        report = explorer.knowledge_partition(program, {}, None, bounds)
+        classes = explorer.secret_classes(program, {}, report.secret_domain)
+        assert len(merged) == len({id(found) for found in merged}) == len(
+            dict(classes.values()))
+        assert len(built) == len(set(built)) == len(report.knowledge) > 0
+        assert report.knowledge.keys() == report.leaky.keys()
+
+
 class TestReport:
     @pytest.mark.parametrize("bounds", (BOUNDS, BLIND, explorer.ExploreBounds(
         max_steps=40, observe_thread_ids=True)), ids=("timed", "blind", "threads"))
@@ -219,10 +248,10 @@ class TestCollectorPause:
 
     def test_scan_and_report_leave_the_collector_as_found(self, semaphore_pair, collector,
                                                          monkeypatch):
-        during = []
-        explore = explorer.explore
-        monkeypatch.setattr(explorer, "explore",
-                            lambda *a, **k: during.append(gc.isenabled()) or explore(*a, **k))
+        during = []  # the collector's state during each class's merge
+        merge = explorer.merge
+        monkeypatch.setattr(explorer, "merge",
+                            lambda *a, **k: during.append(gc.isenabled()) or merge(*a, **k))
         report = explorer.knowledge_partition(semaphore_pair, {}, None, BOUNDS)
         assert gc.isenabled() is collector
         report.to_json()

@@ -23,6 +23,7 @@ from leaklab.errors import LeakLabError
 
 import knowledge_oracle
 from conftest import PROGRAMS
+from test_explore_oracle import assert_same as assert_schedules_same
 
 MODES = {
     "timed": {},
@@ -62,18 +63,19 @@ def _outcome(scan, program, bounds):
 
 def assert_same(program: lang.Program, bounds: explorer.ExploreBounds) -> int:
     """Compare the class rule with the oracle; return the searches made."""
-    explored = []
-    real = explorer.explore
+    explored = []  # the secrets of each search's start store
+    real = explorer.kept_search
+    secrets = program.secret_names()
 
-    def counted(*args, **kwargs):
-        explored.append(args[2])
-        return real(*args, **kwargs)
+    def counted(program, store, *args, **kwargs):
+        explored.append({name: store[name] for name in secrets})
+        return real(program, store, *args, **kwargs)
 
-    explorer.explore = counted
+    explorer.kept_search = counted
     try:
         got = _outcome(explorer.knowledge_partition, program, bounds)
     finally:
-        explorer.explore = real
+        explorer.kept_search = real
     want = _outcome(knowledge_oracle.knowledge_partition, program, bounds)
     if isinstance(want, tuple):
         assert got == want
@@ -194,6 +196,42 @@ def test_corpus_matches_oracle(path: Path, mode: str):
     expected = 1 if path.name == "06_unused_secret.cwl" else len(
         explorer.secret_domain_of(program))
     assert searches == expected
+
+
+# Runs that end differently.  In "deadlock", h = 1 deadlocks after 'a' and
+# h = 0 terminates.  In "race", A running to its end leaves B blocked at
+# its await, and B passing it first lets both finish, unless the step bound
+# cuts them short.  Both B's await and A's assignment are silent edges, and
+# a state that B's await reaches silently is also reached by A's print of
+# 'c', whose timestamp tells the two schedules apart: a merge that added a
+# sibling's runs to a child's set in place would show them after 'c'.
+ENDINGS = {
+    "deadlock": ("var h : int[0..1] label high = secret;\n"
+                 "var s : int[0..1] label low = 0;\n"
+                 "thread A { print('a'); if h then { await s > 0 then { skip; }; } "
+                 "else { skip; }; }", range(1, 7)),
+    "race": ("var h : int[0..1] label high = secret;\n"
+             "var x : int[0..1] label low = 0;\n"
+             "thread A { print('a'); print('c'); x = 1; }\n"
+             "thread B { await x = 0 then { skip; }; "
+             "if h then { print('b'); } else { skip; }; }", range(1, 9)),
+}
+
+
+@pytest.mark.parametrize("mode", ("timed", "blind"))
+@pytest.mark.parametrize("name", sorted(ENDINGS))
+def test_runs_that_end_differently_match_oracles(name: str, mode: str):
+    source, steps = ENDINGS[name]
+    program = lang.parse_program(source)
+    verdicts = set()
+    for max_steps in steps:
+        bounds = explorer.ExploreBounds(max_steps=max_steps, **MODES[mode])
+        assert assert_same(program, bounds) == 2
+        # The oracle reads explore, which reads the same merge: each
+        # valuation's runs are also checked against every schedule.
+        assert_schedules_same(program, bounds)
+        verdicts.add(explorer.knowledge_partition(program, {}, None, bounds).verdict)
+    assert verdicts == {"inconclusive", "no-leak" if name == "deadlock" else "leak-found"}
 
 
 def test_leakscan_stats_name_the_search(capsys, tmp_path):
